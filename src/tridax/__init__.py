@@ -4,11 +4,12 @@ drivers and an analytic accelerator performance model.
 The package splits into:
 
 - :mod:`tridax.core` — scalar/batched direct solvers (elimination and
-  cyclic reduction) plus a dense reference oracle;
+  cyclic reduction) on one interleaved ``(n, lines)`` kernel layout, plus a
+  dense reference oracle;
 - :mod:`tridax.tiled` — tiled hybrid solvers for systems larger than one
   sweep's working set;
-- :mod:`tridax.mesh` — batched 2-D/3-D mesh container, axis line
-  gathering, blocked sweeps, binary mesh format;
+- :mod:`tridax.mesh` — batched 2-D/3-D mesh container, whole-axis line
+  sweeps on an interleaved ``(n, lines)`` view, binary mesh format;
 - :mod:`tridax.adi` — ADI heat-diffusion drivers with traffic accounting;
 - :mod:`tridax.perfmodel` — latency/memory models per design point and a
   design-space enumerator;
@@ -21,10 +22,10 @@ from .core import (BatchLayout, TridiagonalBatch, TridiagonalSystem, batch_solve
                    thomas_solve)
 from .errors import (BatchSolveError, InfeasibleDesign, InvalidTilePlan,
                      LineSolveError, MismatchedTiles, NoFeasibleDesign,
-                     SingularMatrix, TridaxError, ZeroDuration, ZeroPivot)
-from .mesh import (Axis, LineBatchView, Mesh, block_transpose, gather_lines,
-                   line_batch_view, read_mesh, scatter_lines, solve_lines,
-                   write_mesh)
+                     NonFiniteSolution, SingularMatrix, TridaxError, ZeroDuration,
+                     ZeroPivot)
+from .mesh import (Axis, LineBatchView, Mesh, axis_lines, line_batch_view, read_mesh,
+                   solve_lines, write_mesh)
 from .adi import AdiConfig, RunReport, adi_rhs, adi_run, adi_step, effective_bandwidth
 from .precision import Precision
 from .tiled import (ModifiedTileResult, TilePlan, assemble_reduced, back_substitute,
@@ -39,10 +40,11 @@ __all__ = [
     "relative_inf_error", "TilePlan", "ModifiedTileResult",
     "modified_thomas_phase", "assemble_reduced", "back_substitute",
     "thomas_thomas_solve", "thomas_pcr_solve", "Mesh", "Axis",
-    "LineBatchView", "line_batch_view", "gather_lines", "scatter_lines",
-    "block_transpose", "solve_lines", "read_mesh", "write_mesh",
+    "LineBatchView", "line_batch_view", "axis_lines", "solve_lines",
+    "read_mesh", "write_mesh",
     "AdiConfig", "RunReport", "adi_rhs", "adi_step", "adi_run",
     "effective_bandwidth", "TridaxError", "ZeroPivot", "SingularMatrix",
     "InvalidTilePlan", "MismatchedTiles", "LineSolveError", "BatchSolveError",
+    "NonFiniteSolution",
     "ZeroDuration", "InfeasibleDesign", "NoFeasibleDesign", "__version__",
 ]

@@ -2,8 +2,9 @@
 
 Each step forms an explicit right-hand side from the 5-point (2-D) or
 7-point (3-D) second-difference stencil scaled by the diffusion
-coefficient, runs one implicit tridiagonal sweep per dimension over it,
-and accumulates the result into the field:
+coefficient, runs one implicit tridiagonal sweep per dimension over it
+(each a single whole-axis kernel call whose constant coefficients are
+shared by every line), and accumulates the result into the field:
 
     d      <- gamma * sum_axes (u[-1] - 2*u[0] + u[+1])     (interior, 0 on boundary)
     d      <- sweep(x), sweep(y)[, sweep(z)]                 each updating d
@@ -46,8 +47,6 @@ class AdiConfig:
     unroll: int = 1
     precision: Precision = Precision.FP64
     literal_coefficients: bool = False
-    group: int = 32
-    width: int = 8
 
     def __post_init__(self):
         if self.gamma <= 0:
@@ -168,20 +167,19 @@ def adi_rhs(u: Mesh, cfg: AdiConfig) -> tuple[ConstantLineCoefficients, Mesh]:
     return cfg.sweep_coefficients(), d
 
 
-def adi_step(u: Mesh, cfg: AdiConfig, *, threads: int = 1) -> tuple[Mesh, Mesh]:
+def adi_step(u: Mesh, cfg: AdiConfig) -> tuple[Mesh, Mesh]:
     """One full step; returns the new field and the accumulated update."""
     for axis in u.solved_axes():
         if u.extent(axis) < 4:
             raise ValueError(f"axis {axis.value} extent {u.extent(axis)} < 4")
     coeffs, d = adi_rhs(u, cfg)
     for axis in u.solved_axes():
-        solve_lines(d, coeffs, axis, "thomas", group=cfg.group, width=cfg.width,
-                    out=d, threads=threads)
+        solve_lines(d, coeffs, axis, "thomas", out=d)
     u_next = Mesh(u.data + d.data, u.spatial_ndim)
     return u_next, d
 
 
-def adi_run(u0: Mesh, cfg: AdiConfig, *, threads: int = 1) -> tuple[Mesh, RunReport]:
+def adi_run(u0: Mesh, cfg: AdiConfig) -> tuple[Mesh, RunReport]:
     """Run ``n_iter`` steps, accounting wall time and logical traffic.
 
     Per iteration the stencil phase reads one mesh and writes one; each
@@ -207,8 +205,7 @@ def adi_run(u0: Mesh, cfg: AdiConfig, *, threads: int = 1) -> tuple[Mesh, RunRep
         rhs.bytes += 2 * mesh_bytes
         for axis in axes:
             t0 = time.perf_counter()
-            solve_lines(d, coeffs, axis, "thomas", group=cfg.group,
-                        width=cfg.width, out=d, threads=threads)
+            solve_lines(d, coeffs, axis, "thomas", out=d)
             t1 = time.perf_counter()
             sweep = report.phase(f"sweep_{axis.value}")
             sweep.seconds += t1 - t0

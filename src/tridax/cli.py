@@ -55,8 +55,6 @@ def _add_common(p: argparse.ArgumentParser):
                    help="report format")
     p.add_argument("--out", type=Path, help="primary output file")
     p.add_argument("--report", type=Path, help="report file (stdout if omitted)")
-    p.add_argument("--threads", type=int, default=0,
-                   help="worker threads for line solves (0 = auto)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -84,8 +82,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iters", type=int, default=100)
     p.add_argument("--unroll", type=int, default=1,
                    help="iterations fused per reporting step")
-    p.add_argument("--group", type=int, default=32)
-    p.add_argument("--vector", type=int, default=8)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--input", type=Path, help="initial mesh (omit to generate)")
     p.add_argument("--verify", action="store_true",
@@ -164,10 +160,6 @@ def _emit_report(args, payload: dict, csv_rows: list[list] | None = None) -> Non
         sys.stdout.write(text)
 
 
-def _threads(args) -> int:
-    return max(1, args.threads) if args.threads else 1
-
-
 def cmd_solve(args) -> int:
     precision = Precision.parse(args.precision)
     if args.algo in ("thomas-thomas", "thomas-pcr"):
@@ -236,9 +228,8 @@ def cmd_adi(args) -> int:
     else:
         u0 = _generated_mesh(args.dims, args.batch, precision, args.seed)
     cfg = AdiConfig(gamma=args.gamma, n_iter=args.iters, unroll=args.unroll,
-                    precision=precision, literal_coefficients=args.literal_coefficients,
-                    group=args.group, width=args.vector)
-    u_final, report = adi_run(u0, cfg, threads=_threads(args))
+                    precision=precision, literal_coefficients=args.literal_coefficients)
+    u_final, report = adi_run(u0, cfg)
     status = 0
     payload = report.to_dict()
     payload["command"] = "adi"

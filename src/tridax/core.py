@@ -6,9 +6,11 @@ Solvers assume strict diagonal dominance (``|b[i]| > |a[i]| + |c[i]|``);
 this is a documented precondition, enforced only when ``check_dominance``
 is requested, since the elimination is unstable without it.
 
-The blocked kernels at the bottom operate on ``(lines, n)`` arrays and are
-shared with the mesh sweeps; a scalar solve is a one-line block, so batched
-and scalar paths produce bitwise-identical results.
+The kernels at the bottom operate on ``(n, lines)`` arrays, row i of every
+system side by side (the INTERLEAVED batch layout). The scalar solvers,
+``batch_solve`` and the mesh sweeps all call them; a scalar solve is a
+one-line call, and every line runs the same operation sequence, so scalar,
+batched and sweep results are bitwise identical.
 """
 
 from __future__ import annotations
@@ -18,10 +20,16 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import BatchSolveError, SingularMatrix, ZeroPivot
+from .errors import BatchSolveError, NonFiniteSolution, SingularMatrix, ZeroPivot
 from .precision import Precision
 
 DENSE_ORACLE_MAX_N = 4096
+
+
+def _float_dtype(*arrays) -> np.dtype:
+    """Common dtype of the arrays; FP64 unless that is FP32 or FP64."""
+    common = np.result_type(*arrays)
+    return common if common in (np.float32, np.float64) else np.dtype(np.float64)
 
 
 def _as_coeff_array(name: str, values, dtype=None) -> np.ndarray:
@@ -48,9 +56,7 @@ class TridiagonalSystem:
 
     def __post_init__(self):
         arrays = {name: np.asarray(getattr(self, name)) for name in "abcd"}
-        common = np.result_type(*arrays.values())
-        if common not in (np.float32, np.float64):
-            common = np.dtype(np.float64)
+        common = _float_dtype(*arrays.values())
         for name, arr in arrays.items():
             object.__setattr__(self, name, _as_coeff_array(name, arr, common))
         n = self.b.shape[0]
@@ -168,14 +174,11 @@ def thomas_solve(system: TridiagonalSystem, *, check_dominance: bool = False) ->
     """Solve one system by forward elimination and back substitution.
 
     O(n); the input is left untouched. Raises :class:`ZeroPivot` when a
-    forward-sweep denominator falls below the precision's pivot floor.
+    forward-sweep denominator falls below the precision's pivot floor (or
+    is not finite), :class:`NonFiniteSolution` when the solution is not
+    finite.
     """
-    if check_dominance and not system.is_diagonally_dominant():
-        raise ValueError("system is not strictly diagonally dominant")
-    u = _thomas_kernel(system.a[None, :], system.b[None, :],
-                       system.c[None, :], system.d[None, :],
-                       system.precision.pivot_floor)
-    return u[0]
+    return _solve_one(_thomas_kernel, system, check_dominance)
 
 
 def pcr_solve(system: TridiagonalSystem, *, check_dominance: bool = False) -> np.ndarray:
@@ -187,12 +190,21 @@ def pcr_solve(system: TridiagonalSystem, *, check_dominance: bool = False) -> np
     rows with zero right-hand side, so non-power-of-two sizes need no
     padding.
     """
-    if check_dominance and not system.is_diagonally_dominant():
+    return _solve_one(_pcr_kernel, system, check_dominance)
+
+
+def _require_dominance(system: TridiagonalSystem) -> None:
+    """Raise ``ValueError`` unless the system is strictly diagonally dominant."""
+    if not system.is_diagonally_dominant():
         raise ValueError("system is not strictly diagonally dominant")
-    u = _pcr_kernel(system.a[None, :], system.b[None, :],
-                    system.c[None, :], system.d[None, :],
-                    system.precision.pivot_floor)
-    return u[0]
+
+
+def _solve_one(kernel, system: TridiagonalSystem, check_dominance: bool) -> np.ndarray:
+    if check_dominance:
+        _require_dominance(system)
+    u = kernel(system.a[:, None], system.b[:, None], system.c[:, None],
+               system.d[:, None], system.precision.pivot_floor)
+    return u[:, 0]
 
 
 def dense_oracle_solve(system: TridiagonalSystem) -> np.ndarray:
@@ -251,17 +263,29 @@ def batch_solve(batch: TridiagonalBatch, algo: str = "thomas", tiles: int | None
                 *, fail_fast: bool = False) -> list[np.ndarray]:
     """Solve every system of a batch independently.
 
-    Results keep the input order and match the scalar solver bitwise. A
+    Results keep the input order and match the scalar solver bitwise.
+    ``thomas`` and ``pcr`` solve the whole batch in one kernel call on its
+    interleaved layout; the tiled hybrids solve system by system. A
     failing system does not abort the rest unless ``fail_fast`` is set;
     collected failures are raised as :class:`BatchSolveError` with the
     partial solutions attached.
     """
+    if algo in _KERNELS:
+        inter = batch.with_layout(BatchLayout.INTERLEAVED)
+        dtype = _float_dtype(inter.a, inter.b, inter.c, inter.d)
+        arrays = [np.asarray(getattr(inter, k), dtype=dtype) for k in "abcd"]
+        try:
+            u = _KERNELS[algo](*arrays, Precision.from_dtype(dtype).pivot_floor)
+        except (ZeroPivot, NonFiniteSolution):
+            pass  # solve system by system below to collect every failure
+        else:
+            return list(np.ascontiguousarray(u.T))
     solutions: list[np.ndarray | None] = []
     failures = []
     for i in range(batch.count):
         try:
             solutions.append(solve_system(batch.system(i), algo, tiles))
-        except (ZeroPivot, SingularMatrix) as exc:
+        except (ZeroPivot, SingularMatrix, NonFiniteSolution) as exc:
             if fail_fast:
                 raise BatchSolveError([(i, exc)], solutions) from exc
             failures.append((i, exc))
@@ -300,77 +324,96 @@ def relative_inf_error(u, ref) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Blocked kernels: every array is (lines, n); arithmetic per line is the
-# same op sequence at any block width, so results are independent of how
-# lines are grouped.
+# Kernels: d and the solution are (n, lines); a, b, c are (n, lines) or
+# (n, 1), shared by every line. Each line runs the same operation sequence
+# whatever the line count or coefficient sharing, so results do not depend
+# on how lines are batched. Pivots and output are checked once per call.
 # ---------------------------------------------------------------------------
 
 
-def _check_pivots(denom: np.ndarray, floor: float, index: int):
-    bad = np.abs(denom) < floor
-    if np.any(bad):
-        if denom.ndim == 2:
-            line, row = np.unravel_index(int(np.argmax(bad)), denom.shape)
-            raise ZeroPivot(int(row), line=int(line))
-        raise ZeroPivot(index, line=int(np.argmax(bad)))
+def _check_pivots(den: np.ndarray, floor: float) -> None:
+    """Raise :class:`ZeroPivot` at the lowest failing row, then lowest line.
+
+    A pivot fails below the floor, and also when it is NaN or infinite.
+    """
+    mag = np.abs(den)
+    bad = ~((mag >= floor) & (mag <= np.finfo(den.dtype).max))
+    if bad.any():
+        row = int(np.argmax(bad.any(axis=1)))
+        raise ZeroPivot(row, line=int(np.argmax(bad[row])))
+
+
+def _check_finite(u: np.ndarray) -> None:
+    if not np.isfinite(u).all():
+        raise NonFiniteSolution(int(np.argmin(np.isfinite(u).all(axis=0))))
 
 
 def _thomas_kernel(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray,
                    floor: float) -> np.ndarray:
-    n = b.shape[1]
+    n = d.shape[0]
     one = b.dtype.type(1)
-    cs = np.empty_like(b)
-    ds = np.empty_like(b)
-    _check_pivots(b[:, 0], floor, 0)
-    ds[:, 0] = d[:, 0] / b[:, 0]
-    cs[:, 0] = c[:, 0] / b[:, 0]
-    for i in range(1, n):
-        denom = b[:, i] - a[:, i] * cs[:, i - 1]
-        _check_pivots(denom, floor, i)
-        r = one / denom
-        ds[:, i] = r * (d[:, i] - a[:, i] * ds[:, i - 1])
-        cs[:, i] = r * c[:, i]
-    u = np.empty_like(b)
-    u[:, n - 1] = ds[:, n - 1]
-    for i in range(n - 2, -1, -1):
-        u[:, i] = ds[:, i] - cs[:, i] * u[:, i + 1]
+    shape = np.broadcast_shapes(a.shape, b.shape, c.shape)
+    cs = np.empty(shape, dtype=b.dtype)
+    den = np.empty(shape, dtype=b.dtype)
+    u = np.empty(np.broadcast_shapes(shape, d.shape), dtype=b.dtype)  # ds, then u
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        den[0] = b[0]
+        u[0] = d[0] / b[0]
+        cs[0] = c[0] / b[0]
+        for i in range(1, n):
+            den[i] = b[i] - a[i] * cs[i - 1]
+            r = one / den[i]
+            u[i] = r * (d[i] - a[i] * u[i - 1])
+            cs[i] = r * c[i]
+        for i in range(n - 2, -1, -1):
+            u[i] -= cs[i] * u[i + 1]
+        _check_pivots(den, floor)
+    _check_finite(u)
     return u
 
 
 def _shift(arr: np.ndarray, offset: int) -> np.ndarray:
-    """Row values at column ``i + offset``; zero outside the system."""
+    """Values at row ``i + offset``; zero outside the system."""
     out = np.zeros_like(arr)
-    if offset >= arr.shape[1]:
+    n = arr.shape[0]
+    if offset >= n:
         return out
     if offset >= 0:
-        out[:, : arr.shape[1] - offset] = arr[:, offset:]
+        out[: n - offset] = arr[offset:]
     else:
-        out[:, -offset:] = arr[:, :offset]
+        out[-offset:] = arr[:offset]
     return out
 
 
 def _pcr_kernel(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray,
                 floor: float) -> np.ndarray:
-    n = b.shape[1]
+    n = d.shape[0]
     one = b.dtype.type(1)
-    _check_pivots(b, floor, 0)
-    ra = a / b
-    rc = c / b
-    rd = d / b
-    steps = 0 if n <= 1 else int(np.ceil(np.log2(n)))
-    for p in range(steps):
-        s = 1 << p
-        a_lo = _shift(ra, -s)
-        d_lo = _shift(rd, -s)
-        c_lo = _shift(rc, -s)
-        a_hi = _shift(ra, s)
-        c_hi = _shift(rc, s)
-        d_hi = _shift(rd, s)
-        denom = one - ra * c_lo - rc * a_hi
-        _check_pivots(denom, floor, p)
-        r = one / denom
-        na = -r * (ra * a_lo)
-        nc = -r * (rc * c_hi)
-        nd = r * (rd - ra * d_lo - rc * d_hi)
-        ra, rc, rd = na, nc, nd
+    dens = [b]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        ra = a / b
+        rc = c / b
+        rd = d / b
+        steps = 0 if n <= 1 else int(np.ceil(np.log2(n)))
+        for p in range(steps):
+            s = 1 << p
+            a_lo = _shift(ra, -s)
+            d_lo = _shift(rd, -s)
+            c_lo = _shift(rc, -s)
+            a_hi = _shift(ra, s)
+            c_hi = _shift(rc, s)
+            d_hi = _shift(rd, s)
+            denom = one - ra * c_lo - rc * a_hi
+            dens.append(denom)
+            r = one / denom
+            na = -r * (ra * a_lo)
+            nc = -r * (rc * c_hi)
+            nd = r * (rd - ra * d_lo - rc * d_hi)
+            ra, rc, rd = na, nc, nd
+        for den in dens:  # in elimination order: the first breakdown is reported
+            _check_pivots(den, floor)
+    _check_finite(rd)
     return rd
+
+
+_KERNELS = {"thomas": _thomas_kernel, "pcr": _pcr_kernel}

@@ -8,10 +8,11 @@ class TridaxError(Exception):
 
 
 class ZeroPivot(TridaxError):
-    """A solver pivot denominator fell below the precision's pivot floor.
+    """A solver pivot denominator fell below the precision's pivot floor
+    or is NaN; the Thomas and PCR kernels also reject infinite pivots.
 
     ``index`` is the row within the system (or tile) where elimination broke
-    down; ``line`` identifies the failing row of a blocked kernel call when
+    down; ``line`` identifies the failing line of a kernel call when
     several systems are solved together.
     """
 
@@ -21,7 +22,22 @@ class ZeroPivot(TridaxError):
         if message is None:
             message = f"pivot underflow at row {index}"
             if line is not None:
-                message += f" (block line {line})"
+                message += f" (line {line})"
+        super().__init__(message)
+
+
+class NonFiniteSolution(TridaxError):
+    """A solve produced NaN or infinite values, from non-finite input or overflow.
+
+    ``line`` identifies the first failing line when several systems are
+    solved together.
+    """
+
+    def __init__(self, line: int | None = None):
+        self.line = line
+        message = "solution is not finite"
+        if line is not None:
+            message += f" (line {line})"
         super().__init__(message)
 
 

@@ -3,25 +3,23 @@
 Storage is x-contiguous row-major per mesh: element ``(b, i, j, k)`` lives
 at flat offset ``b*x*y*z + k*x*y + j*x + i``, i.e. the data array is shaped
 ``(batch, z, y, x)`` in C order. Lines along one axis form a batch of
-independent tridiagonal systems; sweeps gather them in blocks of
-``group * width`` lines, solve the block with the shared kernels, and
-scatter the results back. Blocking changes only the execution grouping,
-never the per-line arithmetic, so results are bitwise independent of the
-blocking parameters.
+independent tridiagonal systems. A sweep views the whole axis as one
+``(n, lines)`` array (row i of every line side by side, the kernels'
+interleaved layout), solves it in one kernel call and writes the result
+back through the same view. Lines are numbered per mesh in sweep order:
+x lines by (z, y), y lines by (z, x), z lines by (y, x).
 """
 
 from __future__ import annotations
 
 import struct
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator
 
 import numpy as np
 
 from . import core
-from .errors import LineSolveError, ZeroPivot
+from .errors import LineSolveError, NonFiniteSolution, ZeroPivot
 from .precision import Precision
 
 MESH_MAGIC = b"TRIDAX01"
@@ -139,74 +137,23 @@ def line_batch_view(mesh: Mesh, axis) -> LineBatchView:
     return LineBatchView(axis, size, count)
 
 
-def line_indices(mesh: Mesh, axis) -> Iterator[tuple[int, int, int]]:
-    """(batch, plane, line-in-plane) triples in sweep order.
+_STORAGE_DIM = {Axis.X: 3, Axis.Y: 2, Axis.Z: 1}  # axis position in (batch, z, y, x)
 
-    X lines stream plane-by-plane in storage order; Y lines come from
-    buffered XY planes; Z lines from buffered XZ planes. Unit-stride reads
-    stay within the buffered plane in every case.
+
+def axis_lines(data: np.ndarray, axis: Axis) -> np.ndarray:
+    """``(n, lines)`` array of every line along ``axis``, in sweep order.
+
+    A view where the storage allows it (x lines), otherwise a copy.
     """
-    axis = Axis.parse(axis)
-    b_, z, y, x = mesh.data.shape
-    for b in range(b_):
-        if axis is Axis.X:
-            for k in range(z):
-                for j in range(y):
-                    yield b, k, j
-        elif axis is Axis.Y:
-            for k in range(z):
-                for i in range(x):
-                    yield b, k, i
-        else:
-            for j in range(y):
-                for i in range(x):
-                    yield b, j, i
-
-
-def _line_view(data: np.ndarray, axis: Axis, idx: tuple[int, int, int]) -> np.ndarray:
-    b, p, q = idx
-    if axis is Axis.X:
-        return data[b, p, q, :]
-    if axis is Axis.Y:
-        return data[b, p, :, q]
-    return data[b, :, p, q]
-
-
-def gather_lines(mesh: Mesh, axis) -> Iterator[np.ndarray]:
-    """Yield a copy of every line along ``axis`` in sweep order."""
-    axis = Axis.parse(axis)
-    for idx in line_indices(mesh, axis):
-        yield _line_view(mesh.data, axis, idx).copy()
-
-
-def scatter_lines(mesh: Mesh, axis, lines) -> None:
-    """Write lines back in the same order ``gather_lines`` produced them."""
-    axis = Axis.parse(axis)
-    count = 0
-    for idx, line in zip(line_indices(mesh, axis), lines):
-        _line_view(mesh.data, axis, idx)[:] = line
-        count += 1
-    expected = line_batch_view(mesh, axis).system_count
-    if count != expected:
-        raise ValueError(f"got {count} lines, expected {expected}")
-
-
-def block_transpose(tile: np.ndarray) -> np.ndarray:
-    """Transpose one square tile; applying it twice is the identity.
-
-    This is the reordering the x-dimension data path performs to turn
-    ``width`` consecutive memory words into one element of ``width``
-    different lines.
-    """
-    tile = np.asarray(tile)
-    if tile.ndim != 2 or tile.shape[0] != tile.shape[1]:
-        raise ValueError(f"tile must be square, got {tile.shape}")
-    return tile.T.copy()
+    dim = _STORAGE_DIM[axis]
+    return np.moveaxis(data, dim, 0).reshape(data.shape[dim], -1)
 
 
 class CoefficientSource:
-    """Supplies (a, b, c) coefficients for the lines of a sweep.
+    """Supplies (a, b, c) coefficients for every line of a sweep.
 
+    ``axis_coefficients`` returns three ``(n, lines)`` arrays in the order
+    of ``axis_lines``, or ``(n, 1)`` arrays when every line shares them.
     ``is_stored`` distinguishes coefficient fields that occupy memory (and
     therefore count as transferred bytes) from ones generated on the fly
     inside the sweep.
@@ -214,7 +161,7 @@ class CoefficientSource:
 
     is_stored = False
 
-    def line_block(self, mesh: Mesh, axis: Axis, indices) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def axis_coefficients(self, mesh: Mesh, axis: Axis) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         raise NotImplementedError
 
 
@@ -230,100 +177,78 @@ class StoredCoefficients(CoefficientSource):
         self.b = b
         self.c = c
 
-    def line_block(self, mesh, axis, indices):
+    def axis_coefficients(self, mesh, axis):
         if self.a.data.shape != mesh.data.shape:
             raise ValueError("coefficient meshes do not match the swept mesh")
-        out = []
-        for field in (self.a, self.b, self.c):
-            out.append(np.stack([_line_view(field.data, axis, idx) for idx in indices]))
-        return tuple(out)
+        return tuple(axis_lines(field.data, axis) for field in (self.a, self.b, self.c))
 
 
 class ConstantLineCoefficients(CoefficientSource):
     """One (a, b, c) line profile per axis, shared by every line.
 
     ``profile(n, dtype)`` returns the three length-n vectors; results are
-    cached per (axis length, dtype) and broadcast across the block.
+    cached per (axis length, dtype) and broadcast across the lines, so the
+    kernel computes the coefficient recurrences once per sweep.
     """
 
     def __init__(self, profile):
         self._profile = profile
         self._cache: dict = {}
 
-    def line_block(self, mesh, axis, indices):
+    def axis_coefficients(self, mesh, axis):
         n = mesh.extent(axis)
         key = (n, mesh.data.dtype)
         if key not in self._cache:
-            self._cache[key] = self._profile(n, mesh.data.dtype)
-        a, b, c = self._cache[key]
-        shape = (len(indices), n)
-        return (np.broadcast_to(a, shape), np.broadcast_to(b, shape),
-                np.broadcast_to(c, shape))
+            self._cache[key] = tuple(v[:, None] for v in self._profile(n, mesh.data.dtype))
+        return self._cache[key]
 
 
 def solve_lines(mesh: Mesh, coefficients: CoefficientSource, axis,
-                algo: str = "thomas", *, group: int = 1, width: int = 1,
-                tiles: int | None = None, out: Mesh | None = None,
-                threads: int = 1) -> Mesh:
+                algo: str = "thomas", *, tiles: int | None = None,
+                out: Mesh | None = None) -> Mesh:
     """Solve every line system along ``axis``, writing solutions over ``d``.
 
     The mesh holds the right-hand sides; ``coefficients`` supplies (a, b, c)
-    per line. Lines are processed in interleaved blocks of ``group * width``
-    (with a remainder block when the count does not divide); the grouping
-    mirrors how hardware hides the forward-sweep dependency but has no
-    effect on the numerical result. ``out`` may alias ``mesh`` for an
-    in-place update; by default a new mesh is returned.
+    per line. ``thomas`` and ``pcr`` solve the whole axis in one kernel
+    call; the tiled hybrids solve line by line. A failure raises
+    :class:`LineSolveError` naming the mesh and line. ``out`` may alias
+    ``mesh`` for an in-place update; by default a new mesh is returned.
     """
     axis = Axis.parse(axis)
-    if group < 1 or width < 1:
-        raise ValueError("group and width must be >= 1")
     if axis is Axis.Z and mesh.spatial_ndim == 2:
         raise ValueError("2-D mesh has no z axis")
     if out is None:
-        out = mesh.copy()
+        out = Mesh(np.empty_like(mesh.data), mesh.spatial_ndim)
     elif out.data.shape != mesh.data.shape:
         raise ValueError("destination mesh shape differs from source")
 
-    floor = mesh.precision.pivot_floor
-    indices = list(line_indices(mesh, axis))
-    lines_per_mesh = len(indices) // mesh.batch
-    block = group * width
-    blocks = [(s, indices[s:s + block]) for s in range(0, len(indices), block)]
-
-    def run(job):
-        start, block_indices = job
-        d = np.stack([_line_view(mesh.data, axis, idx) for idx in block_indices])
-        a, b, c = coefficients.line_block(mesh, axis, block_indices)
-        try:
-            if algo == "thomas":
-                u = core._thomas_kernel(a, b, c, d, floor)
-            elif algo == "pcr":
-                u = core._pcr_kernel(a, b, c, d, floor)
-            elif algo in ("thomas-thomas", "thomas-pcr"):
-                from . import tiled
-
-                fn = (tiled.thomas_thomas_solve if algo == "thomas-thomas"
-                      else tiled.thomas_pcr_solve)
-                u = np.empty_like(d)
-                for r in range(d.shape[0]):
-                    sys_r = core.TridiagonalSystem(a[r], b[r], c[r], d[r])
-                    u[r] = fn(sys_r, tiles)
-            else:
-                raise ValueError(f"unknown algorithm {algo!r}")
-        except ZeroPivot as exc:
-            pos = start + (exc.line or 0)
-            raise LineSolveError(pos // lines_per_mesh, pos % lines_per_mesh,
-                                 axis.value) from exc
-        for r, idx in enumerate(block_indices):
-            _line_view(out.data, axis, idx)[:] = u[r]
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run, blocks))
-    else:
-        for blk in blocks:
-            run(blk)
+    d = axis_lines(mesh.data, axis)
+    a, b, c = coefficients.axis_coefficients(mesh, axis)
+    try:
+        if algo in core._KERNELS:
+            u = core._KERNELS[algo](a, b, c, d, mesh.precision.pivot_floor)
+        else:
+            u = _solve_each_line(algo, tiles, a, b, c, d)
+    except (ZeroPivot, NonFiniteSolution) as exc:
+        lines_per_mesh = d.shape[1] // mesh.batch
+        raise LineSolveError(exc.line // lines_per_mesh, exc.line % lines_per_mesh,
+                             axis.value) from exc
+    dest = np.moveaxis(out.data, _STORAGE_DIM[axis], 0)  # the view axis_lines reshapes
+    dest[...] = u.reshape(dest.shape)
     return out
+
+
+def _solve_each_line(algo, tiles, a, b, c, d) -> np.ndarray:
+    a, b, c = (np.broadcast_to(v, d.shape) for v in (a, b, c))
+    u = np.empty_like(d)
+    for line in range(d.shape[1]):
+        system = core.TridiagonalSystem(a[:, line], b[:, line], c[:, line], d[:, line])
+        try:
+            u[:, line] = core.solve_system(system, algo, tiles)
+        except (ZeroPivot, NonFiniteSolution) as exc:
+            exc.line = line
+            raise
+    return u
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TridiagonalSystem, pcr_solve, thomas_solve
+from .core import TridiagonalSystem, _check_finite, _require_dominance, pcr_solve, thomas_solve
 from .errors import InvalidTilePlan, MismatchedTiles, ZeroPivot
 
 MIN_TILE_ROWS = 3  # a tile needs at least one interior unknown
@@ -108,14 +108,14 @@ def modified_thomas_phase(a, b, c, d, *, pivot_floor: float | None = None) -> Mo
     ct = np.empty_like(b)
     dt = np.empty_like(b)
     # forward: row i becomes  at[i]*u0 + u[i] + ct[i]*u[i+1] = dt[i]
-    if abs(b[1]) < pivot_floor:
+    if not abs(b[1]) >= pivot_floor:  # NaN pivots fail too
         raise ZeroPivot(1)
     at[1] = a[1] / b[1]
     ct[1] = c[1] / b[1]
     dt[1] = d[1] / b[1]
     for i in range(2, m):
         denom = b[i] - a[i] * ct[i - 1]
-        if abs(denom) < pivot_floor:
+        if not abs(denom) >= pivot_floor:
             raise ZeroPivot(i)
         r = one / denom
         at[i] = -r * (a[i] * at[i - 1])
@@ -137,7 +137,7 @@ def modified_thomas_phase(a, b, c, d, *, pivot_floor: float | None = None) -> Mo
         d_s[i] = dt[i] - ct[i] * d_s[i + 1]
     # row 0: eliminate u[1]; coupling to the previous tile stays in a_s[0]
     denom = b[0] - c[0] * a_s[1]
-    if abs(denom) < pivot_floor:
+    if not abs(denom) >= pivot_floor:
         raise ZeroPivot(0)
     r = one / denom
     a_s[0] = r * a[0]
@@ -206,19 +206,25 @@ def back_substitute(tiles: list[ModifiedTileResult], boundary) -> np.ndarray:
     return np.concatenate(parts)
 
 
-def thomas_thomas_solve(system: TridiagonalSystem, tiles: int) -> np.ndarray:
+def thomas_thomas_solve(system: TridiagonalSystem, tiles: int, *,
+                        check_dominance: bool = False) -> np.ndarray:
     """Tiled solve with a direct (Thomas) reduced-system solve."""
-    return _tiled_solve(system, tiles, thomas_solve)
+    return _tiled_solve(system, tiles, thomas_solve, check_dominance)
 
 
-def thomas_pcr_solve(system: TridiagonalSystem, tiles: int) -> np.ndarray:
+def thomas_pcr_solve(system: TridiagonalSystem, tiles: int, *,
+                     check_dominance: bool = False) -> np.ndarray:
     """Tiled solve with a cyclic-reduction (PCR) reduced-system solve."""
-    return _tiled_solve(system, tiles, pcr_solve)
+    return _tiled_solve(system, tiles, pcr_solve, check_dominance)
 
 
-def _tiled_solve(system, tiles, reduced_solver):
+def _tiled_solve(system, tiles, reduced_solver, check_dominance):
+    if check_dominance:
+        _require_dominance(system)
     plan = TilePlan(system.n, tiles)
     parts = tile_system(system, plan)
     reduced = assemble_reduced(parts)
     boundary = reduced_solver(reduced)
-    return back_substitute(parts, boundary)
+    u = back_substitute(parts, boundary)
+    _check_finite(u[:, None])
+    return u

@@ -77,6 +77,26 @@ class TestAdi:
         assert len(deltas) == 20
         assert deltas[-1] < deltas[0]
 
+    def test_report_keys_unchanged(self, tmp_path):
+        rep = tmp_path / "r.json"
+        assert run(["adi", "--dims", "8,8", "--batch", "2", "--gamma", "0.5",
+                    "--iters", "2", "--report", rep]) == 0
+        payload = json.loads(rep.read_text())
+        assert sorted(payload) == ["command", "config", "delta_inf", "effective_gb_per_s",
+                                   "phases", "schema_version", "steps", "total_bytes",
+                                   "total_seconds"]
+        assert sorted(payload["config"]) == ["batch", "dims", "gamma",
+                                             "literal_coefficients", "n_iter",
+                                             "precision", "unroll"]
+        assert sorted(payload["phases"]) == ["rhs", "sweep_x", "sweep_y", "update"]
+        assert [s["iterations"] for s in payload["steps"]] == [1, 2]
+
+    @pytest.mark.parametrize("knob", ["--threads", "--group", "--vector"])
+    def test_removed_knobs_are_usage_errors(self, knob):
+        with pytest.raises(SystemExit) as err:
+            run(["adi", "--dims", "8,8", "--gamma", "0.5", knob, "2"])
+        assert err.value.code == 2
+
     def test_missing_gamma_usage_error(self):
         with pytest.raises(SystemExit) as err:
             run(["adi", "--dims", "8,8"])

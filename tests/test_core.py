@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from tridax import (BatchLayout, BatchSolveError, Precision, SingularMatrix,
-                    TridiagonalBatch, TridiagonalSystem, ZeroPivot, batch_solve,
-                    dense_oracle_solve, pcr_solve, random_dominant_system,
+from tridax import (BatchLayout, BatchSolveError, NonFiniteSolution, Precision,
+                    SingularMatrix, TridiagonalBatch, TridiagonalSystem, ZeroPivot,
+                    batch_solve, dense_oracle_solve, pcr_solve, random_dominant_system,
                     relative_inf_error, residual_max_norm, thomas_solve)
 from conftest import make_system
 
@@ -229,3 +229,42 @@ class TestProperties:
         s = make_system(50, seed=6)
         scaled = TridiagonalSystem(s.a, s.b, s.c, 3.5 * s.d)
         assert relative_inf_error(thomas_solve(scaled), 3.5 * thomas_solve(s)) <= 1e-12
+
+
+def with_value(s, name, row, value):
+    arr = getattr(s, name).copy()
+    arr[row] = value
+    return TridiagonalSystem(*(arr if k == name else getattr(s, k) for k in "abcd"))
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("solver", [thomas_solve, pcr_solve])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_diagonal_is_zero_pivot(self, solver, value):
+        s = with_value(make_system(8, seed=1), "b", 3, value)
+        with pytest.raises(ZeroPivot) as err:
+            solver(s)
+        assert err.value.index == 3
+
+    @pytest.mark.parametrize("solver", [thomas_solve, pcr_solve])
+    @pytest.mark.parametrize("precision", [Precision.FP32, Precision.FP64])
+    def test_nan_rhs_raises(self, solver, precision):
+        s = with_value(make_system(8, seed=2, precision=precision), "d", 5, np.nan)
+        with pytest.raises(NonFiniteSolution):
+            solver(s)
+
+    @pytest.mark.parametrize("algo", ["thomas", "pcr"])
+    def test_batch_reports_each_system(self, algo):
+        systems = [make_system(16, seed=i) for i in range(5)]
+        systems[1] = with_value(systems[1], "d", 0, np.nan)
+        systems[3] = with_value(systems[3], "b", 7, np.nan)
+        batch = TridiagonalBatch.from_systems(systems)
+        with pytest.raises(BatchSolveError) as err:
+            batch_solve(batch, algo)
+        failures = err.value.failures
+        assert [i for i, _ in failures] == [1, 3]
+        assert isinstance(failures[0][1], NonFiniteSolution)
+        assert isinstance(failures[1][1], ZeroPivot) and failures[1][1].index == 7
+        solver = thomas_solve if algo == "thomas" else pcr_solve
+        for i in (0, 2, 4):
+            assert np.array_equal(err.value.solutions[i], solver(systems[i]))

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
-from tridax import (Axis, LineSolveError, Mesh, Precision, TridiagonalSystem,
-                    block_transpose, gather_lines, line_batch_view, read_mesh,
-                    scatter_lines, solve_lines, thomas_solve, write_mesh)
-from tridax.mesh import ConstantLineCoefficients, StoredCoefficients, line_indices
+from tridax import (Axis, BatchLayout, LineSolveError, Mesh, NonFiniteSolution,
+                    Precision, TridiagonalBatch, TridiagonalSystem, ZeroPivot, axis_lines,
+                    batch_solve, line_batch_view, read_mesh, solve_lines, thomas_solve,
+                    write_mesh)
+from tridax.mesh import ConstantLineCoefficients, StoredCoefficients
+
+STORAGE_DIM = {"x": 3, "y": 2, "z": 1}  # axis position in (batch, z, y, x)
 
 
 def dominant_profile(seed):
@@ -16,6 +19,28 @@ def dominant_profile(seed):
         b = (np.abs(a) + np.abs(c) + dtype.type(1.5)).astype(dtype)
         return a, b, c
     return ConstantLineCoefficients(profile)
+
+
+def profile_meshes(coeffs, mesh, axis):
+    """Stored-coefficient meshes that put ``coeffs``' profile on every line."""
+    a, b, c = coeffs.axis_coefficients(mesh, Axis.parse(axis))
+    out = []
+    for v in (a, b, c):
+        m = Mesh(np.empty_like(mesh.data), mesh.spatial_ndim)
+        np.moveaxis(m.data, STORAGE_DIM[axis], 0)[...] = v.reshape((-1,) + (1,) * 3)
+        out.append(m)
+    return out
+
+
+def per_line_expected(mesh, coeffs, axis):
+    """Sweep oracle: every line solved alone by the scalar solver."""
+    a, b, c = (v[:, 0] for v in coeffs.axis_coefficients(mesh, Axis.parse(axis)))
+    expected = mesh.copy()
+    lines = np.moveaxis(expected.data, STORAGE_DIM[axis], 0)
+    for idx in np.ndindex(lines.shape[1:]):
+        line = lines[(slice(None),) + idx]
+        line[:] = thomas_solve(TridiagonalSystem(a, b, c, line.copy()))
+    return expected
 
 
 def random_mesh(dims, batch=1, seed=0, precision=Precision.FP64):
@@ -51,40 +76,38 @@ class TestGatherScatter:
     @pytest.mark.parametrize("axis", ["x", "y", "z"])
     def test_round_trip_bit_exact(self, axis):
         mesh = random_mesh((5, 4, 3), batch=2, seed=9)
-        snapshot = mesh.data.copy()
-        scatter_lines(mesh, axis, list(gather_lines(mesh, axis)))
-        assert np.array_equal(mesh.data, snapshot)
+        ident = ConstantLineCoefficients(
+            lambda n, dt: (np.zeros(n, dt), np.ones(n, dt), np.zeros(n, dt)))
+        dest = Mesh.zeros((5, 4, 3), batch=2)
+        solve_lines(mesh, ident, axis, out=dest)
+        assert np.array_equal(dest.data, mesh.data)
 
     def test_gather_order_x_contiguous(self):
         mesh = Mesh.zeros((4, 2, 2))
         mesh.data.flat = np.arange(mesh.points)
-        first = next(gather_lines(mesh, "x"))
-        assert np.array_equal(first, [0, 1, 2, 3])
+        lines = axis_lines(mesh.data, Axis.X)
+        assert np.array_equal(lines[:, 0], [0, 1, 2, 3])
+        assert np.shares_memory(lines, mesh.data)
 
     def test_line_indices_cover_mesh(self):
         mesh = Mesh.zeros((3, 4, 5), batch=2)
-        for axis in "xyz":
-            idx = list(line_indices(mesh, axis))
-            assert len(idx) == line_batch_view(mesh, axis).system_count
-            assert len(set(idx)) == len(idx)
+        mesh.data.flat = np.arange(mesh.points)
+        for axis in Axis:
+            lines = axis_lines(mesh.data, axis)
+            view = line_batch_view(mesh, axis)
+            assert lines.shape == (view.system_size, view.system_count)
+            assert np.array_equal(np.sort(lines, axis=None), np.arange(mesh.points))
 
-
-class TestBlockTranspose:
-    def test_identity_for_v1(self):
-        tile = np.array([[4.0]])
-        assert np.array_equal(block_transpose(tile), tile)
-
-    def test_hand_2x2(self):
-        out = block_transpose(np.array([[1.0, 2.0], [3.0, 4.0]]))
-        assert np.array_equal(out, [[1.0, 3.0], [2.0, 4.0]])
-
-    def test_involution_v8(self):
-        tile = np.random.default_rng(8).standard_normal((8, 8))
-        assert np.array_equal(block_transpose(block_transpose(tile)), tile)
-
-    def test_rejects_non_square(self):
-        with pytest.raises(ValueError):
-            block_transpose(np.ones((2, 3)))
+    def test_sweep_order_per_mesh(self):
+        # x lines by (batch, z, y), y lines by (batch, z, x), z lines by (batch, y, x)
+        mesh = random_mesh((3, 4, 5), batch=2, seed=10)
+        data = mesh.data
+        x_lines = axis_lines(data, Axis.X)
+        y_lines = axis_lines(data, Axis.Y)
+        z_lines = axis_lines(data, Axis.Z)
+        assert np.array_equal(x_lines[:, (1 * 5 + 2) * 4 + 3], data[1, 2, 3, :])
+        assert np.array_equal(y_lines[:, (1 * 5 + 2) * 3 + 1], data[1, 2, :, 1])
+        assert np.array_equal(z_lines[:, (1 * 4 + 3) * 3 + 2], data[1, :, 3, 2])
 
 
 class TestSolveLines:
@@ -92,35 +115,51 @@ class TestSolveLines:
         mesh = random_mesh((8, 8, 8), seed=1)
         ident = ConstantLineCoefficients(
             lambda n, dt: (np.zeros(n, dt), np.ones(n, dt), np.zeros(n, dt)))
-        out = solve_lines(mesh, ident, "y", group=4, width=2)
+        out = solve_lines(mesh, ident, "y")
         assert np.array_equal(out.data, mesh.data)
 
     @pytest.mark.parametrize("axis", ["x", "y", "z"])
     def test_matches_per_line_scalar_solve(self, axis):
         mesh = random_mesh((16, 16, 16), seed=2)
         coeffs = dominant_profile(5)
-        a, b, c = coeffs.line_block(mesh, Axis.parse(axis), [(0, 0, 0)])
-        expected = mesh.copy()
-        per_line = [thomas_solve(TridiagonalSystem(a[0], b[0], c[0], line))
-                    for line in gather_lines(mesh, axis)]
-        scatter_lines(expected, axis, per_line)
-        got = solve_lines(mesh, coeffs, axis, group=32, width=8)
-        assert np.max(np.abs(got.data - expected.data)) <= 1e-12
+        expected = per_line_expected(mesh, coeffs, axis)
+        got = solve_lines(mesh, coeffs, axis)
+        assert np.array_equal(got.data, expected.data)
 
     @pytest.mark.parametrize("group", [1, 4, 8, 32])
     @pytest.mark.parametrize("width", [1, 2, 8])
     def test_blocking_invariance_bitwise(self, group, width):
+        # any block of group * width lines, solved as an interleaved batch,
+        # gives those lines' bits from the whole-axis sweep
         mesh = random_mesh((16, 8, 4), batch=2, seed=3)
         coeffs = dominant_profile(6)
-        base = solve_lines(mesh, coeffs, "x", group=1, width=1)
-        out = solve_lines(mesh, coeffs, "x", group=group, width=width)
-        assert np.array_equal(out.data, base.data)
+        whole = axis_lines(solve_lines(mesh, coeffs, "x").data, Axis.X)
+        d = axis_lines(mesh.data, Axis.X)
+        n, lines = d.shape
+        shared = coeffs.axis_coefficients(mesh, Axis.X)
+        block = group * width
+        for start in range(0, lines, block):
+            k = min(block, lines - start)
+            abc = [np.broadcast_to(v, (n, k)).copy() for v in shared]
+            batch = TridiagonalBatch(*abc, d[:, start:start + k].copy(),
+                                     layout=BatchLayout.INTERLEAVED)
+            for j, u in enumerate(batch_solve(batch)):
+                assert np.array_equal(u, whole[:, start + j])
+
+    @pytest.mark.parametrize("axis", ["x", "y", "z"])
+    def test_batch_independence_bitwise(self, axis):
+        mesh = random_mesh((16, 8, 4), batch=3, seed=3)
+        coeffs = dominant_profile(6)
+        whole = solve_lines(mesh, coeffs, axis)
+        for k in range(mesh.batch):
+            alone = solve_lines(Mesh(mesh.data[k:k + 1].copy(), 3), coeffs, axis)
+            assert np.array_equal(whole.data[k], alone.data[0])
 
     def test_pcr_algo_agrees_with_thomas(self):
         mesh = random_mesh((16, 4, 4), seed=4)
         coeffs = dominant_profile(7)
-        th = solve_lines(mesh, coeffs, "x", "thomas", group=8, width=2)
-        pc = solve_lines(mesh, coeffs, "x", "pcr", group=8, width=2)
+        th = solve_lines(mesh, coeffs, "x", "thomas")
+        pc = solve_lines(mesh, coeffs, "x", "pcr")
         assert np.max(np.abs(th.data - pc.data)) <= 1e-12
 
     def test_in_place_destination(self):
@@ -131,22 +170,10 @@ class TestSolveLines:
         assert out is mesh
         assert np.array_equal(mesh.data, expected.data)
 
-    def test_threads_do_not_change_results(self):
-        mesh = random_mesh((16, 8, 2), seed=6)
-        coeffs = dominant_profile(9)
-        base = solve_lines(mesh, coeffs, "y", group=4, width=2)
-        threaded = solve_lines(mesh, coeffs, "y", group=4, width=2, threads=4)
-        assert np.array_equal(base.data, threaded.data)
-
     def test_stored_coefficients_match_generated(self):
         mesh = random_mesh((12, 6, 3), seed=7)
         gen = dominant_profile(10)
-        a, b, c = gen.line_block(mesh, Axis.X, list(line_indices(mesh, Axis.X)))
-        def to_mesh(rows):
-            m = Mesh.zeros(mesh.dims, batch=mesh.batch)
-            scatter_lines(m, "x", rows)
-            return m
-        stored = StoredCoefficients(to_mesh(a), to_mesh(b), to_mesh(c))
+        stored = StoredCoefficients(*profile_meshes(gen, mesh, "x"))
         assert stored.is_stored and not gen.is_stored
         out_g = solve_lines(mesh, gen, "x")
         out_s = solve_lines(mesh, stored, "x")
@@ -157,9 +184,32 @@ class TestSolveLines:
         singular = ConstantLineCoefficients(
             lambda n, dt: (np.zeros(n, dt), np.zeros(n, dt), np.zeros(n, dt)))
         with pytest.raises(LineSolveError) as err:
-            solve_lines(mesh, singular, "x", group=2, width=1)
+            solve_lines(mesh, singular, "x")
         assert err.value.axis == "x"
         assert err.value.batch == 0
+        assert err.value.line == 0
+
+    @pytest.mark.parametrize("algo", ["thomas", "pcr", "thomas-thomas", "thomas-pcr"])
+    def test_zero_interior_pivot_names_line(self, algo):
+        # line 5 of mesh 1 along x is (z=1, y=1); row 4 is tile 1's first interior row
+        mesh = random_mesh((9, 4, 2), batch=2, seed=13)
+        a, b, c = profile_meshes(dominant_profile(14), mesh, "x")
+        for m in (a, b, c):
+            m.data[1, 1, 1, 4] = 0.0
+        with pytest.raises(LineSolveError) as err:
+            solve_lines(mesh, StoredCoefficients(a, b, c), "x", algo, tiles=3)
+        assert (err.value.batch, err.value.line, err.value.axis) == (1, 5, "x")
+        assert isinstance(err.value.__cause__, ZeroPivot)
+
+    @pytest.mark.parametrize("algo", ["thomas", "pcr", "thomas-pcr"])
+    def test_non_finite_rhs_names_line(self, algo):
+        # y line 7 of mesh 1 is (z=1, x=3)
+        mesh = random_mesh((4, 9, 2), batch=2, seed=15)
+        mesh.data[1, 1, 5, 3] = np.nan
+        with pytest.raises(LineSolveError) as err:
+            solve_lines(mesh, dominant_profile(16), "y", algo, tiles=3)
+        assert (err.value.batch, err.value.line, err.value.axis) == (1, 7, "y")
+        assert isinstance(err.value.__cause__, NonFiniteSolution)
 
 
 class TestMeshIo:

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from tridax import (InvalidTilePlan, MismatchedTiles, TilePlan, TridiagonalSystem,
-                    assemble_reduced, back_substitute, dense_oracle_solve,
-                    modified_thomas_phase, relative_inf_error, thomas_pcr_solve,
-                    thomas_solve, thomas_thomas_solve)
+from tridax import (InvalidTilePlan, MismatchedTiles, NonFiniteSolution, TilePlan,
+                    TridiagonalSystem, ZeroPivot, assemble_reduced, back_substitute,
+                    dense_oracle_solve, modified_thomas_phase, relative_inf_error,
+                    solve_system, thomas_pcr_solve, thomas_solve, thomas_thomas_solve)
 from tridax.tiled import tile_system
 from conftest import make_system
 
@@ -164,3 +164,24 @@ class TestHybridSolvers:
         ref = thomas_solve(s)
         assert relative_inf_error(thomas_thomas_solve(s, t), ref) <= 1e-12
         assert relative_inf_error(thomas_pcr_solve(s, t), ref) <= 1e-12
+
+    @pytest.mark.parametrize("algo", ["thomas-thomas", "thomas-pcr"])
+    def test_check_dominance_flag(self, algo):
+        s = make_system(16, seed=3)
+        assert np.array_equal(solve_system(s, algo, 4, check_dominance=True),
+                              solve_system(s, algo, 4))
+        weak = TridiagonalSystem(s.a, np.full(16, 0.1), s.c, s.d)
+        with pytest.raises(ValueError):
+            solve_system(weak, algo, 4, check_dominance=True)
+
+    @pytest.mark.parametrize("solver", [thomas_thomas_solve, thomas_pcr_solve])
+    def test_non_finite_input_raises(self, solver):
+        s = make_system(24, seed=5)
+        d = s.d.copy()
+        d[10] = np.nan
+        with pytest.raises(NonFiniteSolution):
+            solver(TridiagonalSystem(s.a, s.b, s.c, d), 3)
+        b = s.b.copy()
+        b[10] = np.nan
+        with pytest.raises(ZeroPivot):
+            solver(TridiagonalSystem(s.a, b, s.c, s.d), 3)
