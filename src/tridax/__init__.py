@@ -7,7 +7,7 @@ The package splits into:
   cyclic reduction) on one interleaved ``(n, lines)`` kernel layout, plus a
   dense reference oracle;
 - :mod:`tridax.tiled` — tiled hybrid solvers for systems larger than one
-  sweep's working set;
+  sweep's working set, a kernel on the same ``(n, lines)`` layout;
 - :mod:`tridax.mesh` — batched 2-D/3-D mesh container, whole-axis line
   sweeps on an interleaved ``(n, lines)`` view, binary mesh format;
 - :mod:`tridax.adi` — ADI heat-diffusion drivers with traffic accounting;

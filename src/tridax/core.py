@@ -6,17 +6,21 @@ Solvers assume strict diagonal dominance (``|b[i]| > |a[i]| + |c[i]|``);
 this is a documented precondition, enforced only when ``check_dominance``
 is requested, since the elimination is unstable without it.
 
-The kernels at the bottom operate on ``(n, lines)`` arrays, row i of every
-system side by side (the INTERLEAVED batch layout). The scalar solvers,
-``batch_solve`` and the mesh sweeps all call them; a scalar solve is a
-one-line call, and every line runs the same operation sequence, so scalar,
-batched and sweep results are bitwise identical.
+The kernels at the bottom, and the tiled hybrids' kernel in
+:mod:`tridax.tiled`, operate on ``(n, lines)`` arrays, row i of every
+system side by side (the INTERLEAVED batch layout). ``_kernel`` maps an
+algorithm name and tile count to its kernel; the scalar solvers,
+``solve_system``, ``batch_solve`` and the mesh sweeps each make one kernel
+call. A scalar solve is a one-line call, and every line runs the same
+operation sequence, so scalar, batched and sweep results are bitwise
+identical.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
 
 import numpy as np
 
@@ -199,7 +203,7 @@ def _require_dominance(system: TridiagonalSystem) -> None:
         raise ValueError("system is not strictly diagonally dominant")
 
 
-def _solve_one(kernel, system: TridiagonalSystem, check_dominance: bool) -> np.ndarray:
+def _solve_one(kernel, system: TridiagonalSystem, check_dominance: bool = False) -> np.ndarray:
     if check_dominance:
         _require_dominance(system)
     u = kernel(system.a[:, None], system.b[:, None], system.c[:, None],
@@ -242,21 +246,24 @@ def solve_system(system: TridiagonalSystem, algo: str, tiles: int | None = None,
     ``algo`` is one of ``thomas``, ``pcr``, ``thomas-thomas``,
     ``thomas-pcr``; the tiled hybrids require ``tiles >= 2``.
     """
-    if algo == "thomas":
-        return thomas_solve(system, **kwargs)
-    if algo == "pcr":
-        return pcr_solve(system, **kwargs)
-    if algo in ("thomas-thomas", "thomas-pcr"):
-        from . import tiled  # local import; tiled builds on this module
-
-        if tiles is None:
-            raise ValueError(f"{algo} requires a tile count")
-        fn = tiled.thomas_thomas_solve if algo == "thomas-thomas" else tiled.thomas_pcr_solve
-        return fn(system, tiles, **kwargs)
-    raise ValueError(f"unknown algorithm {algo!r}")
+    return _solve_one(_kernel(algo, tiles), system, **kwargs)
 
 
 SOLVER_NAMES = ("thomas", "pcr", "thomas-thomas", "thomas-pcr")
+
+
+def _kernel(algo: str, tiles: int | None):
+    """The ``(n, lines)`` kernel that solves ``algo``, called as
+    ``kernel(a, b, c, d, pivot_floor)``; the tiled hybrids need ``tiles``."""
+    if algo in _KERNELS:
+        return _KERNELS[algo]
+    if algo not in _REDUCED_KERNELS:
+        raise ValueError(f"unknown algorithm {algo!r}")
+    if tiles is None:
+        raise ValueError(f"{algo} requires a tile count")
+    from . import tiled  # local import; tiled builds on this module
+
+    return partial(tiled._tiled_kernel, _REDUCED_KERNELS[algo], tiles)
 
 
 def batch_solve(batch: TridiagonalBatch, algo: str = "thomas", tiles: int | None = None,
@@ -264,27 +271,27 @@ def batch_solve(batch: TridiagonalBatch, algo: str = "thomas", tiles: int | None
     """Solve every system of a batch independently.
 
     Results keep the input order and match the scalar solver bitwise.
-    ``thomas`` and ``pcr`` solve the whole batch in one kernel call on its
-    interleaved layout; the tiled hybrids solve system by system. A
-    failing system does not abort the rest unless ``fail_fast`` is set;
-    collected failures are raised as :class:`BatchSolveError` with the
-    partial solutions attached.
+    Every algorithm solves the whole batch in one kernel call on ``(n,
+    count)`` views of the batch, whatever its storage layout. Only when that
+    call fails is the batch solved system by system, so that a failing
+    system does not abort the rest unless ``fail_fast`` is set; collected
+    failures are raised as :class:`BatchSolveError` with the partial
+    solutions attached.
     """
-    if algo in _KERNELS:
-        inter = batch.with_layout(BatchLayout.INTERLEAVED)
-        dtype = _float_dtype(inter.a, inter.b, inter.c, inter.d)
-        arrays = [np.asarray(getattr(inter, k), dtype=dtype) for k in "abcd"]
-        try:
-            u = _KERNELS[algo](*arrays, Precision.from_dtype(dtype).pivot_floor)
-        except (ZeroPivot, NonFiniteSolution):
-            pass  # solve system by system below to collect every failure
-        else:
-            return list(np.ascontiguousarray(u.T))
+    kernel = _kernel(algo, tiles)
+    dtype = _float_dtype(batch.a, batch.b, batch.c, batch.d)
+    arrays = [np.asarray(batch._rows(getattr(batch, k)).T, dtype=dtype) for k in "abcd"]
+    try:
+        u = kernel(*arrays, Precision.from_dtype(dtype).pivot_floor)
+    except (ZeroPivot, NonFiniteSolution):
+        pass  # solve system by system below to collect every failure
+    else:
+        return list(np.ascontiguousarray(u.T))
     solutions: list[np.ndarray | None] = []
     failures = []
     for i in range(batch.count):
         try:
-            solutions.append(solve_system(batch.system(i), algo, tiles))
+            solutions.append(_solve_one(kernel, batch.system(i)))
         except (ZeroPivot, SingularMatrix, NonFiniteSolution) as exc:
             if fail_fast:
                 raise BatchSolveError([(i, exc)], solutions) from exc
@@ -417,3 +424,4 @@ def _pcr_kernel(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray,
 
 
 _KERNELS = {"thomas": _thomas_kernel, "pcr": _pcr_kernel}
+_REDUCED_KERNELS = {"thomas-thomas": _thomas_kernel, "thomas-pcr": _pcr_kernel}

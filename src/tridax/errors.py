@@ -8,12 +8,14 @@ class TridaxError(Exception):
 
 
 class ZeroPivot(TridaxError):
-    """A solver pivot denominator fell below the precision's pivot floor
-    or is NaN; the Thomas and PCR kernels also reject infinite pivots.
+    """A solver pivot denominator fell below the precision's pivot floor,
+    or is NaN or infinite.
 
-    ``index`` is the row within the system (or tile) where elimination broke
-    down; ``line`` identifies the failing line of a kernel call when
-    several systems are solved together.
+    ``index`` is the row within the system where elimination broke down;
+    the tiled hybrids report it in the whole system, and a failing reduced
+    solve at the boundary row it stands for (``modified_thomas_phase`` on
+    its own gives the row within its tile). ``line`` identifies the failing
+    line of a kernel call when several systems are solved together.
     """
 
     def __init__(self, index: int, line: int | None = None, message: str | None = None):

@@ -209,10 +209,10 @@ def solve_lines(mesh: Mesh, coefficients: CoefficientSource, axis,
     """Solve every line system along ``axis``, writing solutions over ``d``.
 
     The mesh holds the right-hand sides; ``coefficients`` supplies (a, b, c)
-    per line. ``thomas`` and ``pcr`` solve the whole axis in one kernel
-    call; the tiled hybrids solve line by line. A failure raises
-    :class:`LineSolveError` naming the mesh and line. ``out`` may alias
-    ``mesh`` for an in-place update; by default a new mesh is returned.
+    per line. Every algorithm, the tiled hybrids included, solves the whole
+    axis in one kernel call. A failure raises :class:`LineSolveError`
+    naming the mesh and line. ``out`` may alias ``mesh`` for an in-place
+    update; by default a new mesh is returned.
     """
     axis = Axis.parse(axis)
     if axis is Axis.Z and mesh.spatial_ndim == 2:
@@ -224,11 +224,9 @@ def solve_lines(mesh: Mesh, coefficients: CoefficientSource, axis,
 
     d = axis_lines(mesh.data, axis)
     a, b, c = coefficients.axis_coefficients(mesh, axis)
+    kernel = core._kernel(algo, tiles)
     try:
-        if algo in core._KERNELS:
-            u = core._KERNELS[algo](a, b, c, d, mesh.precision.pivot_floor)
-        else:
-            u = _solve_each_line(algo, tiles, a, b, c, d)
+        u = kernel(a, b, c, d, mesh.precision.pivot_floor)
     except (ZeroPivot, NonFiniteSolution) as exc:
         lines_per_mesh = d.shape[1] // mesh.batch
         raise LineSolveError(exc.line // lines_per_mesh, exc.line % lines_per_mesh,
@@ -236,19 +234,6 @@ def solve_lines(mesh: Mesh, coefficients: CoefficientSource, axis,
     dest = np.moveaxis(out.data, _STORAGE_DIM[axis], 0)  # the view axis_lines reshapes
     dest[...] = u.reshape(dest.shape)
     return out
-
-
-def _solve_each_line(algo, tiles, a, b, c, d) -> np.ndarray:
-    a, b, c = (np.broadcast_to(v, d.shape) for v in (a, b, c))
-    u = np.empty_like(d)
-    for line in range(d.shape[1]):
-        system = core.TridiagonalSystem(a[:, line], b[:, line], c[:, line], d[:, line])
-        try:
-            u[:, line] = core.solve_system(system, algo, tiles)
-        except (ZeroPivot, NonFiniteSolution) as exc:
-            exc.line = line
-            raise
-    return u
 
 
 # ---------------------------------------------------------------------------

@@ -10,16 +10,25 @@ leaving the two boundary rows coupled only to neighboring tiles. Those
 boundary rows form a reduced tridiagonal system of size ``2*t``, solved
 directly (Thomas) or by cyclic reduction (PCR); its solution is then
 substituted back into the interior rows.
+
+Every step works on ``(rows, lines)`` blocks, as the kernels in
+:mod:`tridax.core` do: each tile of every line is eliminated in one pass,
+the ``2t``-row reduced systems of every line go to the Thomas or PCR kernel
+in one call, and ``_tiled_kernel`` joins the steps under the core kernels'
+contract. Pivots are checked in elimination order (tile by tile, then the
+reduced system) and reported at their row in the whole system.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TridiagonalSystem, _check_finite, _require_dominance, pcr_solve, thomas_solve
+from .core import TridiagonalSystem, _check_finite, _check_pivots, _kernel, _solve_one
 from .errors import InvalidTilePlan, MismatchedTiles, ZeroPivot
+from .precision import Precision
 
 MIN_TILE_ROWS = 3  # a tile needs at least one interior unknown
 
@@ -70,10 +79,12 @@ class TilePlan:
 class ModifiedTileResult:
     """Per-tile coefficients after the modified elimination pass.
 
-    Rows ``1..m-2`` hold the interior two-unknown form; rows ``0`` and
-    ``m-1`` hold the tile's contributions to the reduced system, with the
-    outward couplings (previous tile's last / next tile's first unknown)
-    stored in ``a_star[0]`` and ``c_star[m-1]``.
+    Arrays are ``(m, lines)``; ``a_star`` and ``c_star`` are ``(m, 1)`` when
+    the tile's coefficients are shared by every line. Rows ``1..m-2`` hold
+    the interior two-unknown form; rows ``0`` and ``m-1`` hold the tile's
+    contributions to the reduced system, with the outward couplings
+    (previous tile's last / next tile's first unknown) stored in
+    ``a_star[0]`` and ``c_star[m-1]``.
     """
 
     a_star: np.ndarray
@@ -85,146 +96,139 @@ class ModifiedTileResult:
         return self.a_star.shape[0]
 
 
-def modified_thomas_phase(a, b, c, d, *, pivot_floor: float | None = None) -> ModifiedTileResult:
-    """Run the forward/backward elimination over one tile.
+@contextmanager
+def _rows_at(rows):
+    """Re-raise a :class:`ZeroPivot` from the block at row ``rows[index]``."""
+    try:
+        yield
+    except ZeroPivot as exc:
+        raise ZeroPivot(rows[exc.index], exc.line) from None
 
-    ``a[0]`` and ``c[m-1]`` are the tile's couplings to its neighbors (zero
-    on the outermost tiles). Inputs are not modified.
+
+def modified_thomas_phase(a, b, c, d, *, pivot_floor: float | None = None) -> ModifiedTileResult:
+    """Run the forward/backward elimination over one tile of every line.
+
+    ``d`` is an ``(m, lines)`` block; ``a``, ``b``, ``c`` are ``(m, lines)``
+    or ``(m, 1)``, shared by every line. ``a[0]`` and ``c[m-1]`` are the
+    tile's couplings to its neighbors (zero on the outermost tiles). Inputs
+    are not modified. Pivots are checked in elimination order (rows
+    ``1..m-1``, then row 0); :class:`ZeroPivot` gives the row within the
+    tile.
     """
-    a = np.asarray(a)
-    b = np.asarray(b)
-    c = np.asarray(c)
-    d = np.asarray(d)
-    m = b.shape[0]
+    a, b, c, d = (np.asarray(v) for v in (a, b, c, d))
+    m = d.shape[0]
     if m < MIN_TILE_ROWS:
         raise InvalidTilePlan(f"tile has {m} rows, need >= {MIN_TILE_ROWS}")
     if pivot_floor is None:
-        from .precision import Precision
-
         pivot_floor = Precision.from_dtype(b.dtype).pivot_floor
     one = b.dtype.type(1)
-
-    at = np.empty_like(b)
-    ct = np.empty_like(b)
-    dt = np.empty_like(b)
-    # forward: row i becomes  at[i]*u0 + u[i] + ct[i]*u[i+1] = dt[i]
-    if not abs(b[1]) >= pivot_floor:  # NaN pivots fail too
-        raise ZeroPivot(1)
-    at[1] = a[1] / b[1]
-    ct[1] = c[1] / b[1]
-    dt[1] = d[1] / b[1]
-    for i in range(2, m):
-        denom = b[i] - a[i] * ct[i - 1]
-        if not abs(denom) >= pivot_floor:
-            raise ZeroPivot(i)
-        r = one / denom
-        at[i] = -r * (a[i] * at[i - 1])
-        ct[i] = r * c[i]
-        dt[i] = r * (d[i] - a[i] * dt[i - 1])
-
-    a_s = np.empty_like(b)
-    c_s = np.empty_like(b)
-    d_s = np.empty_like(b)
-    # backward: interior row i becomes  a_s[i]*u0 + u[i] + c_s[i]*u[m-1] = d_s[i];
-    # row m-1 keeps its outward coupling in c_s[m-1]
-    for i in (m - 1, m - 2):
-        a_s[i] = at[i]
-        c_s[i] = ct[i]
-        d_s[i] = dt[i]
-    for i in range(m - 3, 0, -1):
-        a_s[i] = at[i] - ct[i] * a_s[i + 1]
-        c_s[i] = -ct[i] * c_s[i + 1]
-        d_s[i] = dt[i] - ct[i] * d_s[i + 1]
-    # row 0: eliminate u[1]; coupling to the previous tile stays in a_s[0]
-    denom = b[0] - c[0] * a_s[1]
-    if not abs(denom) >= pivot_floor:
-        raise ZeroPivot(0)
-    r = one / denom
-    a_s[0] = r * a[0]
-    c_s[0] = -r * (c[0] * c_s[1])
-    d_s[0] = r * (d[0] - c[0] * d_s[1])
-    return ModifiedTileResult(a_s, c_s, d_s)
+    shape = np.broadcast_shapes(a.shape, b.shape, c.shape)
+    at = np.empty(shape, dtype=b.dtype)
+    ct = np.empty(shape, dtype=b.dtype)
+    den = np.empty(shape, dtype=b.dtype)
+    dt = np.empty(np.broadcast_shapes(shape, d.shape), dtype=b.dtype)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # forward: row i becomes  at[i]*u0 + u[i] + ct[i]*u[i+1] = dt[i]
+        den[1] = b[1]
+        at[1] = a[1] / b[1]
+        ct[1] = c[1] / b[1]
+        dt[1] = d[1] / b[1]
+        for i in range(2, m):
+            den[i] = b[i] - a[i] * ct[i - 1]
+            r = one / den[i]
+            at[i] = -r * (a[i] * at[i - 1])
+            ct[i] = r * c[i]
+            dt[i] = r * (d[i] - a[i] * dt[i - 1])
+        # backward, in place: interior row i becomes
+        # at[i]*u0 + u[i] + ct[i]*u[m-1] = dt[i]; rows m-2 and m-1 already
+        # have that form, and row m-1 keeps its outward coupling in ct[m-1]
+        for i in range(m - 3, 0, -1):
+            at[i] -= ct[i] * at[i + 1]
+            dt[i] -= ct[i] * dt[i + 1]
+            ct[i] = -ct[i] * ct[i + 1]
+        # row 0: eliminate u[1]; coupling to the previous tile stays in at[0]
+        den[0] = b[0] - c[0] * at[1]
+        r = one / den[0]
+        at[0] = r * a[0]
+        ct[0] = -r * (c[0] * ct[1])
+        dt[0] = r * (d[0] - c[0] * dt[1])
+        order = [*range(1, m), 0]
+        with _rows_at(order):
+            _check_pivots(den[order], pivot_floor)
+    return ModifiedTileResult(at, ct, dt)
 
 
-def tile_system(system: TridiagonalSystem, plan: TilePlan) -> list[ModifiedTileResult]:
-    if plan.n != system.n:
-        raise InvalidTilePlan(f"plan covers {plan.n} rows, system has {system.n}")
-    floor = system.precision.pivot_floor
-    tiles = []
-    for off, size in zip(plan.offsets, plan.sizes):
-        sl = slice(off, off + size)
-        tiles.append(modified_thomas_phase(system.a[sl], system.b[sl],
-                                           system.c[sl], system.d[sl],
-                                           pivot_floor=floor))
-    return tiles
+def assemble_reduced(tiles: list[ModifiedTileResult]):
+    """Couple the tiles' boundary rows into one 2t-row tridiagonal system per line.
 
-
-def assemble_reduced(tiles: list[ModifiedTileResult]) -> TridiagonalSystem:
-    """Couple the tiles' boundary rows into one 2t-row tridiagonal system.
-
-    Boundary unknowns are ordered (first, last) per tile, which makes the
-    coupling pattern exactly tridiagonal with zero corners.
+    Returns ``(a, b, c, d)``: ``(2t, lines)`` arrays, ``(2t, 1)`` for
+    shared coefficients, with a unit diagonal. Boundary unknowns are
+    ordered (first, last) per tile, which makes the coupling pattern exactly
+    tridiagonal with zero corners.
     """
     t = len(tiles)
     if t < 2:
         raise MismatchedTiles(f"need at least 2 tiles, got {t}")
     if any(tile.size < MIN_TILE_ROWS for tile in tiles):
         raise MismatchedTiles("tile results have inconsistent sizes")
-    dtype = tiles[0].d_star.dtype
-    ra = np.empty(2 * t, dtype=dtype)
-    rb = np.ones(2 * t, dtype=dtype)
-    rc = np.empty(2 * t, dtype=dtype)
-    rd = np.empty(2 * t, dtype=dtype)
-    for k, tile in enumerate(tiles):
-        last = tile.size - 1
-        ra[2 * k] = tile.a_star[0]
-        rc[2 * k] = tile.c_star[0]
-        rd[2 * k] = tile.d_star[0]
-        ra[2 * k + 1] = tile.a_star[last]
-        rc[2 * k + 1] = tile.c_star[last]
-        rd[2 * k + 1] = tile.d_star[last]
-    if ra[0] != 0.0 or rc[-1] != 0.0:
+    ends = [0, -1]
+    ra = np.concatenate([tile.a_star[ends] for tile in tiles])
+    rc = np.concatenate([tile.c_star[ends] for tile in tiles])
+    rd = np.concatenate([tile.d_star[ends] for tile in tiles])
+    if np.any(ra[0] != 0.0) or np.any(rc[-1] != 0.0):
         raise MismatchedTiles("outermost tiles carry external couplings; "
                               "tiles are out of order or from different systems")
-    return TridiagonalSystem(ra, rb, rc, rd)
+    return ra, np.ones_like(ra), rc, rd
 
 
 def back_substitute(tiles: list[ModifiedTileResult], boundary) -> np.ndarray:
-    """Recover the full solution from the reduced-system solution."""
+    """Recover the full ``(n, lines)`` solution from the reduced-system solution."""
     boundary = np.asarray(boundary)
     if boundary.shape[0] != 2 * len(tiles):
         raise MismatchedTiles(
             f"boundary has {boundary.shape[0]} values for {len(tiles)} tiles")
-    parts = []
+    u = np.empty((sum(tile.size for tile in tiles),) + boundary.shape[1:], dtype=boundary.dtype)
+    off = 0
     for k, tile in enumerate(tiles):
         u0 = boundary[2 * k]
         um = boundary[2 * k + 1]
-        u = tile.d_star - tile.a_star * u0 - tile.c_star * um
-        u[0] = u0
-        u[-1] = um
-        parts.append(u)
-    return np.concatenate(parts)
+        part = u[off:off + tile.size]
+        part[...] = tile.d_star - tile.a_star * u0 - tile.c_star * um
+        part[0] = u0
+        part[-1] = um
+        off += tile.size
+    return u
+
+
+def _tiled_kernel(reduced_kernel, tiles: int, a: np.ndarray, b: np.ndarray, c: np.ndarray,
+                  d: np.ndarray, floor: float) -> np.ndarray:
+    """Tiled solve of ``(n, lines)`` systems under the core kernels' contract.
+
+    ``reduced_kernel`` (Thomas or PCR) solves the reduced systems. A
+    :class:`ZeroPivot` names the row in the whole system: a tile's row plus
+    its offset, or the reduced row's ``boundary_indices()`` entry.
+    """
+    plan = TilePlan(d.shape[0], tiles)
+    parts = []
+    for off, size in zip(plan.offsets, plan.sizes):
+        rows = slice(off, off + size)
+        with _rows_at(range(off, off + size)):
+            parts.append(modified_thomas_phase(a[rows], b[rows], c[rows], d[rows],
+                                               pivot_floor=floor))
+    with _rows_at(plan.boundary_indices()):
+        boundary = reduced_kernel(*assemble_reduced(parts), floor)
+    u = back_substitute(parts, boundary)
+    _check_finite(u)
+    return u
 
 
 def thomas_thomas_solve(system: TridiagonalSystem, tiles: int, *,
                         check_dominance: bool = False) -> np.ndarray:
     """Tiled solve with a direct (Thomas) reduced-system solve."""
-    return _tiled_solve(system, tiles, thomas_solve, check_dominance)
+    return _solve_one(_kernel("thomas-thomas", tiles), system, check_dominance)
 
 
 def thomas_pcr_solve(system: TridiagonalSystem, tiles: int, *,
                      check_dominance: bool = False) -> np.ndarray:
     """Tiled solve with a cyclic-reduction (PCR) reduced-system solve."""
-    return _tiled_solve(system, tiles, pcr_solve, check_dominance)
-
-
-def _tiled_solve(system, tiles, reduced_solver, check_dominance):
-    if check_dominance:
-        _require_dominance(system)
-    plan = TilePlan(system.n, tiles)
-    parts = tile_system(system, plan)
-    reduced = assemble_reduced(parts)
-    boundary = reduced_solver(reduced)
-    u = back_substitute(parts, boundary)
-    _check_finite(u[:, None])
-    return u
+    return _solve_one(_kernel("thomas-pcr", tiles), system, check_dominance)

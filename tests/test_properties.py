@@ -1,13 +1,15 @@
-"""Property tests: scalar, batched and mesh-sweep solves agree bit for bit,
-and a planted zero pivot is reported at its lowest (row, line)."""
+"""Property tests: scalar, batched and mesh-sweep solves agree bit for bit
+for every algorithm and tile count, and a planted zero pivot is reported at
+its row and line."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from tridax import (BatchLayout, BatchSolveError, LineSolveError, Mesh, Precision,
-                    TridiagonalBatch, TridiagonalSystem, ZeroPivot, batch_solve,
-                    pcr_solve, random_dominant_system, solve_lines, thomas_solve)
+from tridax import (BatchLayout, BatchSolveError, InvalidTilePlan, LineSolveError, Mesh,
+                    Precision, TilePlan, TridiagonalBatch, TridiagonalSystem, ZeroPivot,
+                    batch_solve, random_dominant_system, solve_lines, solve_system)
+from tridax.core import SOLVER_NAMES
 from tridax.mesh import ConstantLineCoefficients, StoredCoefficients
 
 STORAGE_DIM = {"x": 3, "y": 2, "z": 1}  # axis position in (batch, z, y, x)
@@ -15,6 +17,19 @@ SETTINGS = settings(max_examples=40, deadline=None)
 
 precisions = st.sampled_from([Precision.FP32, Precision.FP64])
 seeds = st.integers(0, 2**32 - 1)
+algos = st.sampled_from(SOLVER_NAMES)
+
+
+def draw_tiles(data, algo, n):
+    """A tile count ``TilePlan`` accepts for ``n`` rows; None for thomas and pcr."""
+    if algo in ("thomas", "pcr"):
+        return None
+    tiles = data.draw(st.integers(2, max(2, n // 3)), label="tiles")
+    try:
+        TilePlan(n, tiles)
+    except InvalidTilePlan:
+        assume(False)
+    return tiles
 
 
 def dominant_rows(rng, shape, dtype):
@@ -53,37 +68,38 @@ def axis_view(mesh, axis):
     return np.moveaxis(mesh.data, STORAGE_DIM[axis], 0)
 
 
-def per_line_solve(mesh, axis, a, b, c):
-    """Every line solved alone by ``thomas_solve``; coefficients are mesh-shaped."""
+def per_line_solve(mesh, axis, a, b, c, algo="thomas", tiles=None):
+    """Every line solved alone by ``solve_system``; coefficients are mesh-shaped."""
     expected = mesh.copy()
     lines = axis_view(expected, axis)
     coeffs = [axis_view(m, axis) for m in (a, b, c)]
     for idx in np.ndindex(lines.shape[1:]):
         sel = (slice(None),) + idx
-        lines[sel] = thomas_solve(TridiagonalSystem(*(v[sel] for v in coeffs),
-                                                    lines[sel].copy()))
+        system = TridiagonalSystem(*(v[sel] for v in coeffs), lines[sel].copy())
+        lines[sel] = solve_system(system, algo, tiles)
     return expected
 
 
 @SETTINGS
-@given(batches(), st.sampled_from(["thomas", "pcr"]))
-def test_batch_equals_scalar_bitwise(case, algo):
+@given(batches(), algos, st.data())
+def test_batch_equals_scalar_bitwise(case, algo, data):
     systems, batch = case
-    solver = thomas_solve if algo == "thomas" else pcr_solve
-    for s, u in zip(systems, batch_solve(batch, algo)):
-        assert np.array_equal(u, solver(s))
+    tiles = draw_tiles(data, algo, batch.n)
+    for s, u in zip(systems, batch_solve(batch, algo, tiles)):
+        assert np.array_equal(u, solve_system(s, algo, tiles))
 
 
 @SETTINGS
-@given(meshes())
-def test_sweep_equals_per_line_scalar_bitwise(case):
+@given(meshes(), algos, st.data())
+def test_sweep_equals_per_line_scalar_bitwise(case, algo, data):
     mesh, axis, rng = case
+    tiles = draw_tiles(data, algo, axis_view(mesh, axis).shape[0])
     coeffs = [Mesh(np.empty_like(mesh.data), mesh.spatial_ndim) for _ in range(3)]
     rows = dominant_rows(rng, axis_view(mesh, axis).shape, mesh.data.dtype)
     for m, v in zip(coeffs, rows):
         axis_view(m, axis)[...] = v
-    got = solve_lines(mesh, StoredCoefficients(*coeffs), axis)
-    assert np.array_equal(got.data, per_line_solve(mesh, axis, *coeffs).data)
+    got = solve_lines(mesh, StoredCoefficients(*coeffs), axis, algo, tiles=tiles)
+    assert np.array_equal(got.data, per_line_solve(mesh, axis, *coeffs, algo, tiles).data)
 
 
 @SETTINGS
@@ -104,23 +120,27 @@ def test_stored_equals_constant_coefficients_bitwise(case):
 
 
 @SETTINGS
-@given(st.integers(2, 30), st.integers(1, 10), precisions, seeds, st.data())
+@given(st.integers(2, 30), st.integers(1, 10), precisions, seeds, algos, st.data())
 def test_planted_zero_pivot_reported_at_lowest_row_then_line(n, count, precision, seed,
-                                                             data):
-    # x lines of a 2-D mesh: row = x, line = y
+                                                             algo, data):
+    # x lines of a 2-D mesh: row = x, line = y. A zero row is Thomas's and
+    # PCR's first failing pivot, so several plants are reported at the
+    # lowest (row, line); the tiled hybrids check row 0 of a tile after its
+    # other rows, so they get one plant, reported at its global row.
+    tiles = draw_tiles(data, algo, n)
     rng = np.random.default_rng(seed)
     mesh = Mesh.zeros((n, count), precision=precision)
     mesh.data[:] = rng.standard_normal(mesh.data.shape)
     a, b, c = (Mesh(v.T.reshape(mesh.data.shape).copy(), 2)
                for v in dominant_rows(rng, (n, count), mesh.data.dtype))
     plants = data.draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, count - 1)),
-                               min_size=1, max_size=4))
+                               min_size=1, max_size=4 if tiles is None else 1))
     for row, line in plants:
         for m in (a, b, c):
             m.data[0, 0, line, row] = 0  # a zero row: its pivot is exactly 0
     row, line = min(plants)
     try:
-        solve_lines(mesh, StoredCoefficients(a, b, c), "x")
+        solve_lines(mesh, StoredCoefficients(a, b, c), "x", algo, tiles=tiles)
     except LineSolveError as exc:
         assert (exc.batch, exc.line) == (0, line)
         assert exc.__cause__.index == row
@@ -130,7 +150,7 @@ def test_planted_zero_pivot_reported_at_lowest_row_then_line(n, count, precision
     systems = [TridiagonalSystem(*(m.data[0, 0, k] for m in (a, b, c)), mesh.data[0, 0, k])
                for k in range(count)]
     try:
-        batch_solve(TridiagonalBatch.from_systems(systems), "thomas")
+        batch_solve(TridiagonalBatch.from_systems(systems), algo, tiles)
     except BatchSolveError as exc:
         first_row = {}
         for r, k in sorted(plants, reverse=True):

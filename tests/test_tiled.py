@@ -1,17 +1,32 @@
 import numpy as np
 import pytest
 
-from tridax import (InvalidTilePlan, MismatchedTiles, NonFiniteSolution, TilePlan,
-                    TridiagonalSystem, ZeroPivot, assemble_reduced, back_substitute,
+from tridax import (BatchSolveError, InvalidTilePlan, LineSolveError, MismatchedTiles,
+                    Mesh, NonFiniteSolution, TilePlan, TridiagonalBatch, TridiagonalSystem,
+                    ZeroPivot, assemble_reduced, back_substitute, batch_solve,
                     dense_oracle_solve, modified_thomas_phase, relative_inf_error,
-                    solve_system, thomas_pcr_solve, thomas_solve, thomas_thomas_solve)
-from tridax.tiled import tile_system
+                    solve_lines, solve_system, thomas_pcr_solve, thomas_solve,
+                    thomas_thomas_solve)
+from tridax.mesh import StoredCoefficients
 from conftest import make_system
 
 
 def identity_system(n, d=None):
     d = np.arange(1.0, n + 1) if d is None else np.asarray(d, dtype=float)
     return TridiagonalSystem(np.zeros(n), np.ones(n), np.zeros(n), d)
+
+
+def tile_system(system, plan):
+    """``modified_thomas_phase`` over every tile of one system, as ``(m, 1)`` blocks."""
+    cols = [v[:, None] for v in (system.a, system.b, system.c, system.d)]
+    return [modified_thomas_phase(*(v[off:off + size] for v in cols))
+            for off, size in zip(plan.offsets, plan.sizes)]
+
+
+def solve_reduced(tiles):
+    """Thomas solve of the one-line reduced system, as a ``(2t, 1)`` column."""
+    reduced = TridiagonalSystem(*(v[:, 0] for v in assemble_reduced(tiles)))
+    return thomas_solve(reduced)[:, None]
 
 
 class TestTilePlan:
@@ -37,16 +52,17 @@ class TestTilePlan:
 
 class TestModifiedPhase:
     def test_identity_tile(self):
-        d = np.array([3.0, 1.0, 4.0, 1.0, 5.0])
-        res = modified_thomas_phase(np.zeros(5), np.ones(5), np.zeros(5), d)
-        assert np.array_equal(res.a_star, np.zeros(5))
-        assert np.array_equal(res.c_star, np.zeros(5))
+        d = np.array([[3.0], [1.0], [4.0], [1.0], [5.0]])
+        res = modified_thomas_phase(np.zeros((5, 1)), np.ones((5, 1)), np.zeros((5, 1)), d)
+        assert np.array_equal(res.a_star, np.zeros((5, 1)))
+        assert np.array_equal(res.c_star, np.zeros((5, 1)))
         assert np.array_equal(res.d_star, d)
 
     def test_purity(self):
         s = make_system(9, seed=2)
-        r1 = modified_thomas_phase(s.a, s.b, s.c, s.d)
-        r2 = modified_thomas_phase(s.a, s.b, s.c, s.d)
+        cols = [v[:, None] for v in (s.a, s.b, s.c, s.d)]
+        r1 = modified_thomas_phase(*cols)
+        r2 = modified_thomas_phase(*cols)
         assert np.array_equal(r1.d_star, r2.d_star)
         assert np.array_equal(r1.a_star, r2.a_star)
 
@@ -62,37 +78,38 @@ class TestModifiedPhase:
             size = plan.sizes[k]
             u0, um = u[off], u[off + size - 1]
             for i in range(1, size - 1):
-                rec = tile.d_star[i] - tile.a_star[i] * u0 - tile.c_star[i] * um
+                rec = tile.d_star[i, 0] - tile.a_star[i, 0] * u0 - tile.c_star[i, 0] * um
                 assert rec == pytest.approx(u[off + i], abs=1e-12)
 
     def test_too_small_tile_rejected(self):
         with pytest.raises(InvalidTilePlan):
-            modified_thomas_phase(np.zeros(2), np.ones(2), np.zeros(2), np.ones(2))
+            modified_thomas_phase(np.zeros((2, 1)), np.ones((2, 1)), np.zeros((2, 1)),
+                                  np.ones((2, 1)))
 
 
 class TestAssembleReduced:
     def test_identity_reduced_is_identity(self):
         s = identity_system(9)
         tiles = tile_system(s, TilePlan(9, 3))
-        red = assemble_reduced(tiles)
-        assert np.array_equal(red.b, np.ones(6))
-        assert np.array_equal(red.a, np.zeros(6))
-        assert np.array_equal(red.c, np.zeros(6))
-        assert np.array_equal(red.d, s.d[[0, 2, 3, 5, 6, 8]])
+        ra, rb, rc, rd = assemble_reduced(tiles)
+        assert np.array_equal(rb, np.ones((6, 1)))
+        assert np.array_equal(ra, np.zeros((6, 1)))
+        assert np.array_equal(rc, np.zeros((6, 1)))
+        assert np.array_equal(rd, s.d[[0, 2, 3, 5, 6, 8], None])
 
     def test_reduced_matches_oracle_boundaries(self):
         s = make_system(12, seed=40)
         plan = TilePlan(12, 3)
         tiles = tile_system(s, plan)
-        boundary = thomas_solve(assemble_reduced(tiles))
+        boundary = solve_reduced(tiles)
         full = dense_oracle_solve(s)
-        assert relative_inf_error(boundary, full[plan.boundary_indices()]) <= 1e-12
+        assert relative_inf_error(boundary[:, 0], full[plan.boundary_indices()]) <= 1e-12
 
     def test_minimal_two_tiles_structure(self):
         s = make_system(6, seed=41)
-        red = assemble_reduced(tile_system(s, TilePlan(6, 2)))
-        assert red.n == 4
-        assert red.a[0] == 0.0 and red.c[-1] == 0.0
+        ra, rb, rc, rd = assemble_reduced(tile_system(s, TilePlan(6, 2)))
+        assert ra.shape == rb.shape == rc.shape == rd.shape == (4, 1)
+        assert ra[0, 0] == 0.0 and rc[-1, 0] == 0.0
 
     def test_out_of_order_tiles_rejected(self):
         s = make_system(12, seed=42)
@@ -107,27 +124,27 @@ class TestBackSubstitute:
     def test_identity_returns_rhs(self):
         s = identity_system(8, d=[2, 7, 1, 8, 2, 8, 1, 8])
         tiles = tile_system(s, TilePlan(8, 2))
-        boundary = thomas_solve(assemble_reduced(tiles))
-        assert np.array_equal(back_substitute(tiles, boundary), s.d)
+        boundary = solve_reduced(tiles)
+        assert np.array_equal(back_substitute(tiles, boundary), s.d[:, None])
 
     def test_matches_oracle_everywhere(self):
         s = make_system(12, seed=43)
         tiles = tile_system(s, TilePlan(12, 3))
-        u = back_substitute(tiles, thomas_solve(assemble_reduced(tiles)))
-        assert relative_inf_error(u, dense_oracle_solve(s)) <= 1e-12
+        u = back_substitute(tiles, solve_reduced(tiles))
+        assert relative_inf_error(u[:, 0], dense_oracle_solve(s)) <= 1e-12
 
     def test_zero_rhs_gives_zero(self):
         s = make_system(12, seed=44)
         zeroed = TridiagonalSystem(s.a, s.b, s.c, np.zeros(12))
         tiles = tile_system(zeroed, TilePlan(12, 3))
-        u = back_substitute(tiles, thomas_solve(assemble_reduced(tiles)))
+        u = back_substitute(tiles, solve_reduced(tiles))
         assert np.max(np.abs(u)) == 0.0
 
     def test_boundary_length_check(self):
         s = make_system(12, seed=45)
         tiles = tile_system(s, TilePlan(12, 3))
         with pytest.raises(MismatchedTiles):
-            back_substitute(tiles, np.zeros(5))
+            back_substitute(tiles, np.zeros((5, 1)))
 
 
 class TestHybridSolvers:
@@ -181,7 +198,48 @@ class TestHybridSolvers:
         d[10] = np.nan
         with pytest.raises(NonFiniteSolution):
             solver(TridiagonalSystem(s.a, s.b, s.c, d), 3)
-        b = s.b.copy()
-        b[10] = np.nan
-        with pytest.raises(ZeroPivot):
-            solver(TridiagonalSystem(s.a, b, s.c, s.d), 3)
+        for bad in (np.nan, np.inf):
+            b = s.b.copy()
+            b[10] = bad
+            with pytest.raises(ZeroPivot) as err:
+                solver(TridiagonalSystem(s.a, b, s.c, s.d), 3)
+            assert err.value.index == 10
+
+    @pytest.mark.parametrize("algo", ["thomas-thomas", "thomas-pcr"])
+    @pytest.mark.parametrize("breakdown", ["tile", "reduced"])
+    def test_zero_pivot_names_global_row(self, algo, breakdown):
+        if breakdown == "tile":
+            # 24 rows in tiles of 8: row 9 is row 1 of tile 1
+            s = make_system(24, seed=6)
+            b = s.b.copy()
+            b[9] = 0.0
+            bad, tiles, row = TridiagonalSystem(s.a, b, s.c, s.d), 3, 9
+        else:
+            # both tiles eliminate cleanly, but the system is singular: the
+            # reduced Thomas solve breaks down at reduced row 1 (row 2), the
+            # reduced PCR solve at reduced row 0 (row 0)
+            s = make_system(6, seed=7)
+            bad = TridiagonalSystem([0, 1, 1, 0, 0, 0], [2, 1, 2, 2, 2, 2],
+                                    [1, 1, 0, 0, 0, 0], np.ones(6))
+            tiles = 2
+            row = TilePlan(6, 2).boundary_indices()[1 if algo == "thomas-thomas" else 0]
+        with pytest.raises(ZeroPivot) as err:
+            solve_system(bad, algo, tiles)
+        assert err.value.index == row
+
+        systems = [s, bad, s]
+        with pytest.raises(BatchSolveError) as err:
+            batch_solve(TridiagonalBatch.from_systems(systems), algo, tiles)
+        [(i, exc)] = err.value.failures
+        assert (i, exc.index) == (1, row)
+
+        # x lines of a 2-D mesh: line k is system k
+        def as_mesh(values):
+            return Mesh(np.stack(values).reshape(1, 1, len(systems), -1), 2)
+
+        coeffs = [as_mesh([getattr(sys_, k) for sys_ in systems]) for k in "abc"]
+        with pytest.raises(LineSolveError) as err:
+            solve_lines(as_mesh([sys_.d for sys_ in systems]), StoredCoefficients(*coeffs),
+                        "x", algo, tiles=tiles)
+        assert (err.value.batch, err.value.line) == (0, 1)
+        assert err.value.__cause__.index == row
