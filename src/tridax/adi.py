@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ZeroDuration
-from .mesh import Axis, ConstantLineCoefficients, Mesh, StoredCoefficients, solve_lines
+from .mesh import Mesh, solve_lines
 from .precision import Precision
 
 REPORT_SCHEMA = "tridax.report.v1"
@@ -56,24 +56,21 @@ class AdiConfig:
         if self.unroll < 1:
             raise ValueError("unroll must be >= 1")
 
-    def sweep_coefficients(self) -> ConstantLineCoefficients:
-        gamma = self.gamma
-        literal = self.literal_coefficients
-
-        def profile(n, dtype):
-            gm = dtype.type(gamma)
-            one = dtype.type(1)
-            off = -(dtype.type(0.5) * gm)
-            a = np.full(n, off, dtype=dtype)
-            b = np.full(n, gm if literal else one + gm, dtype=dtype)
-            c = np.full(n, off, dtype=dtype)
-            # pinned identity rows on the boundary
-            a[0] = a[-1] = 0
-            c[0] = c[-1] = 0
-            b[0] = b[-1] = one
-            return a, b, c
-
-        return ConstantLineCoefficients(profile)
+    def line_coefficients(self, n: int, dtype) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The ``(a, b, c)`` sweep profile of an axis of ``n`` points,
+        shared by every line along it."""
+        dtype = np.dtype(dtype)
+        gm = dtype.type(self.gamma)
+        one = dtype.type(1)
+        off = -(dtype.type(0.5) * gm)
+        a = np.full(n, off, dtype=dtype)
+        b = np.full(n, gm if self.literal_coefficients else one + gm, dtype=dtype)
+        c = np.full(n, off, dtype=dtype)
+        # pinned identity rows on the boundary
+        a[0] = a[-1] = 0
+        c[0] = c[-1] = 0
+        b[0] = b[-1] = one
+        return a, b, c
 
 
 @dataclass
@@ -140,8 +137,8 @@ def effective_bandwidth(nbytes: float, seconds: float) -> float:
     return nbytes / seconds / 1e9
 
 
-def adi_rhs(u: Mesh, cfg: AdiConfig) -> tuple[ConstantLineCoefficients, Mesh]:
-    """Explicit stencil phase: returns the sweep coefficient rule and ``d``.
+def adi_rhs(u: Mesh, cfg: AdiConfig) -> Mesh:
+    """Explicit stencil phase: returns the right-hand side mesh ``d``.
 
     ``d`` is the scaled sum of per-axis second differences at interior
     points and zero on every boundary point.
@@ -164,7 +161,7 @@ def adi_rhs(u: Mesh, cfg: AdiConfig) -> tuple[ConstantLineCoefficients, Mesh]:
     if u.spatial_ndim == 3:
         acc = acc + ((arr[:, :-2, cy, cx] - two * ctr) + arr[:, 2:, cy, cx])
     d.data[core] = gm * acc
-    return cfg.sweep_coefficients(), d
+    return d
 
 
 def adi_step(u: Mesh, cfg: AdiConfig) -> tuple[Mesh, Mesh]:
@@ -172,9 +169,10 @@ def adi_step(u: Mesh, cfg: AdiConfig) -> tuple[Mesh, Mesh]:
     for axis in u.solved_axes():
         if u.extent(axis) < 4:
             raise ValueError(f"axis {axis.value} extent {u.extent(axis)} < 4")
-    coeffs, d = adi_rhs(u, cfg)
+    d = adi_rhs(u, cfg)
     for axis in u.solved_axes():
-        solve_lines(d, coeffs, axis, "thomas", out=d)
+        solve_lines(d, cfg.line_coefficients(u.extent(axis), d.data.dtype), axis, "thomas",
+                    out=d)
     u_next = Mesh(u.data + d.data, u.spatial_ndim)
     return u_next, d
 
@@ -183,9 +181,9 @@ def adi_run(u0: Mesh, cfg: AdiConfig) -> tuple[Mesh, RunReport]:
     """Run ``n_iter`` steps, accounting wall time and logical traffic.
 
     Per iteration the stencil phase reads one mesh and writes one; each
-    sweep reads and writes one mesh (plus three coefficient meshes when
-    coefficients are stored rather than generated — not the case here);
-    the accumulate phase reads two meshes and writes one.
+    sweep reads and writes one mesh (its coefficients are one profile per
+    axis, generated once per run); the accumulate phase reads two meshes
+    and writes one.
     """
     report = RunReport(config={
         "gamma": cfg.gamma, "n_iter": cfg.n_iter, "unroll": cfg.unroll,
@@ -195,21 +193,22 @@ def adi_run(u0: Mesh, cfg: AdiConfig) -> tuple[Mesh, RunReport]:
     u = u0.astype(cfg.precision) if u0.precision is not cfg.precision else u0.copy()
     mesh_bytes = u.nbytes
     axes = u.solved_axes()
+    profiles = {axis: cfg.line_coefficients(u.extent(axis), u.data.dtype) for axis in axes}
     step_start = time.perf_counter()
     for it in range(cfg.n_iter):
         t0 = time.perf_counter()
-        coeffs, d = adi_rhs(u, cfg)
+        d = adi_rhs(u, cfg)
         t1 = time.perf_counter()
         rhs = report.phase("rhs")
         rhs.seconds += t1 - t0
         rhs.bytes += 2 * mesh_bytes
         for axis in axes:
             t0 = time.perf_counter()
-            solve_lines(d, coeffs, axis, "thomas", out=d)
+            solve_lines(d, profiles[axis], axis, "thomas", out=d)
             t1 = time.perf_counter()
             sweep = report.phase(f"sweep_{axis.value}")
             sweep.seconds += t1 - t0
-            sweep.bytes += 2 * mesh_bytes + (3 * mesh_bytes if coeffs.is_stored else 0)
+            sweep.bytes += 2 * mesh_bytes
         t0 = time.perf_counter()
         u = Mesh(u.data + d.data, u.spatial_ndim)
         t1 = time.perf_counter()

@@ -135,8 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def write_batch(path, batch: core.TridiagonalBatch) -> None:
-    sm = batch.with_layout(core.BatchLayout.SYSTEM_MAJOR)
-    stacked = np.stack([sm.a, sm.b, sm.c, sm.d], axis=1)  # (B, 4, n)
+    stacked = np.stack([batch.a, batch.b, batch.c, batch.d], axis=1)  # (B, 4, n)
     write_mesh(path, Mesh(stacked.reshape(batch.count, 1, 4, batch.n), 2))
 
 
@@ -145,8 +144,7 @@ def read_batch(path) -> core.TridiagonalBatch:
     if mesh.spatial_ndim != 2 or mesh.dims[1] != 4:
         raise ValueError("batch files are 2-D meshes with 4 coefficient rows")
     rows = mesh.data[:, 0]  # (B, 4, n)
-    return core.TridiagonalBatch(rows[:, 0].copy(), rows[:, 1].copy(),
-                                 rows[:, 2].copy(), rows[:, 3].copy())
+    return core.TridiagonalBatch(rows[:, 0], rows[:, 1], rows[:, 2], rows[:, 3])
 
 
 def _emit_report(args, payload: dict, csv_rows: list[list] | None = None) -> None:
@@ -187,8 +185,7 @@ def cmd_solve(args) -> int:
     except Exception:
         out_path.unlink(missing_ok=True)  # no partial outputs
         raise
-    max_res = max(core.residual_max_norm(batch.system(i), solutions[i])
-                  for i in range(batch.count))
+    max_res = core.residual_max_norm(batch, sol)
     moved = 5 * batch.count * batch.n * precision.word_bytes  # a,b,c,d in, u out
     payload = {
         "schema_version": REPORT_SCHEMA,

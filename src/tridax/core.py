@@ -8,18 +8,17 @@ is requested, since the elimination is unstable without it.
 
 The kernels at the bottom, and the tiled hybrids' kernel in
 :mod:`tridax.tiled`, operate on ``(n, lines)`` arrays, row i of every
-system side by side (the INTERLEAVED batch layout). ``_kernel`` maps an
-algorithm name and tile count to its kernel; the scalar solvers,
-``solve_system``, ``batch_solve`` and the mesh sweeps each make one kernel
-call. A scalar solve is a one-line call, and every line runs the same
-operation sequence, so scalar, batched and sweep results are bitwise
-identical.
+system side by side. A batch stores ``(count, n)`` arrays and is solved
+through their transposed views. ``_kernel`` maps an algorithm name and
+tile count to its kernel; the scalar solvers, ``solve_system``,
+``batch_solve`` and the mesh sweeps each make one kernel call. A scalar
+solve is a one-line call, and every line runs the same operation sequence,
+so scalar, batched and sweep results are bitwise identical.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum
 from functools import partial
 
 import numpy as np
@@ -102,31 +101,19 @@ class TridiagonalSystem:
         return mat
 
 
-class BatchLayout(Enum):
-    """Storage order of a batch: systems contiguous, or row-interleaved.
-
-    ``INTERLEAVED`` stores row i of every system adjacently, mirroring how
-    an interleaving group of solves is fed on hardware; ``SYSTEM_MAJOR``
-    keeps each system contiguous.
-    """
-
-    SYSTEM_MAJOR = "system-major"
-    INTERLEAVED = "interleaved"
-
-
 @dataclass
 class TridiagonalBatch:
     """``count`` independent systems of shared size ``n``.
 
-    Coefficient arrays are shaped ``(count, n)`` for SYSTEM_MAJOR storage
-    and ``(n, count)`` for INTERLEAVED storage.
+    The four coefficient arrays are shaped ``(count, n)``: row i holds
+    system i. ``batch_solve`` hands the kernels their ``(n, count)``
+    transposed views.
     """
 
     a: np.ndarray
     b: np.ndarray
     c: np.ndarray
     d: np.ndarray
-    layout: BatchLayout = BatchLayout.SYSTEM_MAJOR
 
     def __post_init__(self):
         shapes = {arr.shape for arr in (self.a, self.b, self.c, self.d)}
@@ -134,44 +121,28 @@ class TridiagonalBatch:
             raise ValueError("batch arrays must share one 2-D shape")
         if self.count < 1:
             raise ValueError("batch must contain at least one system")
-        a = self._rows(self.a)
-        c = self._rows(self.c)
-        if np.any(a[:, 0] != 0.0) or np.any(c[:, -1] != 0.0):
+        if np.any(self.a[:, 0] != 0.0) or np.any(self.c[:, -1] != 0.0):
             raise ValueError("every system needs a[0] == 0 and c[n-1] == 0")
-
-    def _rows(self, arr: np.ndarray) -> np.ndarray:
-        # (count, n) view regardless of storage layout
-        return arr if self.layout is BatchLayout.SYSTEM_MAJOR else arr.T
 
     @property
     def count(self) -> int:
-        return self.a.shape[0] if self.layout is BatchLayout.SYSTEM_MAJOR else self.a.shape[1]
+        return self.a.shape[0]
 
     @property
     def n(self) -> int:
-        return self.a.shape[1] if self.layout is BatchLayout.SYSTEM_MAJOR else self.a.shape[0]
+        return self.a.shape[1]
 
     @property
     def precision(self) -> Precision:
         return Precision.from_dtype(self.b.dtype)
 
     def system(self, i: int) -> TridiagonalSystem:
-        return TridiagonalSystem(self._rows(self.a)[i], self._rows(self.b)[i],
-                                 self._rows(self.c)[i], self._rows(self.d)[i])
-
-    def with_layout(self, layout: BatchLayout) -> "TridiagonalBatch":
-        if layout is self.layout:
-            return self
-        return TridiagonalBatch(np.ascontiguousarray(self.a.T), np.ascontiguousarray(self.b.T),
-                                np.ascontiguousarray(self.c.T), np.ascontiguousarray(self.d.T),
-                                layout)
+        return TridiagonalSystem(self.a[i], self.b[i], self.c[i], self.d[i])
 
     @classmethod
-    def from_systems(cls, systems, layout: BatchLayout = BatchLayout.SYSTEM_MAJOR) -> "TridiagonalBatch":
+    def from_systems(cls, systems) -> "TridiagonalBatch":
         systems = list(systems)
-        arrs = [np.stack([getattr(s, k) for s in systems]) for k in "abcd"]
-        batch = cls(*arrs, layout=BatchLayout.SYSTEM_MAJOR)
-        return batch.with_layout(layout)
+        return cls(*(np.stack([getattr(s, k) for s in systems]) for k in "abcd"))
 
 
 def thomas_solve(system: TridiagonalSystem, *, check_dominance: bool = False) -> np.ndarray:
@@ -227,15 +198,21 @@ def dense_oracle_solve(system: TridiagonalSystem) -> np.ndarray:
         raise SingularMatrix(str(exc)) from exc
 
 
-def residual_max_norm(system: TridiagonalSystem, u) -> float:
-    """Max-norm of ``A u - d`` with out-of-range neighbor terms zero."""
-    u = np.asarray(u, dtype=system.b.dtype)
-    if u.shape != (system.n,):
-        raise ValueError(f"solution has shape {u.shape}, expected ({system.n},)")
+def residual_max_norm(system: TridiagonalSystem | TridiagonalBatch, u) -> float:
+    """Max-norm of ``A u - d`` with out-of-range neighbor terms zero.
+
+    ``system`` is one system with a length-n solution ``u``, or a batch
+    with ``(count, n)`` solutions; for a batch the result is the largest
+    residual of any of its systems, exactly the maximum of the per-system
+    values.
+    """
+    dtype = _float_dtype(system.a, system.b, system.c, system.d)
+    u = np.asarray(u, dtype=dtype)
+    if u.shape != system.b.shape:
+        raise ValueError(f"solution has shape {u.shape}, expected {system.b.shape}")
     r = system.b * u - system.d
-    if system.n > 1:
-        r[1:] += system.a[1:] * u[:-1]
-        r[:-1] += system.c[:-1] * u[1:]
+    r[..., 1:] += system.a[..., 1:] * u[..., :-1]
+    r[..., :-1] += system.c[..., :-1] * u[..., 1:]
     return float(np.max(np.abs(r)))
 
 
@@ -271,8 +248,8 @@ def batch_solve(batch: TridiagonalBatch, algo: str = "thomas", tiles: int | None
     """Solve every system of a batch independently.
 
     Results keep the input order and match the scalar solver bitwise.
-    Every algorithm solves the whole batch in one kernel call on ``(n,
-    count)`` views of the batch, whatever its storage layout. Only when that
+    Every algorithm solves the whole batch in one kernel call on the
+    ``(n, count)`` transposed views of the batch arrays. Only when that
     call fails is the batch solved system by system, so that a failing
     system does not abort the rest unless ``fail_fast`` is set; collected
     failures are raised as :class:`BatchSolveError` with the partial
@@ -280,7 +257,7 @@ def batch_solve(batch: TridiagonalBatch, algo: str = "thomas", tiles: int | None
     """
     kernel = _kernel(algo, tiles)
     dtype = _float_dtype(batch.a, batch.b, batch.c, batch.d)
-    arrays = [np.asarray(batch._rows(getattr(batch, k)).T, dtype=dtype) for k in "abcd"]
+    arrays = [np.asarray(getattr(batch, k).T, dtype=dtype) for k in "abcd"]
     try:
         u = kernel(*arrays, Precision.from_dtype(dtype).pivot_floor)
     except (ZeroPivot, NonFiniteSolution):

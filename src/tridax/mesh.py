@@ -4,14 +4,15 @@ Storage is x-contiguous row-major per mesh: element ``(b, i, j, k)`` lives
 at flat offset ``b*x*y*z + k*x*y + j*x + i``, i.e. the data array is shaped
 ``(batch, z, y, x)`` in C order. Lines along one axis form a batch of
 independent tridiagonal systems. A sweep views the whole axis as one
-``(n, lines)`` array (row i of every line side by side, the kernels'
-interleaved layout), solves it in one kernel call and writes the result
-back through the same view. Lines are numbered per mesh in sweep order:
+``(n, lines)`` array (row i of every line side by side, the kernels' input
+form), solves it in one kernel call and writes the result back through the
+same view. Lines are numbered per mesh in sweep order:
 x lines by (z, y), y lines by (z, x), z lines by (y, x).
 """
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 from enum import Enum
@@ -119,24 +120,6 @@ class Mesh:
         return float(np.max(np.abs(self.data)))
 
 
-@dataclass(frozen=True)
-class LineBatchView:
-    """Counting view of the line systems a mesh exposes along one axis."""
-
-    axis: Axis
-    system_size: int
-    system_count: int
-
-
-def line_batch_view(mesh: Mesh, axis) -> LineBatchView:
-    axis = Axis.parse(axis)
-    if axis is Axis.Z and mesh.spatial_ndim == 2:
-        raise ValueError("2-D mesh has no z axis")
-    size = mesh.extent(axis)
-    count = mesh.points // size
-    return LineBatchView(axis, size, count)
-
-
 _STORAGE_DIM = {Axis.X: 3, Axis.Y: 2, Axis.Z: 1}  # axis position in (batch, z, y, x)
 
 
@@ -149,68 +132,36 @@ def axis_lines(data: np.ndarray, axis: Axis) -> np.ndarray:
     return np.moveaxis(data, dim, 0).reshape(data.shape[dim], -1)
 
 
-class CoefficientSource:
-    """Supplies (a, b, c) coefficients for every line of a sweep.
+def _line_coefficient(entry, mesh: Mesh, axis: Axis) -> np.ndarray:
+    """The kernel form of one ``solve_lines`` coefficient entry.
 
-    ``axis_coefficients`` returns three ``(n, lines)`` arrays in the order
-    of ``axis_lines``, or ``(n, 1)`` arrays when every line shares them.
-    ``is_stored`` distinguishes coefficient fields that occupy memory (and
-    therefore count as transferred bytes) from ones generated on the fly
-    inside the sweep.
+    A mesh shaped like ``mesh`` gives its ``(n, lines)`` axis view; a
+    vector of the axis length, taken in the mesh's dtype, gives the
+    ``(n, 1)`` profile every line shares. Any other shape raises
+    ``ValueError``.
     """
-
-    is_stored = False
-
-    def axis_coefficients(self, mesh: Mesh, axis: Axis) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        raise NotImplementedError
-
-
-class StoredCoefficients(CoefficientSource):
-    """Coefficients read from three meshes congruent with the swept mesh."""
-
-    is_stored = True
-
-    def __init__(self, a: Mesh, b: Mesh, c: Mesh):
-        if not (a.data.shape == b.data.shape == c.data.shape):
-            raise ValueError("coefficient meshes must share the swept mesh's shape")
-        self.a = a
-        self.b = b
-        self.c = c
-
-    def axis_coefficients(self, mesh, axis):
-        if self.a.data.shape != mesh.data.shape:
-            raise ValueError("coefficient meshes do not match the swept mesh")
-        return tuple(axis_lines(field.data, axis) for field in (self.a, self.b, self.c))
+    if isinstance(entry, Mesh):
+        if entry.data.shape != mesh.data.shape:
+            raise ValueError(f"coefficient mesh has shape {entry.data.shape}, "
+                             f"expected the swept mesh's {mesh.data.shape}")
+        return axis_lines(entry.data, axis)
+    profile = np.asarray(entry, dtype=mesh.data.dtype)
+    n = mesh.extent(axis)
+    if profile.shape != (n,):
+        raise ValueError(f"coefficient profile has shape {profile.shape}, "
+                         f"expected ({n},) for axis {axis.value}")
+    return profile[:, None]
 
 
-class ConstantLineCoefficients(CoefficientSource):
-    """One (a, b, c) line profile per axis, shared by every line.
-
-    ``profile(n, dtype)`` returns the three length-n vectors; results are
-    cached per (axis length, dtype) and broadcast across the lines, so the
-    kernel computes the coefficient recurrences once per sweep.
-    """
-
-    def __init__(self, profile):
-        self._profile = profile
-        self._cache: dict = {}
-
-    def axis_coefficients(self, mesh, axis):
-        n = mesh.extent(axis)
-        key = (n, mesh.data.dtype)
-        if key not in self._cache:
-            self._cache[key] = tuple(v[:, None] for v in self._profile(n, mesh.data.dtype))
-        return self._cache[key]
-
-
-def solve_lines(mesh: Mesh, coefficients: CoefficientSource, axis,
-                algo: str = "thomas", *, tiles: int | None = None,
-                out: Mesh | None = None) -> Mesh:
+def solve_lines(mesh: Mesh, coefficients: tuple, axis, algo: str = "thomas",
+                *, tiles: int | None = None, out: Mesh | None = None) -> Mesh:
     """Solve every line system along ``axis``, writing solutions over ``d``.
 
-    The mesh holds the right-hand sides; ``coefficients`` supplies (a, b, c)
-    per line. Every algorithm, the tiled hybrids included, solves the whole
-    axis in one kernel call. A failure raises :class:`LineSolveError`
+    The mesh holds the right-hand sides. ``coefficients`` is the tuple
+    ``(a, b, c)``; each entry is either a mesh shaped like ``mesh``, giving
+    every line its own coefficients, or a vector of the axis length, shared
+    by every line. Every algorithm, the tiled hybrids included, solves the
+    whole axis in one kernel call. A failure raises :class:`LineSolveError`
     naming the mesh and line. ``out`` may alias ``mesh`` for an in-place
     update; by default a new mesh is returned.
     """
@@ -223,7 +174,7 @@ def solve_lines(mesh: Mesh, coefficients: CoefficientSource, axis,
         raise ValueError("destination mesh shape differs from source")
 
     d = axis_lines(mesh.data, axis)
-    a, b, c = coefficients.axis_coefficients(mesh, axis)
+    a, b, c = (_line_coefficient(entry, mesh, axis) for entry in coefficients)
     kernel = core._kernel(algo, tiles)
     try:
         u = kernel(a, b, c, d, mesh.precision.pivot_floor)
@@ -266,9 +217,14 @@ def read_mesh(path) -> Mesh:
             raise ValueError(f"bad precision code {bits}")
         ndim = 2 if z == 0 else 3
         z = max(z, 1)
-        count = batch * x * y * z
-        data = np.frombuffer(fh.read(), dtype="<f4" if bits == 32 else "<f8")
-        if data.size != count:
-            raise ValueError(f"mesh payload has {data.size} scalars, expected {count}")
-    arr = data.astype(np.float32 if bits == 32 else np.float64).reshape(batch, z, y, x)
-    return Mesh(arr, ndim)
+        dtype = np.dtype("<f4" if bits == 32 else "<f8")
+        expected = batch * x * y * z * dtype.itemsize
+        payload = os.fstat(fh.fileno()).st_size - _HEADER.size
+        if payload != expected:  # checked before anything is allocated or read
+            raise ValueError(f"mesh payload has {payload} bytes, expected {expected} "
+                             f"for {batch}x{x}x{y}x{z} scalars")
+        data = np.empty((batch, z, y, x), dtype=dtype)
+        got = fh.readinto(data)
+        if got != expected:
+            raise ValueError(f"read {got} mesh payload bytes, expected {expected}")
+    return Mesh(data.astype(np.float32 if bits == 32 else np.float64, copy=False), ndim)

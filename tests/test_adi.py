@@ -30,20 +30,20 @@ class TestRhs:
     def test_constant_field_zero(self):
         mesh = Mesh.zeros((8, 8, 8))
         mesh.data[:] = 4.25
-        _, d = adi_rhs(mesh, AdiConfig(gamma=0.5, n_iter=1))
+        d = adi_rhs(mesh, AdiConfig(gamma=0.5, n_iter=1))
         assert np.all(d.data == 0)
 
     def test_linear_field_zero_second_difference(self):
         mesh = Mesh.zeros((8, 3, 3))
         for i in range(8):
             mesh.data[:, :, :, i] = i
-        _, d = adi_rhs(mesh, AdiConfig(gamma=0.5, n_iter=1))
+        d = adi_rhs(mesh, AdiConfig(gamma=0.5, n_iter=1))
         assert np.all(d.data == 0)
 
     def test_matches_loop_oracle_bitwise(self):
         mesh = full_random((8, 8, 8), seed=88)
         gamma = 0.37
-        _, d = adi_rhs(mesh, AdiConfig(gamma=gamma, n_iter=1))
+        d = adi_rhs(mesh, AdiConfig(gamma=gamma, n_iter=1))
         u = mesh.data
         expected = np.zeros_like(u)
         for k in range(1, 7):
@@ -58,7 +58,7 @@ class TestRhs:
 
     def test_boundary_rows_zero(self):
         mesh = full_random((6, 6, 6), seed=3)
-        _, d = adi_rhs(mesh, AdiConfig(gamma=1.0, n_iter=1))
+        d = adi_rhs(mesh, AdiConfig(gamma=1.0, n_iter=1))
         assert np.all(d.data[:, 0] == 0) and np.all(d.data[:, -1] == 0)
         assert np.all(d.data[:, :, 0] == 0) and np.all(d.data[:, :, -1] == 0)
         assert np.all(d.data[:, :, :, 0] == 0) and np.all(d.data[:, :, :, -1] == 0)

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from tridax import (BatchLayout, BatchSolveError, NonFiniteSolution, Precision,
+from tridax import (BatchSolveError, NonFiniteSolution, Precision,
                     SingularMatrix, TridiagonalBatch, TridiagonalSystem, ZeroPivot,
                     batch_solve, dense_oracle_solve, pcr_solve, random_dominant_system,
-                    relative_inf_error, residual_max_norm, thomas_solve)
+                    relative_inf_error, residual_max_norm, solve_system, thomas_solve)
+from tridax.core import DENSE_ORACLE_MAX_N, SOLVER_NAMES
+from tridax.reference import thomas_scalar
 from conftest import make_system
 
 
@@ -143,6 +145,18 @@ class TestResidual:
         with pytest.raises(ValueError):
             residual_max_norm(diagonal_system(), np.zeros(4))
 
+    @pytest.mark.parametrize("precision", [Precision.FP32, Precision.FP64])
+    @pytest.mark.parametrize("n", [1, 2, 7, 128])
+    def test_batch_is_max_over_systems_exactly(self, n, precision):
+        rng = np.random.default_rng(n)
+        systems = [random_dominant_system(n, rng, precision) for _ in range(9)]
+        batch = TridiagonalBatch.from_systems(systems)
+        u = np.stack(batch_solve(batch))
+        per_system = max(residual_max_norm(s, ui) for s, ui in zip(systems, u))
+        assert residual_max_norm(batch, u) == per_system
+        with pytest.raises(ValueError):
+            residual_max_norm(batch, u[0])
+
 
 class TestBatch:
     def test_trivial_copies(self):
@@ -164,17 +178,6 @@ class TestBatch:
         batch = TridiagonalBatch.from_systems([s])
         assert np.array_equal(batch_solve(batch, "thomas")[0], thomas_solve(s))
         assert np.array_equal(batch_solve(batch, "pcr")[0], pcr_solve(s))
-
-    def test_interleaved_layout_round_trip(self):
-        systems = [make_system(10, seed=i) for i in range(4)]
-        sm = TridiagonalBatch.from_systems(systems)
-        inter = sm.with_layout(BatchLayout.INTERLEAVED)
-        assert inter.count == 4 and inter.n == 10
-        assert inter.a.shape == (10, 4)
-        back = inter.with_layout(BatchLayout.SYSTEM_MAJOR)
-        assert np.array_equal(back.d, sm.d)
-        for i in range(4):
-            assert np.array_equal(batch_solve(inter)[i], batch_solve(sm)[i])
 
     def test_failure_collects_index(self):
         good = diagonal_system()
@@ -268,3 +271,18 @@ class TestNonFinite:
         solver = thomas_solve if algo == "thomas" else pcr_solve
         for i in (0, 2, 4):
             assert np.array_equal(err.value.solutions[i], solver(systems[i]))
+
+
+class TestPastDenseCap:
+    """Systems longer than the dense oracle allows, checked against the O(n)
+    FP64 scalar reference."""
+
+    @pytest.mark.parametrize("precision", [Precision.FP32, Precision.FP64])
+    @pytest.mark.parametrize("algo", SOLVER_NAMES)
+    def test_matches_scalar_reference(self, algo, precision):
+        n = 10_000
+        assert n > DENSE_ORACLE_MAX_N
+        s = make_system(n, seed=31, precision=precision)
+        ref = thomas_scalar(*(getattr(s, k).astype(np.float64).tolist() for k in "abcd"))
+        tiles = None if algo in ("thomas", "pcr") else 8
+        assert relative_inf_error(solve_system(s, algo, tiles), ref) <= precision.tolerance

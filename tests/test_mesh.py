@@ -1,40 +1,44 @@
+import struct
+
 import numpy as np
 import pytest
 
-from tridax import (Axis, BatchLayout, LineSolveError, Mesh, NonFiniteSolution,
-                    Precision, TridiagonalBatch, TridiagonalSystem, ZeroPivot, axis_lines,
-                    batch_solve, line_batch_view, read_mesh, solve_lines, thomas_solve,
-                    write_mesh)
-from tridax.mesh import ConstantLineCoefficients, StoredCoefficients
+from tridax import (Axis, LineSolveError, Mesh, NonFiniteSolution, Precision,
+                    TridiagonalBatch, TridiagonalSystem, ZeroPivot, axis_lines, batch_solve,
+                    read_mesh, solve_lines, thomas_solve, write_mesh)
 
 STORAGE_DIM = {"x": 3, "y": 2, "z": 1}  # axis position in (batch, z, y, x)
 
 
-def dominant_profile(seed):
-    def profile(n, dtype):
-        rng = np.random.default_rng(seed + n)
-        a = rng.uniform(-1, 1, n).astype(dtype)
-        c = rng.uniform(-1, 1, n).astype(dtype)
-        a[0] = c[-1] = 0
-        b = (np.abs(a) + np.abs(c) + dtype.type(1.5)).astype(dtype)
-        return a, b, c
-    return ConstantLineCoefficients(profile)
+def dominant_profile(seed, mesh, axis):
+    """A dominant (a, b, c) profile for the lines of ``mesh`` along ``axis``."""
+    n, dtype = mesh.extent(Axis.parse(axis)), mesh.data.dtype
+    rng = np.random.default_rng(seed + n)
+    a = rng.uniform(-1, 1, n).astype(dtype)
+    c = rng.uniform(-1, 1, n).astype(dtype)
+    a[0] = c[-1] = 0
+    b = (np.abs(a) + np.abs(c) + dtype.type(1.5)).astype(dtype)
+    return a, b, c
 
 
-def profile_meshes(coeffs, mesh, axis):
-    """Stored-coefficient meshes that put ``coeffs``' profile on every line."""
-    a, b, c = coeffs.axis_coefficients(mesh, Axis.parse(axis))
+def identity_profile(mesh, axis):
+    n, dtype = mesh.extent(Axis.parse(axis)), mesh.data.dtype
+    return np.zeros(n, dtype), np.ones(n, dtype), np.zeros(n, dtype)
+
+
+def profile_meshes(profile, mesh, axis):
+    """Coefficient meshes that put ``profile`` on every line along ``axis``."""
     out = []
-    for v in (a, b, c):
+    for v in profile:
         m = Mesh(np.empty_like(mesh.data), mesh.spatial_ndim)
         np.moveaxis(m.data, STORAGE_DIM[axis], 0)[...] = v.reshape((-1,) + (1,) * 3)
         out.append(m)
-    return out
+    return tuple(out)
 
 
-def per_line_expected(mesh, coeffs, axis):
+def per_line_expected(mesh, profile, axis):
     """Sweep oracle: every line solved alone by the scalar solver."""
-    a, b, c = (v[:, 0] for v in coeffs.axis_coefficients(mesh, Axis.parse(axis)))
+    a, b, c = profile
     expected = mesh.copy()
     lines = np.moveaxis(expected.data, STORAGE_DIM[axis], 0)
     for idx in np.ndindex(lines.shape[1:]):
@@ -52,34 +56,30 @@ def random_mesh(dims, batch=1, seed=0, precision=Precision.FP64):
 
 class TestLineCounting:
     def test_x_lines_4x3x2(self):
-        view = line_batch_view(Mesh.zeros((4, 3, 2)), "x")
-        assert view.system_size == 4
-        assert view.system_count == 6
+        assert axis_lines(Mesh.zeros((4, 3, 2)).data, Axis.X).shape == (4, 6)
 
     def test_z_lines_4x3x2(self):
-        view = line_batch_view(Mesh.zeros((4, 3, 2)), "z")
-        assert view.system_size == 2
-        assert view.system_count == 12
+        assert axis_lines(Mesh.zeros((4, 3, 2)).data, Axis.Z).shape == (2, 12)
 
     def test_line_count_law(self):
         mesh = Mesh.zeros((5, 7, 3), batch=4)
-        for axis in "xyz":
-            view = line_batch_view(mesh, axis)
-            assert view.system_count == mesh.points // view.system_size
+        for axis in Axis:
+            size, count = axis_lines(mesh.data, axis).shape
+            assert size == mesh.extent(axis)
+            assert count == mesh.points // size
 
     def test_2d_has_no_z(self):
+        mesh = Mesh.zeros((4, 4))
         with pytest.raises(ValueError):
-            line_batch_view(Mesh.zeros((4, 4)), "z")
+            solve_lines(mesh, identity_profile(mesh, "z"), "z")
 
 
 class TestGatherScatter:
     @pytest.mark.parametrize("axis", ["x", "y", "z"])
     def test_round_trip_bit_exact(self, axis):
         mesh = random_mesh((5, 4, 3), batch=2, seed=9)
-        ident = ConstantLineCoefficients(
-            lambda n, dt: (np.zeros(n, dt), np.ones(n, dt), np.zeros(n, dt)))
         dest = Mesh.zeros((5, 4, 3), batch=2)
-        solve_lines(mesh, ident, axis, out=dest)
+        solve_lines(mesh, identity_profile(mesh, axis), axis, out=dest)
         assert np.array_equal(dest.data, mesh.data)
 
     def test_gather_order_x_contiguous(self):
@@ -94,8 +94,7 @@ class TestGatherScatter:
         mesh.data.flat = np.arange(mesh.points)
         for axis in Axis:
             lines = axis_lines(mesh.data, axis)
-            view = line_batch_view(mesh, axis)
-            assert lines.shape == (view.system_size, view.system_count)
+            assert lines.shape == (mesh.extent(axis), mesh.points // mesh.extent(axis))
             assert np.array_equal(np.sort(lines, axis=None), np.arange(mesh.points))
 
     def test_sweep_order_per_mesh(self):
@@ -111,17 +110,20 @@ class TestGatherScatter:
 
 
 class TestSolveLines:
+    def test_profile_taken_in_mesh_dtype(self):
+        mesh = random_mesh((6, 4), seed=19, precision=Precision.FP32)
+        got = solve_lines(mesh, ([0] * 6, [2] * 6, [0] * 6), "x")
+        assert np.array_equal(got.data, mesh.data / np.float32(2))
+
     def test_identity_lines_leave_mesh_unchanged(self):
         mesh = random_mesh((8, 8, 8), seed=1)
-        ident = ConstantLineCoefficients(
-            lambda n, dt: (np.zeros(n, dt), np.ones(n, dt), np.zeros(n, dt)))
-        out = solve_lines(mesh, ident, "y")
+        out = solve_lines(mesh, identity_profile(mesh, "y"), "y")
         assert np.array_equal(out.data, mesh.data)
 
     @pytest.mark.parametrize("axis", ["x", "y", "z"])
     def test_matches_per_line_scalar_solve(self, axis):
         mesh = random_mesh((16, 16, 16), seed=2)
-        coeffs = dominant_profile(5)
+        coeffs = dominant_profile(5, mesh, axis)
         expected = per_line_expected(mesh, coeffs, axis)
         got = solve_lines(mesh, coeffs, axis)
         assert np.array_equal(got.data, expected.data)
@@ -132,24 +134,22 @@ class TestSolveLines:
         # any block of group * width lines, solved as an interleaved batch,
         # gives those lines' bits from the whole-axis sweep
         mesh = random_mesh((16, 8, 4), batch=2, seed=3)
-        coeffs = dominant_profile(6)
+        coeffs = dominant_profile(6, mesh, "x")
         whole = axis_lines(solve_lines(mesh, coeffs, "x").data, Axis.X)
         d = axis_lines(mesh.data, Axis.X)
         n, lines = d.shape
-        shared = coeffs.axis_coefficients(mesh, Axis.X)
         block = group * width
         for start in range(0, lines, block):
             k = min(block, lines - start)
-            abc = [np.broadcast_to(v, (n, k)).copy() for v in shared]
-            batch = TridiagonalBatch(*abc, d[:, start:start + k].copy(),
-                                     layout=BatchLayout.INTERLEAVED)
+            abc = [np.broadcast_to(v, (k, n)).copy() for v in coeffs]
+            batch = TridiagonalBatch(*abc, d[:, start:start + k].T.copy())
             for j, u in enumerate(batch_solve(batch)):
                 assert np.array_equal(u, whole[:, start + j])
 
     @pytest.mark.parametrize("axis", ["x", "y", "z"])
     def test_batch_independence_bitwise(self, axis):
         mesh = random_mesh((16, 8, 4), batch=3, seed=3)
-        coeffs = dominant_profile(6)
+        coeffs = dominant_profile(6, mesh, axis)
         whole = solve_lines(mesh, coeffs, axis)
         for k in range(mesh.batch):
             alone = solve_lines(Mesh(mesh.data[k:k + 1].copy(), 3), coeffs, axis)
@@ -157,14 +157,14 @@ class TestSolveLines:
 
     def test_pcr_algo_agrees_with_thomas(self):
         mesh = random_mesh((16, 4, 4), seed=4)
-        coeffs = dominant_profile(7)
+        coeffs = dominant_profile(7, mesh, "x")
         th = solve_lines(mesh, coeffs, "x", "thomas")
         pc = solve_lines(mesh, coeffs, "x", "pcr")
         assert np.max(np.abs(th.data - pc.data)) <= 1e-12
 
     def test_in_place_destination(self):
         mesh = random_mesh((8, 4, 4), seed=5)
-        coeffs = dominant_profile(8)
+        coeffs = dominant_profile(8, mesh, "x")
         expected = solve_lines(mesh, coeffs, "x")
         out = solve_lines(mesh, coeffs, "x", out=mesh)
         assert out is mesh
@@ -172,17 +172,28 @@ class TestSolveLines:
 
     def test_stored_coefficients_match_generated(self):
         mesh = random_mesh((12, 6, 3), seed=7)
-        gen = dominant_profile(10)
-        stored = StoredCoefficients(*profile_meshes(gen, mesh, "x"))
-        assert stored.is_stored and not gen.is_stored
+        gen = dominant_profile(10, mesh, "x")
+        stored = profile_meshes(gen, mesh, "x")
         out_g = solve_lines(mesh, gen, "x")
         out_s = solve_lines(mesh, stored, "x")
         assert np.array_equal(out_g.data, out_s.data)
 
+    @pytest.mark.parametrize("bad", ["short", "long", "column", "mesh"])
+    def test_misshapen_coefficients_rejected(self, bad):
+        # length-1 profiles used to broadcast over every row: pcr with the
+        # profile (0, 2, 0) returned d / 2 and raised nothing
+        mesh = random_mesh((6, 4), seed=17)
+        a, b, c = dominant_profile(18, mesh, "x")
+        coeffs = {"short": (np.zeros(1), np.full(1, 2.0), np.zeros(1)),
+                  "long": (a, np.ones(7), c),
+                  "column": (a, b[:, None], c),
+                  "mesh": (a, Mesh(np.ones((1, 1, 6, 4)), 2), c)}[bad]
+        with pytest.raises(ValueError, match="shape"):
+            solve_lines(mesh, coeffs, "x", "pcr")
+
     def test_failing_line_identified(self):
         mesh = random_mesh((6, 2, 2), batch=2, seed=8)
-        singular = ConstantLineCoefficients(
-            lambda n, dt: (np.zeros(n, dt), np.zeros(n, dt), np.zeros(n, dt)))
+        singular = (np.zeros(6), np.zeros(6), np.zeros(6))
         with pytest.raises(LineSolveError) as err:
             solve_lines(mesh, singular, "x")
         assert err.value.axis == "x"
@@ -193,11 +204,11 @@ class TestSolveLines:
     def test_zero_interior_pivot_names_line(self, algo):
         # line 5 of mesh 1 along x is (z=1, y=1); row 4 is tile 1's first interior row
         mesh = random_mesh((9, 4, 2), batch=2, seed=13)
-        a, b, c = profile_meshes(dominant_profile(14), mesh, "x")
-        for m in (a, b, c):
+        coeffs = profile_meshes(dominant_profile(14, mesh, "x"), mesh, "x")
+        for m in coeffs:
             m.data[1, 1, 1, 4] = 0.0
         with pytest.raises(LineSolveError) as err:
-            solve_lines(mesh, StoredCoefficients(a, b, c), "x", algo, tiles=3)
+            solve_lines(mesh, coeffs, "x", algo, tiles=3)
         assert (err.value.batch, err.value.line, err.value.axis) == (1, 5, "x")
         assert isinstance(err.value.__cause__, ZeroPivot)
 
@@ -207,7 +218,7 @@ class TestSolveLines:
         mesh = random_mesh((4, 9, 2), batch=2, seed=15)
         mesh.data[1, 1, 5, 3] = np.nan
         with pytest.raises(LineSolveError) as err:
-            solve_lines(mesh, dominant_profile(16), "y", algo, tiles=3)
+            solve_lines(mesh, dominant_profile(16, mesh, "y"), "y", algo, tiles=3)
         assert (err.value.batch, err.value.line, err.value.axis) == (1, 7, "y")
         assert isinstance(err.value.__cause__, NonFiniteSolution)
 
@@ -247,6 +258,11 @@ class TestMeshIo:
     def test_truncated_payload_rejected(self, tmp_path):
         path = tmp_path / "m.bin"
         write_mesh(path, Mesh.zeros((4, 4)))
-        path.write_bytes(path.read_bytes()[:-8])
-        with pytest.raises(ValueError):
-            read_mesh(path)
+        raw = path.read_bytes()
+        huge_x = struct.pack("<I", 2**30)  # header bytes 16-20 hold x
+        for damaged in (raw[:-8],  # truncated payload
+                        raw + bytes(8),  # oversized payload
+                        raw[:16] + huge_x + raw[20:]):  # header overstates the size
+            path.write_bytes(damaged)
+            with pytest.raises(ValueError, match="payload"):
+                read_mesh(path)

@@ -6,11 +6,10 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from tridax import (BatchLayout, BatchSolveError, InvalidTilePlan, LineSolveError, Mesh,
-                    Precision, TilePlan, TridiagonalBatch, TridiagonalSystem, ZeroPivot,
-                    batch_solve, random_dominant_system, solve_lines, solve_system)
+from tridax import (BatchSolveError, InvalidTilePlan, LineSolveError, Mesh, Precision,
+                    TilePlan, TridiagonalBatch, TridiagonalSystem, ZeroPivot, batch_solve,
+                    random_dominant_system, solve_lines, solve_system)
 from tridax.core import SOLVER_NAMES
-from tridax.mesh import ConstantLineCoefficients, StoredCoefficients
 
 STORAGE_DIM = {"x": 3, "y": 2, "z": 1}  # axis position in (batch, z, y, x)
 SETTINGS = settings(max_examples=40, deadline=None)
@@ -49,8 +48,7 @@ def batches(draw):
     precision = draw(precisions)
     rng = np.random.default_rng(draw(seeds))
     systems = [random_dominant_system(n, rng, precision) for _ in range(count)]
-    layout = draw(st.sampled_from(list(BatchLayout)))
-    return systems, TridiagonalBatch.from_systems(systems, layout)
+    return systems, TridiagonalBatch.from_systems(systems)
 
 
 @st.composite
@@ -98,7 +96,7 @@ def test_sweep_equals_per_line_scalar_bitwise(case, algo, data):
     rows = dominant_rows(rng, axis_view(mesh, axis).shape, mesh.data.dtype)
     for m, v in zip(coeffs, rows):
         axis_view(m, axis)[...] = v
-    got = solve_lines(mesh, StoredCoefficients(*coeffs), axis, algo, tiles=tiles)
+    got = solve_lines(mesh, tuple(coeffs), axis, algo, tiles=tiles)
     assert np.array_equal(got.data, per_line_solve(mesh, axis, *coeffs, algo, tiles).data)
 
 
@@ -108,14 +106,13 @@ def test_stored_equals_constant_coefficients_bitwise(case):
     mesh, axis, rng = case
     n = axis_view(mesh, axis).shape[0]
     profile = dominant_rows(rng, (n,), mesh.data.dtype)
-    constant = ConstantLineCoefficients(lambda n, dtype: profile)
     stored = []
     for v in profile:
         m = Mesh(np.empty_like(mesh.data), mesh.spatial_ndim)
         axis_view(m, axis)[...] = v.reshape((n,) + (1,) * 3)
         stored.append(m)
-    got = solve_lines(mesh, constant, axis)
-    assert np.array_equal(got.data, solve_lines(mesh, StoredCoefficients(*stored), axis).data)
+    got = solve_lines(mesh, profile, axis)
+    assert np.array_equal(got.data, solve_lines(mesh, tuple(stored), axis).data)
     assert np.array_equal(got.data, per_line_solve(mesh, axis, *stored).data)
 
 
@@ -140,7 +137,7 @@ def test_planted_zero_pivot_reported_at_lowest_row_then_line(n, count, precision
             m.data[0, 0, line, row] = 0  # a zero row: its pivot is exactly 0
     row, line = min(plants)
     try:
-        solve_lines(mesh, StoredCoefficients(a, b, c), "x", algo, tiles=tiles)
+        solve_lines(mesh, (a, b, c), "x", algo, tiles=tiles)
     except LineSolveError as exc:
         assert (exc.batch, exc.line) == (0, line)
         assert exc.__cause__.index == row

@@ -7,7 +7,6 @@ from tridax import (BatchSolveError, InvalidTilePlan, LineSolveError, Mismatched
                     dense_oracle_solve, modified_thomas_phase, relative_inf_error,
                     solve_lines, solve_system, thomas_pcr_solve, thomas_solve,
                     thomas_thomas_solve)
-from tridax.mesh import StoredCoefficients
 from conftest import make_system
 
 
@@ -239,7 +238,6 @@ class TestHybridSolvers:
 
         coeffs = [as_mesh([getattr(sys_, k) for sys_ in systems]) for k in "abc"]
         with pytest.raises(LineSolveError) as err:
-            solve_lines(as_mesh([sys_.d for sys_ in systems]), StoredCoefficients(*coeffs),
-                        "x", algo, tiles=tiles)
+            solve_lines(as_mesh([sys_.d for sys_ in systems]), coeffs, "x", algo, tiles=tiles)
         assert (err.value.batch, err.value.line) == (0, 1)
         assert err.value.__cause__.index == row
