@@ -1,6 +1,12 @@
 """Batched multi-dimensional tridiagonal solvers with ADI application
 drivers and an analytic accelerator performance model.
 
+There is one solve entry point per input form: :func:`solve_system` for
+one system, :func:`batch_solve` for a batch, :func:`solve_lines` for the
+lines along one axis of a mesh batch and :func:`adi_run` for the ADI
+application. Each makes one kernel call per solve, ``kernel(a, b, c, d)``
+on ``(n, lines)`` arrays, for every algorithm.
+
 The package splits into:
 
 - :mod:`tridax.core` — scalar/batched direct solvers (elimination and
@@ -13,33 +19,30 @@ The package splits into:
 - :mod:`tridax.adi` — ADI heat-diffusion drivers with traffic accounting;
 - :mod:`tridax.perfmodel` — latency/memory models per design point and a
   design-space enumerator;
-- :mod:`tridax.cli` — the ``tridax`` command.
-"""
+- :mod:`tridax.cli` — the ``tridax`` command."""
 
 from .core import (TridiagonalBatch, TridiagonalSystem, batch_solve, dense_oracle_solve,
-                   pcr_solve, random_dominant_system, relative_inf_error,
-                   residual_max_norm, solve_system, thomas_solve)
+                   random_dominant_system, relative_inf_error, residual_max_norm,
+                   solve_system)
 from .errors import (BatchSolveError, InfeasibleDesign, InvalidTilePlan,
                      LineSolveError, MismatchedTiles, NoFeasibleDesign,
                      NonFiniteSolution, SingularMatrix, TridaxError, ZeroDuration,
                      ZeroPivot)
 from .mesh import Axis, Mesh, axis_lines, read_mesh, solve_lines, write_mesh
-from .adi import AdiConfig, RunReport, adi_rhs, adi_run, adi_step, effective_bandwidth
+from .adi import AdiConfig, RunReport, adi_rhs, adi_run, effective_bandwidth
 from .precision import Precision
 from .tiled import (ModifiedTileResult, TilePlan, assemble_reduced, back_substitute,
-                    modified_thomas_phase, thomas_pcr_solve, thomas_thomas_solve)
+                    modified_thomas_phase)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Precision", "TridiagonalSystem", "TridiagonalBatch",
-    "thomas_solve", "pcr_solve", "dense_oracle_solve", "batch_solve",
-    "solve_system", "residual_max_norm", "random_dominant_system",
-    "relative_inf_error", "TilePlan", "ModifiedTileResult",
-    "modified_thomas_phase", "assemble_reduced", "back_substitute",
-    "thomas_thomas_solve", "thomas_pcr_solve", "Mesh", "Axis",
-    "axis_lines", "solve_lines", "read_mesh", "write_mesh",
-    "AdiConfig", "RunReport", "adi_rhs", "adi_step", "adi_run",
+    "solve_system", "batch_solve", "dense_oracle_solve", "residual_max_norm",
+    "random_dominant_system", "relative_inf_error", "TilePlan",
+    "ModifiedTileResult", "modified_thomas_phase", "assemble_reduced",
+    "back_substitute", "Mesh", "Axis", "axis_lines", "solve_lines",
+    "read_mesh", "write_mesh", "AdiConfig", "RunReport", "adi_rhs", "adi_run",
     "effective_bandwidth", "TridaxError", "ZeroPivot", "SingularMatrix",
     "InvalidTilePlan", "MismatchedTiles", "LineSolveError", "BatchSolveError",
     "NonFiniteSolution",

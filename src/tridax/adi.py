@@ -20,7 +20,6 @@ time step and is off by default.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass, field
 
@@ -119,9 +118,6 @@ class RunReport:
             "steps": self.steps,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
     def csv_rows(self) -> list[list]:
         rows = [["schema_version", REPORT_SCHEMA],
                 ["phase", "seconds", "bytes", "gb_per_s"]]
@@ -162,19 +158,6 @@ def adi_rhs(u: Mesh, cfg: AdiConfig) -> Mesh:
         acc = acc + ((arr[:, :-2, cy, cx] - two * ctr) + arr[:, 2:, cy, cx])
     d.data[core] = gm * acc
     return d
-
-
-def adi_step(u: Mesh, cfg: AdiConfig) -> tuple[Mesh, Mesh]:
-    """One full step; returns the new field and the accumulated update."""
-    for axis in u.solved_axes():
-        if u.extent(axis) < 4:
-            raise ValueError(f"axis {axis.value} extent {u.extent(axis)} < 4")
-    d = adi_rhs(u, cfg)
-    for axis in u.solved_axes():
-        solve_lines(d, cfg.line_coefficients(u.extent(axis), d.data.dtype), axis, "thomas",
-                    out=d)
-    u_next = Mesh(u.data + d.data, u.spatial_ndim)
-    return u_next, d
 
 
 def adi_run(u0: Mesh, cfg: AdiConfig) -> tuple[Mesh, RunReport]:
@@ -223,13 +206,9 @@ def adi_run(u0: Mesh, cfg: AdiConfig) -> tuple[Mesh, RunReport]:
     return u, report
 
 
-def logical_bytes_per_iteration(points: int, word_bytes: int, ndim: int,
-                                stored_coefficients: bool = False) -> int:
+def logical_bytes_per_iteration(points: int, word_bytes: int, ndim: int) -> int:
     """Mesh traffic one ADI iteration touches, per the phase accounting.
 
-    Stencil: 2 mesh transfers; each of the ``ndim`` sweeps: 2 (+3 with
-    stored coefficients); accumulate: 3.
+    Stencil: 2 mesh transfers; each of the ``ndim`` sweeps: 2; accumulate: 3.
     """
-    per_sweep = 2 + (3 if stored_coefficients else 0)
-    touches = 2 + ndim * per_sweep + 3
-    return touches * points * word_bytes
+    return (2 + 2 * ndim + 3) * points * word_bytes

@@ -49,8 +49,8 @@ def _parse_int_list(text: str) -> list[int]:
     return [int(p) for p in text.split(",")]
 
 
-def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--precision", default="fp64", help="fp32 or fp64")
+def _add_common(p: argparse.ArgumentParser, precision_help: str = "fp32 or fp64"):
+    p.add_argument("--precision", default="fp64", help=precision_help)
     p.add_argument("--format", choices=("json", "csv"), default="json",
                    help="report format")
     p.add_argument("--out", type=Path, help="primary output file")
@@ -73,7 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--margin", type=float, default=1.0,
                    help="diagonal dominance margin of generated systems")
-    _add_common(p)
+    _add_common(p, "fp32 or fp64 of generated systems; an --input batch keeps its own")
 
     p = sub.add_parser("adi", help="run the ADI heat-diffusion application")
     p.add_argument("--dims", type=_parse_dims, required=True, help="X,Y or X,Y,Z")
@@ -186,13 +186,13 @@ def cmd_solve(args) -> int:
         out_path.unlink(missing_ok=True)  # no partial outputs
         raise
     max_res = core.residual_max_norm(batch, sol)
-    moved = 5 * batch.count * batch.n * precision.word_bytes  # a,b,c,d in, u out
+    moved = 5 * batch.count * batch.n * batch.precision.word_bytes  # a,b,c,d in, u out
     payload = {
         "schema_version": REPORT_SCHEMA,
         "command": "solve",
         "algorithm": args.algo,
         "tiles": args.tiles,
-        "precision": precision.value,
+        "precision": batch.precision.value,
         "batch": batch.count,
         "size": batch.n,
         "wall_seconds": elapsed,
@@ -355,17 +355,14 @@ def cmd_selftest(args) -> int:
     rng = np.random.default_rng(7)
 
     sys_small = core.TridiagonalSystem([0, 0, 0], [2, 2, 2], [0, 0, 0], [2, 4, 6])
-    checks.append(("diagonal system", np.allclose(core.thomas_solve(sys_small), [1, 2, 3])))
+    checks.append(("diagonal system", np.allclose(core.solve_system(sys_small), [1, 2, 3])))
     s = core.random_dominant_system(64, rng)
     oracle = core.dense_oracle_solve(s)
-    checks.append(("elimination vs dense oracle",
-                   core.relative_inf_error(core.thomas_solve(s), oracle) < 1e-12))
-    checks.append(("cyclic reduction vs dense oracle",
-                   core.relative_inf_error(core.pcr_solve(s), oracle) < 1e-12))
-    from .tiled import thomas_pcr_solve
-
-    checks.append(("tiled hybrid vs dense oracle",
-                   core.relative_inf_error(thomas_pcr_solve(s, 4), oracle) < 1e-12))
+    for name, algo, tiles in (("elimination", "thomas", None),
+                              ("cyclic reduction", "pcr", None),
+                              ("tiled hybrid", "thomas-pcr", 4)):
+        err = core.relative_inf_error(core.solve_system(s, algo, tiles), oracle)
+        checks.append((f"{name} vs dense oracle", err < 1e-12))
     dp = DesignPoint(Algorithm.BATCHED_THOMAS, interleave_group=32, vector_width=8)
     est = latency_for_problem(dp, batch=8000, n=128)
     checks.append(("latency model calibration point", est.cycles == 143360))

@@ -6,14 +6,18 @@ Solvers assume strict diagonal dominance (``|b[i]| > |a[i]| + |c[i]|``);
 this is a documented precondition, enforced only when ``check_dominance``
 is requested, since the elimination is unstable without it.
 
-The kernels at the bottom, and the tiled hybrids' kernel in
-:mod:`tridax.tiled`, operate on ``(n, lines)`` arrays, row i of every
-system side by side. A batch stores ``(count, n)`` arrays and is solved
-through their transposed views. ``_kernel`` maps an algorithm name and
-tile count to its kernel; the scalar solvers, ``solve_system``,
-``batch_solve`` and the mesh sweeps each make one kernel call. A scalar
-solve is a one-line call, and every line runs the same operation sequence,
-so scalar, batched and sweep results are bitwise identical.
+There is one entry point per input form: ``solve_system`` for one system,
+``batch_solve`` for a batch, and, in the other modules,
+:func:`tridax.mesh.solve_lines` for a mesh axis and
+:func:`tridax.adi.adi_run` for the ADI application. Each makes one kernel
+call. A kernel is called as ``kernel(a, b, c, d)`` on ``(n, lines)``
+arrays, row i of every system side by side, and reads the pivot floor from
+their dtype; ``_kernel`` maps an algorithm name and tile count to the
+Thomas or PCR kernel at the bottom of this module or to the tiled hybrids'
+kernel in :mod:`tridax.tiled`. A batch stores ``(count, n)`` arrays and is
+solved through their transposed views; a single system is a one-line call.
+Every line runs the same operation sequence, so scalar, batched and sweep
+results are bitwise identical.
 """
 
 from __future__ import annotations
@@ -145,43 +149,6 @@ class TridiagonalBatch:
         return cls(*(np.stack([getattr(s, k) for s in systems]) for k in "abcd"))
 
 
-def thomas_solve(system: TridiagonalSystem, *, check_dominance: bool = False) -> np.ndarray:
-    """Solve one system by forward elimination and back substitution.
-
-    O(n); the input is left untouched. Raises :class:`ZeroPivot` when a
-    forward-sweep denominator falls below the precision's pivot floor (or
-    is not finite), :class:`NonFiniteSolution` when the solution is not
-    finite.
-    """
-    return _solve_one(_thomas_kernel, system, check_dominance)
-
-
-def pcr_solve(system: TridiagonalSystem, *, check_dominance: bool = False) -> np.ndarray:
-    """Solve one system by parallel cyclic reduction.
-
-    The system is normalized to a unit diagonal, then reduced in
-    ``ceil(log2(n))`` steps; at step p each row subtracts multiples of the
-    rows ``2**(p-1)`` away. Neighbors outside ``[0, n)`` act as identity
-    rows with zero right-hand side, so non-power-of-two sizes need no
-    padding.
-    """
-    return _solve_one(_pcr_kernel, system, check_dominance)
-
-
-def _require_dominance(system: TridiagonalSystem) -> None:
-    """Raise ``ValueError`` unless the system is strictly diagonally dominant."""
-    if not system.is_diagonally_dominant():
-        raise ValueError("system is not strictly diagonally dominant")
-
-
-def _solve_one(kernel, system: TridiagonalSystem, check_dominance: bool = False) -> np.ndarray:
-    if check_dominance:
-        _require_dominance(system)
-    u = kernel(system.a[:, None], system.b[:, None], system.c[:, None],
-               system.d[:, None], system.precision.pivot_floor)
-    return u[:, 0]
-
-
 def dense_oracle_solve(system: TridiagonalSystem) -> np.ndarray:
     """Reference solution via dense FP64 Gaussian elimination.
 
@@ -216,14 +183,27 @@ def residual_max_norm(system: TridiagonalSystem | TridiagonalBatch, u) -> float:
     return float(np.max(np.abs(r)))
 
 
-def solve_system(system: TridiagonalSystem, algo: str, tiles: int | None = None,
-                 **kwargs) -> np.ndarray:
-    """Dispatch a scalar solve by algorithm name.
+def solve_system(system: TridiagonalSystem, algo: str = "thomas", tiles: int | None = None,
+                 *, check_dominance: bool = False) -> np.ndarray:
+    """Solve one system by algorithm name; the input is left untouched.
+
+    The entry point for one system, as ``batch_solve`` is for a batch,
+    :func:`tridax.mesh.solve_lines` for a mesh axis and
+    :func:`tridax.adi.adi_run` for the ADI application: one
+    ``kernel(a, b, c, d)`` call on ``(n, 1)`` columns.
 
     ``algo`` is one of ``thomas``, ``pcr``, ``thomas-thomas``,
-    ``thomas-pcr``; the tiled hybrids require ``tiles >= 2``.
+    ``thomas-pcr``; the tiled hybrids require ``tiles >= 2``. With
+    ``check_dominance`` a system that is not strictly diagonally dominant
+    raises ``ValueError``. Raises :class:`ZeroPivot` when an elimination
+    denominator falls below the precision's pivot floor (or is not
+    finite), :class:`NonFiniteSolution` when the solution is not finite.
     """
-    return _solve_one(_kernel(algo, tiles), system, **kwargs)
+    kernel = _kernel(algo, tiles)
+    if check_dominance and not system.is_diagonally_dominant():
+        raise ValueError("system is not strictly diagonally dominant")
+    return kernel(system.a[:, None], system.b[:, None], system.c[:, None],
+                  system.d[:, None])[:, 0]
 
 
 SOLVER_NAMES = ("thomas", "pcr", "thomas-thomas", "thomas-pcr")
@@ -231,7 +211,7 @@ SOLVER_NAMES = ("thomas", "pcr", "thomas-thomas", "thomas-pcr")
 
 def _kernel(algo: str, tiles: int | None):
     """The ``(n, lines)`` kernel that solves ``algo``, called as
-    ``kernel(a, b, c, d, pivot_floor)``; the tiled hybrids need ``tiles``."""
+    ``kernel(a, b, c, d)``; the tiled hybrids need ``tiles``."""
     if algo in _KERNELS:
         return _KERNELS[algo]
     if algo not in _REDUCED_KERNELS:
@@ -259,7 +239,7 @@ def batch_solve(batch: TridiagonalBatch, algo: str = "thomas", tiles: int | None
     dtype = _float_dtype(batch.a, batch.b, batch.c, batch.d)
     arrays = [np.asarray(getattr(batch, k).T, dtype=dtype) for k in "abcd"]
     try:
-        u = kernel(*arrays, Precision.from_dtype(dtype).pivot_floor)
+        u = kernel(*arrays)
     except (ZeroPivot, NonFiniteSolution):
         pass  # solve system by system below to collect every failure
     else:
@@ -268,7 +248,7 @@ def batch_solve(batch: TridiagonalBatch, algo: str = "thomas", tiles: int | None
     failures = []
     for i in range(batch.count):
         try:
-            solutions.append(_solve_one(kernel, batch.system(i)))
+            solutions.append(solve_system(batch.system(i), algo, tiles))
         except (ZeroPivot, SingularMatrix, NonFiniteSolution) as exc:
             if fail_fast:
                 raise BatchSolveError([(i, exc)], solutions) from exc
@@ -315,11 +295,13 @@ def relative_inf_error(u, ref) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _check_pivots(den: np.ndarray, floor: float) -> None:
+def _check_pivots(den: np.ndarray) -> None:
     """Raise :class:`ZeroPivot` at the lowest failing row, then lowest line.
 
-    A pivot fails below the floor, and also when it is NaN or infinite.
+    A pivot fails below the pivot floor of its dtype's precision, and also
+    when it is NaN or infinite.
     """
+    floor = Precision.from_dtype(den.dtype).pivot_floor
     mag = np.abs(den)
     bad = ~((mag >= floor) & (mag <= np.finfo(den.dtype).max))
     if bad.any():
@@ -332,8 +314,8 @@ def _check_finite(u: np.ndarray) -> None:
         raise NonFiniteSolution(int(np.argmin(np.isfinite(u).all(axis=0))))
 
 
-def _thomas_kernel(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray,
-                   floor: float) -> np.ndarray:
+def _thomas_kernel(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Forward elimination and back substitution, O(n) per line."""
     n = d.shape[0]
     one = b.dtype.type(1)
     shape = np.broadcast_shapes(a.shape, b.shape, c.shape)
@@ -351,7 +333,7 @@ def _thomas_kernel(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray,
             cs[i] = r * c[i]
         for i in range(n - 2, -1, -1):
             u[i] -= cs[i] * u[i + 1]
-        _check_pivots(den, floor)
+        _check_pivots(den)
     _check_finite(u)
     return u
 
@@ -369,8 +351,15 @@ def _shift(arr: np.ndarray, offset: int) -> np.ndarray:
     return out
 
 
-def _pcr_kernel(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray,
-                floor: float) -> np.ndarray:
+def _pcr_kernel(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Parallel cyclic reduction.
+
+    The system is normalized to a unit diagonal, then reduced in
+    ``ceil(log2(n))`` steps; at step p each row subtracts multiples of the
+    rows ``2**(p-1)`` away. Neighbors outside ``[0, n)`` act as identity
+    rows with zero right-hand side, so non-power-of-two sizes need no
+    padding.
+    """
     n = d.shape[0]
     one = b.dtype.type(1)
     dens = [b]
@@ -395,7 +384,7 @@ def _pcr_kernel(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray,
             nd = r * (rd - ra * d_lo - rc * d_hi)
             ra, rc, rd = na, nc, nd
         for den in dens:  # in elimination order: the first breakdown is reported
-            _check_pivots(den, floor)
+            _check_pivots(den)
     _check_finite(rd)
     return rd
 

@@ -74,14 +74,6 @@ class Mesh:
         x, y, z = dims
         return cls(np.zeros((batch, z, y, x), dtype=precision.dtype), ndim)
 
-    @classmethod
-    def from_array(cls, values, dims, batch: int = 1) -> "Mesh":
-        dims = tuple(int(e) for e in dims)
-        ndim = len(dims)
-        x, y, z = dims if ndim == 3 else dims + (1,)
-        arr = np.asarray(values).reshape(batch, z, y, x)
-        return cls(arr, ndim)
-
     @property
     def batch(self) -> int:
         return self.data.shape[0]
@@ -135,16 +127,16 @@ def axis_lines(data: np.ndarray, axis: Axis) -> np.ndarray:
 def _line_coefficient(entry, mesh: Mesh, axis: Axis) -> np.ndarray:
     """The kernel form of one ``solve_lines`` coefficient entry.
 
-    A mesh shaped like ``mesh`` gives its ``(n, lines)`` axis view; a
-    vector of the axis length, taken in the mesh's dtype, gives the
-    ``(n, 1)`` profile every line shares. Any other shape raises
-    ``ValueError``.
+    Every entry is taken in the swept mesh's dtype. A mesh shaped like
+    ``mesh`` gives its ``(n, lines)`` axis view; a vector of the axis
+    length gives the ``(n, 1)`` profile every line shares. Any other shape
+    raises ``ValueError``.
     """
     if isinstance(entry, Mesh):
         if entry.data.shape != mesh.data.shape:
             raise ValueError(f"coefficient mesh has shape {entry.data.shape}, "
                              f"expected the swept mesh's {mesh.data.shape}")
-        return axis_lines(entry.data, axis)
+        return np.asarray(axis_lines(entry.data, axis), dtype=mesh.data.dtype)
     profile = np.asarray(entry, dtype=mesh.data.dtype)
     n = mesh.extent(axis)
     if profile.shape != (n,):
@@ -157,13 +149,18 @@ def solve_lines(mesh: Mesh, coefficients: tuple, axis, algo: str = "thomas",
                 *, tiles: int | None = None, out: Mesh | None = None) -> Mesh:
     """Solve every line system along ``axis``, writing solutions over ``d``.
 
-    The mesh holds the right-hand sides. ``coefficients`` is the tuple
+    The entry point for a mesh axis, as :func:`tridax.core.solve_system`
+    is for one system, :func:`tridax.core.batch_solve` for a batch and
+    :func:`tridax.adi.adi_run` for the ADI application. The mesh holds the
+    right-hand sides. ``coefficients`` is the tuple
     ``(a, b, c)``; each entry is either a mesh shaped like ``mesh``, giving
     every line its own coefficients, or a vector of the axis length, shared
-    by every line. Every algorithm, the tiled hybrids included, solves the
-    whole axis in one kernel call. A failure raises :class:`LineSolveError`
-    naming the mesh and line. ``out`` may alias ``mesh`` for an in-place
-    update; by default a new mesh is returned.
+    by every line. Entries are taken in the mesh's dtype, so the arithmetic
+    and the pivot floor follow the swept mesh. Every algorithm, the tiled
+    hybrids included, solves the whole axis in one ``kernel(a, b, c, d)``
+    call. A failure raises :class:`LineSolveError` naming the mesh and
+    line. ``out`` may alias ``mesh`` for an in-place update; by default a
+    new mesh is returned.
     """
     axis = Axis.parse(axis)
     if axis is Axis.Z and mesh.spatial_ndim == 2:
@@ -177,7 +174,7 @@ def solve_lines(mesh: Mesh, coefficients: tuple, axis, algo: str = "thomas",
     a, b, c = (_line_coefficient(entry, mesh, axis) for entry in coefficients)
     kernel = core._kernel(algo, tiles)
     try:
-        u = kernel(a, b, c, d, mesh.precision.pivot_floor)
+        u = kernel(a, b, c, d)
     except (ZeroPivot, NonFiniteSolution) as exc:
         lines_per_mesh = d.shape[1] // mesh.batch
         raise LineSolveError(exc.line // lines_per_mesh, exc.line % lines_per_mesh,

@@ -39,14 +39,12 @@ ADI2D_FP32_128_B3000_BW_GBPS = 620.0
 
 
 def reconstruct_adi_runtime(dims: tuple[int, ...], batch: int, n_iter: int,
-                            word_bytes: int, bandwidth_gbps: float,
-                            stored_coefficients: bool = False) -> float:
+                            word_bytes: int, bandwidth_gbps: float) -> float:
     """Runtime implied by a published effective bandwidth."""
     points = batch
     for e in dims:
         points *= e
-    per_iter = logical_bytes_per_iteration(points, word_bytes, len(dims),
-                                           stored_coefficients)
+    per_iter = logical_bytes_per_iteration(points, word_bytes, len(dims))
     return n_iter * per_iter / (bandwidth_gbps * 1e9)
 
 

@@ -64,8 +64,6 @@ class DesignPoint:
     compute_units: int = 1                    # replicated full pipelines
     partitions: int = 1                       # partition count of the partitioned solver
     pipeline_latency: int = 30                # arithmetic pipeline depth, cycles
-    forward_latency: int | None = None
-    backward_latency: int | None = None
     partition_stage_cost: int | None = None   # per-block reduced-stage cost, cycles
     points_per_cycle: int | None = None       # effective points/cycle under port sharing
     frequency_hz: float = 300e6
@@ -76,8 +74,7 @@ class DesignPoint:
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
         for name in ("interleave_group", "reduced_group", "tiles", "tiles_x",
-                     "tiles_y", "datapath_tile_x", "forward_latency",
-                     "backward_latency", "points_per_cycle"):
+                     "tiles_y", "datapath_tile_x", "points_per_cycle"):
             val = getattr(self, name)
             if val is not None and val < 1:
                 raise ValueError(f"{name} must be >= 1")
@@ -95,8 +92,6 @@ class DesignPoint:
             self,
             interleave_group=g,
             reduced_group=self.reduced_group or default_interleave_group(self.precision),
-            forward_latency=self.forward_latency or self.pipeline_latency,
-            backward_latency=self.backward_latency or self.pipeline_latency,
             partition_stage_cost=(self.partition_stage_cost
                                   if self.partition_stage_cost is not None
                                   else 2 * self.pipeline_latency),

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 DEVICE_DIR_ENV = "TRIDAX_DEVICE_DIR"
@@ -74,6 +74,9 @@ def _parse_profile_text(text: str, name: str) -> DeviceProfile:
     unknown = set(values) - known
     if unknown:
         raise ValueError(f"unknown device profile keys: {sorted(unknown)}")
+    missing = {f.name for f in fields(DeviceProfile) if f.default is MISSING} - set(values)
+    if missing:
+        raise ValueError(f"device profile {name!r} is missing keys: {sorted(missing)}")
     ints = {"dsp_count", "bram_blocks", "uram_blocks", "hbm_ports"}
     coerced = {k: (int(v) if k in ints else v) for k, v in values.items() if k != "name"}
     return DeviceProfile(name=str(values["name"]), **coerced)

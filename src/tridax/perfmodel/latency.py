@@ -150,6 +150,15 @@ def _check_tiles(dp: DesignPoint) -> DesignPoint:
     return dp
 
 
+def _axis_tiles(dp: DesignPoint) -> tuple[int, int]:
+    """Tile counts of the tiled 2-D design along x and y, each >= 2."""
+    t1 = dp.tiles_x or dp.tiles
+    t2 = dp.tiles_y or dp.tiles
+    if t1 is None or t2 is None or t1 < 2 or t2 < 2:
+        raise ValueError("tiled 2-D design needs tiles_x and tiles_y >= 2")
+    return t1, t2
+
+
 def latency_thomas_thomas(batch: int, n: int, dp: DesignPoint) -> LatencyEstimate:
     """Tiled elimination with a direct reduced solve.
 
@@ -253,10 +262,7 @@ def latency_adi2d_tiled(x: int, y: int, batch: int, n_iter: int, dp: DesignPoint
     """
     _require_positive(x=x, y=y, batch=batch, n_iter=n_iter)
     dp = dp.resolved()
-    t1 = dp.tiles_x or dp.tiles
-    t2 = dp.tiles_y or dp.tiles
-    if t1 is None or t2 is None or t1 < 2 or t2 < 2:
-        raise ValueError("tiled 2-D design needs tiles_x and tiles_y >= 2")
+    t1, t2 = _axis_tiles(dp)
     tx = dp.datapath_tile_x or t1
     v = dp.vector_width
     g = dp.interleave_group

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from ..errors import InfeasibleDesign
 from .design import Algorithm, DesignPoint
 from .device import DeviceProfile
-from .latency import ceil_div, ceil_log2
+from .latency import _axis_tiles, _check_tiles, ceil_div, ceil_log2
 
 REDUCED_FIFO_BUFFERS = 3  # streams drained while the reduced stage runs
 ADI_HBM_PORTS = 24        # measured port budget of the fused ADI pipelines
@@ -77,12 +77,12 @@ def memory_words(dp: DesignPoint, n: int, device: DeviceProfile,
     elif algo is Algorithm.BATCHED_SPIKE:
         words = _solver_lane_words(g, ceil_div(n, dp.partitions))
     elif algo is Algorithm.THOMAS_THOMAS:
-        t = _tiles_of(dp)
+        t = _check_tiles(dp).tiles
         reduced_cycles = dp.reduced_group * (2 * t) * 2
         words = (_tiled_lane_words(g, n, t)
                  + REDUCED_FIFO_BUFFERS * reduced_cycles)
     elif algo is Algorithm.THOMAS_PCR:
-        t = _tiles_of(dp)
+        t = _check_tiles(dp).tiles
         words = (_tiled_lane_words(g, n, t)
                  + REDUCED_FIFO_BUFFERS * (2 * t + dp.pipeline_latency) * ceil_log2(2 * t))
     elif algo is Algorithm.ADI2D:
@@ -90,8 +90,7 @@ def memory_words(dp: DesignPoint, n: int, device: DeviceProfile,
     elif algo is Algorithm.ADI3D:
         words = 3 * _solver_lane_words(g, n) + 2 * n * n
     elif algo is Algorithm.ADI2D_TILED:
-        t1 = dp.tiles_x or dp.tiles or 2
-        t2 = dp.tiles_y or dp.tiles or 2
+        t1, t2 = _axis_tiles(dp)
         tx = dp.datapath_tile_x or t1
         words = (_tiled_lane_words(g, n, t1) + _tiled_lane_words(g, n, t2)
                  + 2 * tx * n)
@@ -123,8 +122,3 @@ def memory_words(dp: DesignPoint, n: int, device: DeviceProfile,
         raise InfeasibleDesign(violations)
     return est
 
-
-def _tiles_of(dp: DesignPoint) -> int:
-    if dp.tiles is None or dp.tiles < 2:
-        raise ValueError("tiled designs need tiles >= 2")
-    return dp.tiles

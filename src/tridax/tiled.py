@@ -26,9 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TridiagonalSystem, _check_finite, _check_pivots, _kernel, _solve_one
+from .core import _check_finite, _check_pivots
 from .errors import InvalidTilePlan, MismatchedTiles, ZeroPivot
-from .precision import Precision
 
 MIN_TILE_ROWS = 3  # a tile needs at least one interior unknown
 
@@ -105,7 +104,7 @@ def _rows_at(rows):
         raise ZeroPivot(rows[exc.index], exc.line) from None
 
 
-def modified_thomas_phase(a, b, c, d, *, pivot_floor: float | None = None) -> ModifiedTileResult:
+def modified_thomas_phase(a, b, c, d) -> ModifiedTileResult:
     """Run the forward/backward elimination over one tile of every line.
 
     ``d`` is an ``(m, lines)`` block; ``a``, ``b``, ``c`` are ``(m, lines)``
@@ -119,8 +118,6 @@ def modified_thomas_phase(a, b, c, d, *, pivot_floor: float | None = None) -> Mo
     m = d.shape[0]
     if m < MIN_TILE_ROWS:
         raise InvalidTilePlan(f"tile has {m} rows, need >= {MIN_TILE_ROWS}")
-    if pivot_floor is None:
-        pivot_floor = Precision.from_dtype(b.dtype).pivot_floor
     one = b.dtype.type(1)
     shape = np.broadcast_shapes(a.shape, b.shape, c.shape)
     at = np.empty(shape, dtype=b.dtype)
@@ -154,7 +151,7 @@ def modified_thomas_phase(a, b, c, d, *, pivot_floor: float | None = None) -> Mo
         dt[0] = r * (d[0] - c[0] * dt[1])
         order = [*range(1, m), 0]
         with _rows_at(order):
-            _check_pivots(den[order], pivot_floor)
+            _check_pivots(den[order])
     return ModifiedTileResult(at, ct, dt)
 
 
@@ -201,7 +198,7 @@ def back_substitute(tiles: list[ModifiedTileResult], boundary) -> np.ndarray:
 
 
 def _tiled_kernel(reduced_kernel, tiles: int, a: np.ndarray, b: np.ndarray, c: np.ndarray,
-                  d: np.ndarray, floor: float) -> np.ndarray:
+                  d: np.ndarray) -> np.ndarray:
     """Tiled solve of ``(n, lines)`` systems under the core kernels' contract.
 
     ``reduced_kernel`` (Thomas or PCR) solves the reduced systems. A
@@ -213,22 +210,9 @@ def _tiled_kernel(reduced_kernel, tiles: int, a: np.ndarray, b: np.ndarray, c: n
     for off, size in zip(plan.offsets, plan.sizes):
         rows = slice(off, off + size)
         with _rows_at(range(off, off + size)):
-            parts.append(modified_thomas_phase(a[rows], b[rows], c[rows], d[rows],
-                                               pivot_floor=floor))
+            parts.append(modified_thomas_phase(a[rows], b[rows], c[rows], d[rows]))
     with _rows_at(plan.boundary_indices()):
-        boundary = reduced_kernel(*assemble_reduced(parts), floor)
+        boundary = reduced_kernel(*assemble_reduced(parts))
     u = back_substitute(parts, boundary)
     _check_finite(u)
     return u
-
-
-def thomas_thomas_solve(system: TridiagonalSystem, tiles: int, *,
-                        check_dominance: bool = False) -> np.ndarray:
-    """Tiled solve with a direct (Thomas) reduced-system solve."""
-    return _solve_one(_kernel("thomas-thomas", tiles), system, check_dominance)
-
-
-def thomas_pcr_solve(system: TridiagonalSystem, tiles: int, *,
-                     check_dominance: bool = False) -> np.ndarray:
-    """Tiled solve with a cyclic-reduction (PCR) reduced-system solve."""
-    return _solve_one(_kernel("thomas-pcr", tiles), system, check_dominance)

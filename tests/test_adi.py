@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from tridax import (AdiConfig, Mesh, Precision, ZeroDuration, adi_rhs, adi_run,
-                    adi_step, effective_bandwidth)
+                    effective_bandwidth)
 from tridax.adi import logical_bytes_per_iteration
 from tridax.reference import naive_adi_run
 
@@ -73,18 +73,14 @@ class TestRhs:
 class TestStep:
     def test_zero_is_fixed_point(self):
         u = Mesh.zeros((6, 6, 6))
-        u1, d = adi_step(u, AdiConfig(gamma=0.5, n_iter=1))
-        assert np.all(u1.data == 0) and np.all(d.data == 0)
+        u1, report = adi_run(u, AdiConfig(gamma=0.5, n_iter=1))
+        assert np.all(u1.data == 0) and report.delta_inf == [0.0]
 
     def test_matches_naive_reference_12cubed(self):
         u0 = full_random((12, 12, 12), seed=5)
-        got, _ = adi_step(u0, AdiConfig(gamma=0.5, n_iter=1))
+        got, _ = adi_run(u0, AdiConfig(gamma=0.5, n_iter=1))
         ref = naive_adi_run(u0.data, 0.5, 1)
         assert np.max(np.abs(got.data - ref)) <= 1e-12
-
-    def test_small_extent_rejected(self):
-        with pytest.raises(ValueError):
-            adi_step(Mesh.zeros((3, 8, 8)), AdiConfig(gamma=0.5, n_iter=1))
 
     def test_monotone_decay_sweep(self):
         # zero-boundary diffusion never grows the max-norm for gamma <= 1;
@@ -93,12 +89,12 @@ class TestStep:
         for trial in range(100):
             gamma = float(rng.uniform(0.05, 1.0)) if trial % 2 else 1.0
             u = interior_random((8, 8, 8), seed=trial)
-            u1, _ = adi_step(u, AdiConfig(gamma=gamma, n_iter=1))
+            u1, _ = adi_run(u, AdiConfig(gamma=gamma, n_iter=1))
             assert u1.max_abs() <= u.max_abs(), (trial, gamma)
 
     def test_2d_path_skips_z(self):
         u0 = full_random((16, 16), seed=6)
-        got, _ = adi_step(u0, AdiConfig(gamma=0.5, n_iter=1))
+        got, _ = adi_run(u0, AdiConfig(gamma=0.5, n_iter=1))
         ref = naive_adi_run(u0.data, 0.5, 1)
         assert np.max(np.abs(got.data - ref)) <= 1e-12
 
@@ -125,7 +121,7 @@ class TestRun:
         cfg = AdiConfig(gamma=0.5, n_iter=1)
         prev = u.max_abs()
         for _ in range(50):
-            u, _ = adi_step(u, cfg)
+            u, _ = adi_run(u, cfg)
             now = u.max_abs()
             assert now <= prev
             prev = now
@@ -165,6 +161,13 @@ class TestRun:
         assert payload["schema_version"] == "tridax.report.v1"
         assert payload["total_bytes"] == 4 * logical_bytes_per_iteration(
             u0.points, 8, 3)
+
+    @pytest.mark.parametrize("dims", [(1, 6, 6), (3, 8, 8), (2, 8), (8, 3)],
+                             ids=lambda dims: "x".join(map(str, dims)))
+    def test_small_extents_match_reference_bitwise(self, dims):
+        u0 = full_random(dims, seed=14)
+        got, _ = adi_run(u0, AdiConfig(gamma=0.5, n_iter=3))
+        assert np.array_equal(got.data, naive_adi_run(u0.data, 0.5, 3))
 
     def test_unroll_only_affects_reporting(self):
         u0 = full_random((8, 8), seed=12)

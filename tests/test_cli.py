@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from tridax import Mesh, read_mesh, residual_max_norm
+from tridax import Mesh, Precision, read_mesh, residual_max_norm
 from tridax.cli import main, read_batch, write_batch
 from tridax.core import TridiagonalBatch, random_dominant_system
 
@@ -54,6 +54,19 @@ class TestSolve:
         sol = read_mesh(out)
         for i in range(5):
             assert residual_max_norm(systems[i], sol.data[i, 0, 0]) <= 1e-12
+
+
+    def test_input_batch_reports_its_precision(self, tmp_path):
+        rng = np.random.default_rng(4)
+        systems = [random_dominant_system(16, rng, Precision.FP32) for _ in range(4)]
+        path = tmp_path / "batch.bin"
+        write_batch(path, TridiagonalBatch.from_systems(systems))
+        rep = tmp_path / "r.json"
+        assert run(["solve", "--input", path, "--out", tmp_path / "sol.bin",
+                    "--report", rep]) == 0
+        payload = json.loads(rep.read_text())
+        assert payload["precision"] == "fp32"
+        assert payload["bytes_moved"] == 5 * 4 * 16 * 4 == 1280
 
 
 class TestAdi:
@@ -119,6 +132,13 @@ class TestModel:
     def test_unknown_device_usage_error(self):
         assert run(["model", "--algo", "batched-thomas", "--batch", 10,
                     "--size", 8, "--device", "not-a-device"]) == 2
+
+    def test_incomplete_device_profile_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "card.txt"
+        path.write_text("dsp_count = 1000\nhbm_ports = 16\n")
+        assert run(["model", "--algo", "batched-thomas", "--batch", 10,
+                    "--size", 8, "--device", path]) == 2
+        assert "missing keys" in capsys.readouterr().err
 
 
 class TestDse:

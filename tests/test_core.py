@@ -3,8 +3,8 @@ import pytest
 
 from tridax import (BatchSolveError, NonFiniteSolution, Precision,
                     SingularMatrix, TridiagonalBatch, TridiagonalSystem, ZeroPivot,
-                    batch_solve, dense_oracle_solve, pcr_solve, random_dominant_system,
-                    relative_inf_error, residual_max_norm, solve_system, thomas_solve)
+                    batch_solve, dense_oracle_solve, random_dominant_system,
+                    relative_inf_error, residual_max_norm, solve_system)
 from tridax.core import DENSE_ORACLE_MAX_N, SOLVER_NAMES
 from tridax.reference import thomas_scalar
 from conftest import make_system
@@ -42,20 +42,20 @@ class TestSystemInvariants:
 
 class TestThomas:
     def test_diagonal_system(self):
-        assert np.allclose(thomas_solve(diagonal_system()), [1.0, 2.0, 3.0])
+        assert np.allclose(solve_system(diagonal_system(), "thomas"), [1.0, 2.0, 3.0])
 
     def test_single_unknown(self):
         s = TridiagonalSystem([0], [5], [0], [10])
-        assert thomas_solve(s) == pytest.approx([2.0])
+        assert solve_system(s, "thomas") == pytest.approx([2.0])
 
     def test_matches_dense_oracle_seeded(self):
         s = make_system(8, seed=8)
-        assert relative_inf_error(thomas_solve(s), dense_oracle_solve(s)) <= 1e-12
+        assert relative_inf_error(solve_system(s, "thomas"), dense_oracle_solve(s)) <= 1e-12
 
     def test_does_not_modify_input(self):
         s = make_system(16, seed=1)
         before = s.d.copy()
-        thomas_solve(s)
+        solve_system(s, "thomas")
         assert np.array_equal(s.d, before)
 
     def test_zero_pivot_raises(self):
@@ -65,27 +65,27 @@ class TestThomas:
         object.__setattr__(s, "c", np.array([1.0, 0.0]))
         object.__setattr__(s, "d", np.array([1.0, 1.0]))
         with pytest.raises(ZeroPivot) as err:
-            thomas_solve(s)
+            solve_system(s, "thomas")
         assert err.value.index == 0
 
     def test_dominance_check_flag(self):
         s = TridiagonalSystem([0, 1], [1, 1], [1, 0], [1, 1])
         with pytest.raises(ValueError):
-            thomas_solve(s, check_dominance=True)
+            solve_system(s, "thomas", check_dominance=True)
 
 
 class TestPcr:
     def test_identity_already_reduced(self):
         s = TridiagonalSystem([0] * 4, [1] * 4, [0] * 4, [1, 2, 3, 4])
-        assert np.array_equal(pcr_solve(s), [1.0, 2.0, 3.0, 4.0])
+        assert np.array_equal(solve_system(s, "pcr"), [1.0, 2.0, 3.0, 4.0])
 
     def test_non_power_of_two_matches_thomas(self):
         s = make_system(7, seed=77)
-        assert relative_inf_error(pcr_solve(s), thomas_solve(s)) <= 1e-10
+        assert relative_inf_error(solve_system(s, "pcr"), solve_system(s, "thomas")) <= 1e-10
 
     def test_matches_dense_oracle(self):
         s = make_system(16, seed=16)
-        assert relative_inf_error(pcr_solve(s), dense_oracle_solve(s)) <= 1e-12
+        assert relative_inf_error(solve_system(s, "pcr"), dense_oracle_solve(s)) <= 1e-12
 
     def test_normalization_pivot(self):
         s = TridiagonalSystem.__new__(TridiagonalSystem)
@@ -94,7 +94,7 @@ class TestPcr:
         object.__setattr__(s, "c", np.array([0.1, 0.0]))
         object.__setattr__(s, "d", np.array([1.0, 1.0]))
         with pytest.raises(ZeroPivot):
-            pcr_solve(s)
+            solve_system(s, "pcr")
 
 
 class TestDenseOracle:
@@ -176,8 +176,8 @@ class TestBatch:
     def test_single_system_equals_scalar_bitwise(self):
         s = make_system(64, seed=4)
         batch = TridiagonalBatch.from_systems([s])
-        assert np.array_equal(batch_solve(batch, "thomas")[0], thomas_solve(s))
-        assert np.array_equal(batch_solve(batch, "pcr")[0], pcr_solve(s))
+        assert np.array_equal(batch_solve(batch, "thomas")[0], solve_system(s, "thomas"))
+        assert np.array_equal(batch_solve(batch, "pcr")[0], solve_system(s, "pcr"))
 
     def test_failure_collects_index(self):
         good = diagonal_system()
@@ -212,26 +212,28 @@ class TestProperties:
         s = make_system(n, seed=n)
         ref = dense_oracle_solve(s)
         tol = Precision.FP64.tolerance
-        assert relative_inf_error(thomas_solve(s), ref) <= tol
-        assert relative_inf_error(pcr_solve(s), ref) <= tol
+        assert relative_inf_error(solve_system(s, "thomas"), ref) <= tol
+        assert relative_inf_error(solve_system(s, "pcr"), ref) <= tol
 
     def test_fp32_accuracy(self):
         for seed in range(10):
             s64 = make_system(256, seed=seed)
             s32 = s64.astype(Precision.FP32)
             ref = dense_oracle_solve(s64)
-            assert relative_inf_error(thomas_solve(s32), ref) <= Precision.FP32.tolerance
-            assert relative_inf_error(pcr_solve(s32), ref) <= Precision.FP32.tolerance
+            tol = Precision.FP32.tolerance
+            assert relative_inf_error(solve_system(s32, "thomas"), ref) <= tol
+            assert relative_inf_error(solve_system(s32, "pcr"), ref) <= tol
 
     def test_determinism(self):
         s = make_system(100, seed=3)
-        assert np.array_equal(thomas_solve(s), thomas_solve(s))
-        assert np.array_equal(pcr_solve(s), pcr_solve(s))
+        assert np.array_equal(solve_system(s, "thomas"), solve_system(s, "thomas"))
+        assert np.array_equal(solve_system(s, "pcr"), solve_system(s, "pcr"))
 
     def test_linearity_in_rhs(self):
         s = make_system(50, seed=6)
         scaled = TridiagonalSystem(s.a, s.b, s.c, 3.5 * s.d)
-        assert relative_inf_error(thomas_solve(scaled), 3.5 * thomas_solve(s)) <= 1e-12
+        assert relative_inf_error(solve_system(scaled, "thomas"),
+                                  3.5 * solve_system(s, "thomas")) <= 1e-12
 
 
 def with_value(s, name, row, value):
@@ -241,20 +243,20 @@ def with_value(s, name, row, value):
 
 
 class TestNonFinite:
-    @pytest.mark.parametrize("solver", [thomas_solve, pcr_solve])
+    @pytest.mark.parametrize("algo", ["thomas", "pcr"])
     @pytest.mark.parametrize("value", [np.nan, np.inf])
-    def test_non_finite_diagonal_is_zero_pivot(self, solver, value):
+    def test_non_finite_diagonal_is_zero_pivot(self, algo, value):
         s = with_value(make_system(8, seed=1), "b", 3, value)
         with pytest.raises(ZeroPivot) as err:
-            solver(s)
+            solve_system(s, algo)
         assert err.value.index == 3
 
-    @pytest.mark.parametrize("solver", [thomas_solve, pcr_solve])
+    @pytest.mark.parametrize("algo", ["thomas", "pcr"])
     @pytest.mark.parametrize("precision", [Precision.FP32, Precision.FP64])
-    def test_nan_rhs_raises(self, solver, precision):
+    def test_nan_rhs_raises(self, algo, precision):
         s = with_value(make_system(8, seed=2, precision=precision), "d", 5, np.nan)
         with pytest.raises(NonFiniteSolution):
-            solver(s)
+            solve_system(s, algo)
 
     @pytest.mark.parametrize("algo", ["thomas", "pcr"])
     def test_batch_reports_each_system(self, algo):
@@ -268,9 +270,8 @@ class TestNonFinite:
         assert [i for i, _ in failures] == [1, 3]
         assert isinstance(failures[0][1], NonFiniteSolution)
         assert isinstance(failures[1][1], ZeroPivot) and failures[1][1].index == 7
-        solver = thomas_solve if algo == "thomas" else pcr_solve
         for i in (0, 2, 4):
-            assert np.array_equal(err.value.solutions[i], solver(systems[i]))
+            assert np.array_equal(err.value.solutions[i], solve_system(systems[i], algo))
 
 
 class TestPastDenseCap:

@@ -5,7 +5,7 @@ import pytest
 
 from tridax import (Axis, LineSolveError, Mesh, NonFiniteSolution, Precision,
                     TridiagonalBatch, TridiagonalSystem, ZeroPivot, axis_lines, batch_solve,
-                    read_mesh, solve_lines, thomas_solve, write_mesh)
+                    read_mesh, solve_lines, solve_system, write_mesh)
 
 STORAGE_DIM = {"x": 3, "y": 2, "z": 1}  # axis position in (batch, z, y, x)
 
@@ -43,7 +43,7 @@ def per_line_expected(mesh, profile, axis):
     lines = np.moveaxis(expected.data, STORAGE_DIM[axis], 0)
     for idx in np.ndindex(lines.shape[1:]):
         line = lines[(slice(None),) + idx]
-        line[:] = thomas_solve(TridiagonalSystem(a, b, c, line.copy()))
+        line[:] = solve_system(TridiagonalSystem(a, b, c, line.copy()), "thomas")
     return expected
 
 
@@ -114,6 +114,17 @@ class TestSolveLines:
         mesh = random_mesh((6, 4), seed=19, precision=Precision.FP32)
         got = solve_lines(mesh, ([0] * 6, [2] * 6, [0] * 6), "x")
         assert np.array_equal(got.data, mesh.data / np.float32(2))
+
+    @pytest.mark.parametrize("axis", ["x", "y", "z"])
+    def test_coefficient_meshes_taken_in_mesh_dtype(self, axis):
+        # FP64 coefficient meshes on an FP32 mesh: FP32 arithmetic, FP32 floor
+        mesh = random_mesh((12, 10, 8), batch=2, seed=23, precision=Precision.FP32)
+        wide = random_mesh((12, 10, 8), batch=2, seed=23)
+        coeffs = profile_meshes(dominant_profile(8, wide, axis), wide, axis)
+        cast = tuple(m.astype(Precision.FP32) for m in coeffs)
+        got = solve_lines(mesh, coeffs, axis)
+        assert got.data.dtype == np.float32
+        assert np.array_equal(got.data, solve_lines(mesh, cast, axis).data)
 
     def test_identity_lines_leave_mesh_unchanged(self):
         mesh = random_mesh((8, 8, 8), seed=1)

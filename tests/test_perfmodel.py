@@ -5,6 +5,7 @@ straight-line transcription written here with plain integer/Fraction
 arithmetic, so a slip in either copy shows up as an exact mismatch.
 """
 
+import json
 import math
 from fractions import Fraction
 
@@ -17,8 +18,8 @@ from tridax.perfmodel import (U280, Algorithm, DesignPoint, adi2d_fp32_reference
                               latency_adi2d, latency_adi2d_tiled, latency_adi3d,
                               latency_batched_pcr, latency_batched_spike,
                               latency_batched_thomas, latency_thomas_pcr,
-                              latency_thomas_thomas, load_device_profile,
-                              memory_words, relative_error)
+                              latency_for_problem, latency_thomas_thomas,
+                              load_device_profile, memory_words, relative_error)
 
 
 def clog2(n):
@@ -330,6 +331,16 @@ class TestMemoryModel:
         with pytest.raises(InvalidTilePlan):
             memory_words(dp, 128, U280)
 
+    @pytest.mark.parametrize("algo", [Algorithm.THOMAS_THOMAS, Algorithm.THOMAS_PCR,
+                                      Algorithm.ADI2D_TILED])
+    def test_missing_tiles_rejected_as_by_latency(self, algo):
+        dp = DesignPoint(algo)
+        with pytest.raises(ValueError) as latency_err:
+            latency_for_problem(dp, batch=1, n=64, dims=(64, 64))
+        with pytest.raises(ValueError) as memory_err:
+            memory_words(dp, 64, U280)
+        assert str(memory_err.value) == str(latency_err.value)
+
     def test_strict_raises_with_violation(self):
         dp = dp_thomas(precision=Precision.FP32)
         with pytest.raises(InfeasibleDesign) as err:
@@ -344,6 +355,12 @@ class TestMemoryModel:
         per_group = math.ceil(g / t)
         assert est.words == 18 * per_group * n + 28 * t * per_group \
             + 3 * (2 * t + l) * clog2(2 * t)
+
+
+SMALL_PROFILE = {"dsp_count": 1000, "bram_bytes": 1e6, "bram_blocks": 100,
+                 "uram_bytes": 2e6, "uram_blocks": 50, "hbm_bytes": 1e9,
+                 "hbm_bandwidth_gbps": 100, "hbm_ports": 16, "ddr_bytes": 8e9,
+                 "ddr_bandwidth_gbps": 20}
 
 
 class TestDeviceProfiles:
@@ -378,3 +395,20 @@ class TestDeviceProfiles:
         assert prof.name == "small" and prof.hbm_ports == 16
         monkeypatch.setenv("TRIDAX_DEVICE_DIR", str(tmp_path))
         assert load_device_profile("small").dsp_count == 1000
+
+    def test_json_profile_loading(self, tmp_path):
+        path = tmp_path / "card.json"
+        path.write_text(json.dumps({**SMALL_PROFILE, "name": "card-a"}))
+        prof = load_device_profile(str(path))
+        assert prof.name == "card-a" and prof.hbm_ports == 16
+        assert prof.on_chip_bytes == 3e6
+
+    @pytest.mark.parametrize("suffix", [".txt", ".json"])
+    def test_missing_keys_named(self, tmp_path, suffix):
+        values = {k: v for k, v in SMALL_PROFILE.items() if k not in ("hbm_ports", "ddr_bytes")}
+        text = (json.dumps(values) if suffix == ".json"
+                else "".join(f"{k} = {v}\n" for k, v in values.items()))
+        path = tmp_path / f"partial{suffix}"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=r"missing keys: \['ddr_bytes', 'hbm_ports'\]"):
+            load_device_profile(str(path))

@@ -5,8 +5,7 @@ from tridax import (BatchSolveError, InvalidTilePlan, LineSolveError, Mismatched
                     Mesh, NonFiniteSolution, TilePlan, TridiagonalBatch, TridiagonalSystem,
                     ZeroPivot, assemble_reduced, back_substitute, batch_solve,
                     dense_oracle_solve, modified_thomas_phase, relative_inf_error,
-                    solve_lines, solve_system, thomas_pcr_solve, thomas_solve,
-                    thomas_thomas_solve)
+                    solve_lines, solve_system)
 from conftest import make_system
 
 
@@ -25,7 +24,7 @@ def tile_system(system, plan):
 def solve_reduced(tiles):
     """Thomas solve of the one-line reduced system, as a ``(2t, 1)`` column."""
     reduced = TridiagonalSystem(*(v[:, 0] for v in assemble_reduced(tiles)))
-    return thomas_solve(reduced)[:, None]
+    return solve_system(reduced, "thomas")[:, None]
 
 
 class TestTilePlan:
@@ -149,25 +148,25 @@ class TestBackSubstitute:
 class TestHybridSolvers:
     def test_matches_monolithic_256(self):
         s = make_system(256, seed=256)
-        ref = thomas_solve(s)
-        assert relative_inf_error(thomas_thomas_solve(s, 4), ref) <= 1e-10
-        assert relative_inf_error(thomas_pcr_solve(s, 4), ref) <= 1e-10
+        ref = solve_system(s, "thomas")
+        assert relative_inf_error(solve_system(s, "thomas-thomas", 4), ref) <= 1e-10
+        assert relative_inf_error(solve_system(s, "thomas-pcr", 4), ref) <= 1e-10
 
     def test_invalid_plan_rejected(self):
         s = make_system(8, seed=1)
         with pytest.raises(InvalidTilePlan):
-            thomas_thomas_solve(s, 4)
+            solve_system(s, "thomas-thomas", 4)
 
     def test_smallest_legal_case(self):
         s = make_system(6, seed=60)
         ref = dense_oracle_solve(s)
-        assert relative_inf_error(thomas_thomas_solve(s, 2), ref) <= 1e-12
-        assert relative_inf_error(thomas_pcr_solve(s, 2), ref) <= 1e-12
+        assert relative_inf_error(solve_system(s, "thomas-thomas", 2), ref) <= 1e-12
+        assert relative_inf_error(solve_system(s, "thomas-pcr", 2), ref) <= 1e-12
 
     def test_identity_exact(self):
         s = identity_system(16)
-        assert np.array_equal(thomas_thomas_solve(s, 4), s.d)
-        assert np.array_equal(thomas_pcr_solve(s, 4), s.d)
+        assert np.array_equal(solve_system(s, "thomas-thomas", 4), s.d)
+        assert np.array_equal(solve_system(s, "thomas-pcr", 4), s.d)
 
     @pytest.mark.parametrize("n", [6, 24, 100, 333, 1024])
     @pytest.mark.parametrize("t", [2, 3, 4, 8, 16])
@@ -177,9 +176,9 @@ class TestHybridSolvers:
         except InvalidTilePlan:
             pytest.skip(f"t={t} does not tile n={n}")
         s = make_system(n, seed=n * 31 + t)
-        ref = thomas_solve(s)
-        assert relative_inf_error(thomas_thomas_solve(s, t), ref) <= 1e-12
-        assert relative_inf_error(thomas_pcr_solve(s, t), ref) <= 1e-12
+        ref = solve_system(s, "thomas")
+        assert relative_inf_error(solve_system(s, "thomas-thomas", t), ref) <= 1e-12
+        assert relative_inf_error(solve_system(s, "thomas-pcr", t), ref) <= 1e-12
 
     @pytest.mark.parametrize("algo", ["thomas-thomas", "thomas-pcr"])
     def test_check_dominance_flag(self, algo):
@@ -190,18 +189,18 @@ class TestHybridSolvers:
         with pytest.raises(ValueError):
             solve_system(weak, algo, 4, check_dominance=True)
 
-    @pytest.mark.parametrize("solver", [thomas_thomas_solve, thomas_pcr_solve])
-    def test_non_finite_input_raises(self, solver):
+    @pytest.mark.parametrize("algo", ["thomas-thomas", "thomas-pcr"])
+    def test_non_finite_input_raises(self, algo):
         s = make_system(24, seed=5)
         d = s.d.copy()
         d[10] = np.nan
         with pytest.raises(NonFiniteSolution):
-            solver(TridiagonalSystem(s.a, s.b, s.c, d), 3)
+            solve_system(TridiagonalSystem(s.a, s.b, s.c, d), algo, 3)
         for bad in (np.nan, np.inf):
             b = s.b.copy()
             b[10] = bad
             with pytest.raises(ZeroPivot) as err:
-                solver(TridiagonalSystem(s.a, b, s.c, s.d), 3)
+                solve_system(TridiagonalSystem(s.a, b, s.c, s.d), algo, 3)
             assert err.value.index == 10
 
     @pytest.mark.parametrize("algo", ["thomas-thomas", "thomas-pcr"])
