@@ -11,13 +11,14 @@ There is one entry point per input form: ``solve_system`` for one system,
 :func:`tridax.mesh.solve_lines` for a mesh axis and
 :func:`tridax.adi.adi_run` for the ADI application. Each makes one kernel
 call. A kernel is called as ``kernel(a, b, c, d)`` on ``(n, lines)``
-arrays, row i of every system side by side, and reads the pivot floor from
-their dtype; ``_kernel`` maps an algorithm name and tile count to the
-Thomas or PCR kernel at the bottom of this module or to the tiled hybrids'
-kernel in :mod:`tridax.tiled`. A batch stores ``(count, n)`` arrays and is
-solved through their transposed views; a single system is a one-line call.
-Every line runs the same operation sequence, so scalar, batched and sweep
-results are bitwise identical.
+arrays, row i of every system side by side, and checks its pivots and
+output once, its error naming every failing line; ``_kernel`` maps an
+algorithm name and tile count to the Thomas or PCR kernel at the bottom of
+this module or to the tiled hybrids' kernel in :mod:`tridax.tiled`. A
+batch stores ``(count, n)`` arrays and is solved through their transposed
+views; a single system is a one-line call. Every line runs the same
+operation sequence, so scalar, batched and sweep results are bitwise
+identical.
 """
 
 from __future__ import annotations
@@ -220,43 +221,33 @@ def _kernel(algo: str, tiles: int | None):
         raise ValueError(f"{algo} requires a tile count")
     from . import tiled  # local import; tiled builds on this module
 
-    return partial(tiled._tiled_kernel, _REDUCED_KERNELS[algo], tiles)
+    return _checked(partial(tiled._tiled_kernel, _REDUCED_KERNELS[algo], tiles))
 
 
-def batch_solve(batch: TridiagonalBatch, algo: str = "thomas", tiles: int | None = None,
-                *, fail_fast: bool = False) -> list[np.ndarray]:
+def batch_solve(batch: TridiagonalBatch, algo: str = "thomas",
+                tiles: int | None = None) -> list[np.ndarray]:
     """Solve every system of a batch independently.
 
     Results keep the input order and match the scalar solver bitwise.
     Every algorithm solves the whole batch in one kernel call on the
-    ``(n, count)`` transposed views of the batch arrays. Only when that
-    call fails is the batch solved system by system, so that a failing
-    system does not abort the rest unless ``fail_fast`` is set; collected
-    failures are raised as :class:`BatchSolveError` with the partial
-    solutions attached.
+    ``(n, count)`` transposed views of the batch arrays. Failing systems
+    do not abort the rest: they are raised together as
+    :class:`BatchSolveError`, one :class:`ZeroPivot` or
+    :class:`NonFiniteSolution` per system with ``line`` set to its index,
+    and the other systems' solutions from the same call attached.
     """
     kernel = _kernel(algo, tiles)
     dtype = _float_dtype(batch.a, batch.b, batch.c, batch.d)
     arrays = [np.asarray(getattr(batch, k).T, dtype=dtype) for k in "abcd"]
     try:
-        u = kernel(*arrays)
-    except (ZeroPivot, NonFiniteSolution):
-        pass  # solve system by system below to collect every failure
-    else:
-        return list(np.ascontiguousarray(u.T))
-    solutions: list[np.ndarray | None] = []
-    failures = []
-    for i in range(batch.count):
-        try:
-            solutions.append(solve_system(batch.system(i), algo, tiles))
-        except (ZeroPivot, SingularMatrix, NonFiniteSolution) as exc:
-            if fail_fast:
-                raise BatchSolveError([(i, exc)], solutions) from exc
-            failures.append((i, exc))
-            solutions.append(None)
-    if failures:
-        raise BatchSolveError(failures, solutions)
-    return solutions
+        return list(np.ascontiguousarray(kernel(*arrays).T))
+    except (ZeroPivot, NonFiniteSolution) as exc:
+        solutions = list(np.ascontiguousarray(exc.solution.T))
+        failures = []
+        for i, row in zip(exc.lines.tolist(), exc.rows.tolist()):
+            failures.append((i, ZeroPivot(row, line=i) if row >= 0 else NonFiniteSolution(i)))
+            solutions[i] = None
+        raise BatchSolveError(failures, solutions) from exc
 
 
 def random_dominant_system(n: int, rng: np.random.Generator,
@@ -291,30 +282,54 @@ def relative_inf_error(u, ref) -> float:
 # Kernels: d and the solution are (n, lines); a, b, c are (n, lines) or
 # (n, 1), shared by every line. Each line runs the same operation sequence
 # whatever the line count or coefficient sharing, so results do not depend
-# on how lines are batched. Pivots and output are checked once per call.
+# on how lines are batched. Raw kernels return (u, failed pivots), checked once per call.
 # ---------------------------------------------------------------------------
 
 
-def _check_pivots(den: np.ndarray) -> None:
-    """Raise :class:`ZeroPivot` at the lowest failing row, then lowest line.
-
-    A pivot fails below the pivot floor of its dtype's precision, and also
-    when it is NaN or infinite.
-    """
-    floor = Precision.from_dtype(den.dtype).pivot_floor
+def _failed_pivots(den: np.ndarray) -> np.ndarray:
+    """Mask of pivots below their dtype's pivot floor, NaN or infinite."""
     mag = np.abs(den)
-    bad = ~((mag >= floor) & (mag <= np.finfo(den.dtype).max))
-    if bad.any():
-        row = int(np.argmax(bad.any(axis=1)))
-        raise ZeroPivot(row, line=int(np.argmax(bad[row])))
+    return ~((mag >= Precision.from_dtype(den.dtype).pivot_floor)
+             & (mag <= np.finfo(den.dtype).max))
 
 
-def _check_finite(u: np.ndarray) -> None:
-    if not np.isfinite(u).all():
-        raise NonFiniteSolution(int(np.argmin(np.isfinite(u).all(axis=0))))
+def _checked(raw):
+    """``kernel(a, b, c, d) -> u`` from a raw kernel returning ``(u, failed)``."""
+    return lambda a, b, c, d: _check(*raw(a, b, c, d))
 
 
-def _thomas_kernel(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray) -> np.ndarray:
+def _check(u: np.ndarray, failed) -> np.ndarray:
+    """Return ``u`` if every line passes, else raise the call's first failure
+    with every line's record attached.
+
+    ``failed`` lists ``(bad, rows)`` blocks in elimination order: ``bad``
+    is a ``(k, lines)`` or shared ``(k, 1)`` mask of failed pivots, and its
+    row j is row ``rows[j]``. A line fails at its first failed pivot, else
+    if its solution is not finite. The first failed pivot in elimination
+    order (lowest row, then line) is raised, else the lowest non-finite line.
+    """
+    count = u.shape[1]
+    row = np.full(count, -1)  # each line's first failed pivot row
+    first = None
+    for bad, rows in failed:
+        if not bad.any():
+            continue
+        if first is None:
+            at = int(np.argmax(bad.any(axis=1)))
+            first = ZeroPivot(rows[at], line=int(np.argmax(bad[at])))
+        hit = np.broadcast_to(bad.any(axis=0), (count,)) & (row < 0)
+        row[hit] = np.asarray(rows)[np.broadcast_to(np.argmax(bad, axis=0), (count,))[hit]]
+    lines = (row >= 0) | ~np.isfinite(u).all(axis=0)
+    if not lines.any():
+        return u
+    first = first or NonFiniteSolution(int(np.argmax(lines)))
+    first.lines = np.flatnonzero(lines)
+    first.rows = row[first.lines]
+    first.solution = u
+    raise first
+
+
+def _thomas_kernel(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray):
     """Forward elimination and back substitution, O(n) per line."""
     n = d.shape[0]
     one = b.dtype.type(1)
@@ -333,9 +348,7 @@ def _thomas_kernel(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray) -
             cs[i] = r * c[i]
         for i in range(n - 2, -1, -1):
             u[i] -= cs[i] * u[i + 1]
-        _check_pivots(den)
-    _check_finite(u)
-    return u
+    return u, [(_failed_pivots(den), range(n))]
 
 
 def _shift(arr: np.ndarray, offset: int) -> np.ndarray:
@@ -351,7 +364,7 @@ def _shift(arr: np.ndarray, offset: int) -> np.ndarray:
     return out
 
 
-def _pcr_kernel(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray) -> np.ndarray:
+def _pcr_kernel(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray):
     """Parallel cyclic reduction.
 
     The system is normalized to a unit diagonal, then reduced in
@@ -362,7 +375,7 @@ def _pcr_kernel(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray) -> n
     """
     n = d.shape[0]
     one = b.dtype.type(1)
-    dens = [b]
+    failed = [_failed_pivots(b)]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         ra = a / b
         rc = c / b
@@ -377,17 +390,14 @@ def _pcr_kernel(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray) -> n
             c_hi = _shift(rc, s)
             d_hi = _shift(rd, s)
             denom = one - ra * c_lo - rc * a_hi
-            dens.append(denom)
+            failed.append(_failed_pivots(denom))
             r = one / denom
             na = -r * (ra * a_lo)
             nc = -r * (rc * c_hi)
             nd = r * (rd - ra * d_lo - rc * d_hi)
             ra, rc, rd = na, nc, nd
-        for den in dens:  # in elimination order: the first breakdown is reported
-            _check_pivots(den)
-    _check_finite(rd)
-    return rd
+    return rd, [(bad, range(n)) for bad in failed]
 
 
-_KERNELS = {"thomas": _thomas_kernel, "pcr": _pcr_kernel}
+_KERNELS = {"thomas": _checked(_thomas_kernel), "pcr": _checked(_pcr_kernel)}
 _REDUCED_KERNELS = {"thomas-thomas": _thomas_kernel, "thomas-pcr": _pcr_kernel}

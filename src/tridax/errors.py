@@ -13,18 +13,20 @@ class ZeroPivot(TridaxError):
 
     ``index`` is the row within the system where elimination broke down;
     the tiled hybrids report it in the whole system, and a failing reduced
-    solve at the boundary row it stands for (``modified_thomas_phase`` on
-    its own gives the row within its tile). ``line`` identifies the failing
-    line of a kernel call when several systems are solved together.
+    solve at the boundary row it stands for. ``line`` identifies the failing
+    line of a kernel call when several systems are solved together, and the
+    system's index in a :class:`BatchSolveError`. Raised by a kernel call,
+    it is the call's first failure and also carries ``lines`` (every failing
+    line, ascending), ``rows`` (each one's first failing pivot row, -1 when
+    only its solution is not finite) and ``solution``, the call's output.
     """
 
-    def __init__(self, index: int, line: int | None = None, message: str | None = None):
+    def __init__(self, index: int, line: int | None = None):
         self.index = index
         self.line = line
-        if message is None:
-            message = f"pivot underflow at row {index}"
-            if line is not None:
-                message += f" (line {line})"
+        message = f"pivot underflow at row {index}"
+        if line is not None:
+            message += f" (line {line})"
         super().__init__(message)
 
 
@@ -32,7 +34,8 @@ class NonFiniteSolution(TridaxError):
     """A solve produced NaN or infinite values, from non-finite input or overflow.
 
     ``line`` identifies the first failing line when several systems are
-    solved together.
+    solved together, and the system's index in a :class:`BatchSolveError`.
+    Raised by a kernel call, it carries what :class:`ZeroPivot` does.
     """
 
     def __init__(self, line: int | None = None):
@@ -68,8 +71,9 @@ class LineSolveError(TridaxError):
 class BatchSolveError(TridaxError):
     """One or more systems of a batch failed.
 
-    ``failures`` is a list of ``(system_index, exception)`` pairs;
-    ``solutions`` holds per-system results with ``None`` at failed slots.
+    ``failures`` lists ``(system_index, exception)`` pairs in index order,
+    one :class:`ZeroPivot` or :class:`NonFiniteSolution` per failing system;
+    ``solutions`` holds every system's result, with ``None`` at failed slots.
     """
 
     def __init__(self, failures, solutions=None):

@@ -32,7 +32,7 @@ _ALGO_ORDER = {algo: i for i, algo in enumerate(Algorithm)}
 class ProblemSpec:
     """What is being solved: a 1-D batch or a mesh application."""
 
-    kind: str                       # "batch", "adi2d", "adi3d", "adi2d-tiled"
+    kind: str                       # "batch", "adi2d", "adi3d"
     batch: int
     size: int | None = None         # system size for 1-D batches
     dims: tuple[int, ...] | None = None
@@ -40,7 +40,7 @@ class ProblemSpec:
     n_iter: int = 1
 
     def __post_init__(self):
-        if self.kind not in ("batch", "adi2d", "adi3d", "adi2d-tiled"):
+        if self.kind not in ("batch", "adi2d", "adi3d"):
             raise ValueError(f"unknown problem kind {self.kind!r}")
         if self.batch < 1 or self.n_iter < 1:
             raise ValueError("batch and n_iter must be >= 1")
@@ -72,9 +72,7 @@ class GridSpec:
             algos = [Algorithm.BATCHED_THOMAS, Algorithm.BATCHED_PCR,
                      Algorithm.THOMAS_THOMAS, Algorithm.THOMAS_PCR]
         elif kind == "adi2d":
-            algos = [Algorithm.ADI2D]
-        elif kind == "adi2d-tiled":
-            algos = [Algorithm.ADI2D_TILED]
+            algos = [Algorithm.ADI2D, Algorithm.ADI2D_TILED]
         else:
             algos = [Algorithm.ADI3D]
         return cls(algorithms=algos)

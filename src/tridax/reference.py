@@ -12,14 +12,14 @@ import numpy as np
 
 
 def thomas_scalar(a, b, c, d):
-    """Textbook scalar Thomas elimination on Python floats."""
+    """Textbook scalar Thomas elimination; exact on ``fractions.Fraction`` inputs."""
     n = len(b)
     cs = [0.0] * n
     ds = [0.0] * n
     ds[0] = d[0] / b[0]
     cs[0] = c[0] / b[0]
     for i in range(1, n):
-        r = 1.0 / (b[i] - a[i] * cs[i - 1])
+        r = 1 / (b[i] - a[i] * cs[i - 1])
         ds[i] = r * (d[i] - a[i] * ds[i - 1])
         cs[i] = r * c[i]
     u = [0.0] * n

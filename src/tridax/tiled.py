@@ -14,20 +14,19 @@ substituted back into the interior rows.
 Every step works on ``(rows, lines)`` blocks, as the kernels in
 :mod:`tridax.core` do: each tile of every line is eliminated in one pass,
 the ``2t``-row reduced systems of every line go to the Thomas or PCR kernel
-in one call, and ``_tiled_kernel`` joins the steps under the core kernels'
-contract. Pivots are checked in elimination order (tile by tile, then the
-reduced system) and reported at their row in the whole system.
+in one call, and ``_tiled_kernel`` joins the steps as a raw core kernel,
+returning its failed pivots in elimination order (tile by tile, then the
+reduced system) at their rows in the whole system.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _check_finite, _check_pivots
-from .errors import InvalidTilePlan, MismatchedTiles, ZeroPivot
+from .core import _failed_pivots
+from .errors import InvalidTilePlan, MismatchedTiles
 
 MIN_TILE_ROWS = 3  # a tile needs at least one interior unknown
 
@@ -83,25 +82,18 @@ class ModifiedTileResult:
     the interior two-unknown form; rows ``0`` and ``m-1`` hold the tile's
     contributions to the reduced system, with the outward couplings
     (previous tile's last / next tile's first unknown) stored in
-    ``a_star[0]`` and ``c_star[m-1]``.
+    ``a_star[0]`` and ``c_star[m-1]``. ``failed_pivots`` marks the rows whose
+    elimination pivot failed; row 0 is eliminated after rows ``1..m-1``.
     """
 
     a_star: np.ndarray
     c_star: np.ndarray
     d_star: np.ndarray
+    failed_pivots: np.ndarray
 
     @property
     def size(self) -> int:
         return self.a_star.shape[0]
-
-
-@contextmanager
-def _rows_at(rows):
-    """Re-raise a :class:`ZeroPivot` from the block at row ``rows[index]``."""
-    try:
-        yield
-    except ZeroPivot as exc:
-        raise ZeroPivot(rows[exc.index], exc.line) from None
 
 
 def modified_thomas_phase(a, b, c, d) -> ModifiedTileResult:
@@ -110,9 +102,8 @@ def modified_thomas_phase(a, b, c, d) -> ModifiedTileResult:
     ``d`` is an ``(m, lines)`` block; ``a``, ``b``, ``c`` are ``(m, lines)``
     or ``(m, 1)``, shared by every line. ``a[0]`` and ``c[m-1]`` are the
     tile's couplings to its neighbors (zero on the outermost tiles). Inputs
-    are not modified. Pivots are checked in elimination order (rows
-    ``1..m-1``, then row 0); :class:`ZeroPivot` gives the row within the
-    tile.
+    are not modified. A failed pivot raises nothing here; it leaves NaN or
+    infinity in its line, and the caller checks ``failed_pivots``.
     """
     a, b, c, d = (np.asarray(v) for v in (a, b, c, d))
     m = d.shape[0]
@@ -149,10 +140,7 @@ def modified_thomas_phase(a, b, c, d) -> ModifiedTileResult:
         at[0] = r * a[0]
         ct[0] = -r * (c[0] * ct[1])
         dt[0] = r * (d[0] - c[0] * dt[1])
-        order = [*range(1, m), 0]
-        with _rows_at(order):
-            _check_pivots(den[order])
-    return ModifiedTileResult(at, ct, dt)
+    return ModifiedTileResult(at, ct, dt, _failed_pivots(den))
 
 
 def assemble_reduced(tiles: list[ModifiedTileResult]):
@@ -172,7 +160,8 @@ def assemble_reduced(tiles: list[ModifiedTileResult]):
     ra = np.concatenate([tile.a_star[ends] for tile in tiles])
     rc = np.concatenate([tile.c_star[ends] for tile in tiles])
     rd = np.concatenate([tile.d_star[ends] for tile in tiles])
-    if np.any(ra[0] != 0.0) or np.any(rc[-1] != 0.0):
+    # NaN, left by a failed pivot that is reported anyway, is no evidence of misordering
+    if np.any(np.abs(ra[0]) > 0) or np.any(np.abs(rc[-1]) > 0):
         raise MismatchedTiles("outermost tiles carry external couplings; "
                               "tiles are out of order or from different systems")
     return ra, np.ones_like(ra), rc, rd
@@ -198,21 +187,20 @@ def back_substitute(tiles: list[ModifiedTileResult], boundary) -> np.ndarray:
 
 
 def _tiled_kernel(reduced_kernel, tiles: int, a: np.ndarray, b: np.ndarray, c: np.ndarray,
-                  d: np.ndarray) -> np.ndarray:
-    """Tiled solve of ``(n, lines)`` systems under the core kernels' contract.
-
-    ``reduced_kernel`` (Thomas or PCR) solves the reduced systems. A
-    :class:`ZeroPivot` names the row in the whole system: a tile's row plus
-    its offset, or the reduced row's ``boundary_indices()`` entry.
+                  d: np.ndarray):
+    """Tiled solve of ``(n, lines)`` systems, returning ``(u, failed)`` as raw
+    core kernels do; ``reduced_kernel`` (raw Thomas or PCR) solves the
+    reduced systems. Failed pivots name their row in the whole system: a
+    tile's row plus its offset, a reduced row its ``boundary_indices()`` entry.
     """
     plan = TilePlan(d.shape[0], tiles)
-    parts = []
+    parts, failed = [], []
     for off, size in zip(plan.offsets, plan.sizes):
         rows = slice(off, off + size)
-        with _rows_at(range(off, off + size)):
-            parts.append(modified_thomas_phase(a[rows], b[rows], c[rows], d[rows]))
-    with _rows_at(plan.boundary_indices()):
-        boundary = reduced_kernel(*assemble_reduced(parts))
-    u = back_substitute(parts, boundary)
-    _check_finite(u)
-    return u
+        parts.append(modified_thomas_phase(a[rows], b[rows], c[rows], d[rows]))
+        bad = parts[-1].failed_pivots
+        failed += [(bad[1:], range(off + 1, off + size)), (bad[:1], [off])]
+    boundary, reduced = reduced_kernel(*assemble_reduced(parts))
+    failed += [(bad, plan.boundary_indices()) for bad, _ in reduced]
+    with np.errstate(invalid="ignore", over="ignore"):  # failed lines carry NaN this far
+        return back_substitute(parts, boundary), failed

@@ -68,6 +68,19 @@ class TestSolve:
         assert payload["precision"] == "fp32"
         assert payload["bytes_moved"] == 5 * 4 * 16 * 4 == 1280
 
+    def test_input_batch_with_failing_systems(self, tmp_path, capsys):
+        rng = np.random.default_rng(5)
+        batch = TridiagonalBatch.from_systems(random_dominant_system(16, rng) for _ in range(6))
+        batch.a[2, 5] = batch.b[2, 5] = batch.c[2, 5] = 0  # a zero pivot
+        batch.d[4, 9] = np.nan
+        path = tmp_path / "batch.bin"
+        write_batch(path, batch)
+        out = tmp_path / "sol.bin"
+        assert run(["solve", "--input", path, "--out", out,
+                    "--report", tmp_path / "r.json"]) == 1
+        assert "2 system(s) failed: [2, 4]" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestAdi:
     def test_verify_passes(self, tmp_path, capsys):
@@ -149,6 +162,14 @@ class TestDse:
         assert code == 0
         payload = json.loads(rep.read_text())
         assert payload["rows"][0]["algorithm"] in ("thomas-pcr", "thomas-thomas")
+
+    def test_2d_dims_rank_tiled_design(self, tmp_path):
+        rep = tmp_path / "d.json"
+        code = run(["dse", "--batch", 100, "--dims", "4096,4096", "--precision", "fp32",
+                    "--report", rep])
+        assert code == 0
+        payload = json.loads(rep.read_text())
+        assert payload["rows"][0]["algorithm"] == "adi2d-tiled"
 
     def test_no_feasible_design_exit_code(self, tmp_path):
         code = run(["dse", "--batch", 10, "--size", 8192, "--precision", "fp32",

@@ -1,8 +1,10 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
-from tridax import (BatchSolveError, NonFiniteSolution, Precision,
-                    SingularMatrix, TridiagonalBatch, TridiagonalSystem, ZeroPivot,
+from tridax import (BatchSolveError, InvalidTilePlan, NonFiniteSolution, Precision,
+                    SingularMatrix, TilePlan, TridiagonalBatch, TridiagonalSystem, ZeroPivot,
                     batch_solve, dense_oracle_solve, random_dominant_system,
                     relative_inf_error, residual_max_norm, solve_system)
 from tridax.core import DENSE_ORACLE_MAX_N, SOLVER_NAMES
@@ -193,18 +195,6 @@ class TestBatch:
         assert err.value.solutions[0] is not None
         assert err.value.solutions[2] is not None
 
-    def test_fail_fast_stops_at_first_failure(self):
-        bad = TridiagonalSystem.__new__(TridiagonalSystem)
-        object.__setattr__(bad, "a", np.array([0.0, 1.0, 0.0]))
-        object.__setattr__(bad, "b", np.array([0.0, 2.0, 2.0]))
-        object.__setattr__(bad, "c", np.array([0.0, 0.0, 0.0]))
-        object.__setattr__(bad, "d", np.array([1.0, 1.0, 1.0]))
-        batch = TridiagonalBatch.from_systems([diagonal_system(), bad, diagonal_system()])
-        with pytest.raises(BatchSolveError) as err:
-            batch_solve(batch, "thomas", fail_fast=True)
-        assert [i for i, _ in err.value.failures] == [1]
-        assert len(err.value.solutions) == 1  # third system never attempted
-
 
 class TestProperties:
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 17, 64, 257, 512])
@@ -287,3 +277,42 @@ class TestPastDenseCap:
         ref = thomas_scalar(*(getattr(s, k).astype(np.float64).tolist() for k in "abcd"))
         tiles = None if algo in ("thomas", "pcr") else 8
         assert relative_inf_error(solve_system(s, algo, tiles), ref) <= precision.tolerance
+
+
+def most_tiles(n):
+    """The largest of 2, 4 and 8 tiles a ``TilePlan`` accepts for ``n`` rows, or None."""
+    valid = []
+    for t in (2, 4, 8):
+        try:
+            valid.append(TilePlan(n, t).t)
+        except InvalidTilePlan:
+            pass
+    return max(valid, default=None)
+
+
+class TestExactOracle:
+    """Every algorithm against the exact rational solution of the system as
+    stored, from ``thomas_scalar`` on ``Fraction`` inputs."""
+
+    @pytest.mark.parametrize("precision", [Precision.FP32, Precision.FP64])
+    def test_within_tolerance_of_exact_solution(self, precision):
+        for n in range(1, 65):
+            s = make_system(n, seed=n, precision=precision)
+            exact = thomas_scalar(*([Fraction(float(x)) for x in getattr(s, k)]
+                                    for k in "abcd"))
+            ref = [float(x) for x in exact]
+            for algo in SOLVER_NAMES:
+                tiles = None if algo in ("thomas", "pcr") else most_tiles(n)
+                if algo not in ("thomas", "pcr") and tiles is None:
+                    continue
+                err = relative_inf_error(solve_system(s, algo, tiles), ref)
+                assert err <= precision.tolerance, (algo, n, err)
+
+    def test_fraction_solve_is_exact(self):
+        s = make_system(12, seed=3)
+        cols = [[Fraction(float(x)) for x in getattr(s, k)] for k in "abcd"]
+        u = thomas_scalar(*cols)
+        a, b, c, d = cols
+        for i in range(12):
+            lhs = b[i] * u[i] + (a[i] * u[i - 1] if i else 0) + (c[i] * u[i + 1] if i < 11 else 0)
+            assert lhs == d[i]

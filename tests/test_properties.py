@@ -1,14 +1,14 @@
 """Property tests: scalar, batched and mesh-sweep solves agree bit for bit
-for every algorithm and tile count, and a planted zero pivot is reported at
-its row and line."""
+for every algorithm and tile count, a planted zero pivot is reported at its
+row and line, and a batch's failures are each system's own."""
 
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from tridax import (BatchSolveError, InvalidTilePlan, LineSolveError, Mesh, Precision,
-                    TilePlan, TridiagonalBatch, TridiagonalSystem, ZeroPivot, batch_solve,
-                    random_dominant_system, solve_lines, solve_system)
+from tridax import (BatchSolveError, InvalidTilePlan, LineSolveError, Mesh, NonFiniteSolution,
+                    Precision, TilePlan, TridiagonalBatch, TridiagonalSystem, ZeroPivot,
+                    batch_solve, random_dominant_system, solve_lines, solve_system)
 from tridax.core import SOLVER_NAMES
 
 STORAGE_DIM = {"x": 3, "y": 2, "z": 1}  # axis position in (batch, z, y, x)
@@ -155,5 +155,42 @@ def test_planted_zero_pivot_reported_at_lowest_row_then_line(n, count, precision
         assert [i for i, _ in exc.failures] == sorted(first_row)
         for i, err in exc.failures:
             assert isinstance(err, ZeroPivot) and err.index == first_row[i]
+    else:
+        raise AssertionError("no BatchSolveError")
+
+
+@SETTINGS
+@given(st.integers(1, 30), st.integers(2, 10), precisions, seeds, algos, st.data())
+def test_batch_failures_match_each_systems_own_solve(n, count, precision, seed, algo, data):
+    tiles = draw_tiles(data, algo, n)
+    rng = np.random.default_rng(seed)
+    batch = TridiagonalBatch.from_systems(
+        random_dominant_system(n, rng, precision) for _ in range(count))
+    plants = data.draw(st.lists(st.tuples(st.integers(0, count - 1), st.integers(0, n - 1),
+                                          st.sampled_from(["zero row", "nan d", "inf b"])),
+                                min_size=1, max_size=6), label="plants")
+    for k, row, kind in plants:
+        if kind == "zero row":
+            batch.a[k, row] = batch.b[k, row] = batch.c[k, row] = 0
+        elif kind == "nan d":
+            batch.d[k, row] = np.nan
+        else:
+            batch.b[k, row] = np.inf
+    expected, solved = {}, {}
+    for k in range(count):
+        try:
+            solved[k] = solve_system(batch.system(k), algo, tiles)
+        except (ZeroPivot, NonFiniteSolution) as exc:
+            expected[k] = (type(exc), getattr(exc, "index", None))
+    try:
+        batch_solve(batch, algo, tiles)
+    except BatchSolveError as exc:
+        assert [k for k, _ in exc.failures] == sorted(expected)
+        for k, err in exc.failures:
+            assert (type(err), getattr(err, "index", None)) == expected[k]
+            assert err.line == k
+            assert exc.solutions[k] is None
+        for k, u in solved.items():
+            assert np.array_equal(exc.solutions[k], u)
     else:
         raise AssertionError("no BatchSolveError")
