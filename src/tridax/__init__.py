@@ -13,7 +13,8 @@ The package splits into:
   cyclic reduction), each one kernel over ``(n, lines)`` arrays, plus a
   dense reference oracle;
 - :mod:`tridax.tiled` — tiled hybrid solvers for systems larger than one
-  sweep's working set, a kernel over the same ``(n, lines)`` arrays;
+  sweep's working set, a kernel over the same ``(n, lines)`` arrays that
+  eliminates every tile of every line as one more line;
 - :mod:`tridax.mesh` — batched 2-D/3-D mesh container, whole-axis line
   sweeps through an ``(n, lines)`` view, binary mesh format;
 - :mod:`tridax.adi` — ADI heat-diffusion drivers with traffic accounting;

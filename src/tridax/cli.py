@@ -160,10 +160,6 @@ def _emit_report(args, payload: dict, csv_rows: list[list] | None = None) -> Non
 
 def cmd_solve(args) -> int:
     precision = Precision.parse(args.precision)
-    if args.algo in ("thomas-thomas", "thomas-pcr"):
-        if args.tiles is None or args.tiles < 2:
-            print("error: hybrid solvers need --tiles >= 2", file=sys.stderr)
-            return USAGE_ERROR
     if args.input:
         batch = read_batch(args.input)
     else:

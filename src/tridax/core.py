@@ -288,9 +288,8 @@ def relative_inf_error(u, ref) -> float:
 
 def _failed_pivots(den: np.ndarray) -> np.ndarray:
     """Mask of pivots below their dtype's pivot floor, NaN or infinite."""
-    mag = np.abs(den)
-    return ~((mag >= Precision.from_dtype(den.dtype).pivot_floor)
-             & (mag <= np.finfo(den.dtype).max))
+    lo, hi = Precision.from_dtype(den.dtype).pivot_floor, np.finfo(den.dtype).max
+    return ~((den >= lo) & (den <= hi) | (den <= -lo) & (den >= -hi))  # no |den| temporary
 
 
 def _checked(raw):

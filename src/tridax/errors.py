@@ -50,8 +50,8 @@ class SingularMatrix(TridaxError):
     """Dense elimination found no usable pivot."""
 
 
-class InvalidTilePlan(TridaxError):
-    """Requested tiling leaves a tile without interior unknowns."""
+class InvalidTilePlan(TridaxError, ValueError):
+    """Requested tiling leaves a tile without interior unknowns (a bad argument)."""
 
 
 class MismatchedTiles(TridaxError):

@@ -8,7 +8,7 @@ import json
 from dataclasses import dataclass, field, replace
 from itertools import product
 
-from ..errors import InvalidTilePlan, NoFeasibleDesign
+from ..errors import NoFeasibleDesign
 from ..precision import Precision
 from .design import Algorithm, DesignPoint
 from .device import DeviceProfile
@@ -146,7 +146,7 @@ def dse_enumerate(problem: ProblemSpec, device: DeviceProfile, grid: GridSpec,
             lat = latency_for_problem(dp, batch=problem.batch, n=problem.size,
                                       dims=problem.dims, n_iter=problem.n_iter)
             res = memory_words(dp, problem.largest_extent, device)
-        except (InvalidTilePlan, ValueError):
+        except ValueError:
             continue
         evaluated.append((dp, lat, res))
     feasible = [e for e in evaluated if e[2].feasible]

@@ -11,12 +11,11 @@ boundary rows form a reduced tridiagonal system of size ``2*t``, solved
 directly (Thomas) or by cyclic reduction (PCR); its solution is then
 substituted back into the interior rows.
 
-Every step works on ``(rows, lines)`` blocks, as the kernels in
-:mod:`tridax.core` do: each tile of every line is eliminated in one pass,
-the ``2t``-row reduced systems of every line go to the Thomas or PCR kernel
-in one call, and ``_tiled_kernel`` joins the steps as a raw core kernel,
-returning its failed pivots in elimination order (tile by tile, then the
-reduced system) at their rows in the whole system.
+A tile is one more line: the steps work on ``(m, tiles, lines)`` views of
+the ``(n, lines)`` arrays of :mod:`tridax.core`'s kernels, one elimination
+pass per run of equal tiles. ``_tiled_kernel`` joins them as a raw core
+kernel, returning its failed pivots in elimination order (tile by tile,
+then the reduced system) at their rows in the whole system.
 """
 
 from __future__ import annotations
@@ -29,14 +28,12 @@ from .core import _failed_pivots
 from .errors import InvalidTilePlan, MismatchedTiles
 
 MIN_TILE_ROWS = 3  # a tile needs at least one interior unknown
+BLOCK_ROWS = 8  # rows per back-substitution step: temporaries stay small and cached
 
 
 @dataclass(frozen=True)
 class TilePlan:
-    """Partition of an ``n``-row system into ``t`` tiles of size ``ceil(n/t)``.
-
-    The last tile takes the remainder and is never padded.
-    """
+    """Partition of ``n`` rows into ``t`` tiles of ``ceil(n/t)``; the last takes the rest."""
 
     n: int
     t: int
@@ -45,9 +42,8 @@ class TilePlan:
         if self.t < 2:
             raise InvalidTilePlan(f"need at least 2 tiles, got {self.t}")
         if min(self.sizes) < MIN_TILE_ROWS:
-            raise InvalidTilePlan(
-                f"n={self.n} over t={self.t} tiles leaves a tile of "
-                f"{min(self.sizes)} rows; every tile needs >= {MIN_TILE_ROWS}")
+            raise InvalidTilePlan(f"n={self.n} over t={self.t} tiles leaves a tile of "
+                                  f"{min(self.sizes)} rows; every tile needs >= {MIN_TILE_ROWS}")
 
     @property
     def m(self) -> int:
@@ -58,32 +54,32 @@ class TilePlan:
         return (self.m,) * (self.t - 1) + (self.n - (self.t - 1) * self.m,)
 
     @property
-    def offsets(self) -> tuple[int, ...]:
-        return tuple(k * self.m for k in range(self.t))
-
-    @property
-    def reduced_size(self) -> int:
-        return 2 * self.t
+    def runs(self) -> tuple[tuple[int, int, int], ...]:
+        """``(offset, size, count)`` of the full tiles, then of a short last one."""
+        full, short = divmod(self.n, self.m)
+        return ((0, self.m, full),) + (((self.n - short, short, 1),) if short else ())
 
     def boundary_indices(self) -> list[int]:
         """Global row indices of every tile's first and last unknowns."""
-        out = []
-        for off, size in zip(self.offsets, self.sizes):
-            out.extend((off, off + size - 1))
-        return out
+        return [row for k, size in enumerate(self.sizes)
+                for row in (k * self.m, k * self.m + size - 1)]
+
+
+def _tile_view(x: np.ndarray, off: int, size: int, count: int) -> np.ndarray:
+    """``count`` tiles of ``size`` rows from row ``off`` as a ``(size, count, cols)`` view."""
+    return x[off:off + size * count].reshape(count, size, -1).swapaxes(0, 1)
 
 
 @dataclass(frozen=True)
 class ModifiedTileResult:
-    """Per-tile coefficients after the modified elimination pass.
+    """Coefficients of a run of equal tiles after the modified elimination pass.
 
-    Arrays are ``(m, lines)``; ``a_star`` and ``c_star`` are ``(m, 1)`` when
-    the tile's coefficients are shared by every line. Rows ``1..m-2`` hold
-    the interior two-unknown form; rows ``0`` and ``m-1`` hold the tile's
-    contributions to the reduced system, with the outward couplings
-    (previous tile's last / next tile's first unknown) stored in
-    ``a_star[0]`` and ``c_star[m-1]``. ``failed_pivots`` marks the rows whose
-    elimination pivot failed; row 0 is eliminated after rows ``1..m-1``.
+    Arrays are ``(m, tiles, lines)``, ``a_star`` and ``c_star`` ``(m, tiles,
+    1)`` for coefficients shared by every line. Rows ``1..m-2`` hold the
+    interior two-unknown form; rows ``0`` and ``m-1`` hold each tile's rows of
+    the reduced system, with the outward couplings (previous tile's last /
+    next tile's first unknown) in ``a_star[0]`` and ``c_star[m-1]``.
+    ``failed_pivots`` marks failed pivots; row 0 is eliminated last.
     """
 
     a_star: np.ndarray
@@ -91,19 +87,16 @@ class ModifiedTileResult:
     d_star: np.ndarray
     failed_pivots: np.ndarray
 
-    @property
-    def size(self) -> int:
-        return self.a_star.shape[0]
-
 
 def modified_thomas_phase(a, b, c, d) -> ModifiedTileResult:
-    """Run the forward/backward elimination over one tile of every line.
+    """Run the forward/backward elimination over every tile of every line at once.
 
-    ``d`` is an ``(m, lines)`` block; ``a``, ``b``, ``c`` are ``(m, lines)``
-    or ``(m, 1)``, shared by every line. ``a[0]`` and ``c[m-1]`` are the
-    tile's couplings to its neighbors (zero on the outermost tiles). Inputs
-    are not modified. A failed pivot raises nothing here; it leaves NaN or
-    infinity in its line, and the caller checks ``failed_pivots``.
+    ``d`` is an ``(m, tiles, lines)`` block of tiles of equal size ``m``;
+    ``a``, ``b``, ``c`` are too, or ``(m, tiles, 1)``, shared by every line
+    (trailing axes broadcast). ``a[0]`` and ``c[m-1]`` are each tile's
+    couplings to its neighbors (zero on the outermost tiles). Inputs are not
+    modified. A failed pivot raises nothing here; it leaves NaN or infinity
+    in its line, and the caller checks ``failed_pivots``.
     """
     a, b, c, d = (np.asarray(v) for v in (a, b, c, d))
     m = d.shape[0]
@@ -111,9 +104,7 @@ def modified_thomas_phase(a, b, c, d) -> ModifiedTileResult:
         raise InvalidTilePlan(f"tile has {m} rows, need >= {MIN_TILE_ROWS}")
     one = b.dtype.type(1)
     shape = np.broadcast_shapes(a.shape, b.shape, c.shape)
-    at = np.empty(shape, dtype=b.dtype)
-    ct = np.empty(shape, dtype=b.dtype)
-    den = np.empty(shape, dtype=b.dtype)
+    at, ct, den = (np.empty(shape, dtype=b.dtype) for _ in range(3))
     dt = np.empty(np.broadcast_shapes(shape, d.shape), dtype=b.dtype)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         # forward: row i becomes  at[i]*u0 + u[i] + ct[i]*u[i+1] = dt[i]
@@ -143,23 +134,23 @@ def modified_thomas_phase(a, b, c, d) -> ModifiedTileResult:
     return ModifiedTileResult(at, ct, dt, _failed_pivots(den))
 
 
-def assemble_reduced(tiles: list[ModifiedTileResult]):
+def assemble_reduced(parts: list[ModifiedTileResult]):
     """Couple the tiles' boundary rows into one 2t-row tridiagonal system per line.
 
-    Returns ``(a, b, c, d)``: ``(2t, lines)`` arrays, ``(2t, 1)`` for
-    shared coefficients, with a unit diagonal. Boundary unknowns are
+    ``parts`` are elimination results in tile order, each for a run of
+    tiles. Returns ``(a, b, c, d)``: ``(2t, lines)`` arrays, ``(2t, 1)``
+    for shared coefficients, with a unit diagonal. Boundary unknowns are
     ordered (first, last) per tile, which makes the coupling pattern exactly
     tridiagonal with zero corners.
     """
-    t = len(tiles)
+    t = sum(part.a_star.shape[1] for part in parts)
     if t < 2:
         raise MismatchedTiles(f"need at least 2 tiles, got {t}")
-    if any(tile.size < MIN_TILE_ROWS for tile in tiles):
+    if any(part.a_star.shape[0] < MIN_TILE_ROWS for part in parts):
         raise MismatchedTiles("tile results have inconsistent sizes")
-    ends = [0, -1]
-    ra = np.concatenate([tile.a_star[ends] for tile in tiles])
-    rc = np.concatenate([tile.c_star[ends] for tile in tiles])
-    rd = np.concatenate([tile.d_star[ends] for tile in tiles])
+    ends = [[np.stack((x[0], x[-1]), 1).reshape(-1, x.shape[-1])  # (first, last) per tile
+             for x in (part.a_star, part.c_star, part.d_star)] for part in parts]
+    ra, rc, rd = (np.concatenate(rows) for rows in zip(*ends))
     # NaN, left by a failed pivot that is reported anyway, is no evidence of misordering
     if np.any(np.abs(ra[0]) > 0) or np.any(np.abs(rc[-1]) > 0):
         raise MismatchedTiles("outermost tiles carry external couplings; "
@@ -167,22 +158,27 @@ def assemble_reduced(tiles: list[ModifiedTileResult]):
     return ra, np.ones_like(ra), rc, rd
 
 
-def back_substitute(tiles: list[ModifiedTileResult], boundary) -> np.ndarray:
-    """Recover the full ``(n, lines)`` solution from the reduced-system solution."""
+def back_substitute(parts: list[ModifiedTileResult], boundary) -> np.ndarray:
+    """Recover the full ``(n, lines)`` solution from the ``(2t, lines)``
+    reduced-system solution, every tile of a run at once."""
     boundary = np.asarray(boundary)
-    if boundary.shape[0] != 2 * len(tiles):
-        raise MismatchedTiles(
-            f"boundary has {boundary.shape[0]} values for {len(tiles)} tiles")
-    u = np.empty((sum(tile.size for tile in tiles),) + boundary.shape[1:], dtype=boundary.dtype)
+    t = sum(part.a_star.shape[1] for part in parts)
+    if boundary.shape[0] != 2 * t:
+        raise MismatchedTiles(f"boundary has {boundary.shape[0]} values for {t} tiles")
+    u = np.empty((sum(part.d_star[..., 0].size for part in parts), boundary.shape[1]),
+                 dtype=boundary.dtype)
+    ends = boundary.reshape(t, 2, -1)  # (first, last) unknown of every tile
     off = 0
-    for k, tile in enumerate(tiles):
-        u0 = boundary[2 * k]
-        um = boundary[2 * k + 1]
-        part = u[off:off + tile.size]
-        part[...] = tile.d_star - tile.a_star * u0 - tile.c_star * um
-        part[0] = u0
-        part[-1] = um
-        off += tile.size
+    for part in parts:
+        size, count = part.d_star.shape[:2]
+        (u0, um), ends = ends[:count].swapaxes(0, 1), ends[count:]
+        view = _tile_view(u, off, size, count)
+        for lo in range(0, size, BLOCK_ROWS):
+            rows = slice(lo, lo + BLOCK_ROWS)
+            np.subtract(part.d_star[rows], part.a_star[rows] * u0, out=view[rows])
+            view[rows] -= part.c_star[rows] * um
+        view[0], view[-1] = u0, um
+        off += size * count
     return u
 
 
@@ -190,16 +186,20 @@ def _tiled_kernel(reduced_kernel, tiles: int, a: np.ndarray, b: np.ndarray, c: n
                   d: np.ndarray):
     """Tiled solve of ``(n, lines)`` systems, returning ``(u, failed)`` as raw
     core kernels do; ``reduced_kernel`` (raw Thomas or PCR) solves the
-    reduced systems. Failed pivots name their row in the whole system: a
-    tile's row plus its offset, a reduced row its ``boundary_indices()`` entry.
+    reduced systems. One ``modified_thomas_phase`` call per run of equal
+    tiles. Failed pivots name their row in the whole system: a tile's rows
+    in elimination order (``1..m-1``, then 0), a reduced row its
+    ``boundary_indices()`` entry.
     """
     plan = TilePlan(d.shape[0], tiles)
     parts, failed = [], []
-    for off, size in zip(plan.offsets, plan.sizes):
-        rows = slice(off, off + size)
-        parts.append(modified_thomas_phase(a[rows], b[rows], c[rows], d[rows]))
-        bad = parts[-1].failed_pivots
-        failed += [(bad[1:], range(off + 1, off + size)), (bad[:1], [off])]
+    for off, size, count in plan.runs:
+        parts.append(modified_thomas_phase(*(_tile_view(v, off, size, count)
+                                             for v in (a, b, c, d))))
+        order = np.r_[1:size, 0]
+        bad = parts[-1].failed_pivots[order].swapaxes(0, 1)
+        rows = off + size * np.arange(count)[:, None] + order
+        failed.append((bad.reshape(-1, bad.shape[-1]), rows.ravel().tolist()))
     boundary, reduced = reduced_kernel(*assemble_reduced(parts))
     failed += [(bad, plan.boundary_indices()) for bad, _ in reduced]
     with np.errstate(invalid="ignore", over="ignore"):  # failed lines carry NaN this far

@@ -32,6 +32,13 @@ class TestSolve:
         assert run(["solve", "--algo", "thomas-pcr", "--tiles", 1,
                     "--batch", 2, "--size", 16]) == 2
 
+    def test_bad_tile_count_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "sol.bin"
+        assert run(["solve", "--algo", "thomas-pcr", "--tiles", 64, "--size", 128,
+                    "--out", out]) == 2
+        assert "every tile needs >= 3" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_deterministic_outputs(self, tmp_path):
         a, b = tmp_path / "a.bin", tmp_path / "b.bin"
         for out in (a, b):
@@ -145,6 +152,11 @@ class TestModel:
     def test_unknown_device_usage_error(self):
         assert run(["model", "--algo", "batched-thomas", "--batch", 10,
                     "--size", 8, "--device", "not-a-device"]) == 2
+
+    def test_bad_tile_count_usage_error(self, capsys):
+        assert run(["model", "--algo", "thomas-pcr", "--batch", 10, "--size", 8,
+                    "--tiles", 4]) == 2
+        assert "below 3 rows" in capsys.readouterr().err
 
     def test_incomplete_device_profile_usage_error(self, tmp_path, capsys):
         path = tmp_path / "card.txt"

@@ -122,25 +122,30 @@ def test_planted_zero_pivot_reported_at_lowest_row_then_line(n, count, precision
                                                              algo, data):
     # x lines of a 2-D mesh: row = x, line = y. A zero row is Thomas's and
     # PCR's first failing pivot, so several plants are reported at the
-    # lowest (row, line); the tiled hybrids check row 0 of a tile after its
-    # other rows, so they get one plant, reported at its global row.
+    # lowest (row, line); the tiled hybrids eliminate tile by tile, a tile's
+    # row 0 after its other rows, and report the first plant in that order.
     tiles = draw_tiles(data, algo, n)
+    size = None if tiles is None else TilePlan(n, tiles).m
+
+    def key(plant):  # a plant's place in elimination order
+        return plant if size is None else (plant[0] // size, plant[0] % size == 0) + plant
+
     rng = np.random.default_rng(seed)
     mesh = Mesh.zeros((n, count), precision=precision)
     mesh.data[:] = rng.standard_normal(mesh.data.shape)
     a, b, c = (Mesh(v.T.reshape(mesh.data.shape).copy(), 2)
                for v in dominant_rows(rng, (n, count), mesh.data.dtype))
     plants = data.draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, count - 1)),
-                               min_size=1, max_size=4 if tiles is None else 1))
+                               min_size=1, max_size=4))
     for row, line in plants:
         for m in (a, b, c):
             m.data[0, 0, line, row] = 0  # a zero row: its pivot is exactly 0
-    row, line = min(plants)
+    row, line = min(plants, key=key)
     try:
         solve_lines(mesh, (a, b, c), "x", algo, tiles=tiles)
     except LineSolveError as exc:
         assert (exc.batch, exc.line) == (0, line)
-        assert exc.__cause__.index == row
+        assert exc.__cause__.index == row and type(exc.__cause__.index) is int
     else:
         raise AssertionError("no LineSolveError")
 
@@ -150,11 +155,12 @@ def test_planted_zero_pivot_reported_at_lowest_row_then_line(n, count, precision
         batch_solve(TridiagonalBatch.from_systems(systems), algo, tiles)
     except BatchSolveError as exc:
         first_row = {}
-        for r, k in sorted(plants, reverse=True):
+        for r, k in sorted(plants, key=key, reverse=True):
             first_row[k] = r
         assert [i for i, _ in exc.failures] == sorted(first_row)
         for i, err in exc.failures:
             assert isinstance(err, ZeroPivot) and err.index == first_row[i]
+            assert type(err.index) is int
     else:
         raise AssertionError("no BatchSolveError")
 

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from tridax import (BatchSolveError, InvalidTilePlan, LineSolveError, MismatchedTiles,
-                    Mesh, NonFiniteSolution, TilePlan, TridiagonalBatch, TridiagonalSystem,
-                    ZeroPivot, assemble_reduced, back_substitute, batch_solve,
-                    dense_oracle_solve, modified_thomas_phase, relative_inf_error,
-                    solve_lines, solve_system)
+                    Mesh, NonFiniteSolution, Precision, TilePlan, TridiagonalBatch,
+                    TridiagonalSystem, ZeroPivot, assemble_reduced, back_substitute,
+                    batch_solve, dense_oracle_solve, modified_thomas_phase,
+                    random_dominant_system, relative_inf_error, solve_lines, solve_system,
+                    tiled)
 from conftest import make_system
 
 
@@ -15,16 +18,16 @@ def identity_system(n, d=None):
 
 
 def tile_system(system, plan):
-    """``modified_thomas_phase`` over every tile of one system, as ``(m, 1)`` blocks."""
-    cols = [v[:, None] for v in (system.a, system.b, system.c, system.d)]
-    return [modified_thomas_phase(*(v[off:off + size] for v in cols))
-            for off, size in zip(plan.offsets, plan.sizes)]
+    """``modified_thomas_phase`` over every tile of one system, as ``(m, 1, 1)`` parts."""
+    cols = [v[:, None, None] for v in (system.a, system.b, system.c, system.d)]
+    return [modified_thomas_phase(*(v[k * plan.m:k * plan.m + size] for v in cols))
+            for k, size in enumerate(plan.sizes)]
 
 
-def solve_reduced(tiles):
-    """Thomas solve of the one-line reduced system, as a ``(2t, 1)`` column."""
+def solve_reduced(tiles, algo="thomas"):
+    """Solve of the one-line reduced system, as a ``(2t, 1)`` column."""
     reduced = TridiagonalSystem(*(v[:, 0] for v in assemble_reduced(tiles)))
-    return solve_system(reduced, "thomas")[:, None]
+    return solve_system(reduced, algo)[:, None]
 
 
 class TestTilePlan:
@@ -32,7 +35,7 @@ class TestTilePlan:
         plan = TilePlan(12, 3)
         assert plan.m == 4
         assert plan.sizes == (4, 4, 4)
-        assert plan.reduced_size == 6
+        assert len(plan.boundary_indices()) == 6
         assert plan.boundary_indices() == [0, 3, 4, 7, 8, 11]
 
     def test_uneven_last_tile_shorter(self):
@@ -72,11 +75,11 @@ class TestModifiedPhase:
         plan = TilePlan(12, 3)
         tiles = tile_system(s, plan)
         for k, tile in enumerate(tiles):
-            off = plan.offsets[k]
+            off = k * plan.m
             size = plan.sizes[k]
             u0, um = u[off], u[off + size - 1]
             for i in range(1, size - 1):
-                rec = tile.d_star[i, 0] - tile.a_star[i, 0] * u0 - tile.c_star[i, 0] * um
+                rec = tile.d_star[i, 0, 0] - tile.a_star[i, 0, 0] * u0 - tile.c_star[i, 0, 0] * um
                 assert rec == pytest.approx(u[off + i], abs=1e-12)
 
     def test_too_small_tile_rejected(self):
@@ -240,3 +243,37 @@ class TestHybridSolvers:
             solve_lines(as_mesh([sys_.d for sys_ in systems]), coeffs, "x", algo, tiles=tiles)
         assert (err.value.batch, err.value.line) == (0, 1)
         assert err.value.__cause__.index == row
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(6, 200), st.sampled_from(["thomas-thomas", "thomas-pcr"]),
+       st.sampled_from([Precision.FP32, Precision.FP64]), st.integers(0, 2**32 - 1), st.data())
+def test_kernel_matches_tile_by_tile_steps(n, algo, precision, seed, data):
+    # an independent reference: the public steps composed one tile at a time
+    t = data.draw(st.integers(2, n // 3), label="tiles")
+    try:
+        plan = TilePlan(n, t)
+    except InvalidTilePlan:
+        assume(False)
+    s = random_dominant_system(n, np.random.default_rng(seed), precision)
+    tiles = tile_system(s, plan)
+    steps = back_substitute(tiles, solve_reduced(tiles, algo.split("-")[1]))[:, 0]
+    assert np.array_equal(solve_system(s, algo, t), steps)
+
+
+@pytest.mark.parametrize("t", [2, 8, 64])
+@pytest.mark.parametrize("divides", [True, False])
+def test_one_phase_call_per_run_of_equal_tiles(monkeypatch, t, divides):
+    # every full tile of every line in one call, the short last tile in a second
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return modified_thomas_phase(*args)
+
+    monkeypatch.setattr(tiled, "modified_thomas_phase", counted)
+    n = 6 * t if divides else 6 * t - 3
+    assert (n % t == 0) == divides
+    batch = TridiagonalBatch.from_systems(make_system(n, seed) for seed in range(3))
+    batch_solve(batch, "thomas-pcr", t)
+    assert len(calls) == (1 if divides else 2)
