@@ -16,8 +16,10 @@ The package splits into:
   sweep's working set, a kernel over the same ``(n, lines)`` arrays that
   eliminates every tile of every line as one more line;
 - :mod:`tridax.mesh` — batched 2-D/3-D mesh container, whole-axis line
-  sweeps through an ``(n, lines)`` view, binary mesh format;
-- :mod:`tridax.adi` — ADI heat-diffusion drivers with traffic accounting;
+  sweeps on lines gathered into a contiguous ``(n, lines)`` array, binary
+  mesh format;
+- :mod:`tridax.adi` — ADI heat-diffusion drivers with traffic accounting,
+  running on one workspace per run;
 - :mod:`tridax.perfmodel` — latency/memory models per design point and a
   design-space enumerator;
 - :mod:`tridax.cli` — the ``tridax`` command."""
@@ -29,7 +31,8 @@ from .errors import (BatchSolveError, InfeasibleDesign, InvalidTilePlan,
                      LineSolveError, MismatchedTiles, NoFeasibleDesign,
                      NonFiniteSolution, SingularMatrix, TridaxError, ZeroDuration,
                      ZeroPivot)
-from .mesh import Axis, Mesh, axis_lines, read_mesh, solve_lines, write_mesh
+from .mesh import (Axis, Mesh, axis_lines, gather_lines, read_mesh, scatter_lines, solve_lines,
+                   write_mesh)
 from .adi import AdiConfig, RunReport, adi_rhs, adi_run, effective_bandwidth
 from .precision import Precision
 from .tiled import (ModifiedTileResult, TilePlan, assemble_reduced, back_substitute,
@@ -42,7 +45,8 @@ __all__ = [
     "solve_system", "batch_solve", "dense_oracle_solve", "residual_max_norm",
     "random_dominant_system", "relative_inf_error", "TilePlan",
     "ModifiedTileResult", "modified_thomas_phase", "assemble_reduced",
-    "back_substitute", "Mesh", "Axis", "axis_lines", "solve_lines",
+    "back_substitute", "Mesh", "Axis", "axis_lines", "gather_lines", "scatter_lines",
+    "solve_lines",
     "read_mesh", "write_mesh", "AdiConfig", "RunReport", "adi_rhs", "adi_run",
     "effective_bandwidth", "TridaxError", "ZeroPivot", "SingularMatrix",
     "InvalidTilePlan", "MismatchedTiles", "LineSolveError", "BatchSolveError",

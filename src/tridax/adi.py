@@ -16,6 +16,17 @@ values never change (Dirichlet, taken from the initial field). The
 ``literal_coefficients`` flag switches the sweep diagonal to the bare
 ``gamma`` form for model-comparison runs; that variant is not a consistent
 time step and is off by default.
+
+``adi_rhs`` and :func:`tridax.mesh.solve_lines` are the phases as
+standalone steps. ``adi_run`` computes the same bits on a workspace that
+lasts the run, the host form of the paper's data flow, where coefficients
+are generated once and no intermediate mesh is stored: each axis's
+profile is factored once, before the first iteration, so every sweep is
+only the substitution; the stencil writes into one right-hand-side mesh
+``d``; each sweep gathers its lines into one mesh-sized buffer (which
+also holds the stencil's term), solves them there and scatters them back
+into ``d``; and the update adds ``d`` into the run's own copy of the
+field in place.
 """
 
 from __future__ import annotations
@@ -26,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ZeroDuration
-from .mesh import Mesh, solve_lines
+from .mesh import Mesh, factor_lines, sweep_lines
 from .precision import Precision
 
 REPORT_SCHEMA = "tridax.report.v1"
@@ -133,35 +144,69 @@ def effective_bandwidth(nbytes: float, seconds: float) -> float:
     return nbytes / seconds / 1e9
 
 
+def _stencil(arr: np.ndarray, ndim: int, gamma, d: np.ndarray, tmp: np.ndarray) -> None:
+    """Write the right-hand side of field ``arr`` into ``d``: the scaled
+    second-difference sum at interior points, zero on the boundary.
+
+    Both arrays are C-contiguous ``(batch, z, y, x)``; ``tmp`` is a
+    C-contiguous buffer of at least ``arr.size`` elements. Neighbors are
+    flat offsets (1 for x, ``x`` for y, ``x*y`` for z), so every operation
+    runs on one contiguous range. The range also covers boundary points,
+    where the offsets reach across a row or a mesh; every boundary face,
+    which also holds the points outside the range, is then overwritten
+    with zeros. Each point's terms are summed in one fixed order, whatever
+    the buffers.
+    """
+    dtype = arr.dtype
+    two = dtype.type(2)
+    _, _, y, x = arr.shape
+    steps = (1, x) if ndim == 2 else (1, x, x * y)
+    flat = arr.reshape(-1)
+    lo, hi = steps[-1], max(steps[-1], arr.size - steps[-1])
+    ctr, acc, term = flat[lo:hi], d.reshape(-1)[lo:hi], tmp.reshape(-1)[:hi - lo]
+    with np.errstate(over="ignore", invalid="ignore"):  # boundary values are discarded
+        for k, step in enumerate(steps):
+            dest = acc if k == 0 else term
+            np.multiply(two, ctr, out=dest)
+            np.subtract(flat[lo - step:hi - step], dest, out=dest)
+            np.add(dest, flat[lo + step:hi + step], out=dest)
+            if k:
+                np.add(acc, term, out=acc)
+        np.multiply(dtype.type(gamma), acc, out=acc)
+    for dim in range(4 - ndim, 4):
+        face = [slice(None)] * 4
+        for end in (0, -1):
+            face[dim] = end
+            d[tuple(face)] = 0
+
+
+def _check_finite(arr: np.ndarray) -> None:
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("field contains non-finite values")
+
+
 def adi_rhs(u: Mesh, cfg: AdiConfig) -> Mesh:
     """Explicit stencil phase: returns the right-hand side mesh ``d``.
 
     ``d`` is the scaled sum of per-axis second differences at interior
     points and zero on every boundary point.
     """
-    arr = u.data
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("field contains non-finite values")
-    dtype = arr.dtype
-    gm = dtype.type(cfg.gamma)
-    two = dtype.type(2)
-    d = Mesh(np.zeros_like(arr), u.spatial_ndim)
-    if u.spatial_ndim == 2:
-        core = (slice(None), slice(0, 1), slice(1, -1), slice(1, -1))
-    else:
-        core = (slice(None), slice(1, -1), slice(1, -1), slice(1, -1))
-    cz, cy, cx = core[1], core[2], core[3]
-    ctr = arr[:, cz, cy, cx]
-    acc = (arr[:, cz, cy, :-2] - two * ctr) + arr[:, cz, cy, 2:]
-    acc = acc + ((arr[:, cz, :-2, cx] - two * ctr) + arr[:, cz, 2:, cx])
-    if u.spatial_ndim == 3:
-        acc = acc + ((arr[:, :-2, cy, cx] - two * ctr) + arr[:, 2:, cy, cx])
-    d.data[core] = gm * acc
+    _check_finite(u.data)
+    arr = np.ascontiguousarray(u.data)
+    d = Mesh(np.empty_like(arr), u.spatial_ndim)
+    _stencil(arr, u.spatial_ndim, cfg.gamma, d.data, np.empty_like(arr))
     return d
 
 
 def adi_run(u0: Mesh, cfg: AdiConfig) -> tuple[Mesh, RunReport]:
     """Run ``n_iter`` steps, accounting wall time and logical traffic.
+
+    The result is that of :func:`adi_rhs`, one
+    :func:`tridax.mesh.solve_lines` per axis and ``u + d`` per iteration,
+    bit for bit, computed on the run's workspace (see the module
+    docstring); ``u0`` is left untouched. A sweep profile with a failing
+    pivot raises :class:`tridax.errors.LineSolveError`, naming the axis
+    and every line, before the first iteration.
 
     Per iteration the stencil phase reads one mesh and writes one; each
     sweep reads and writes one mesh (its coefficients are one profile per
@@ -173,32 +218,37 @@ def adi_run(u0: Mesh, cfg: AdiConfig) -> tuple[Mesh, RunReport]:
         "precision": cfg.precision.value, "dims": list(u0.dims),
         "batch": u0.batch, "literal_coefficients": cfg.literal_coefficients,
     })
-    u = u0.astype(cfg.precision) if u0.precision is not cfg.precision else u0.copy()
+    u = Mesh(u0.data.astype(cfg.precision.dtype, order="C"), u0.spatial_ndim)  # the run's own copy
+    arr = u.data
     mesh_bytes = u.nbytes
     axes = u.solved_axes()
-    profiles = {axis: cfg.line_coefficients(u.extent(axis), u.data.dtype) for axis in axes}
+    factors = {axis: factor_lines(u, cfg.line_coefficients(u.extent(axis), arr.dtype), axis)
+               for axis in axes}
+    d = np.empty_like(arr)
+    work = np.empty(arr.size, dtype=arr.dtype)
     step_start = time.perf_counter()
     for it in range(cfg.n_iter):
         t0 = time.perf_counter()
-        d = adi_rhs(u, cfg)
+        _check_finite(arr)
+        _stencil(arr, u.spatial_ndim, cfg.gamma, d, work)
         t1 = time.perf_counter()
         rhs = report.phase("rhs")
         rhs.seconds += t1 - t0
         rhs.bytes += 2 * mesh_bytes
         for axis in axes:
             t0 = time.perf_counter()
-            solve_lines(d, profiles[axis], axis, "thomas", out=d)
+            sweep_lines(d, factors[axis], axis, work.reshape(u.extent(axis), -1))
             t1 = time.perf_counter()
             sweep = report.phase(f"sweep_{axis.value}")
             sweep.seconds += t1 - t0
             sweep.bytes += 2 * mesh_bytes
         t0 = time.perf_counter()
-        u = Mesh(u.data + d.data, u.spatial_ndim)
+        np.add(arr, d, out=arr)
         t1 = time.perf_counter()
         upd = report.phase("update")
         upd.seconds += t1 - t0
         upd.bytes += 3 * mesh_bytes
-        report.delta_inf.append(d.max_abs())
+        report.delta_inf.append(float(np.abs(d, out=work.reshape(d.shape)).max()))
         if (it + 1) % cfg.unroll == 0 or it + 1 == cfg.n_iter:
             now = time.perf_counter()
             report.steps.append({"iterations": it + 1, "seconds": now - step_start})

@@ -18,7 +18,10 @@ this module or to the tiled hybrids' kernel in :mod:`tridax.tiled`. A
 batch stores ``(count, n)`` arrays and is solved through their transposed
 views; a single system is a one-line call. Every line runs the same
 operation sequence, so scalar, batched and sweep results are bitwise
-identical.
+identical. The Thomas kernel is the composition of ``_thomas_factor``,
+the elimination of the coefficients alone, and ``_thomas_substitute``,
+its application to right-hand sides; repeated sweeps with one shared
+profile (:func:`tridax.mesh.factor_lines`) factor it once.
 """
 
 from __future__ import annotations
@@ -328,26 +331,56 @@ def _check(u: np.ndarray, failed) -> np.ndarray:
     raise first
 
 
-def _thomas_kernel(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray):
-    """Forward elimination and back substitution, O(n) per line."""
-    n = d.shape[0]
+def _thomas_factor(a: np.ndarray, b: np.ndarray, c: np.ndarray):
+    """Forward elimination of the coefficients alone, done once for any
+    number of right-hand sides.
+
+    ``a``, ``b``, ``c`` are ``(n, lines)``, ``(n, 1)`` or ``(n,)``; the
+    last form's rows are scalars, the cheapest operand for the
+    substitution. Returns ``(a, cs, den)`` and the failed-pivot mask.
+    ``den[0]`` stays ``b[0]``, row 0's divisor; once the mask is taken,
+    rows ``1..n-1`` hold ``1/den``, each row's multiplier.
+    """
+    n = b.shape[0]
     one = b.dtype.type(1)
     shape = np.broadcast_shapes(a.shape, b.shape, c.shape)
     cs = np.empty(shape, dtype=b.dtype)
     den = np.empty(shape, dtype=b.dtype)
-    u = np.empty(np.broadcast_shapes(shape, d.shape), dtype=b.dtype)  # ds, then u
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         den[0] = b[0]
-        u[0] = d[0] / b[0]
         cs[0] = c[0] / b[0]
         for i in range(1, n):
             den[i] = b[i] - a[i] * cs[i - 1]
-            r = one / den[i]
-            u[i] = r * (d[i] - a[i] * u[i - 1])
-            cs[i] = r * c[i]
+            cs[i] = (one / den[i]) * c[i]
+        failed = _failed_pivots(den)
+        np.divide(one, den[1:], out=den[1:])
+    return (a, cs, den), failed
+
+
+def _thomas_substitute(factor, d: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Solve ``(n, lines)`` right-hand sides ``d`` with a ``_thomas_factor``
+    factor into ``out``, which may be ``d``; one row temporary."""
+    a, cs, den = factor
+    n = d.shape[0]
+    row = np.empty(out.shape[1:], dtype=out.dtype)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        np.divide(d[0], den[0], out=out[0])
+        for i in range(1, n):
+            np.multiply(a[i], out[i - 1], out=row)
+            np.subtract(d[i], row, out=row)
+            np.multiply(den[i], row, out=out[i])
         for i in range(n - 2, -1, -1):
-            u[i] -= cs[i] * u[i + 1]
-    return u, [(_failed_pivots(den), range(n))]
+            np.multiply(cs[i], out[i + 1], out=row)
+            np.subtract(out[i], row, out=out[i])
+    return out
+
+
+def _thomas_kernel(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray):
+    """Forward elimination and back substitution, O(n) per line: the factor,
+    then the substitution."""
+    factor, failed = _thomas_factor(a, b, c)
+    u = np.empty(np.broadcast_shapes(failed.shape, d.shape), dtype=b.dtype)
+    return _thomas_substitute(factor, d, u), [(failed, range(d.shape[0]))]
 
 
 def _shift(arr: np.ndarray, offset: int) -> np.ndarray:

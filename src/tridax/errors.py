@@ -59,13 +59,23 @@ class MismatchedTiles(TridaxError):
 
 
 class LineSolveError(TridaxError):
-    """A per-line solve failed inside a mesh sweep; identifies the line."""
+    """Line solves failed inside a mesh sweep; identifies the lines.
 
-    def __init__(self, batch: int, line: int, axis: str):
+    ``batch`` and ``line`` name the sweep's first failure, the mesh and its
+    line that the cause (a :class:`ZeroPivot` or :class:`NonFiniteSolution`)
+    names; ``failures`` lists every failing ``(mesh, line)`` pair in
+    ascending order.
+    """
+
+    def __init__(self, batch: int, line: int, axis: str, failures=None):
         self.batch = batch
         self.line = line
         self.axis = axis
-        super().__init__(f"solve failed on axis {axis}, mesh {batch}, line {line}")
+        self.failures = [(batch, line)] if failures is None else list(failures)
+        message = f"solve failed on axis {axis}, mesh {batch}, line {line}"
+        if len(self.failures) > 1:
+            message += f" ({len(self.failures)} lines failed)"
+        super().__init__(message)
 
 
 class BatchSolveError(TridaxError):

@@ -3,11 +3,20 @@
 Storage is x-contiguous row-major per mesh: element ``(b, i, j, k)`` lives
 at flat offset ``b*x*y*z + k*x*y + j*x + i``, i.e. the data array is shaped
 ``(batch, z, y, x)`` in C order. Lines along one axis form a batch of
-independent tridiagonal systems. A sweep views the whole axis as one
-``(n, lines)`` array (row i of every line side by side, the kernels' input
-form), solves it in one kernel call and writes the result back through the
-same view. Lines are numbered per mesh in sweep order:
+independent tridiagonal systems, numbered per mesh in sweep order:
 x lines by (z, y), y lines by (z, x), z lines by (y, x).
+
+A sweep gathers the whole axis into one contiguous ``(n, lines)`` array
+(row i of every line side by side, the kernels' input form), solves it in
+one kernel call and scatters the result back. Y and z lines keep x
+contiguous, so their gather is a plain copy. X lines lie along the
+storage rows, so their gather is a transpose, done in cache-sized blocks
+of ``LINE_BLOCK`` lines, and the scatter transposes back the same way; the
+kernel then reads every row contiguously instead of with a stride of ``x``
+elements. :func:`solve_lines` is the entry point for one axis;
+:func:`factor_lines` and :func:`sweep_lines` split a Thomas sweep with a
+profile shared by every line into a factor, made once, and a
+substitution per right-hand side, for repeated sweeps such as ADI's.
 """
 
 from __future__ import annotations
@@ -113,22 +122,58 @@ class Mesh:
 
 
 _STORAGE_DIM = {Axis.X: 3, Axis.Y: 2, Axis.Z: 1}  # axis position in (batch, z, y, x)
+LINE_BLOCK = 64  # x lines per block of the gather and scatter transposes
 
 
 def axis_lines(data: np.ndarray, axis: Axis) -> np.ndarray:
     """``(n, lines)`` array of every line along ``axis``, in sweep order.
 
-    A view where the storage allows it (x lines), otherwise a copy.
+    This is the addressing of the lines: a view where the storage allows
+    it, which for x lines reads each row with a stride of ``x`` elements.
+    Sweeps do not solve on it; they solve on :func:`gather_lines`'s
+    contiguous copy of the same array.
     """
     dim = _STORAGE_DIM[axis]
     return np.moveaxis(data, dim, 0).reshape(data.shape[dim], -1)
+
+
+def gather_lines(data: np.ndarray, axis: Axis, out: np.ndarray | None = None) -> np.ndarray:
+    """Contiguous ``(n, lines)`` copy of :func:`axis_lines`, into ``out`` if given.
+
+    ``out`` must be a C-contiguous ``(n, lines)`` array. X lines are
+    stored along the rows of the mesh, so their gather is a transpose,
+    done in blocks of ``LINE_BLOCK`` lines that stay in cache; y and z
+    lines keep x contiguous and are copied as they lie.
+    """
+    view = np.moveaxis(data, _STORAGE_DIM[axis], 0)
+    if out is None:
+        out = np.empty((view.shape[0], data.size // view.shape[0]), dtype=data.dtype)
+    if axis is Axis.X and data.flags.c_contiguous:
+        rows = data.reshape(-1, view.shape[0])
+        for lo in range(0, rows.shape[0], LINE_BLOCK):
+            out[:, lo:lo + LINE_BLOCK] = rows[lo:lo + LINE_BLOCK].T
+    else:
+        out.reshape(view.shape)[...] = view
+    return out
+
+
+def scatter_lines(lines: np.ndarray, data: np.ndarray, axis: Axis) -> None:
+    """Write ``(n, lines)`` line values back into ``data``: the inverse of
+    :func:`gather_lines`, blocked the same way."""
+    view = np.moveaxis(data, _STORAGE_DIM[axis], 0)
+    if axis is Axis.X and data.flags.c_contiguous:
+        rows = data.reshape(-1, view.shape[0])
+        for lo in range(0, rows.shape[0], LINE_BLOCK):
+            rows[lo:lo + LINE_BLOCK] = lines[:, lo:lo + LINE_BLOCK].T
+    else:
+        view[...] = lines.reshape(view.shape)
 
 
 def _line_coefficient(entry, mesh: Mesh, axis: Axis) -> np.ndarray:
     """The kernel form of one ``solve_lines`` coefficient entry.
 
     Every entry is taken in the swept mesh's dtype. A mesh shaped like
-    ``mesh`` gives its ``(n, lines)`` axis view; a vector of the axis
+    ``mesh`` gives its gathered ``(n, lines)`` lines; a vector of the axis
     length gives the ``(n, 1)`` profile every line shares. Any other shape
     raises ``ValueError``.
     """
@@ -136,13 +181,28 @@ def _line_coefficient(entry, mesh: Mesh, axis: Axis) -> np.ndarray:
         if entry.data.shape != mesh.data.shape:
             raise ValueError(f"coefficient mesh has shape {entry.data.shape}, "
                              f"expected the swept mesh's {mesh.data.shape}")
-        return np.asarray(axis_lines(entry.data, axis), dtype=mesh.data.dtype)
+        return np.asarray(gather_lines(entry.data, axis), dtype=mesh.data.dtype)
+    return _profile(entry, mesh, axis)[:, None]
+
+
+def _profile(entry, mesh: Mesh, axis: Axis) -> np.ndarray:
+    """A coefficient vector of ``axis``'s length in ``mesh``'s dtype; any
+    other shape raises ``ValueError``."""
     profile = np.asarray(entry, dtype=mesh.data.dtype)
     n = mesh.extent(axis)
     if profile.shape != (n,):
         raise ValueError(f"coefficient profile has shape {profile.shape}, "
                          f"expected ({n},) for axis {axis.value}")
-    return profile[:, None]
+    return profile
+
+
+def _line_error(exc: ZeroPivot | NonFiniteSolution, batch: int, lines: int,
+                axis: Axis) -> LineSolveError:
+    """The :class:`LineSolveError` for a failed kernel call over ``lines``
+    lines of ``batch`` meshes, naming every failing (mesh, line)."""
+    per_mesh = lines // batch
+    return LineSolveError(exc.line // per_mesh, exc.line % per_mesh, axis.value,
+                          [divmod(k, per_mesh) for k in exc.lines.tolist()])
 
 
 def solve_lines(mesh: Mesh, coefficients: tuple, axis, algo: str = "thomas",
@@ -158,9 +218,9 @@ def solve_lines(mesh: Mesh, coefficients: tuple, axis, algo: str = "thomas",
     by every line. Entries are taken in the mesh's dtype, so the arithmetic
     and the pivot floor follow the swept mesh. Every algorithm, the tiled
     hybrids included, solves the whole axis in one ``kernel(a, b, c, d)``
-    call. A failure raises :class:`LineSolveError` naming the mesh and
-    line. ``out`` may alias ``mesh`` for an in-place update; by default a
-    new mesh is returned.
+    call on the gathered lines. A failure raises :class:`LineSolveError`
+    naming every failing mesh and line. ``out`` may alias ``mesh`` for an
+    in-place update; by default a new mesh is returned.
     """
     axis = Axis.parse(axis)
     if axis is Axis.Z and mesh.spatial_ndim == 2:
@@ -170,18 +230,51 @@ def solve_lines(mesh: Mesh, coefficients: tuple, axis, algo: str = "thomas",
     elif out.data.shape != mesh.data.shape:
         raise ValueError("destination mesh shape differs from source")
 
-    d = axis_lines(mesh.data, axis)
     a, b, c = (_line_coefficient(entry, mesh, axis) for entry in coefficients)
+    d = gather_lines(mesh.data, axis)
     kernel = core._kernel(algo, tiles)
     try:
         u = kernel(a, b, c, d)
     except (ZeroPivot, NonFiniteSolution) as exc:
-        lines_per_mesh = d.shape[1] // mesh.batch
-        raise LineSolveError(exc.line // lines_per_mesh, exc.line % lines_per_mesh,
-                             axis.value) from exc
-    dest = np.moveaxis(out.data, _STORAGE_DIM[axis], 0)  # the view axis_lines reshapes
-    dest[...] = u.reshape(dest.shape)
+        raise _line_error(exc, mesh.batch, d.shape[1], axis) from exc
+    scatter_lines(u, out.data, axis)
     return out
+
+
+def factor_lines(mesh: Mesh, profile: tuple, axis: Axis):
+    """Thomas factor of the ``(a, b, c)`` vectors of ``axis``'s length
+    shared by every line of ``mesh`` along it, for :func:`sweep_lines`.
+
+    The factor is kept as vectors, so the substitution reads each of its
+    rows as one scalar. Raises :class:`LineSolveError` naming every line
+    when a pivot fails.
+    """
+    a, b, c = (_profile(entry, mesh, axis) for entry in profile)
+    factor, failed = core._thomas_factor(a, b, c)
+    lines = mesh.points // mesh.extent(axis)
+    no_rows = np.empty((0, lines), dtype=mesh.data.dtype)  # so the check covers pivots alone
+    try:
+        core._check(no_rows, [(failed[:, None], range(len(failed)))])
+    except ZeroPivot as exc:
+        raise _line_error(exc, mesh.batch, lines, axis) from exc
+    return factor
+
+
+def sweep_lines(data: np.ndarray, factor, axis: Axis, work: np.ndarray) -> None:
+    """Solve every line of ``data`` along ``axis`` in place with a
+    :func:`factor_lines` factor, on the lines gathered into ``work``, a
+    C-contiguous ``(n, lines)`` buffer of ``data``'s dtype.
+
+    Raises :class:`LineSolveError` naming every line whose solution is not
+    finite; ``data`` is then left as it was.
+    """
+    lines = gather_lines(data, axis, out=work)
+    core._thomas_substitute(factor, lines, lines)
+    try:
+        core._check(lines, [])
+    except NonFiniteSolution as exc:
+        raise _line_error(exc, data.shape[0], lines.shape[1], axis) from exc
+    scatter_lines(lines, data, axis)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from tridax import (AdiConfig, Mesh, Precision, ZeroDuration, adi_rhs, adi_run,
-                    effective_bandwidth)
+from tridax import (AdiConfig, LineSolveError, Mesh, Precision, ZeroDuration, ZeroPivot,
+                    adi_rhs, adi_run, effective_bandwidth)
 from tridax.adi import logical_bytes_per_iteration
 from tridax.reference import naive_adi_run
 
@@ -183,6 +183,24 @@ class TestRun:
         got, _ = adi_run(u0, cfg)
         ref = naive_adi_run(u0.data, 0.5, 2, literal_coefficients=True)
         assert np.max(np.abs(got.data - ref)) <= 1e-12
+
+
+    def test_failing_profile_raises_before_first_iteration(self):
+        class ZeroPivotOnY(AdiConfig):
+            def line_coefficients(self, n, dtype):
+                a, b, c = super().line_coefficients(n, dtype)
+                if n == 9:  # the y profile: a zero row 4
+                    a[4] = b[4] = c[4] = 0
+                return a, b, c
+
+        u0 = full_random((6, 9), batch=2, seed=15)
+        u0.data[0, 0, 3, 3] = np.nan  # the first iteration would raise ValueError
+        with pytest.raises(LineSolveError) as err:
+            adi_run(u0, ZeroPivotOnY(gamma=0.5, n_iter=2))
+        assert (err.value.axis, err.value.batch, err.value.line) == ("y", 0, 0)
+        assert err.value.failures == [(k, line) for k in range(2) for line in range(6)]
+        assert isinstance(err.value.__cause__, ZeroPivot)
+        assert err.value.__cause__.index == 4
 
 
 class TestEffectiveBandwidth:

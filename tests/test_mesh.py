@@ -5,7 +5,9 @@ import pytest
 
 from tridax import (Axis, LineSolveError, Mesh, NonFiniteSolution, Precision,
                     TridiagonalBatch, TridiagonalSystem, ZeroPivot, axis_lines, batch_solve,
-                    read_mesh, solve_lines, solve_system, write_mesh)
+                    gather_lines, read_mesh, scatter_lines, solve_lines, solve_system,
+                    write_mesh)
+from tridax.mesh import factor_lines, sweep_lines
 
 STORAGE_DIM = {"x": 3, "y": 2, "z": 1}  # axis position in (batch, z, y, x)
 
@@ -96,6 +98,20 @@ class TestGatherScatter:
             lines = axis_lines(mesh.data, axis)
             assert lines.shape == (mesh.extent(axis), mesh.points // mesh.extent(axis))
             assert np.array_equal(np.sort(lines, axis=None), np.arange(mesh.points))
+
+    @pytest.mark.parametrize("dims,batch", [((7, 65), 2), ((3, 5, 13), 1), ((130, 1), 1),
+                                            ((4, 64), 1)])
+    def test_gather_scatter_round_trip(self, dims, batch):
+        # 130, 65, 1 and 64 x lines: whole, partial and single transpose blocks
+        mesh = random_mesh(dims, batch=batch, seed=21)
+        for data in (mesh.data, np.asfortranarray(mesh.data)):
+            for axis in mesh.solved_axes():
+                lines = gather_lines(data, axis)
+                assert lines.flags.c_contiguous
+                assert np.array_equal(lines, axis_lines(data, axis))
+                back = np.zeros_like(data)
+                scatter_lines(lines, back, axis)
+                assert np.array_equal(back, data)
 
     def test_sweep_order_per_mesh(self):
         # x lines by (batch, z, y), y lines by (batch, z, x), z lines by (batch, y, x)
@@ -232,6 +248,53 @@ class TestSolveLines:
             solve_lines(mesh, dominant_profile(16, mesh, "y"), "y", algo, tiles=3)
         assert (err.value.batch, err.value.line, err.value.axis) == (1, 7, "y")
         assert isinstance(err.value.__cause__, NonFiniteSolution)
+
+
+    @pytest.mark.parametrize("algo", ["thomas", "pcr", "thomas-thomas", "thomas-pcr"])
+    def test_every_failing_line_named(self, algo):
+        # zero rows on x line 2 of mesh 0 and lines 1 and 4 of mesh 2; the
+        # first failure is the lowest row, 1, on mesh 2's line 1
+        mesh = random_mesh((6, 3, 2), batch=3, seed=24)
+        coeffs = profile_meshes(dominant_profile(25, mesh, "x"), mesh, "x")
+        for k, z, y, row in [(0, 0, 2, 3), (2, 0, 1, 1), (2, 1, 1, 5)]:
+            for m in coeffs:
+                m.data[k, z, y, row] = 0.0
+        with pytest.raises(LineSolveError) as err:
+            solve_lines(mesh, coeffs, "x", algo, tiles=2)
+        assert err.value.failures == [(0, 2), (2, 1), (2, 4)]
+        assert (err.value.batch, err.value.line, err.value.axis) == (2, 1, "x")
+
+
+class TestFactoredSweep:
+    @pytest.mark.parametrize("axis", ["x", "y", "z"])
+    @pytest.mark.parametrize("precision", [Precision.FP32, Precision.FP64])
+    def test_equals_solve_lines_bitwise(self, axis, precision):
+        mesh = random_mesh((9, 37, 2), batch=2, seed=26, precision=precision)  # 148 x lines
+        ax = Axis.parse(axis)
+        profile = dominant_profile(27, mesh, axis)
+        data = mesh.data.copy()
+        work = np.empty((mesh.extent(ax), mesh.points // mesh.extent(ax)), data.dtype)
+        sweep_lines(data, factor_lines(mesh, profile, ax), ax, work)
+        assert data.tobytes() == solve_lines(mesh, profile, axis).data.tobytes()
+
+    def test_non_finite_lines_named_and_data_kept(self):
+        mesh = random_mesh((5, 4), batch=2, seed=28)
+        mesh.data[1, 0, 2, 3] = np.inf  # x line 2 of mesh 1
+        data = mesh.data.copy()
+        factor = factor_lines(mesh, dominant_profile(29, mesh, "x"), Axis.X)
+        with pytest.raises(LineSolveError) as err:
+            sweep_lines(data, factor, Axis.X, np.empty((5, 8)))
+        assert err.value.failures == [(1, 2)]
+        assert isinstance(err.value.__cause__, NonFiniteSolution)
+        assert np.array_equal(data, mesh.data)
+
+    def test_failed_pivot_names_every_line(self):
+        mesh = random_mesh((4, 3), batch=2, seed=30)
+        with pytest.raises(LineSolveError) as err:
+            factor_lines(mesh, (np.zeros(3), np.array([1.0, 0.0, 1.0]), np.zeros(3)), Axis.Y)
+        assert (err.value.batch, err.value.line, err.value.axis) == (0, 0, "y")
+        assert err.value.failures == [(k, line) for k in range(2) for line in range(4)]
+        assert err.value.__cause__.index == 1
 
 
 class TestMeshIo:

@@ -1,18 +1,24 @@
 """Property tests: scalar, batched and mesh-sweep solves agree bit for bit
-for every algorithm and tile count, a planted zero pivot is reported at its
-row and line, and a batch's failures are each system's own."""
+for every algorithm and tile count and leave a small residual, a planted
+zero pivot is reported at its row and line, a batch's failures are each
+system's own, and an ADI run is its public steps composed by hand."""
 
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from tridax import (BatchSolveError, InvalidTilePlan, LineSolveError, Mesh, NonFiniteSolution,
-                    Precision, TilePlan, TridiagonalBatch, TridiagonalSystem, ZeroPivot,
-                    batch_solve, random_dominant_system, solve_lines, solve_system)
+from tridax import (AdiConfig, BatchSolveError, InvalidTilePlan, LineSolveError, Mesh,
+                    NonFiniteSolution, Precision, TilePlan, TridiagonalBatch,
+                    TridiagonalSystem, ZeroPivot, adi_rhs, adi_run, batch_solve,
+                    random_dominant_system, residual_max_norm, solve_lines, solve_system)
 from tridax.core import SOLVER_NAMES
 
 STORAGE_DIM = {"x": 3, "y": 2, "z": 1}  # axis position in (batch, z, y, x)
 SETTINGS = settings(max_examples=40, deadline=None)
+# Residual bound in units of eps * max row sum of |A| * max |d|. The systems
+# here are dominant by a margin of at least 1, so |u| <= |d|; the worst
+# seen over 400 random batches of every algorithm was about 1 (PCR).
+RESIDUAL_EPS = 8
 
 precisions = st.sampled_from([Precision.FP32, Precision.FP64])
 seeds = st.integers(0, 2**32 - 1)
@@ -62,6 +68,14 @@ def meshes(draw):
     return mesh, axis, rng
 
 
+def assert_small_residual(batch, u):
+    """``residual_max_norm`` of ``(count, n)`` solutions within the stated bound."""
+    scale = (np.max(np.abs(batch.a) + np.abs(batch.b) + np.abs(batch.c))
+             * np.max(np.abs(batch.d)))
+    bound = RESIDUAL_EPS * np.finfo(batch.b.dtype).eps * float(scale)
+    assert residual_max_norm(batch, u) <= bound
+
+
 def axis_view(mesh, axis):
     return np.moveaxis(mesh.data, STORAGE_DIM[axis], 0)
 
@@ -83,8 +97,10 @@ def per_line_solve(mesh, axis, a, b, c, algo="thomas", tiles=None):
 def test_batch_equals_scalar_bitwise(case, algo, data):
     systems, batch = case
     tiles = draw_tiles(data, algo, batch.n)
-    for s, u in zip(systems, batch_solve(batch, algo, tiles)):
+    solutions = batch_solve(batch, algo, tiles)
+    for s, u in zip(systems, solutions):
         assert np.array_equal(u, solve_system(s, algo, tiles))
+    assert_small_residual(batch, np.stack(solutions))
 
 
 @SETTINGS
@@ -98,6 +114,9 @@ def test_sweep_equals_per_line_scalar_bitwise(case, algo, data):
         axis_view(m, axis)[...] = v
     got = solve_lines(mesh, tuple(coeffs), axis, algo, tiles=tiles)
     assert np.array_equal(got.data, per_line_solve(mesh, axis, *coeffs, algo, tiles).data)
+    n = axis_view(mesh, axis).shape[0]
+    systems = TridiagonalBatch(*(axis_view(m, axis).reshape(n, -1).T for m in (*coeffs, mesh)))
+    assert_small_residual(systems, axis_view(got, axis).reshape(n, -1).T)
 
 
 @SETTINGS
@@ -145,6 +164,7 @@ def test_planted_zero_pivot_reported_at_lowest_row_then_line(n, count, precision
         solve_lines(mesh, (a, b, c), "x", algo, tiles=tiles)
     except LineSolveError as exc:
         assert (exc.batch, exc.line) == (0, line)
+        assert exc.failures == [(0, k) for k in sorted({k for _, k in plants})]
         assert exc.__cause__.index == row and type(exc.__cause__.index) is int
     else:
         raise AssertionError("no LineSolveError")
@@ -200,3 +220,45 @@ def test_batch_failures_match_each_systems_own_solve(n, count, precision, seed, 
             assert np.array_equal(exc.solutions[k], u)
     else:
         raise AssertionError("no BatchSolveError")
+
+
+def composed_adi(u0, cfg):
+    """An ADI run as its public steps: ``adi_rhs``, ``solve_lines`` per axis,
+    ``u + d``; also every iteration's max |d|."""
+    u = u0.astype(cfg.precision)
+    deltas = []
+    for _ in range(cfg.n_iter):
+        d = adi_rhs(u, cfg)
+        for axis in u.solved_axes():
+            solve_lines(d, cfg.line_coefficients(u.extent(axis), u.data.dtype), axis, out=d)
+        u = Mesh(u.data + d.data, u.spatial_ndim)
+        deltas.append(d.max_abs())
+    return u, deltas
+
+
+@SETTINGS
+@given(st.data())
+def test_adi_run_equals_composed_steps_bitwise(data):
+    # x extents reach 3 and y extents 70, so x line counts cross the
+    # gather's 64-line blocks at counts 64 does not divide
+    ndim = data.draw(st.sampled_from([2, 3]), label="ndim")
+    dims = (data.draw(st.integers(1, 12), label="x"), data.draw(st.integers(1, 70), label="y"))
+    if ndim == 3:
+        dims += (data.draw(st.integers(1, 5), label="z"),)
+    u0 = Mesh.zeros(dims, batch=data.draw(st.integers(1, 3), label="batch"),
+                    precision=data.draw(precisions, label="input precision"))
+    u0.data[:] = np.random.default_rng(data.draw(seeds, label="seed")).uniform(
+        -1, 1, u0.data.shape)
+    if data.draw(st.booleans(), label="fortran order"):
+        u0 = Mesh(np.asfortranarray(u0.data), u0.spatial_ndim)
+    cfg = AdiConfig(gamma=data.draw(st.floats(0.01, 4.0), label="gamma"),
+                    n_iter=data.draw(st.integers(1, 3), label="n_iter"),
+                    precision=data.draw(precisions, label="precision"),
+                    literal_coefficients=data.draw(st.booleans(), label="literal"))
+    before = u0.data.tobytes()
+    got, report = adi_run(u0, cfg)
+    expected, deltas = composed_adi(u0, cfg)
+    assert got.data.dtype == expected.data.dtype and got.data.shape == expected.data.shape
+    assert got.data.tobytes() == expected.data.tobytes()
+    assert report.delta_inf == deltas
+    assert u0.data.tobytes() == before
