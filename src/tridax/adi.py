@@ -17,15 +17,13 @@ values never change (Dirichlet, taken from the initial field). The
 ``gamma`` form for model-comparison runs; that variant is not a consistent
 time step and is off by default.
 
-``adi_rhs`` and :func:`tridax.mesh.solve_lines` are the phases as
-standalone steps. ``adi_run`` computes the same bits on a workspace that
-lasts the run, the host form of the paper's data flow, where coefficients
-are generated once and no intermediate mesh is stored: each axis's
-profile is factored once, before the first iteration, so every sweep is
-only the substitution; the stencil writes into one right-hand-side mesh
-``d``; each sweep gathers its lines into one mesh-sized buffer (which
-also holds the stencil's term), solves them there and scatters them back
-into ``d``; and the update adds ``d`` into the run's own copy of the
+``adi_run`` computes the bits of ``adi_rhs``, :func:`tridax.mesh.solve_lines`
+per axis and ``u + d`` on a workspace that lasts the run, as the paper's
+data flow generates coefficients once and stores no intermediate mesh. It
+factors each axis's profile once, before the first iteration; the stencil
+writes into one right-hand side ``d``; each sweep gathers its lines into
+one mesh-sized buffer (which also holds a stencil term), substitutes them
+there and scatters them back; the update adds ``d`` into the run's own
 field in place.
 """
 
@@ -145,17 +143,12 @@ def effective_bandwidth(nbytes: float, seconds: float) -> float:
 
 
 def _stencil(arr: np.ndarray, ndim: int, gamma, d: np.ndarray, tmp: np.ndarray) -> None:
-    """Write the right-hand side of field ``arr`` into ``d``: the scaled
-    second-difference sum at interior points, zero on the boundary.
+    """Write the right-hand side of field ``arr`` into ``d``, both C-contiguous
+    ``(batch, z, y, x)``; ``tmp`` holds at least ``arr.size`` elements.
 
-    Both arrays are C-contiguous ``(batch, z, y, x)``; ``tmp`` is a
-    C-contiguous buffer of at least ``arr.size`` elements. Neighbors are
-    flat offsets (1 for x, ``x`` for y, ``x*y`` for z), so every operation
-    runs on one contiguous range. The range also covers boundary points,
-    where the offsets reach across a row or a mesh; every boundary face,
-    which also holds the points outside the range, is then overwritten
-    with zeros. Each point's terms are summed in one fixed order, whatever
-    the buffers.
+    Neighbors are flat offsets (1, ``x``, ``x*y``), so each operation runs
+    on one contiguous range. Its boundary points, where offsets cross a row
+    or a mesh, and the points outside it are then zeroed face by face.
     """
     dtype = arr.dtype
     two = dtype.type(2)
@@ -201,12 +194,9 @@ def adi_rhs(u: Mesh, cfg: AdiConfig) -> Mesh:
 def adi_run(u0: Mesh, cfg: AdiConfig) -> tuple[Mesh, RunReport]:
     """Run ``n_iter`` steps, accounting wall time and logical traffic.
 
-    The result is that of :func:`adi_rhs`, one
-    :func:`tridax.mesh.solve_lines` per axis and ``u + d`` per iteration,
-    bit for bit, computed on the run's workspace (see the module
-    docstring); ``u0`` is left untouched. A sweep profile with a failing
-    pivot raises :class:`tridax.errors.LineSolveError`, naming the axis
-    and every line, before the first iteration.
+    ``u0`` is left untouched. A sweep profile with a failing pivot raises
+    :class:`tridax.errors.LineSolveError`, naming the axis and every line,
+    before the first iteration.
 
     Per iteration the stencil phase reads one mesh and writes one; each
     sweep reads and writes one mesh (its coefficients are one profile per

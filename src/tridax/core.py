@@ -18,10 +18,8 @@ this module or to the tiled hybrids' kernel in :mod:`tridax.tiled`. A
 batch stores ``(count, n)`` arrays and is solved through their transposed
 views; a single system is a one-line call. Every line runs the same
 operation sequence, so scalar, batched and sweep results are bitwise
-identical. The Thomas kernel is the composition of ``_thomas_factor``,
-the elimination of the coefficients alone, and ``_thomas_substitute``,
-its application to right-hand sides; repeated sweeps with one shared
-profile (:func:`tridax.mesh.factor_lines`) factor it once.
+identical. The Thomas kernel is ``_thomas_factor`` then
+``_thomas_substitute``, which repeated sweeps also call apart.
 """
 
 from __future__ import annotations
@@ -332,14 +330,11 @@ def _check(u: np.ndarray, failed) -> np.ndarray:
 
 
 def _thomas_factor(a: np.ndarray, b: np.ndarray, c: np.ndarray):
-    """Forward elimination of the coefficients alone, done once for any
-    number of right-hand sides.
+    """Forward elimination of ``(n, lines)``, ``(n, 1)`` or ``(n,)``
+    coefficients alone (``(n,)`` rows are scalars, the cheapest operand).
 
-    ``a``, ``b``, ``c`` are ``(n, lines)``, ``(n, 1)`` or ``(n,)``; the
-    last form's rows are scalars, the cheapest operand for the
-    substitution. Returns ``(a, cs, den)`` and the failed-pivot mask.
-    ``den[0]`` stays ``b[0]``, row 0's divisor; once the mask is taken,
-    rows ``1..n-1`` hold ``1/den``, each row's multiplier.
+    Returns ``(a, cs, den)`` and the failed-pivot mask; ``den[0]`` stays
+    ``b[0]``, row 0's divisor, and rows ``1..n-1`` then hold ``1/den``.
     """
     n = b.shape[0]
     one = b.dtype.type(1)

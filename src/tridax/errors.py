@@ -59,13 +59,9 @@ class MismatchedTiles(TridaxError):
 
 
 class LineSolveError(TridaxError):
-    """Line solves failed inside a mesh sweep; identifies the lines.
-
-    ``batch`` and ``line`` name the sweep's first failure, the mesh and its
-    line that the cause (a :class:`ZeroPivot` or :class:`NonFiniteSolution`)
-    names; ``failures`` lists every failing ``(mesh, line)`` pair in
-    ascending order.
-    """
+    """Line solves failed inside a mesh sweep. ``batch`` and ``line`` name
+    the mesh and line of the cause's first failure; ``failures`` lists every
+    failing ``(mesh, line)`` pair in ascending order."""
 
     def __init__(self, batch: int, line: int, axis: str, failures=None):
         self.batch = batch

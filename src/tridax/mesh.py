@@ -8,15 +8,11 @@ x lines by (z, y), y lines by (z, x), z lines by (y, x).
 
 A sweep gathers the whole axis into one contiguous ``(n, lines)`` array
 (row i of every line side by side, the kernels' input form), solves it in
-one kernel call and scatters the result back. Y and z lines keep x
-contiguous, so their gather is a plain copy. X lines lie along the
-storage rows, so their gather is a transpose, done in cache-sized blocks
-of ``LINE_BLOCK`` lines, and the scatter transposes back the same way; the
-kernel then reads every row contiguously instead of with a stride of ``x``
-elements. :func:`solve_lines` is the entry point for one axis;
-:func:`factor_lines` and :func:`sweep_lines` split a Thomas sweep with a
-profile shared by every line into a factor, made once, and a
-substitution per right-hand side, for repeated sweeps such as ADI's.
+one kernel call and scatters the result back. X lines lie along the
+storage rows, so their gather and scatter are transposes in cache-sized
+blocks of ``LINE_BLOCK`` lines. For repeated sweeps with one shared
+profile, :func:`factor_lines` factors it once and :func:`sweep_lines`
+substitutes each right-hand side.
 """
 
 from __future__ import annotations
@@ -128,23 +124,16 @@ LINE_BLOCK = 64  # x lines per block of the gather and scatter transposes
 def axis_lines(data: np.ndarray, axis: Axis) -> np.ndarray:
     """``(n, lines)`` array of every line along ``axis``, in sweep order.
 
-    This is the addressing of the lines: a view where the storage allows
-    it, which for x lines reads each row with a stride of ``x`` elements.
-    Sweeps do not solve on it; they solve on :func:`gather_lines`'s
-    contiguous copy of the same array.
+    A view where the storage allows it: x lines, read with a stride of
+    ``x`` elements. Sweeps solve on :func:`gather_lines`'s contiguous copy.
     """
     dim = _STORAGE_DIM[axis]
     return np.moveaxis(data, dim, 0).reshape(data.shape[dim], -1)
 
 
 def gather_lines(data: np.ndarray, axis: Axis, out: np.ndarray | None = None) -> np.ndarray:
-    """Contiguous ``(n, lines)`` copy of :func:`axis_lines`, into ``out`` if given.
-
-    ``out`` must be a C-contiguous ``(n, lines)`` array. X lines are
-    stored along the rows of the mesh, so their gather is a transpose,
-    done in blocks of ``LINE_BLOCK`` lines that stay in cache; y and z
-    lines keep x contiguous and are copied as they lie.
-    """
+    """Contiguous ``(n, lines)`` copy of :func:`axis_lines`, into ``out``
+    (C-contiguous) if given; x lines by blocked transposes."""
     view = np.moveaxis(data, _STORAGE_DIM[axis], 0)
     if out is None:
         out = np.empty((view.shape[0], data.size // view.shape[0]), dtype=data.dtype)
@@ -242,13 +231,9 @@ def solve_lines(mesh: Mesh, coefficients: tuple, axis, algo: str = "thomas",
 
 
 def factor_lines(mesh: Mesh, profile: tuple, axis: Axis):
-    """Thomas factor of the ``(a, b, c)`` vectors of ``axis``'s length
-    shared by every line of ``mesh`` along it, for :func:`sweep_lines`.
-
-    The factor is kept as vectors, so the substitution reads each of its
-    rows as one scalar. Raises :class:`LineSolveError` naming every line
-    when a pivot fails.
-    """
+    """Thomas factor of the ``(a, b, c)`` vectors shared by every line of
+    ``mesh`` along ``axis``, for :func:`sweep_lines`; a failed pivot raises
+    :class:`LineSolveError` naming every line."""
     a, b, c = (_profile(entry, mesh, axis) for entry in profile)
     factor, failed = core._thomas_factor(a, b, c)
     lines = mesh.points // mesh.extent(axis)
@@ -262,12 +247,9 @@ def factor_lines(mesh: Mesh, profile: tuple, axis: Axis):
 
 def sweep_lines(data: np.ndarray, factor, axis: Axis, work: np.ndarray) -> None:
     """Solve every line of ``data`` along ``axis`` in place with a
-    :func:`factor_lines` factor, on the lines gathered into ``work``, a
-    C-contiguous ``(n, lines)`` buffer of ``data``'s dtype.
-
-    Raises :class:`LineSolveError` naming every line whose solution is not
-    finite; ``data`` is then left as it was.
-    """
+    :func:`factor_lines` factor, gathered into ``work``, a C-contiguous
+    ``(n, lines)`` buffer. Non-finite solutions raise
+    :class:`LineSolveError`, naming every such line, and leave ``data``."""
     lines = gather_lines(data, axis, out=work)
     core._thomas_substitute(factor, lines, lines)
     try:
