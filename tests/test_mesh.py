@@ -288,14 +288,6 @@ class TestFactoredSweep:
         assert isinstance(err.value.__cause__, NonFiniteSolution)
         assert np.array_equal(data, mesh.data)
 
-    def test_failed_pivot_names_every_line(self):
-        mesh = random_mesh((4, 3), batch=2, seed=30)
-        with pytest.raises(LineSolveError) as err:
-            factor_lines(mesh, (np.zeros(3), np.array([1.0, 0.0, 1.0]), np.zeros(3)), Axis.Y)
-        assert (err.value.batch, err.value.line, err.value.axis) == (0, 0, "y")
-        assert err.value.failures == [(k, line) for k in range(2) for line in range(4)]
-        assert err.value.__cause__.index == 1
-
 
 class TestMeshIo:
     def test_3d_round_trip(self, tmp_path):
