@@ -173,16 +173,21 @@ def _stencil(arr: np.ndarray, ndim: int, gamma, d: np.ndarray, tmp: np.ndarray) 
             d[tuple(face)] = 0
 
 
-def _check_finite(arr: np.ndarray) -> None:
+def _check_finite(arr: np.ndarray, iteration: int | None = None) -> None:
+    """Raise ``ValueError`` naming the first mesh of ``arr`` with a non-finite
+    value, and the iteration if given; the clean path is one whole-field test."""
     if not np.all(np.isfinite(arr)):
-        raise ValueError("field contains non-finite values")
+        mesh = next(k for k, field in enumerate(arr) if not np.all(np.isfinite(field)))
+        at = "" if iteration is None else f" at iteration {iteration}"
+        raise ValueError(f"field contains non-finite values in mesh {mesh}{at}")
 
 
 def adi_rhs(u: Mesh, cfg: AdiConfig) -> Mesh:
     """Explicit stencil phase: returns the right-hand side mesh ``d``.
 
     ``d`` is the scaled sum of per-axis second differences at interior
-    points and zero on every boundary point.
+    points and zero on every boundary point. A non-finite field raises
+    ``ValueError`` naming its first such mesh.
     """
     _check_finite(u.data)
     arr = np.ascontiguousarray(u.data)
@@ -196,7 +201,8 @@ def adi_run(u0: Mesh, cfg: AdiConfig) -> tuple[Mesh, RunReport]:
 
     ``u0`` is left untouched. A sweep profile with a failing pivot raises
     :class:`tridax.errors.LineSolveError`, naming the axis and every line,
-    before the first iteration.
+    before the first iteration. A non-finite field raises ``ValueError``
+    naming its first such mesh and the (0-based) iteration it entered.
 
     Per iteration the stencil phase reads one mesh and writes one; each
     sweep reads and writes one mesh (its coefficients are one profile per
@@ -219,7 +225,7 @@ def adi_run(u0: Mesh, cfg: AdiConfig) -> tuple[Mesh, RunReport]:
     step_start = time.perf_counter()
     for it in range(cfg.n_iter):
         t0 = time.perf_counter()
-        _check_finite(arr)
+        _check_finite(arr, it)
         _stencil(arr, u.spatial_ndim, cfg.gamma, d, work)
         t1 = time.perf_counter()
         rhs = report.phase("rhs")

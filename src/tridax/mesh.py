@@ -118,7 +118,7 @@ class Mesh:
 
 
 _STORAGE_DIM = {Axis.X: 3, Axis.Y: 2, Axis.Z: 1}  # axis position in (batch, z, y, x)
-LINE_BLOCK = 64  # x lines per block of the gather and scatter transposes
+LINE_BLOCK = 64  # lines per block of a transposing copy: x-line gather and scatter, tiles
 
 
 def axis_lines(data: np.ndarray, axis: Axis) -> np.ndarray:

@@ -1,21 +1,15 @@
 """Tiled hybrid solvers for systems too large to hold in one sweep.
 
-Each system is split into ``t`` tiles. A modified elimination pass over a
-tile rewrites every interior row in terms of the tile's first and last
-unknowns,
+Each system is split into ``t`` tiles. A modified elimination pass rewrites
+every interior row of a tile in terms of the tile's first and last unknowns,
 
     u[i] + a*[i]*u[0] + c*[i]*u[m-1] = d*[i],    i = 1..m-2,
 
-leaving the two boundary rows coupled only to neighboring tiles. Those
-boundary rows form a reduced tridiagonal system of size ``2*t``, solved
-directly (Thomas) or by cyclic reduction (PCR); its solution is then
-substituted back into the interior rows.
-
-A tile is one more line: the steps work on ``(m, tiles, lines)`` views of
-the ``(n, lines)`` arrays of :mod:`tridax.core`'s kernels, one elimination
-pass per run of equal tiles. ``_tiled_kernel`` joins them as a raw core
-kernel, returning its failed pivots in elimination order (tile by tile,
-then the reduced system) at their rows in the whole system.
+and the tiles' boundary rows form a reduced ``2*t``-row system, solved by
+Thomas or PCR and substituted back. A tile is one more line: the pass copies
+the ``(m, tiles, lines)`` tile views of a kernel's ``(n, lines)`` arrays
+into tile-major buffers, where each row is one contiguous run, and
+eliminates in place there.
 """
 
 from __future__ import annotations
@@ -26,6 +20,7 @@ import numpy as np
 
 from .core import _failed_pivots
 from .errors import InvalidTilePlan, MismatchedTiles
+from .mesh import LINE_BLOCK
 
 MIN_TILE_ROWS = 3  # a tile needs at least one interior unknown
 BLOCK_ROWS = 8  # rows per back-substitution step: temporaries stay small and cached
@@ -72,13 +67,12 @@ def _tile_view(x: np.ndarray, off: int, size: int, count: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ModifiedTileResult:
-    """Coefficients of a run of equal tiles after the modified elimination pass.
+    """A run of equal tiles after the modified elimination pass.
 
-    Arrays are ``(m, tiles, lines)``, ``a_star`` and ``c_star`` ``(m, tiles,
-    1)`` for coefficients shared by every line. Rows ``1..m-2`` hold the
-    interior two-unknown form; rows ``0`` and ``m-1`` hold each tile's rows of
-    the reduced system, with the outward couplings (previous tile's last /
-    next tile's first unknown) in ``a_star[0]`` and ``c_star[m-1]``.
+    The phase's own C-contiguous ``(m, tiles, lines)`` buffers, ``a_star``
+    and ``c_star`` ``(m, tiles, 1)`` for shared coefficients. Rows ``1..m-2``
+    hold the interior form; rows ``0`` and ``m-1`` each tile's reduced rows,
+    with the outward couplings in ``a_star[0]`` and ``c_star[m-1]``.
     ``failed_pivots`` marks failed pivots; row 0 is eliminated last.
     """
 
@@ -89,14 +83,14 @@ class ModifiedTileResult:
 
 
 def modified_thomas_phase(a, b, c, d) -> ModifiedTileResult:
-    """Run the forward/backward elimination over every tile of every line at once.
+    """Eliminate every tile of every line at once.
 
-    ``d`` is an ``(m, tiles, lines)`` block of tiles of equal size ``m``;
-    ``a``, ``b``, ``c`` are too, or ``(m, tiles, 1)``, shared by every line
-    (trailing axes broadcast). ``a[0]`` and ``c[m-1]`` are each tile's
-    couplings to its neighbors (zero on the outermost tiles). Inputs are not
-    modified. A failed pivot raises nothing here; it leaves NaN or infinity
-    in its line, and the caller checks ``failed_pivots``.
+    ``d`` is an ``(m, tiles, lines)`` block of tiles; ``a``, ``b``, ``c`` are
+    too, or ``(m, tiles, 1)`` if shared. ``a[0]`` and ``c[m-1]`` couple each
+    tile to its neighbors. The inputs, left unmodified, are copied once in
+    blocks of ``LINE_BLOCK`` lines; the pass then rewrites the copies in
+    place, row by row with ``out=``. A failed pivot raises nothing; it leaves
+    NaN or infinity in its line, and ``failed_pivots`` marks it.
     """
     a, b, c, d = (np.asarray(v) for v in (a, b, c, d))
     m = d.shape[0]
@@ -106,31 +100,35 @@ def modified_thomas_phase(a, b, c, d) -> ModifiedTileResult:
     shape = np.broadcast_shapes(a.shape, b.shape, c.shape)
     at, ct, den = (np.empty(shape, dtype=b.dtype) for _ in range(3))
     dt = np.empty(np.broadcast_shapes(shape, d.shape), dtype=b.dtype)
+    for src, buf in ((a, at), (b, den), (c, ct), (d, dt)):
+        src = np.broadcast_to(src, buf.shape)
+        for lo in range(0, buf.shape[-1], LINE_BLOCK):
+            buf[..., lo:lo + LINE_BLOCK] = src[..., lo:lo + LINE_BLOCK]
+    r, row, drow = (np.empty(x.shape[1:], dtype=b.dtype) for x in (at, at, dt))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         # forward: row i becomes  at[i]*u0 + u[i] + ct[i]*u[i+1] = dt[i]
-        den[1] = b[1]
-        at[1] = a[1] / b[1]
-        ct[1] = c[1] / b[1]
-        dt[1] = d[1] / b[1]
+        for x in (at, ct, dt):
+            np.divide(x[1], den[1], out=x[1])
         for i in range(2, m):
-            den[i] = b[i] - a[i] * ct[i - 1]
-            r = one / den[i]
-            at[i] = -r * (a[i] * at[i - 1])
-            ct[i] = r * c[i]
-            dt[i] = r * (d[i] - a[i] * dt[i - 1])
-        # backward, in place: interior row i becomes
-        # at[i]*u0 + u[i] + ct[i]*u[m-1] = dt[i]; rows m-2 and m-1 already
-        # have that form, and row m-1 keeps its outward coupling in ct[m-1]
+            np.subtract(den[i], np.multiply(at[i], ct[i - 1], out=row), out=den[i])
+            np.divide(one, den[i], out=r)
+            np.subtract(dt[i], np.multiply(at[i], dt[i - 1], out=drow), out=dt[i])
+            np.multiply(r, dt[i], out=dt[i])
+            np.multiply(r, ct[i], out=ct[i])
+            np.multiply(np.negative(r, out=r), np.multiply(at[i], at[i - 1], out=row), out=at[i])
+        # backward: interior row i becomes at[i]*u0 + u[i] + ct[i]*u[m-1] = dt[i];
+        # rows m-2 and m-1 already have it, row m-1 keeps its outward ct[m-1]
         for i in range(m - 3, 0, -1):
-            at[i] -= ct[i] * at[i + 1]
-            dt[i] -= ct[i] * dt[i + 1]
-            ct[i] = -ct[i] * ct[i + 1]
-        # row 0: eliminate u[1]; coupling to the previous tile stays in at[0]
-        den[0] = b[0] - c[0] * at[1]
-        r = one / den[0]
-        at[0] = r * a[0]
-        ct[0] = -r * (c[0] * ct[1])
-        dt[0] = r * (d[0] - c[0] * dt[1])
+            np.subtract(at[i], np.multiply(ct[i], at[i + 1], out=row), out=at[i])
+            np.subtract(dt[i], np.multiply(ct[i], dt[i + 1], out=drow), out=dt[i])
+            np.multiply(np.negative(ct[i], out=row), ct[i + 1], out=ct[i])
+        # row 0, still as given: eliminate u[1]; the previous tile's coupling stays in at[0]
+        np.subtract(den[0], np.multiply(ct[0], at[1], out=row), out=den[0])
+        np.divide(one, den[0], out=r)
+        np.subtract(dt[0], np.multiply(ct[0], dt[1], out=drow), out=dt[0])
+        np.multiply(r, dt[0], out=dt[0])
+        np.multiply(r, at[0], out=at[0])
+        np.multiply(np.negative(r, out=r), np.multiply(ct[0], ct[1], out=row), out=ct[0])
     return ModifiedTileResult(at, ct, dt, _failed_pivots(den))
 
 

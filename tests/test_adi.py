@@ -69,6 +69,13 @@ class TestRhs:
         with pytest.raises(ValueError):
             adi_rhs(mesh, AdiConfig(gamma=0.5, n_iter=1))
 
+    def test_non_finite_names_first_mesh(self):
+        mesh = Mesh.zeros((4, 4, 3), batch=4)
+        mesh.data[2, 1, 1, 1] = np.inf
+        mesh.data[3, 0, 0, 0] = np.nan
+        with pytest.raises(ValueError, match=r"non-finite values in mesh 2$"):
+            adi_rhs(mesh, AdiConfig(gamma=0.5, n_iter=1))
+
 
 class TestStep:
     def test_zero_is_fixed_point(self):
@@ -201,6 +208,25 @@ class TestRun:
         assert err.value.failures == [(k, line) for k in range(2) for line in range(6)]
         assert isinstance(err.value.__cause__, ZeroPivot)
         assert err.value.__cause__.index == 4
+
+    def test_non_finite_field_names_mesh_and_iteration(self):
+        u0 = Mesh.zeros((5, 5), batch=3)
+        u0.data[2, 0, 1, 1] = np.nan
+        with pytest.raises(ValueError, match=r"in mesh 2 at iteration 0$"):
+            adi_run(u0, AdiConfig(gamma=1.0, n_iter=3))
+
+        class NegatedX(AdiConfig):  # sweeps negate x lines: d = -gamma * stencil
+            def line_coefficients(self, n, dtype):
+                zero = np.zeros(n, dtype)
+                return zero, np.full(n, -1.0 if n == 5 else 1.0, dtype), zero
+
+        # a lone peak M: stencil -4M, so the update gives M + 4M, finite
+        # through the first sweeps but past the FP64 maximum
+        u0 = Mesh.zeros((5, 7), batch=3)
+        u0.data[1, 0, 3, 2] = 4e307
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            with pytest.raises(ValueError, match=r"in mesh 1 at iteration 1$"):
+                adi_run(u0, NegatedX(gamma=1.0, n_iter=3))
 
 
 class TestEffectiveBandwidth:
