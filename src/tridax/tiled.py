@@ -106,7 +106,7 @@ def modified_thomas_phase(a, b, c, d) -> ModifiedTileResult:
             buf[..., lo:lo + LINE_BLOCK] = src[..., lo:lo + LINE_BLOCK]
     r, row, drow = (np.empty(x.shape[1:], dtype=b.dtype) for x in (at, at, dt))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        # forward: row i becomes  at[i]*u0 + u[i] + ct[i]*u[i+1] = dt[i]
+        # forward: row i becomes at[i]*u0 + u[i] + ct[i]*u[i+1] = dt[i]; at[i] is a[i] until last
         for x in (at, ct, dt):
             np.divide(x[1], den[1], out=x[1])
         for i in range(2, m):
@@ -122,7 +122,7 @@ def modified_thomas_phase(a, b, c, d) -> ModifiedTileResult:
             np.subtract(at[i], np.multiply(ct[i], at[i + 1], out=row), out=at[i])
             np.subtract(dt[i], np.multiply(ct[i], dt[i + 1], out=drow), out=dt[i])
             np.multiply(np.negative(ct[i], out=row), ct[i + 1], out=ct[i])
-        # row 0, still as given: eliminate u[1]; the previous tile's coupling stays in at[0]
+        # row 0, as given so far: eliminate u[1], ct[0] (c[0]) last; at[0] keeps the outward coupling
         np.subtract(den[0], np.multiply(ct[0], at[1], out=row), out=den[0])
         np.divide(one, den[0], out=r)
         np.subtract(dt[0], np.multiply(ct[0], dt[1], out=drow), out=dt[0])
