@@ -122,7 +122,7 @@ def modified_thomas_phase(a, b, c, d) -> ModifiedTileResult:
             np.subtract(at[i], np.multiply(ct[i], at[i + 1], out=row), out=at[i])
             np.subtract(dt[i], np.multiply(ct[i], dt[i + 1], out=drow), out=dt[i])
             np.multiply(np.negative(ct[i], out=row), ct[i + 1], out=ct[i])
-        # row 0, as given so far: eliminate u[1], ct[0] (c[0]) last; at[0] keeps the outward coupling
+        # row 0, as given so far: eliminate u[1], writing ct[0] last; at[0] keeps its coupling
         np.subtract(den[0], np.multiply(ct[0], at[1], out=row), out=den[0])
         np.divide(one, den[0], out=r)
         np.subtract(dt[0], np.multiply(ct[0], dt[1], out=drow), out=dt[0])
