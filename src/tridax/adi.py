@@ -22,9 +22,12 @@ per axis and ``u + d`` on a workspace that lasts the run, as the paper's
 data flow generates coefficients once and stores no intermediate mesh. It
 factors each axis's profile once, before the first iteration; the stencil
 writes into one right-hand side ``d``; each sweep gathers its lines into
-one mesh-sized buffer (which also holds a stencil term), substitutes them
-there and scatters them back; the update adds ``d`` into the run's own
-field in place.
+one mesh-sized buffer (also the explicit passes' scratch), substitutes
+them there and scatters them back. The explicit passes walk the flat
+field in chunks of ``STENCIL_CHUNK`` points, as the paper streams them
+through on-chip buffers: the stencil runs all its operations on a chunk
+while it stays in cache, and the update adds ``d`` into the run's own
+field, takes ``max |d|`` and checks the result finite chunk by chunk.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ from .mesh import Mesh, factor_lines, sweep_lines
 from .precision import Precision
 
 REPORT_SCHEMA = "tridax.report.v1"
+STENCIL_CHUNK = 32768  # points per chunk of the explicit passes, sized to stay in L2
 
 
 @dataclass
@@ -93,7 +97,11 @@ class PhaseStats:
 
 @dataclass
 class RunReport:
-    """Per-phase timing/traffic and per-iteration update norms."""
+    """Per-phase timing/traffic and per-iteration update norms.
+
+    In ``adi_run`` the ``update`` phase also times the finiteness check and
+    ``delta_inf``, made in its one pass over the field.
+    """
 
     phases: dict[str, PhaseStats] = field(default_factory=dict)
     delta_inf: list[float] = field(default_factory=list)
@@ -144,28 +152,33 @@ def effective_bandwidth(nbytes: float, seconds: float) -> float:
 
 def _stencil(arr: np.ndarray, ndim: int, gamma, d: np.ndarray, tmp: np.ndarray) -> None:
     """Write the right-hand side of field ``arr`` into ``d``, both C-contiguous
-    ``(batch, z, y, x)``; ``tmp`` holds at least ``arr.size`` elements.
+    ``(batch, z, y, x)``; the flat ``tmp`` holds at least
+    ``min(STENCIL_CHUNK, arr.size)`` elements.
 
     Neighbors are flat offsets (1, ``x``, ``x*y``), so each operation runs
-    on one contiguous range. Its boundary points, where offsets cross a row
-    or a mesh, and the points outside it are then zeroed face by face.
+    on one contiguous range, in chunks of ``STENCIL_CHUNK`` points that stay
+    in cache through all of their operations. Its boundary points, where
+    offsets cross a row or a mesh, and the points outside it are then
+    zeroed face by face.
     """
     dtype = arr.dtype
     two = dtype.type(2)
     _, _, y, x = arr.shape
     steps = (1, x) if ndim == 2 else (1, x, x * y)
-    flat = arr.reshape(-1)
-    lo, hi = steps[-1], max(steps[-1], arr.size - steps[-1])
-    ctr, acc, term = flat[lo:hi], d.reshape(-1)[lo:hi], tmp.reshape(-1)[:hi - lo]
+    flat, rhs = arr.reshape(-1), d.reshape(-1)
+    first, last = steps[-1], max(steps[-1], arr.size - steps[-1])
     with np.errstate(over="ignore", invalid="ignore"):  # boundary values are discarded
-        for k, step in enumerate(steps):
-            dest = acc if k == 0 else term
-            np.multiply(two, ctr, out=dest)
-            np.subtract(flat[lo - step:hi - step], dest, out=dest)
-            np.add(dest, flat[lo + step:hi + step], out=dest)
-            if k:
-                np.add(acc, term, out=acc)
-        np.multiply(dtype.type(gamma), acc, out=acc)
+        for lo in range(first, last, STENCIL_CHUNK):
+            hi = min(lo + STENCIL_CHUNK, last)
+            ctr, acc, term = flat[lo:hi], rhs[lo:hi], tmp[:hi - lo]
+            for k, step in enumerate(steps):
+                dest = acc if k == 0 else term
+                np.multiply(two, ctr, out=dest)
+                np.subtract(flat[lo - step:hi - step], dest, out=dest)
+                np.add(dest, flat[lo + step:hi + step], out=dest)
+                if k:
+                    np.add(acc, term, out=acc)
+            np.multiply(dtype.type(gamma), acc, out=acc)
     for dim in range(4 - ndim, 4):
         face = [slice(None)] * 4
         for end in (0, -1):
@@ -192,7 +205,8 @@ def adi_rhs(u: Mesh, cfg: AdiConfig) -> Mesh:
     _check_finite(u.data)
     arr = np.ascontiguousarray(u.data)
     d = Mesh(np.empty_like(arr), u.spatial_ndim)
-    _stencil(arr, u.spatial_ndim, cfg.gamma, d.data, np.empty_like(arr))
+    _stencil(arr, u.spatial_ndim, cfg.gamma, d.data,
+             np.empty(min(STENCIL_CHUNK, arr.size), arr.dtype))
     return d
 
 
@@ -202,7 +216,9 @@ def adi_run(u0: Mesh, cfg: AdiConfig) -> tuple[Mesh, RunReport]:
     ``u0`` is left untouched. A sweep profile with a failing pivot raises
     :class:`tridax.errors.LineSolveError`, naming the axis and every line,
     before the first iteration. A non-finite field raises ``ValueError``
-    naming its first such mesh and the (0-based) iteration it entered.
+    naming its first such mesh and the (0-based) iteration it entered:
+    ``u0`` is checked before the loop and each update's result, the last
+    included, in the update's chunked pass.
 
     Per iteration the stencil phase reads one mesh and writes one; each
     sweep reads and writes one mesh (its coefficients are one profile per
@@ -220,12 +236,13 @@ def adi_run(u0: Mesh, cfg: AdiConfig) -> tuple[Mesh, RunReport]:
     axes = u.solved_axes()
     factors = {axis: factor_lines(u, cfg.line_coefficients(u.extent(axis), arr.dtype), axis)
                for axis in axes}
+    _check_finite(arr, 0)
     d = np.empty_like(arr)
     work = np.empty(arr.size, dtype=arr.dtype)
+    flat_u, flat_d = arr.reshape(-1), d.reshape(-1)
     step_start = time.perf_counter()
     for it in range(cfg.n_iter):
         t0 = time.perf_counter()
-        _check_finite(arr, it)
         _stencil(arr, u.spatial_ndim, cfg.gamma, d, work)
         t1 = time.perf_counter()
         rhs = report.phase("rhs")
@@ -239,12 +256,18 @@ def adi_run(u0: Mesh, cfg: AdiConfig) -> tuple[Mesh, RunReport]:
             sweep.seconds += t1 - t0
             sweep.bytes += 2 * mesh_bytes
         t0 = time.perf_counter()
-        np.add(arr, d, out=arr)
+        delta = 0.0
+        for lo in range(0, arr.size, STENCIL_CHUNK):
+            u_c, d_c = flat_u[lo:lo + STENCIL_CHUNK], flat_d[lo:lo + STENCIL_CHUNK]
+            np.add(u_c, d_c, out=u_c)
+            delta = max(delta, np.abs(d_c, out=work[:d_c.size]).max())
+            if not np.isfinite(u_c).all():
+                _check_finite(arr, it + 1)  # raises, naming the mesh
         t1 = time.perf_counter()
         upd = report.phase("update")
         upd.seconds += t1 - t0
         upd.bytes += 3 * mesh_bytes
-        report.delta_inf.append(float(np.abs(d, out=work.reshape(d.shape)).max()))
+        report.delta_inf.append(float(delta))
         if (it + 1) % cfg.unroll == 0 or it + 1 == cfg.n_iter:
             now = time.perf_counter()
             report.steps.append({"iterations": it + 1, "seconds": now - step_start})

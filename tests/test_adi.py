@@ -1,8 +1,10 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from tridax import (AdiConfig, LineSolveError, Mesh, Precision, ZeroDuration, ZeroPivot,
-                    adi_rhs, adi_run, effective_bandwidth)
+                    adi, adi_rhs, adi_run, effective_bandwidth)
 from tridax.adi import logical_bytes_per_iteration
 from tridax.reference import naive_adi_run
 
@@ -224,9 +226,40 @@ class TestRun:
         # through the first sweeps but past the FP64 maximum
         u0 = Mesh.zeros((5, 7), batch=3)
         u0.data[1, 0, 3, 2] = 4e307
-        with pytest.warns(RuntimeWarning, match="overflow"):
-            with pytest.raises(ValueError, match=r"in mesh 1 at iteration 1$"):
-                adi_run(u0, NegatedX(gamma=1.0, n_iter=3))
+        for n_iter in (3, 1):  # the last iteration's update is checked too
+            with pytest.warns(RuntimeWarning, match="overflow"):
+                with pytest.raises(ValueError, match=r"in mesh 1 at iteration 1$"):
+                    adi_run(u0, NegatedX(gamma=1.0, n_iter=n_iter))
+
+
+def _digest(*arrays) -> str:
+    h = hashlib.sha256()
+    for x in arrays:
+        h.update(f"{x.dtype.str}{x.shape}".encode())
+        h.update(x.tobytes())
+    return h.hexdigest()
+
+
+GOLDEN = {
+    "2x160x160-fp32": "9fadcfefb2c230e83315180c260f9f9801cb930e988911bb8d65ebbd10728163",
+    "1x40x40x40-fp64": "699a33d90efd254e10d953ee670ea815a21031a1edb3c1c7a4068e938bff101b",
+}
+
+
+class TestGoldenDigests:
+    """Runs on meshes larger than ``adi.STENCIL_CHUNK``, so the explicit
+    passes cross chunk boundaries; the digests were recorded with the
+    passes unchunked."""
+
+    @pytest.mark.parametrize("dims, batch, precision", [
+        ((160, 160), 2, Precision.FP32), ((40, 40, 40), 1, Precision.FP64)],
+        ids=list(GOLDEN))
+    def test_run(self, dims, batch, precision):
+        u0 = full_random(dims, batch=batch, seed=sum(dims), precision=precision)
+        assert u0.data.size > adi.STENCIL_CHUNK
+        u, report = adi_run(u0, AdiConfig(gamma=0.5, n_iter=3, precision=precision))
+        key = f"{batch}x{'x'.join(map(str, dims))}-{precision.value}"
+        assert _digest(u.data, np.array(report.delta_inf)) == GOLDEN[key]
 
 
 class TestEffectiveBandwidth:

@@ -1,15 +1,17 @@
 """Property tests: scalar, batched and mesh-sweep solves agree bit for bit
 for every algorithm and tile count and leave a small residual, a planted
 zero pivot is reported at its row and line, a batch's failures are each
-system's own, and an ADI run is its public steps composed by hand."""
+system's own, and an ADI run is its public steps composed by hand, at
+any chunking of its explicit passes."""
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tridax import (AdiConfig, BatchSolveError, InvalidTilePlan, LineSolveError, Mesh,
                     NonFiniteSolution, Precision, TilePlan, TridiagonalBatch,
-                    TridiagonalSystem, ZeroPivot, adi_rhs, adi_run, batch_solve,
+                    TridiagonalSystem, ZeroPivot, adi, adi_rhs, adi_run, batch_solve,
                     random_dominant_system, residual_max_norm, solve_lines, solve_system)
 from tridax.core import SOLVER_NAMES
 
@@ -262,3 +264,32 @@ def test_adi_run_equals_composed_steps_bitwise(data):
     assert got.data.tobytes() == expected.data.tobytes()
     assert report.delta_inf == deltas
     assert u0.data.tobytes() == before
+
+
+@SETTINGS
+@given(st.data())
+def test_adi_chunking_is_bitwise_invisible(data):
+    # the explicit passes walk the flat field in chunks of adi.STENCIL_CHUNK
+    # points; chunks that split rows and planes, cut the stencil's reach or
+    # leave a short last chunk give the bits of one whole-field chunk
+    ndim = data.draw(st.sampled_from([2, 3]), label="ndim")
+    dims = tuple(data.draw(st.integers(3, 24 if ndim == 2 else 9), label=ax)
+                 for ax in "xyz"[:ndim])
+    u0 = Mesh.zeros(dims, batch=data.draw(st.integers(1, 3), label="batch"),
+                    precision=data.draw(precisions, label="precision"))
+    u0.data[:] = np.random.default_rng(data.draw(seeds, label="seed")).uniform(
+        -1, 1, u0.data.shape)
+    cfg = AdiConfig(gamma=data.draw(st.floats(0.01, 4.0), label="gamma"),
+                    n_iter=data.draw(st.integers(1, 3), label="n_iter"),
+                    precision=u0.precision)
+
+    def run(chunk):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(adi, "STENCIL_CHUNK", chunk)
+            u, report = adi_run(u0, cfg)
+            return adi_rhs(u0, cfg).data.tobytes(), u.data.tobytes(), report.delta_inf
+
+    x, y = dims[:2]
+    whole = run(u0.data.size + data.draw(st.integers(0, 50), label="extra"))
+    for chunk in (1, 3, x - 1, x + 1, x * y + 5):
+        assert run(chunk) == whole, chunk
