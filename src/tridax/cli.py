@@ -53,7 +53,6 @@ def _add_common(p: argparse.ArgumentParser, precision_help: str = "fp32 or fp64"
     p.add_argument("--precision", default="fp64", help=precision_help)
     p.add_argument("--format", choices=("json", "csv"), default="json",
                    help="report format")
-    p.add_argument("--out", type=Path, help="primary output file")
     p.add_argument("--report", type=Path, help="report file (stdout if omitted)")
 
 
@@ -73,6 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--margin", type=float, default=1.0,
                    help="diagonal dominance margin of generated systems")
+    p.add_argument("--out", type=Path, help="solution file (default solutions.bin)")
     _add_common(p, "fp32 or fp64 of generated systems; an --input batch keeps its own")
 
     p = sub.add_parser("adi", help="run the ADI heat-diffusion application")
@@ -88,6 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="compare against the plain-loop reference")
     p.add_argument("--literal-coefficients", action="store_true",
                    help="use the bare-gamma sweep diagonal variant")
+    p.add_argument("--out", type=Path, help="final mesh file (not written if omitted)")
     _add_common(p)
 
     p = sub.add_parser("model", help="evaluate the analytic model for one design")
@@ -121,10 +122,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--freq-mhz", type=float, default=300.0)
     p.add_argument("--device", default="u280")
     p.add_argument("--top", type=int, default=10, help="rows printed to stdout")
+    p.add_argument("--out", type=Path, help="ranked table file, used when --report is omitted")
     _add_common(p)
 
-    p = sub.add_parser("selftest", help="run quick built-in checks")
-    _add_common(p)
+    sub.add_parser("selftest", help="run quick built-in checks")
     return parser
 
 
@@ -176,12 +177,11 @@ def cmd_solve(args) -> int:
     elapsed = time.perf_counter() - t0
     out_path = args.out or Path("solutions.bin")
     try:
-        sol = np.stack(solutions)
-        write_mesh(out_path, Mesh(sol.reshape(batch.count, 1, 1, batch.n), 2))
+        write_mesh(out_path, Mesh(solutions.reshape(batch.count, 1, 1, batch.n), 2))
     except Exception:
         out_path.unlink(missing_ok=True)  # no partial outputs
         raise
-    max_res = core.residual_max_norm(batch, sol)
+    max_res = core.residual_max_norm(batch, solutions)
     moved = 5 * batch.count * batch.n * batch.precision.word_bytes  # a,b,c,d in, u out
     payload = {
         "schema_version": REPORT_SCHEMA,
@@ -249,7 +249,7 @@ def _design_from_args(args, algo: Algorithm, precision: Precision) -> DesignPoin
         algorithm=algo, precision=precision, interleave_group=args.group,
         vector_width=args.vector, unroll=args.unroll,
         tiles=args.tiles, tiles_x=args.tiles, tiles_y=args.tiles,
-        compute_units=args.cus, partitions=getattr(args, "partitions", 1),
+        compute_units=args.cus, partitions=args.partitions,
         frequency_hz=args.freq_mhz * 1e6)
 
 

@@ -112,8 +112,9 @@ class TridiagonalBatch:
     """``count`` independent systems of shared size ``n``.
 
     The four coefficient arrays are shaped ``(count, n)``: row i holds
-    system i. ``batch_solve`` hands the kernels their ``(n, count)``
-    transposed views.
+    system i. They share one float dtype, as a system's vectors do; arrays
+    already in it are held by reference. ``batch_solve`` hands the kernels
+    their ``(n, count)`` transposed views.
     """
 
     a: np.ndarray
@@ -122,11 +123,16 @@ class TridiagonalBatch:
     d: np.ndarray
 
     def __post_init__(self):
+        arrays = [np.asarray(x) for x in (self.a, self.b, self.c, self.d)]
+        dtype = _float_dtype(*arrays)
+        self.a, self.b, self.c, self.d = (x.astype(dtype, copy=False) for x in arrays)
         shapes = {arr.shape for arr in (self.a, self.b, self.c, self.d)}
         if len(shapes) != 1 or self.a.ndim != 2:
             raise ValueError("batch arrays must share one 2-D shape")
         if self.count < 1:
             raise ValueError("batch must contain at least one system")
+        if self.n < 1:
+            raise ValueError("every system must have at least one unknown")
         if np.any(self.a[:, 0] != 0.0) or np.any(self.c[:, -1] != 0.0):
             raise ValueError("every system needs a[0] == 0 and c[n-1] == 0")
 
@@ -175,8 +181,7 @@ def residual_max_norm(system: TridiagonalSystem | TridiagonalBatch, u) -> float:
     residual of any of its systems, exactly the maximum of the per-system
     values.
     """
-    dtype = _float_dtype(system.a, system.b, system.c, system.d)
-    u = np.asarray(u, dtype=dtype)
+    u = np.asarray(u, dtype=system.b.dtype)
     if u.shape != system.b.shape:
         raise ValueError(f"solution has shape {u.shape}, expected {system.b.shape}")
     r = system.b * u - system.d
@@ -226,28 +231,26 @@ def _kernel(algo: str, tiles: int | None):
 
 
 def batch_solve(batch: TridiagonalBatch, algo: str = "thomas",
-                tiles: int | None = None) -> list[np.ndarray]:
+                tiles: int | None = None) -> np.ndarray:
     """Solve every system of a batch independently.
 
-    Results keep the input order and match the scalar solver bitwise.
-    Every algorithm solves the whole batch in one kernel call on the
-    ``(n, count)`` transposed views of the batch arrays. Failing systems
-    do not abort the rest: they are raised together as
-    :class:`BatchSolveError`, one :class:`ZeroPivot` or
+    Returns a C-contiguous ``(count, n)`` array, row i solving system i,
+    that matches the scalar solver bitwise. Every algorithm solves the
+    whole batch in one kernel call on the ``(n, count)`` transposed views
+    of the batch arrays. Failing systems do not abort the rest: they are
+    raised together as :class:`BatchSolveError`, one :class:`ZeroPivot` or
     :class:`NonFiniteSolution` per system with ``line`` set to its index,
-    and the other systems' solutions from the same call attached.
+    and the ``(count, n)`` solutions from the same call attached, NaN in
+    every failed system's row.
     """
     kernel = _kernel(algo, tiles)
-    dtype = _float_dtype(batch.a, batch.b, batch.c, batch.d)
-    arrays = [np.asarray(getattr(batch, k).T, dtype=dtype) for k in "abcd"]
     try:
-        return list(np.ascontiguousarray(kernel(*arrays).T))
+        return np.ascontiguousarray(kernel(batch.a.T, batch.b.T, batch.c.T, batch.d.T).T)
     except (ZeroPivot, NonFiniteSolution) as exc:
-        solutions = list(np.ascontiguousarray(exc.solution.T))
-        failures = []
-        for i, row in zip(exc.lines.tolist(), exc.rows.tolist()):
-            failures.append((i, ZeroPivot(row, line=i) if row >= 0 else NonFiniteSolution(i)))
-            solutions[i] = None
+        solutions = exc.solution.T.copy()  # exc.solution keeps the kernel's raw output
+        solutions[exc.lines] = np.nan
+        failures = [(i, ZeroPivot(row, line=i) if row >= 0 else NonFiniteSolution(i))
+                    for i, row in zip(exc.lines.tolist(), exc.rows.tolist())]
         raise BatchSolveError(failures, solutions) from exc
 
 
@@ -378,52 +381,40 @@ def _thomas_kernel(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray):
     return _thomas_substitute(factor, d, u), [(failed, range(d.shape[0]))]
 
 
-def _shift(arr: np.ndarray, offset: int) -> np.ndarray:
-    """Values at row ``i + offset``; zero outside the system."""
-    out = np.zeros_like(arr)
-    n = arr.shape[0]
-    if offset >= n:
-        return out
-    if offset >= 0:
-        out[: n - offset] = arr[offset:]
-    else:
-        out[-offset:] = arr[:offset]
-    return out
-
-
 def _pcr_kernel(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray):
     """Parallel cyclic reduction.
 
     The system is normalized to a unit diagonal, then reduced in
     ``ceil(log2(n))`` steps; at step p each row subtracts multiples of the
-    rows ``2**(p-1)`` away. Neighbors outside ``[0, n)`` act as identity
-    rows with zero right-hand side, so non-power-of-two sizes need no
-    padding.
+    rows ``s = 2**(p-1)`` away. Neighbors outside ``[0, n)`` act as identity
+    rows with zero right-hand side: ``a/b``, ``c/b`` and ``d/b`` are held
+    with ``2**(steps-1)`` zero rows at both ends, so a step reads its
+    neighbors as slices and writes the reduced rows back between the pads.
     """
     n = d.shape[0]
     one = b.dtype.type(1)
     failed = [_failed_pivots(b)]
+    steps = 0 if n <= 1 else int(np.ceil(np.log2(n)))
+    pad = (1 << steps) // 2
+    # after one step, a per-line coefficient of any kind makes both ra and rc per-line
+    shape = np.broadcast_shapes(a.shape, b.shape, c.shape)
+    ra, rc = (np.zeros((n + 2 * pad,) + shape[1:], b.dtype) for _ in range(2))
+    rd = np.zeros((n + 2 * pad,) + np.broadcast_shapes(shape, d.shape)[1:], b.dtype)
+    mid = slice(pad, pad + n)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        ra = a / b
-        rc = c / b
-        rd = d / b
-        steps = 0 if n <= 1 else int(np.ceil(np.log2(n)))
+        for x, buf in ((a, ra), (c, rc), (d, rd)):
+            np.divide(x, b, out=buf[mid])
         for p in range(steps):
             s = 1 << p
-            a_lo = _shift(ra, -s)
-            d_lo = _shift(rd, -s)
-            c_lo = _shift(rc, -s)
-            a_hi = _shift(ra, s)
-            c_hi = _shift(rc, s)
-            d_hi = _shift(rd, s)
-            denom = one - ra * c_lo - rc * a_hi
+            lo, hi = slice(pad - s, pad - s + n), slice(pad + s, pad + s + n)
+            denom = one - ra[mid] * rc[lo] - rc[mid] * ra[hi]
             failed.append(_failed_pivots(denom))
             r = one / denom
-            na = -r * (ra * a_lo)
-            nc = -r * (rc * c_hi)
-            nd = r * (rd - ra * d_lo - rc * d_hi)
-            ra, rc, rd = na, nc, nd
-    return rd, [(bad, range(n)) for bad in failed]
+            na = -r * (ra[mid] * ra[lo])
+            nc = -r * (rc[mid] * rc[hi])
+            nd = r * (rd[mid] - ra[mid] * rd[lo] - rc[mid] * rd[hi])
+            ra[mid], rc[mid], rd[mid] = na, nc, nd
+    return rd[mid], [(bad, range(n)) for bad in failed]
 
 
 _KERNELS = {"thomas": _checked(_thomas_kernel), "pcr": _checked(_pcr_kernel)}

@@ -79,7 +79,9 @@ class BatchSolveError(TridaxError):
 
     ``failures`` lists ``(system_index, exception)`` pairs in index order,
     one :class:`ZeroPivot` or :class:`NonFiniteSolution` per failing system;
-    ``solutions`` holds every system's result, with ``None`` at failed slots.
+    ``solutions`` is the ``(count, n)`` array of every system's result, NaN
+    in each failed system's row. The kernel call's own output stays on
+    ``__cause__.solution``.
     """
 
     def __init__(self, failures, solutions=None):

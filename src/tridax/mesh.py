@@ -121,6 +121,13 @@ _STORAGE_DIM = {Axis.X: 3, Axis.Y: 2, Axis.Z: 1}  # axis position in (batch, z, 
 LINE_BLOCK = 64  # lines per block of a transposing copy: x-line gather and scatter, tiles
 
 
+def _blocked_copy(dst: np.ndarray, src: np.ndarray) -> None:
+    """``dst[...] = src`` in blocks of ``LINE_BLOCK`` along the last axis, so
+    a transposing copy keeps each block's rows in cache."""
+    for lo in range(0, dst.shape[-1], LINE_BLOCK):
+        dst[..., lo:lo + LINE_BLOCK] = src[..., lo:lo + LINE_BLOCK]
+
+
 def axis_lines(data: np.ndarray, axis: Axis) -> np.ndarray:
     """``(n, lines)`` array of every line along ``axis``, in sweep order.
 
@@ -138,9 +145,7 @@ def gather_lines(data: np.ndarray, axis: Axis, out: np.ndarray | None = None) ->
     if out is None:
         out = np.empty((view.shape[0], data.size // view.shape[0]), dtype=data.dtype)
     if axis is Axis.X and data.flags.c_contiguous:
-        rows = data.reshape(-1, view.shape[0])
-        for lo in range(0, rows.shape[0], LINE_BLOCK):
-            out[:, lo:lo + LINE_BLOCK] = rows[lo:lo + LINE_BLOCK].T
+        _blocked_copy(out, data.reshape(-1, view.shape[0]).T)
     else:
         out.reshape(view.shape)[...] = view
     return out
@@ -151,9 +156,7 @@ def scatter_lines(lines: np.ndarray, data: np.ndarray, axis: Axis) -> None:
     :func:`gather_lines`, blocked the same way."""
     view = np.moveaxis(data, _STORAGE_DIM[axis], 0)
     if axis is Axis.X and data.flags.c_contiguous:
-        rows = data.reshape(-1, view.shape[0])
-        for lo in range(0, rows.shape[0], LINE_BLOCK):
-            rows[lo:lo + LINE_BLOCK] = lines[:, lo:lo + LINE_BLOCK].T
+        _blocked_copy(data.reshape(-1, view.shape[0]).T, lines)
     else:
         view[...] = lines.reshape(view.shape)
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .core import _failed_pivots
 from .errors import InvalidTilePlan, MismatchedTiles
-from .mesh import LINE_BLOCK
+from .mesh import _blocked_copy
 
 MIN_TILE_ROWS = 3  # a tile needs at least one interior unknown
 BLOCK_ROWS = 8  # rows per back-substitution step: temporaries stay small and cached
@@ -88,7 +88,7 @@ def modified_thomas_phase(a, b, c, d) -> ModifiedTileResult:
     ``d`` is an ``(m, tiles, lines)`` block of tiles; ``a``, ``b``, ``c`` are
     too, or ``(m, tiles, 1)`` if shared. ``a[0]`` and ``c[m-1]`` couple each
     tile to its neighbors. The inputs, left unmodified, are copied once in
-    blocks of ``LINE_BLOCK`` lines; the pass then rewrites the copies in
+    blocks of ``mesh.LINE_BLOCK`` lines; the pass then rewrites the copies in
     place, row by row with ``out=``. A failed pivot raises nothing; it leaves
     NaN or infinity in its line, and ``failed_pivots`` marks it.
     """
@@ -101,9 +101,7 @@ def modified_thomas_phase(a, b, c, d) -> ModifiedTileResult:
     at, ct, den = (np.empty(shape, dtype=b.dtype) for _ in range(3))
     dt = np.empty(np.broadcast_shapes(shape, d.shape), dtype=b.dtype)
     for src, buf in ((a, at), (b, den), (c, ct), (d, dt)):
-        src = np.broadcast_to(src, buf.shape)
-        for lo in range(0, buf.shape[-1], LINE_BLOCK):
-            buf[..., lo:lo + LINE_BLOCK] = src[..., lo:lo + LINE_BLOCK]
+        _blocked_copy(buf, np.broadcast_to(src, buf.shape))
     r, row, drow = (np.empty(x.shape[1:], dtype=b.dtype) for x in (at, at, dt))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         # forward: row i becomes at[i]*u0 + u[i] + ct[i]*u[i+1] = dt[i]; at[i] is a[i] until last

@@ -1,5 +1,3 @@
-import hashlib
-
 import numpy as np
 import pytest
 
@@ -7,6 +5,7 @@ from tridax import (AdiConfig, LineSolveError, Mesh, Precision, ZeroDuration, Ze
                     adi, adi_rhs, adi_run, effective_bandwidth)
 from tridax.adi import logical_bytes_per_iteration
 from tridax.reference import naive_adi_run
+from conftest import digest
 
 
 def interior_random(dims, batch=1, seed=0, precision=Precision.FP64):
@@ -232,14 +231,6 @@ class TestRun:
                     adi_run(u0, NegatedX(gamma=1.0, n_iter=n_iter))
 
 
-def _digest(*arrays) -> str:
-    h = hashlib.sha256()
-    for x in arrays:
-        h.update(f"{x.dtype.str}{x.shape}".encode())
-        h.update(x.tobytes())
-    return h.hexdigest()
-
-
 GOLDEN = {
     "2x160x160-fp32": "9fadcfefb2c230e83315180c260f9f9801cb930e988911bb8d65ebbd10728163",
     "1x40x40x40-fp64": "699a33d90efd254e10d953ee670ea815a21031a1edb3c1c7a4068e938bff101b",
@@ -259,7 +250,7 @@ class TestGoldenDigests:
         assert u0.data.size > adi.STENCIL_CHUNK
         u, report = adi_run(u0, AdiConfig(gamma=0.5, n_iter=3, precision=precision))
         key = f"{batch}x{'x'.join(map(str, dims))}-{precision.value}"
-        assert _digest(u.data, np.array(report.delta_inf)) == GOLDEN[key]
+        assert digest(u.data, np.array(report.delta_inf)) == GOLDEN[key]
 
 
 class TestEffectiveBandwidth:

@@ -158,6 +158,12 @@ class TestModel:
                     "--tiles", 4]) == 2
         assert "below 3 rows" in capsys.readouterr().err
 
+    def test_out_is_usage_error(self, tmp_path):
+        with pytest.raises(SystemExit) as err:
+            run(["model", "--algo", "batched-thomas", "--batch", 10, "--size", 8,
+                 "--out", tmp_path / "x"])
+        assert err.value.code == 2
+
     def test_incomplete_device_profile_usage_error(self, tmp_path, capsys):
         path = tmp_path / "card.txt"
         path.write_text("dsp_count = 1000\nhbm_ports = 16\n")
@@ -203,3 +209,10 @@ class TestSelftest:
         assert run(["selftest"]) == 0
         out = capsys.readouterr().out
         assert "FAIL" not in out
+
+    @pytest.mark.parametrize("option", ["--out", "--report", "--format", "--precision"])
+    def test_options_are_usage_errors(self, tmp_path, option):
+        value = {"--format": "json", "--precision": "fp64"}.get(option, tmp_path / "x")
+        with pytest.raises(SystemExit) as err:
+            run(["selftest", option, value])
+        assert err.value.code == 2

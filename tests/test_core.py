@@ -9,7 +9,7 @@ from tridax import (BatchSolveError, InvalidTilePlan, NonFiniteSolution, Precisi
                     relative_inf_error, residual_max_norm, solve_system)
 from tridax.core import DENSE_ORACLE_MAX_N, SOLVER_NAMES
 from tridax.reference import thomas_scalar
-from conftest import make_system
+from conftest import digest, dominant_batch, make_system
 
 
 def diagonal_system():
@@ -40,6 +40,34 @@ class TestSystemInvariants:
 
     def test_tolerance_ordering(self):
         assert Precision.FP32.tolerance > Precision.FP64.tolerance > 0
+
+
+class TestBatchInvariants:
+    def test_rejects_zero_length_systems(self):
+        with pytest.raises(ValueError):
+            TridiagonalBatch(*(np.zeros((3, 0)) for _ in range(4)))
+
+    def test_integer_batch_is_fp64(self):
+        batch = TridiagonalBatch(*(np.array([row]) for row in
+                                   ([0, 0, 0], [2, 2, 2], [0, 0, 0], [2, 4, 6])))
+        assert batch.precision is Precision.FP64
+        assert all(getattr(batch, k).dtype == np.float64 for k in "abcd")
+        assert np.array_equal(batch_solve(batch), [[1.0, 2.0, 3.0]])
+
+    def test_mixed_precisions_held_in_common_dtype(self):
+        s = make_system(16, seed=3)
+        arrays = [s.a, s.b.astype(np.float32), s.c, s.d]
+        batch = TridiagonalBatch(*(x[None] for x in arrays))
+        assert batch.precision is Precision.FP64
+        assert all(getattr(batch, k).dtype == np.float64 for k in "abcd")
+        widened = TridiagonalBatch(*(x[None].astype(np.float64) for x in arrays))
+        assert np.array_equal(batch_solve(batch), batch_solve(widened))
+
+    @pytest.mark.parametrize("precision", [Precision.FP32, Precision.FP64])
+    def test_arrays_in_dtype_held_by_reference(self, precision):
+        batch = dominant_batch(4, 8, precision, seed=1)
+        again = TridiagonalBatch(batch.a, batch.b, batch.c, batch.d)
+        assert all(getattr(again, k) is getattr(batch, k) for k in "abcd")
 
 
 class TestThomas:
@@ -153,7 +181,7 @@ class TestResidual:
         rng = np.random.default_rng(n)
         systems = [random_dominant_system(n, rng, precision) for _ in range(9)]
         batch = TridiagonalBatch.from_systems(systems)
-        u = np.stack(batch_solve(batch))
+        u = batch_solve(batch)
         per_system = max(residual_max_norm(s, ui) for s, ui in zip(systems, u))
         assert residual_max_norm(batch, u) == per_system
         with pytest.raises(ValueError):
@@ -192,8 +220,27 @@ class TestBatch:
         with pytest.raises(BatchSolveError) as err:
             batch_solve(batch, "thomas")
         assert [i for i, _ in err.value.failures] == [1]
-        assert err.value.solutions[0] is not None
-        assert err.value.solutions[2] is not None
+        assert np.isfinite(err.value.solutions[0]).all()
+        assert np.isfinite(err.value.solutions[2]).all()
+
+    @pytest.mark.parametrize("algo", SOLVER_NAMES)
+    def test_returns_one_array(self, algo):
+        batch = dominant_batch(5, 24, Precision.FP32, seed=5)
+        u = batch_solve(batch, algo, 4)
+        assert u.shape == (5, 24) and u.dtype == np.float32 and u.flags.c_contiguous
+        for i in range(5):
+            assert np.array_equal(u[i], solve_system(batch.system(i), algo, 4))
+
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_failed_rows_nan_and_raw_output_kept(self, count):
+        batch = dominant_batch(count, 12, Precision.FP64, seed=count)
+        batch.d[-1, 4] = np.inf
+        with pytest.raises(BatchSolveError) as err:
+            batch_solve(batch, "pcr")
+        solutions, raw = err.value.solutions, err.value.__cause__.solution
+        assert solutions.shape == (count, 12) and solutions.flags.c_contiguous
+        assert np.isnan(solutions[-1]).all() and not np.isnan(raw[:, -1]).all()
+        assert np.array_equal(solutions[:-1], raw[:, :-1].T)
 
 
 class TestProperties:
@@ -316,3 +363,34 @@ class TestExactOracle:
         for i in range(12):
             lhs = b[i] * u[i] + (a[i] * u[i - 1] if i else 0) + (c[i] * u[i + 1] if i < 11 else 0)
             assert lhs == d[i]
+
+
+# sha256 of the plain PCR kernel's outputs, pinning them bitwise across refactors.
+# The failing batch hashes the kernel call's raw output with the NaN bits x86-64
+# gives it; other CPU architectures may give other NaN bits.
+PCR_GOLDEN = {
+    "pcr-fp32-203": "44d8e6d224709bbec431ae4ca155f179eae9f9b1f89ae62cc61599fa82b9183f",
+    "pcr-fp64-203": "64276c4f1d8c86ca21cc8a7dc16ffc1cd1b9558c6637895588554c84e20642d9",
+    "failing-pcr-fp32": "91d3a9b8aad56ceafae4fc42900b560ec1ae24b6adf0b91c0f66a8a8d30b24f7",
+    "failing-pcr-fp64": "64aa5588731c960ab3ad158bc31c724a9e0a216055d27cf15393ce05e544226c",
+}
+
+
+class TestPcrGoldenDigests:
+    @pytest.mark.parametrize("precision", [Precision.FP32, Precision.FP64])
+    def test_batch_solve(self, precision):
+        batch = dominant_batch(70, 203, precision, seed=203)  # 203: no power of two
+        assert digest(*batch_solve(batch, "pcr")) == PCR_GOLDEN[f"pcr-{precision.value}-203"]
+
+    @pytest.mark.parametrize("precision", [Precision.FP32, Precision.FP64])
+    def test_failing_batch(self, precision):
+        batch = dominant_batch(70, 203, precision, seed=203)
+        batch.a[3, 11] = batch.b[3, 11] = batch.c[3, 11] = 0  # a zero row
+        batch.d[40, 150] = np.nan
+        batch.b[66, 202] = np.inf
+        with pytest.raises(BatchSolveError) as err:
+            batch_solve(batch, "pcr")
+        failures = [(i, type(exc).__name__, getattr(exc, "index", None), exc.line)
+                    for i, exc in err.value.failures]
+        assert digest(np.frombuffer(repr(failures).encode(), np.uint8),
+                      err.value.__cause__.solution) == PCR_GOLDEN[f"failing-pcr-{precision.value}"]

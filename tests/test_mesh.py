@@ -7,6 +7,7 @@ from tridax import (Axis, LineSolveError, Mesh, NonFiniteSolution, Precision,
                     TridiagonalBatch, TridiagonalSystem, ZeroPivot, axis_lines, batch_solve,
                     gather_lines, read_mesh, scatter_lines, solve_lines, solve_system,
                     write_mesh)
+from tridax.core import SOLVER_NAMES
 from tridax.mesh import factor_lines, sweep_lines
 
 STORAGE_DIM = {"x": 3, "y": 2, "z": 1}  # axis position in (batch, z, y, x)
@@ -141,6 +142,19 @@ class TestSolveLines:
         got = solve_lines(mesh, coeffs, axis)
         assert got.data.dtype == np.float32
         assert np.array_equal(got.data, solve_lines(mesh, cast, axis).data)
+
+    @pytest.mark.parametrize("algo", SOLVER_NAMES)
+    @pytest.mark.parametrize("axis", ["x", "y", "z"])
+    def test_mixed_coefficient_forms_bitwise(self, algo, axis):
+        # a per-line a beside shared b and c: reduced rows take the per-line shape
+        mesh = random_mesh((12, 9, 15), batch=2, seed=29)
+        _, b, c = dominant_profile(9, mesh, axis)  # |b| > 1 + |c|
+        a = random_mesh((12, 9, 15), batch=2, seed=31)
+        a.data[...] = np.clip(a.data, -1, 1)
+        np.moveaxis(a.data, STORAGE_DIM[axis], 0)[0] = 0
+        got = solve_lines(mesh, (a, b, c), axis, algo, tiles=3)
+        meshes = (a,) + profile_meshes((b, c), mesh, axis)
+        assert np.array_equal(got.data, solve_lines(mesh, meshes, axis, algo, tiles=3).data)
 
     def test_identity_lines_leave_mesh_unchanged(self):
         mesh = random_mesh((8, 8, 8), seed=1)

@@ -102,7 +102,7 @@ def test_batch_equals_scalar_bitwise(case, algo, data):
     solutions = batch_solve(batch, algo, tiles)
     for s, u in zip(systems, solutions):
         assert np.array_equal(u, solve_system(s, algo, tiles))
-    assert_small_residual(batch, np.stack(solutions))
+    assert_small_residual(batch, solutions)
 
 
 @SETTINGS
@@ -217,7 +217,7 @@ def test_batch_failures_match_each_systems_own_solve(n, count, precision, seed, 
         for k, err in exc.failures:
             assert (type(err), getattr(err, "index", None)) == expected[k]
             assert err.line == k
-            assert exc.solutions[k] is None
+            assert np.isnan(exc.solutions[k]).all()
         for k, u in solved.items():
             assert np.array_equal(exc.solutions[k], u)
     else:

@@ -1,5 +1,3 @@
-import hashlib
-
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -11,7 +9,7 @@ from tridax import (BatchSolveError, InvalidTilePlan, LineSolveError, Mismatched
                     batch_solve, dense_oracle_solve, modified_thomas_phase,
                     random_dominant_system, relative_inf_error, solve_lines, solve_system,
                     tiled)
-from conftest import make_system
+from conftest import digest, dominant_batch, make_system
 
 
 def identity_system(n, d=None):
@@ -30,21 +28,6 @@ def solve_reduced(tiles, algo="thomas"):
     """Solve of the one-line reduced system, as a ``(2t, 1)`` column."""
     reduced = TridiagonalSystem(*(v[:, 0] for v in assemble_reduced(tiles)))
     return solve_system(reduced, algo)[:, None]
-
-
-def _digest(*arrays) -> str:
-    h = hashlib.sha256()
-    for x in arrays:
-        x = np.ascontiguousarray(x)
-        h.update(f"{x.dtype.str}{x.shape}".encode())
-        h.update(x.tobytes())
-    return h.hexdigest()
-
-
-def _dominant_batch(count, n, precision, seed):
-    rng = np.random.default_rng(seed)
-    return TridiagonalBatch.from_systems(random_dominant_system(n, rng, precision)
-                                         for _ in range(count))
 
 
 class TestTilePlan:
@@ -114,7 +97,7 @@ def test_phase_on_strided_tile_views(m, tiles, count, off, precision, shared, pl
     # inputs stay untouched, and results match the phase on contiguous copies
     n = off + m * tiles
     rng = np.random.default_rng(seed)
-    batch = _dominant_batch(count, n, precision, seed)
+    batch = dominant_batch(count, n, precision, seed)
     arrays = [getattr(batch, k).T for k in "abcd"]
     if shared:  # one (n, 1) profile per coefficient, shared by every line
         arrays[:3] = [x[:, :1] for x in arrays[:3]]
@@ -357,9 +340,9 @@ class TestGoldenDigests:
     @pytest.mark.parametrize("precision", [Precision.FP32, Precision.FP64])
     @pytest.mark.parametrize("n, t", [(96, 4), (203, 8)])  # 203 = 7 tiles of 26 + 21
     def test_batch_solve(self, algo, precision, n, t):
-        batch = _dominant_batch(70, n, precision, seed=n + t)  # lines past LINE_BLOCK
-        digest = _digest(*batch_solve(batch, algo, t))
-        assert digest == GOLDEN[f"{algo}-{precision.value}-{n}-{t}"]
+        batch = dominant_batch(70, n, precision, seed=n + t)  # lines past LINE_BLOCK
+        key = f"{algo}-{precision.value}-{n}-{t}"
+        assert digest(*batch_solve(batch, algo, t)) == GOLDEN[key]
 
     def test_shared_profile_lines(self):
         rng = np.random.default_rng(7)
@@ -369,11 +352,11 @@ class TestGoldenDigests:
         b = np.abs(a) + np.abs(c) + rng.uniform(1.0, 2.0, n)
         mesh = Mesh(rng.uniform(-1.0, 1.0, (2, 1, 40, n)), 2)
         out = solve_lines(mesh, (a, b, c), "x", "thomas-pcr", tiles=7)
-        assert _digest(out.data) == GOLDEN["lines-thomas-pcr"]
+        assert digest(out.data) == GOLDEN["lines-thomas-pcr"]
 
     @pytest.mark.parametrize("algo", ["thomas-thomas", "thomas-pcr"])
     def test_failing_batch(self, algo):
-        batch = _dominant_batch(20, 48, Precision.FP64, seed=48)  # 4 tiles of 10 + 8
+        batch = dominant_batch(20, 48, Precision.FP64, seed=48)  # 4 tiles of 10 + 8
         batch.b[3, 11] = 0.0  # row 1 of tile 1: a zero pivot
         batch.b[11, 41] = 0.0  # row 1 of the short last tile
         batch.b[15, 5] = np.inf
@@ -382,7 +365,7 @@ class TestGoldenDigests:
             batch_solve(batch, algo, 5)
         failures = [(i, type(exc).__name__, getattr(exc, "index", None), exc.line)
                     for i, exc in err.value.failures]
-        survivors = [u for u in err.value.solutions if u is not None]
+        survivors = np.delete(err.value.solutions, [i for i, _ in err.value.failures], axis=0)
         assert len(survivors) == 20 - len(failures)
-        digest = _digest(np.frombuffer(repr(failures).encode(), np.uint8), *survivors)
-        assert digest == GOLDEN[f"failing-{algo}"]
+        assert digest(np.frombuffer(repr(failures).encode(), np.uint8),
+                      *survivors) == GOLDEN[f"failing-{algo}"]
