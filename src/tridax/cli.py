@@ -160,6 +160,8 @@ def _emit_report(args, payload: dict, csv_rows: list[list] | None = None) -> Non
 
 
 def cmd_solve(args) -> int:
+    if args.tiles is not None and args.algo in ("thomas", "pcr"):
+        raise ValueError(f"--tiles applies to the tiled algorithms, not {args.algo}")
     precision = Precision.parse(args.precision)
     if args.input:
         batch = read_batch(args.input)
@@ -176,11 +178,7 @@ def cmd_solve(args) -> int:
     solutions = core.batch_solve(batch, args.algo, args.tiles)
     elapsed = time.perf_counter() - t0
     out_path = args.out or Path("solutions.bin")
-    try:
-        write_mesh(out_path, Mesh(solutions.reshape(batch.count, 1, 1, batch.n), 2))
-    except Exception:
-        out_path.unlink(missing_ok=True)  # no partial outputs
-        raise
+    write_mesh(out_path, Mesh(solutions.reshape(batch.count, 1, 1, batch.n), 2))
     max_res = core.residual_max_norm(batch, solutions)
     moved = 5 * batch.count * batch.n * batch.precision.word_bytes  # a,b,c,d in, u out
     payload = {
@@ -256,6 +254,8 @@ def _design_from_args(args, algo: Algorithm, precision: Precision) -> DesignPoin
 def cmd_model(args) -> int:
     precision = Precision.parse(args.precision)
     algo = Algorithm.parse(args.algo)
+    if args.tiles is not None and not algo.is_tiled:
+        raise ValueError(f"--tiles applies to the tiled algorithms, not {algo.value}")
     device = load_device_profile(args.device)
     dp = _design_from_args(args, algo, precision)
     latency = latency_for_problem(dp, batch=args.batch, n=args.size,

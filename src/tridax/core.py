@@ -16,7 +16,8 @@ output once, its error naming every failing line; ``_kernel`` maps an
 algorithm name and tile count to the Thomas or PCR kernel at the bottom of
 this module or to the tiled hybrids' kernel in :mod:`tridax.tiled`. A
 batch stores ``(count, n)`` arrays and is solved through their transposed
-views; a single system is a one-line call. Every line runs the same
+views; a single system is a one-line call. Both containers share one
+coefficient rule, ``_coefficients``. Every line runs the same
 operation sequence, so scalar, batched and sweep results are bitwise
 identical. The Thomas kernel is ``_thomas_factor`` then
 ``_thomas_substitute``, which repeated sweeps also call apart.
@@ -35,19 +36,25 @@ from .precision import Precision
 DENSE_ORACLE_MAX_N = 4096
 
 
-def _float_dtype(*arrays) -> np.dtype:
-    """Common dtype of the arrays; FP64 unless that is FP32 or FP64."""
-    common = np.result_type(*arrays)
-    return common if common in (np.float32, np.float64) else np.dtype(np.float64)
-
-
-def _as_coeff_array(name: str, values, dtype=None) -> np.ndarray:
-    arr = np.asarray(values, dtype=dtype)
-    if arr.dtype not in (np.float32, np.float64):
-        arr = arr.astype(np.float64)
-    if arr.ndim != 1:
-        raise ValueError(f"{name} must be one-dimensional, got shape {arr.shape}")
-    return arr
+def _coefficients(values, ndim: int) -> list[np.ndarray]:
+    """``(a, b, c, d)`` as ``ndim``-D arrays of one shape and their common
+    dtype (FP64 unless that is FP32 or FP64), row ``[..., i]`` of every
+    system; arrays already in it are held by reference. Every system needs
+    an unknown, ``a[0] == 0`` and ``c[n-1] == 0``."""
+    arrays = [np.asarray(x) for x in values]
+    dtype = np.result_type(*arrays)
+    if dtype not in (np.float32, np.float64):
+        dtype = np.float64
+    a, b, c, d = coeffs = [x.astype(dtype, copy=False) for x in arrays]
+    if a.ndim != ndim or not a.shape == b.shape == c.shape == d.shape:
+        raise ValueError(f"a, b, c, d must share one {ndim}-D shape, "
+                         f"got {[x.shape for x in coeffs]}")
+    if a.size == 0:
+        raise ValueError(f"coefficients need at least one unknown, got shape {a.shape}")
+    # count_nonzero, not np.any: a row's 0-d values are a batch.system(i) hot path
+    if np.count_nonzero(a[..., 0]) or np.count_nonzero(c[..., -1]):
+        raise ValueError("every system needs a[0] == 0 and c[n-1] == 0")
+    return coeffs
 
 
 @dataclass(frozen=True)
@@ -64,20 +71,8 @@ class TridiagonalSystem:
     d: np.ndarray
 
     def __post_init__(self):
-        arrays = {name: np.asarray(getattr(self, name)) for name in "abcd"}
-        common = _float_dtype(*arrays.values())
-        for name, arr in arrays.items():
-            object.__setattr__(self, name, _as_coeff_array(name, arr, common))
-        n = self.b.shape[0]
-        if n < 1:
-            raise ValueError("system must have at least one unknown")
-        for name in ("a", "c", "d"):
-            if getattr(self, name).shape[0] != n:
-                raise ValueError(f"{name} has length {getattr(self, name).shape[0]}, expected {n}")
-        if self.a[0] != 0.0:
-            raise ValueError("a[0] must be 0 (no sub-diagonal entry on the first row)")
-        if self.c[-1] != 0.0:
-            raise ValueError("c[n-1] must be 0 (no super-diagonal entry on the last row)")
+        for name, arr in zip("abcd", _coefficients((self.a, self.b, self.c, self.d), 1)):
+            object.__setattr__(self, name, arr)
 
     @property
     def n(self) -> int:
@@ -123,18 +118,7 @@ class TridiagonalBatch:
     d: np.ndarray
 
     def __post_init__(self):
-        arrays = [np.asarray(x) for x in (self.a, self.b, self.c, self.d)]
-        dtype = _float_dtype(*arrays)
-        self.a, self.b, self.c, self.d = (x.astype(dtype, copy=False) for x in arrays)
-        shapes = {arr.shape for arr in (self.a, self.b, self.c, self.d)}
-        if len(shapes) != 1 or self.a.ndim != 2:
-            raise ValueError("batch arrays must share one 2-D shape")
-        if self.count < 1:
-            raise ValueError("batch must contain at least one system")
-        if self.n < 1:
-            raise ValueError("every system must have at least one unknown")
-        if np.any(self.a[:, 0] != 0.0) or np.any(self.c[:, -1] != 0.0):
-            raise ValueError("every system needs a[0] == 0 and c[n-1] == 0")
+        self.a, self.b, self.c, self.d = _coefficients((self.a, self.b, self.c, self.d), 2)
 
     @property
     def count(self) -> int:

@@ -270,14 +270,21 @@ def sweep_lines(data: np.ndarray, factor, axis: Axis, work: np.ndarray) -> None:
 
 
 def write_mesh(path, mesh: Mesh) -> None:
+    """Write ``mesh`` to ``path``; a file this call opened but could not
+    finish is removed, so there are no partial outputs."""
     x, y = mesh.dims[0], mesh.dims[1]
     z = mesh.dims[2] if mesh.spatial_ndim == 3 else 0
     bits = 32 if mesh.precision is Precision.FP32 else 64
     header = _HEADER.pack(MESH_MAGIC, bits, mesh.batch, x, y, z)
     le = mesh.data.astype("<f4" if bits == 32 else "<f8", copy=False)
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(le.tobytes())
+    fh = open(path, "wb")
+    try:
+        with fh:
+            fh.write(header)
+            fh.write(le.tobytes())
+    except BaseException:
+        os.unlink(path)
+        raise
 
 
 def read_mesh(path) -> Mesh:

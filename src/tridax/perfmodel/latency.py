@@ -137,12 +137,6 @@ def latency_batched_spike(batch: int, n: int, dp: DesignPoint) -> LatencyEstimat
     )
 
 
-def _tiled_common(batch: int, n: int, dp: DesignPoint) -> Fraction:
-    g = dp.interleave_group
-    t = dp.tiles
-    return Fraction((2 + ceil_div(batch * t, g)) * ceil_div(n, t) * g)
-
-
 def _check_tiles(dp: DesignPoint) -> DesignPoint:
     dp = dp.resolved()
     if dp.tiles is None or dp.tiles < 2:
@@ -159,38 +153,43 @@ def _axis_tiles(dp: DesignPoint) -> tuple[int, int]:
     return t1, t2
 
 
+def _reduced_solve(reduced: str, t: int, g: int, l: int) -> int:
+    """Cycles of the ``2t``-row reduced solve: ``g*(2t)*2`` interleaved
+    over ``g`` systems by Thomas, ``(2t + l) * ceil_log2(2t)`` by PCR."""
+    if reduced == "thomas":
+        return g * (2 * t) * 2
+    if reduced == "pcr":
+        return (2 * t + l) * ceil_log2(2 * t)
+    raise ValueError("reduced must be 'thomas' or 'pcr'")
+
+
+def _latency_tiled(reduced: str, batch: int, n: int, dp: DesignPoint) -> LatencyEstimate:
+    _require_positive(batch=batch, n=n)
+    dp = _check_tiles(dp)
+    g, t = dp.interleave_group, dp.tiles
+    tiles_term = Fraction((2 + ceil_div(batch * t, g)) * ceil_div(n, t) * g)
+    red = Fraction(_reduced_solve(reduced, t, dp.reduced_group, dp.pipeline_latency))
+    return LatencyEstimate(
+        cycles=tiles_term + red,
+        frequency_hz=dp.frequency_hz,
+        breakdown={"tile_phase": tiles_term, "reduced_solve": red},
+        per_system_asymptote=Fraction(t * ceil_div(n, t)),
+    )
+
+
 def latency_thomas_thomas(batch: int, n: int, dp: DesignPoint) -> LatencyEstimate:
     """Tiled elimination with a direct reduced solve.
 
     Tile phase ``(2 + ceil(B*t/g)) * ceil(n/t) * g`` plus a reduced solve of
     ``2t`` rows interleaved over ``reduced_group`` systems, ``g_r*(2t)*2``.
     """
-    _require_positive(batch=batch, n=n)
-    dp = _check_tiles(dp)
-    tiles_term = _tiled_common(batch, n, dp)
-    reduced = Fraction(dp.reduced_group * (2 * dp.tiles) * 2)
-    return LatencyEstimate(
-        cycles=tiles_term + reduced,
-        frequency_hz=dp.frequency_hz,
-        breakdown={"tile_phase": tiles_term, "reduced_solve": reduced},
-        per_system_asymptote=Fraction(dp.tiles * ceil_div(n, dp.tiles)),
-    )
+    return _latency_tiled("thomas", batch, n, dp)
 
 
 def latency_thomas_pcr(batch: int, n: int, dp: DesignPoint) -> LatencyEstimate:
     """Tiled elimination with a cyclic-reduction reduced solve:
     same tile phase plus ``(2t + l) * ceil_log2(2t)``."""
-    _require_positive(batch=batch, n=n)
-    dp = _check_tiles(dp)
-    tiles_term = _tiled_common(batch, n, dp)
-    two_t = 2 * dp.tiles
-    reduced = Fraction((two_t + dp.pipeline_latency) * ceil_log2(two_t))
-    return LatencyEstimate(
-        cycles=tiles_term + reduced,
-        frequency_hz=dp.frequency_hz,
-        breakdown={"tile_phase": tiles_term, "reduced_solve": reduced},
-        per_system_asymptote=Fraction(dp.tiles * ceil_div(n, dp.tiles)),
-    )
+    return _latency_tiled("pcr", batch, n, dp)
 
 
 def latency_adi3d(x: int, y: int, z: int, batch: int, n_iter: int,
@@ -266,14 +265,7 @@ def latency_adi2d_tiled(x: int, y: int, batch: int, n_iter: int, dp: DesignPoint
     tx = dp.datapath_tile_x or t1
     v = dp.vector_width
     g = dp.interleave_group
-    if reduced == "thomas":
-        red1, red2 = Fraction(4 * g * t1), Fraction(4 * g * t2)
-    elif reduced == "pcr":
-        l = dp.pipeline_latency
-        red1 = Fraction(ceil_log2(2 * t1) * (2 * t1 + l))
-        red2 = Fraction(ceil_log2(2 * t2) * (2 * t2 + l))
-    else:
-        raise ValueError("reduced must be 'thomas' or 'pcr'")
+    red1, red2 = (_reduced_solve(reduced, t, g, dp.pipeline_latency) for t in (t1, t2))
     drain = Fraction(batch * x * y, v)
     rhs_x = (Fraction(2 * x, v) + 2 * v * Fraction(x, v)
              + Fraction(3 * g * x, t1) + red1 + drain)
@@ -285,32 +277,34 @@ def latency_adi2d_tiled(x: int, y: int, batch: int, n_iter: int, dp: DesignPoint
     )
 
 
+_SYSTEM_MODELS = {  # called as (batch, n, dp)
+    Algorithm.BATCHED_THOMAS: latency_batched_thomas,
+    Algorithm.BATCHED_PCR: latency_batched_pcr,
+    Algorithm.BATCHED_SPIKE: latency_batched_spike,
+    Algorithm.THOMAS_THOMAS: latency_thomas_thomas,
+    Algorithm.THOMAS_PCR: latency_thomas_pcr,
+}
+_MESH_MODELS = {  # called as (*dims[:k], batch, n_iter, dp) on k of the 2 or 3 dims
+    Algorithm.ADI2D: (2, latency_adi2d),
+    Algorithm.ADI2D_TILED: (2, latency_adi2d_tiled),
+    Algorithm.ADI3D: (3, latency_adi3d),
+}
+
+
 def latency_for_problem(dp: DesignPoint, *, batch: int, n: int | None = None,
                         dims: tuple[int, ...] | None = None,
                         n_iter: int = 1) -> LatencyEstimate:
     """Dispatch to the model matching the design's algorithm."""
     algo = dp.algorithm
-    if algo in (Algorithm.BATCHED_THOMAS, Algorithm.BATCHED_PCR,
-                Algorithm.BATCHED_SPIKE, Algorithm.THOMAS_THOMAS,
-                Algorithm.THOMAS_PCR):
+    if algo in _SYSTEM_MODELS:
         if n is None:
             raise ValueError(f"{algo.value} needs a system size n")
-        fn = {
-            Algorithm.BATCHED_THOMAS: latency_batched_thomas,
-            Algorithm.BATCHED_PCR: latency_batched_pcr,
-            Algorithm.BATCHED_SPIKE: latency_batched_spike,
-            Algorithm.THOMAS_THOMAS: latency_thomas_thomas,
-            Algorithm.THOMAS_PCR: latency_thomas_pcr,
-        }[algo]
-        return fn(batch, n, dp)
+        return _SYSTEM_MODELS[algo](batch, n, dp)
+    if algo not in _MESH_MODELS:
+        raise ValueError(f"no latency model for {algo}")
     if dims is None:
         raise ValueError(f"{algo.value} needs mesh dims")
-    if algo is Algorithm.ADI2D:
-        return latency_adi2d(dims[0], dims[1], batch, n_iter, dp)
-    if algo is Algorithm.ADI2D_TILED:
-        return latency_adi2d_tiled(dims[0], dims[1], batch, n_iter, dp)
-    if algo is Algorithm.ADI3D:
-        if len(dims) != 3:
-            raise ValueError("adi3d needs (x, y, z) dims")
-        return latency_adi3d(dims[0], dims[1], dims[2], batch, n_iter, dp)
-    raise ValueError(f"no latency model for {algo}")
+    k, model = _MESH_MODELS[algo]
+    if len(dims) not in (k, 3):
+        raise ValueError(f"{algo.value} cannot take mesh dims {tuple(dims)}")
+    return model(*dims[:k], batch, n_iter, dp)

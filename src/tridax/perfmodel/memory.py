@@ -5,7 +5,9 @@ solvers: a single elimination lane over groups of ``g`` systems of size
 ``n`` keeps the six working vectors double-buffered (``12*g*n`` words) plus
 four ``g``-word carry RAMs. A tiled lane halves that to nine buffers over
 ``g/t``-system groups, with a small reduced-system stage and a FIFO that
-covers the reduced solve's cycle count. The vectorized data path
+covers the reduced solve's cycle count. A tiling is accepted exactly when
+the solver's :class:`tridax.tiled.TilePlan` accepts it, so every tile,
+the short last one included, keeps at least 3 rows. The vectorized data path
 replicates the lane per vector lane, and each compute unit replicates the
 whole pipeline, so feasibility compares
 
@@ -19,9 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..errors import InfeasibleDesign
+from ..tiled import TilePlan
 from .design import Algorithm, DesignPoint
 from .device import DeviceProfile
-from .latency import _axis_tiles, _check_tiles, ceil_div, ceil_log2
+from .latency import _axis_tiles, _check_tiles, _reduced_solve, ceil_div, ceil_log2
 
 REDUCED_FIFO_BUFFERS = 3  # streams drained while the reduced stage runs
 ADI_HBM_PORTS = 24        # measured port budget of the fused ADI pipelines
@@ -33,10 +36,7 @@ def _solver_lane_words(g: int, n: int) -> int:
 
 
 def _tiled_lane_words(g: int, n: int, t: int) -> int:
-    if ceil_div(n, t) < 3:
-        from ..errors import InvalidTilePlan
-
-        raise InvalidTilePlan(f"n={n} over t={t} tiles leaves tiles below 3 rows")
+    TilePlan(n, t)  # the solver's tiling rule
     per_group = ceil_div(g, t)
     return 18 * per_group * n + 28 * t * per_group
 
@@ -76,15 +76,11 @@ def memory_words(dp: DesignPoint, n: int, device: DeviceProfile,
         words = 3 * (n + dp.pipeline_latency) * ceil_log2(n) if n > 1 else 3
     elif algo is Algorithm.BATCHED_SPIKE:
         words = _solver_lane_words(g, ceil_div(n, dp.partitions))
-    elif algo is Algorithm.THOMAS_THOMAS:
+    elif algo in (Algorithm.THOMAS_THOMAS, Algorithm.THOMAS_PCR):
         t = _check_tiles(dp).tiles
-        reduced_cycles = dp.reduced_group * (2 * t) * 2
-        words = (_tiled_lane_words(g, n, t)
-                 + REDUCED_FIFO_BUFFERS * reduced_cycles)
-    elif algo is Algorithm.THOMAS_PCR:
-        t = _check_tiles(dp).tiles
-        words = (_tiled_lane_words(g, n, t)
-                 + REDUCED_FIFO_BUFFERS * (2 * t + dp.pipeline_latency) * ceil_log2(2 * t))
+        reduced = "thomas" if algo is Algorithm.THOMAS_THOMAS else "pcr"
+        words = (_tiled_lane_words(g, n, t) + REDUCED_FIFO_BUFFERS
+                 * _reduced_solve(reduced, t, dp.reduced_group, dp.pipeline_latency))
     elif algo is Algorithm.ADI2D:
         words = 2 * _solver_lane_words(g, n) + 2 * n
     elif algo is Algorithm.ADI3D:

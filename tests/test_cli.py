@@ -1,9 +1,10 @@
+import errno
 import json
 
 import numpy as np
 import pytest
 
-from tridax import Mesh, Precision, read_mesh, residual_max_norm
+from tridax import Mesh, Precision, mesh, read_mesh, residual_max_norm
 from tridax.cli import main, read_batch, write_batch
 from tridax.core import TridiagonalBatch, random_dominant_system
 
@@ -31,6 +32,14 @@ class TestSolve:
                     "--size", 16]) == 2
         assert run(["solve", "--algo", "thomas-pcr", "--tiles", 1,
                     "--batch", 2, "--size", 16]) == 2
+
+    @pytest.mark.parametrize("algo", ["thomas", "pcr"])
+    def test_tiles_with_untiled_algo_is_usage_error(self, tmp_path, capsys, algo):
+        out = tmp_path / "sol.bin"
+        assert run(["solve", "--algo", algo, "--tiles", 4, "--batch", 2, "--size", 16,
+                    "--out", out]) == 2
+        assert f"not {algo}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_tile_count_is_usage_error(self, tmp_path, capsys):
         out = tmp_path / "sol.bin"
@@ -156,7 +165,20 @@ class TestModel:
     def test_bad_tile_count_usage_error(self, capsys):
         assert run(["model", "--algo", "thomas-pcr", "--batch", 10, "--size", 8,
                     "--tiles", 4]) == 2
-        assert "below 3 rows" in capsys.readouterr().err
+        assert "every tile needs >= 3" in capsys.readouterr().err
+
+    def test_tiling_the_solver_rejects_is_usage_error(self, capsys):
+        # ceil(9/4) = 3, but the last of the 4 tiles would hold no rows
+        assert run(["model", "--algo", "thomas-pcr", "--batch", 10, "--size", 9,
+                    "--tiles", 4]) == 2
+        assert "leaves a tile of 0 rows; every tile needs >= 3" in capsys.readouterr().err
+
+    def test_tiles_with_untiled_algo_is_usage_error(self, tmp_path, capsys):
+        rep = tmp_path / "m.json"
+        assert run(["model", "--algo", "batched-thomas", "--batch", 10, "--size", 8,
+                    "--tiles", 4, "--report", rep]) == 2
+        assert "not batched-thomas" in capsys.readouterr().err
+        assert not rep.exists()
 
     def test_out_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as err:
@@ -194,6 +216,13 @@ class TestDse:
                     "--algo", "batched-thomas", "--report", tmp_path / "d.json"])
         assert code == 3
 
+    def test_tiling_the_solver_rejects_ranks_nothing(self, tmp_path, capsys):
+        rep = tmp_path / "d.json"
+        assert run(["dse", "--batch", 10, "--size", 10, "--algo", "thomas-thomas",
+                    "--tiles", 4, "--report", rep]) == 3
+        assert "#1" not in capsys.readouterr().out
+        assert json.loads(rep.read_text())["error"] == "no-feasible-design"
+
     def test_csv_report(self, tmp_path):
         rep = tmp_path / "d.csv"
         code = run(["dse", "--batch", 8000, "--size", 128, "--precision", "fp32",
@@ -202,6 +231,55 @@ class TestDse:
         lines = rep.read_text().splitlines()
         assert lines[0].startswith("# schema")
         assert lines[2].split(",")[1] == "batched-thomas"
+
+
+class _FullDisk:
+    """A file whose writes after the first fail as on a full disk."""
+
+    def __init__(self, path, mode):
+        self.fh = open(path, mode)
+        self.writes = 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        self.writes += 1
+        if self.writes > 1:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return self.fh.write(data)
+
+
+def _refuse(path, mode):
+    raise PermissionError(errno.EACCES, "Permission denied", str(path))
+
+
+WRITING_COMMANDS = {
+    "solve": ["solve", "--batch", 3, "--size", 16],
+    "adi": ["adi", "--dims", "8,8", "--gamma", "0.5", "--iters", 2],
+}
+
+
+@pytest.mark.parametrize("command", sorted(WRITING_COMMANDS))
+class TestNoPartialOutputs:
+    def test_failed_write_leaves_no_file(self, tmp_path, monkeypatch, command):
+        out = tmp_path / "out.bin"
+        monkeypatch.setattr(mesh, "open", _FullDisk, raising=False)
+        assert run(WRITING_COMMANDS[command] + ["--out", out,
+                                                "--report", tmp_path / "r.json"]) == 1
+        assert not out.exists()
+
+    def test_failure_before_opening_keeps_existing_file(self, tmp_path, monkeypatch,
+                                                        command):
+        out = tmp_path / "out.bin"
+        out.write_bytes(b"earlier result")
+        monkeypatch.setattr(mesh, "open", _refuse, raising=False)
+        assert run(WRITING_COMMANDS[command] + ["--out", out,
+                                                "--report", tmp_path / "r.json"]) == 1
+        assert out.read_bytes() == b"earlier result"
 
 
 class TestSelftest:

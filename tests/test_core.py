@@ -42,6 +42,73 @@ class TestSystemInvariants:
         assert Precision.FP32.tolerance > Precision.FP64.tolerance > 0
 
 
+def _container(cls, rows, ndim=None):
+    """``cls`` built from 1-D coefficient rows: a system takes them as they
+    are, a batch as two copies stacked into 2-D arrays; ``ndim`` overrides."""
+    arrays = [np.asarray(r) for r in rows]
+    if (ndim or (1 if cls is TridiagonalSystem else 2)) == 2:
+        arrays = [np.stack([x, x]) for x in arrays]
+    return cls(*arrays)
+
+
+CONTAINERS = [pytest.param(TridiagonalSystem, id="system"),
+              pytest.param(TridiagonalBatch, id="batch")]
+ROWS = ([0.0, 1.0, 1.0], [4.0, 4.0, 4.0], [1.0, 1.0, 0.0], [1.0, 2.0, 3.0])
+
+
+@pytest.mark.parametrize("cls", CONTAINERS)
+class TestCoefficientRule:
+    """The one coefficient rule that systems and batches share."""
+
+    def test_mismatched_shapes_named(self, cls):
+        rows = ([0.0, 1.0],) + ROWS[1:]
+        with pytest.raises(ValueError, match="share one") as err:
+            _container(cls, rows)
+        shapes = ("[(2,), (3,), (3,), (3,)]" if cls is TridiagonalSystem
+                  else "[(2, 2), (2, 3), (2, 3), (2, 3)]")
+        assert shapes in str(err.value)
+
+    def test_rejects_wrong_ndim(self, cls):
+        with pytest.raises(ValueError, match="share one"):
+            _container(cls, ROWS, ndim=2 if cls is TridiagonalSystem else 1)
+
+    def test_rejects_zero_length(self, cls):
+        with pytest.raises(ValueError, match="at least one unknown"):
+            _container(cls, ([], [], [], []))
+
+    @pytest.mark.parametrize("index, row", [(0, 0), (2, -1)], ids=["a0", "cn-1"])
+    @pytest.mark.parametrize("value", [1e-300, np.nan], ids=["nonzero", "nan"])
+    def test_rejects_boundary_entries(self, cls, index, row, value):
+        rows = [list(r) for r in ROWS]
+        rows[index][row] = value
+        with pytest.raises(ValueError, match=r"a\[0\] == 0 and c\[n-1\] == 0"):
+            _container(cls, rows)
+
+    def test_accepts_negative_zero_boundary(self, cls):
+        signed = _container(cls, [[-0.0, 1.0, 1.0], ROWS[1], [1.0, 1.0, -0.0], ROWS[3]])
+        plain = _container(cls, ROWS)
+        solve = solve_system if cls is TridiagonalSystem else batch_solve
+        assert np.array_equal(solve(signed), solve(plain))
+
+    def test_integer_input_is_fp64(self, cls):
+        held = _container(cls, [np.asarray(r, dtype=np.int64) for r in
+                                ([0, 1, 1], [4, 4, 4], [1, 1, 0], [1, 2, 3])])
+        assert all(getattr(held, k).dtype == np.float64 for k in "abcd")
+        assert held.precision is Precision.FP64
+
+    def test_fp64_with_fp32_is_fp64(self, cls):
+        rows = [np.asarray(r, dtype=np.float32 if k == "b" else np.float64)
+                for k, r in zip("abcd", ROWS)]
+        held = _container(cls, rows)
+        assert all(getattr(held, k).dtype == np.float64 for k in "abcd")
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_held_by_reference(self, cls, dtype):
+        first = _container(cls, [np.asarray(r, dtype=dtype) for r in ROWS])
+        again = cls(first.a, first.b, first.c, first.d)
+        assert all(getattr(again, k) is getattr(first, k) for k in "abcd")
+
+
 class TestBatchInvariants:
     def test_rejects_zero_length_systems(self):
         with pytest.raises(ValueError):

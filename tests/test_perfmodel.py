@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from tridax import InfeasibleDesign, InvalidTilePlan, Precision
+from tridax import InfeasibleDesign, InvalidTilePlan, Precision, TilePlan
 from tridax.perfmodel import (U280, Algorithm, DesignPoint, adi2d_fp32_reference,
                               ceil_div, ceil_log2, cycles_to_seconds,
                               default_interleave_group, find_reference,
@@ -340,6 +340,20 @@ class TestMemoryModel:
         with pytest.raises(ValueError) as memory_err:
             memory_words(dp, 64, U280)
         assert str(memory_err.value) == str(latency_err.value)
+
+    @pytest.mark.parametrize("algo", [Algorithm.THOMAS_THOMAS, Algorithm.THOMAS_PCR])
+    def test_tilings_follow_the_solvers_plan(self, algo):
+        """The model rejects a tiling exactly when the solver's TilePlan does."""
+        cases = [(n, t) for n in range(3, 301) for t in range(2, 33)] + [(1000, 64)]
+        for n, t in cases:
+            dp = DesignPoint(algo, tiles=t)
+            try:
+                TilePlan(n, t)
+            except InvalidTilePlan:
+                with pytest.raises(InvalidTilePlan):
+                    memory_words(dp, n, U280)
+            else:
+                memory_words(dp, n, U280)
 
     def test_strict_raises_with_violation(self):
         dp = dp_thomas(precision=Precision.FP32)
