@@ -8,6 +8,11 @@ Subcommands:
 - ``dse``      enumerate and rank a design grid for a problem
 - ``selftest`` quick built-in correctness and model checks
 
+Input-generation flags apply only to generated inputs: an ``--input`` file
+keeps its own shape and precision, and ``adi --dims``, if given, must match
+it. Every command writes its report through ``--report`` (stdout if omitted;
+``dse`` writes its ranked table there and prints only the top rows).
+
 Exit codes: 0 success, 2 usage error, 3 infeasible design or verification
 failure, 1 internal error. Given the same flags, seed and input bytes,
 binary outputs are byte-identical across runs.
@@ -56,6 +61,19 @@ def _add_common(p: argparse.ArgumentParser, precision_help: str = "fp32 or fp64"
     p.add_argument("--report", type=Path, help="report file (stdout if omitted)")
 
 
+def _add_problem_and_hardware(p: argparse.ArgumentParser):
+    """The flags ``model`` and ``dse`` share: the problem, then the hardware."""
+    p.add_argument("--batch", type=int, required=True)
+    p.add_argument("--size", type=int, help="system size (1-D batch problem)")
+    p.add_argument("--dims", type=_parse_dims, help="mesh dims (application problem)")
+    p.add_argument("--iters", type=int, default=1)
+    p.add_argument("--group", type=int)
+    p.add_argument("--vector", type=int, default=8)
+    p.add_argument("--cus", type=int, default=1)
+    p.add_argument("--freq-mhz", type=float, default=300.0)
+    p.add_argument("--device", default="u280")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="tridax",
                                      description="batched tridiagonal solvers, "
@@ -76,7 +94,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, "fp32 or fp64 of generated systems; an --input batch keeps its own")
 
     p = sub.add_parser("adi", help="run the ADI heat-diffusion application")
-    p.add_argument("--dims", type=_parse_dims, required=True, help="X,Y or X,Y,Z")
+    p.add_argument("--dims", type=_parse_dims,
+                   help="X,Y or X,Y,Z of a generated mesh; must match an --input mesh")
     p.add_argument("--batch", type=int, default=1)
     p.add_argument("--gamma", type=float, required=True)
     p.add_argument("--iters", type=int, default=100)
@@ -89,40 +108,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--literal-coefficients", action="store_true",
                    help="use the bare-gamma sweep diagonal variant")
     p.add_argument("--out", type=Path, help="final mesh file (not written if omitted)")
-    _add_common(p)
+    _add_common(p, "fp32 or fp64 of a generated mesh; an --input mesh keeps its own")
 
     p = sub.add_parser("model", help="evaluate the analytic model for one design")
     p.add_argument("--algo", required=True,
                    help="|".join(a.value for a in Algorithm))
-    p.add_argument("--batch", type=int, required=True)
-    p.add_argument("--size", type=int, help="system size (1-D batch designs)")
-    p.add_argument("--dims", type=_parse_dims, help="mesh dims (application designs)")
-    p.add_argument("--iters", type=int, default=1)
-    p.add_argument("--group", type=int)
-    p.add_argument("--vector", type=int, default=8)
-    p.add_argument("--cus", type=int, default=1)
+    _add_problem_and_hardware(p)
     p.add_argument("--unroll", type=int, default=1)
     p.add_argument("--tiles", type=int)
     p.add_argument("--partitions", type=int, default=1)
-    p.add_argument("--freq-mhz", type=float, default=300.0)
-    p.add_argument("--device", default="u280")
     _add_common(p)
 
     p = sub.add_parser("dse", help="rank a design grid for a problem")
-    p.add_argument("--batch", type=int, required=True)
-    p.add_argument("--size", type=int, help="system size (1-D batch problem)")
-    p.add_argument("--dims", type=_parse_dims, help="mesh dims (application problem)")
-    p.add_argument("--iters", type=int, default=1)
     p.add_argument("--algo", help="restrict to one algorithm")
+    _add_problem_and_hardware(p)
     p.add_argument("--tiles", type=_parse_int_list, help="tile counts, comma list")
     p.add_argument("--unroll", type=_parse_int_list, help="unroll factors, comma list")
-    p.add_argument("--group", type=int)
-    p.add_argument("--vector", type=int, default=8)
-    p.add_argument("--cus", type=int, default=1)
-    p.add_argument("--freq-mhz", type=float, default=300.0)
-    p.add_argument("--device", default="u280")
     p.add_argument("--top", type=int, default=10, help="rows printed to stdout")
-    p.add_argument("--out", type=Path, help="ranked table file, used when --report is omitted")
     _add_common(p)
 
     sub.add_parser("selftest", help="run quick built-in checks")
@@ -149,7 +151,11 @@ def read_batch(path) -> core.TridiagonalBatch:
 
 
 def _emit_report(args, payload: dict, csv_rows: list[list] | None = None) -> None:
-    if args.format == "csv" and csv_rows is not None:
+    """Write ``payload``; as CSV, one ``key,value`` row per field unless given rows."""
+    if args.format == "csv":
+        if csv_rows is None:
+            csv_rows = [[k, json.dumps(v) if isinstance(v, (dict, list)) else v]
+                        for k, v in payload.items()]
         text = "\n".join(",".join(str(c) for c in row) for row in csv_rows) + "\n"
     else:
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
@@ -159,16 +165,20 @@ def _emit_report(args, payload: dict, csv_rows: list[list] | None = None) -> Non
         sys.stdout.write(text)
 
 
+def _check_tiles(tiles, algo: str, tiled: bool) -> None:
+    """``--tiles`` applies only to tiled algorithms."""
+    if tiles is not None and not tiled:
+        raise ValueError(f"--tiles applies to the tiled algorithms, not {algo}")
+
+
 def cmd_solve(args) -> int:
-    if args.tiles is not None and args.algo in ("thomas", "pcr"):
-        raise ValueError(f"--tiles applies to the tiled algorithms, not {args.algo}")
+    _check_tiles(args.tiles, args.algo, args.algo not in ("thomas", "pcr"))
     precision = Precision.parse(args.precision)
     if args.input:
         batch = read_batch(args.input)
     else:
         if args.batch < 1 or args.size < 1:
-            print("error: --batch and --size must be >= 1", file=sys.stderr)
-            return USAGE_ERROR
+            raise ValueError("--batch and --size must be >= 1")
         rng = np.random.default_rng(args.seed)
         systems = [core.random_dominant_system(args.size, rng, precision, args.margin)
                    for _ in range(args.batch)]
@@ -195,9 +205,7 @@ def cmd_solve(args) -> int:
         "max_residual": max_res,
         "solutions": str(out_path),
     }
-    csv_rows = [["schema_version", REPORT_SCHEMA]] + [[k, v] for k, v in payload.items()
-                                                      if k != "schema_version"]
-    _emit_report(args, payload, csv_rows)
+    _emit_report(args, payload)
     return 0
 
 
@@ -216,6 +224,12 @@ def cmd_adi(args) -> int:
     precision = Precision.parse(args.precision)
     if args.input:
         u0 = read_mesh(args.input)
+        if args.dims is not None and args.dims != u0.dims:
+            raise ValueError(f"--dims {','.join(map(str, args.dims))} does not match the "
+                             f"input mesh's dims {','.join(map(str, u0.dims))}")
+        precision = u0.precision
+    elif args.dims is None:
+        raise ValueError("adi needs --dims to generate a mesh, or an --input mesh")
     else:
         u0 = _generated_mesh(args.dims, args.batch, precision, args.seed)
     cfg = AdiConfig(gamma=args.gamma, n_iter=args.iters, unroll=args.unroll,
@@ -242,34 +256,33 @@ def cmd_adi(args) -> int:
     return status
 
 
-def _design_from_args(args, algo: Algorithm, precision: Precision) -> DesignPoint:
-    return DesignPoint(
-        algorithm=algo, precision=precision, interleave_group=args.group,
-        vector_width=args.vector, unroll=args.unroll,
-        tiles=args.tiles, tiles_x=args.tiles, tiles_y=args.tiles,
-        compute_units=args.cus, partitions=args.partitions,
-        frequency_hz=args.freq_mhz * 1e6)
+def _problem_from_args(args, precision: Precision) -> ProblemSpec:
+    return ProblemSpec(batch=args.batch, size=args.size, dims=args.dims,
+                       precision=precision, n_iter=args.iters)
 
 
 def cmd_model(args) -> int:
     precision = Precision.parse(args.precision)
     algo = Algorithm.parse(args.algo)
-    if args.tiles is not None and not algo.is_tiled:
-        raise ValueError(f"--tiles applies to the tiled algorithms, not {algo.value}")
+    _check_tiles(args.tiles, algo.value, algo.is_tiled)
+    problem = _problem_from_args(args, precision)
     device = load_device_profile(args.device)
-    dp = _design_from_args(args, algo, precision)
-    latency = latency_for_problem(dp, batch=args.batch, n=args.size,
-                                  dims=args.dims, n_iter=args.iters)
-    extent = args.size if args.size else max(args.dims)
-    resources = memory_words(dp, extent, device)
+    dp = DesignPoint(algorithm=algo, precision=precision, interleave_group=args.group,
+                     vector_width=args.vector, unroll=args.unroll, tiles=args.tiles,
+                     compute_units=args.cus, partitions=args.partitions,
+                     frequency_hz=args.freq_mhz * 1e6)
+    where = dict(batch=problem.batch, n=problem.size, dims=problem.dims,
+                 n_iter=problem.n_iter)
+    latency = latency_for_problem(dp, **where)
+    resources = memory_words(dp, problem.largest_extent, device)
     payload = {
         "schema_version": REPORT_SCHEMA,
         "command": "model",
         "design": dp.resolved().describe(),
         "device": device.name,
-        "problem": {"batch": args.batch, "size": args.size,
-                    "dims": list(args.dims) if args.dims else None,
-                    "n_iter": args.iters},
+        "problem": {"batch": problem.batch, "size": problem.size,
+                    "dims": list(problem.dims) if problem.dims else None,
+                    "n_iter": problem.n_iter},
         "cycles": float(latency.cycles),
         "seconds": latency.seconds,
         "milliseconds": latency.milliseconds,
@@ -281,8 +294,7 @@ def cmd_model(args) -> int:
         "feasible": resources.feasible,
         "violations": list(resources.violations),
     }
-    reference = find_reference(dp, batch=args.batch, n=args.size,
-                               dims=args.dims, n_iter=args.iters)
+    reference = find_reference(dp, **where)
     if reference is not None:
         err = relative_error(latency.seconds, reference.measured_seconds)
         payload["measured_reference"] = {
@@ -297,27 +309,18 @@ def cmd_model(args) -> int:
     else:
         print(f"model: {latency.milliseconds:.4f} ms predicted, "
               f"feasible={resources.feasible}")
-    csv_rows = [["schema_version", REPORT_SCHEMA]] + [
-        [k, json.dumps(v) if isinstance(v, (dict, list)) else v]
-        for k, v in payload.items() if k != "schema_version"]
-    _emit_report(args, payload, csv_rows)
+    _emit_report(args, payload)
     return 0
 
 
 def cmd_dse(args) -> int:
-    precision = Precision.parse(args.precision)
-    if args.dims and len(args.dims) == 3:
-        kind = "adi3d"
-    elif args.dims:
-        kind = "adi2d"
-    else:
-        kind = "batch"
-    problem = ProblemSpec(kind=kind, batch=args.batch, size=args.size,
-                          dims=args.dims, precision=precision, n_iter=args.iters)
+    problem = _problem_from_args(args, Precision.parse(args.precision))
     device = load_device_profile(args.device)
-    grid = GridSpec.for_kind(kind)
+    grid = GridSpec.for_kind(problem.kind)
     if args.algo:
         grid.algorithms = [Algorithm.parse(args.algo)]
+    _check_tiles(args.tiles, "/".join(a.value for a in grid.algorithms),
+                 any(a.is_tiled for a in grid.algorithms))
     if args.tiles:
         grid.tiles = args.tiles
     if args.unroll:
@@ -329,20 +332,17 @@ def cmd_dse(args) -> int:
     try:
         rows = dse_enumerate(problem, device, grid)
     except NoFeasibleDesign as exc:
-        print(f"no feasible design: {exc}", file=sys.stderr)
         _emit_report(args, {"schema_version": REPORT_SCHEMA, "command": "dse",
                             "error": "no-feasible-design", "detail": str(exc)})
-        return CHECK_FAILED
+        raise
     for row in rows[:args.top]:
         rec = row.record()
         print(f"#{rec['rank']:<3} {rec['algorithm']:<15} tiles={rec['tiles'] or '-':<4} "
               f"unroll={rec['unroll']} {rec['seconds'] * 1e3:10.4f} ms  "
               f"{rec['on_chip_bytes'] / 1e6:8.2f} MB on-chip")
-    text = rows_to_csv(rows) if args.format == "csv" else rows_to_json(rows)
     if args.report:
-        args.report.write_text(text)
-    elif args.out:
-        args.out.write_text(text)
+        args.report.write_text(rows_to_csv(rows) if args.format == "csv"
+                               else rows_to_json(rows))
     return 0
 
 

@@ -46,9 +46,10 @@ def default_interleave_group(precision: Precision) -> int:
 class DesignPoint:
     """Algorithm choice plus every tunable the latency/memory model reads.
 
-    ``None`` fields resolve to precision-dependent defaults via
-    :meth:`resolved`: the interleave groups default to 32 (FP32) or 64
-    (FP64) and the pentadiagonal stage cost to twice the pipeline latency.
+    ``None`` fields resolve to defaults via :meth:`resolved`: the
+    interleave groups to 32 (FP32) or 64 (FP64), the per-axis tile counts
+    to ``tiles`` and the pentadiagonal stage cost to twice the pipeline
+    latency.
     """
 
     algorithm: Algorithm
@@ -92,6 +93,8 @@ class DesignPoint:
             self,
             interleave_group=g,
             reduced_group=self.reduced_group or default_interleave_group(self.precision),
+            tiles_x=self.tiles_x or self.tiles,
+            tiles_y=self.tiles_y or self.tiles,
             partition_stage_cost=(self.partition_stage_cost
                                   if self.partition_stage_cost is not None
                                   else 2 * self.pipeline_latency),

@@ -30,9 +30,8 @@ _ALGO_ORDER = {algo: i for i, algo in enumerate(Algorithm)}
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """What is being solved: a 1-D batch or a mesh application."""
+    """What is being solved: a batch of ``size``-row systems or of ``dims`` meshes."""
 
-    kind: str                       # "batch", "adi2d", "adi3d"
     batch: int
     size: int | None = None         # system size for 1-D batches
     dims: tuple[int, ...] | None = None
@@ -40,18 +39,20 @@ class ProblemSpec:
     n_iter: int = 1
 
     def __post_init__(self):
-        if self.kind not in ("batch", "adi2d", "adi3d"):
-            raise ValueError(f"unknown problem kind {self.kind!r}")
-        if self.batch < 1 or self.n_iter < 1:
-            raise ValueError("batch and n_iter must be >= 1")
-        if self.kind == "batch" and (self.size is None or self.size < 1):
-            raise ValueError("batch problems need a system size")
-        if self.kind != "batch" and not self.dims:
-            raise ValueError("mesh problems need dims")
+        if self.batch < 1 or self.n_iter < 1 or (self.size is not None and self.size < 1):
+            raise ValueError("batch, n_iter and size must be >= 1")
+        if (self.size is None) == (self.dims is None):
+            raise ValueError("a problem needs a system size or mesh dims, not both")
+        if self.dims is not None and (len(self.dims) not in (2, 3) or min(self.dims) < 1):
+            raise ValueError(f"mesh dims must be 2 or 3 positive extents, not {self.dims}")
+
+    @property
+    def kind(self) -> str:
+        return f"adi{len(self.dims)}d" if self.dims else "batch"
 
     @property
     def largest_extent(self) -> int:
-        return self.size if self.kind == "batch" else max(self.dims)
+        return max(self.dims) if self.dims else self.size
 
 
 @dataclass
@@ -88,24 +89,11 @@ class DseRow:
 
     def record(self) -> dict:
         dp = self.design.resolved()
-        return {
+        rec = {
             "rank": self.rank,
             "algorithm": dp.algorithm.value,
             "precision": dp.precision.value,
-            "batch": self.problem.batch,
-            "size": self.problem.size,
             "dims": "x".join(map(str, self.problem.dims)) if self.problem.dims else None,
-            "n_iter": self.problem.n_iter,
-            "interleave_group": dp.interleave_group,
-            "reduced_group": dp.reduced_group,
-            "vector_width": dp.vector_width,
-            "unroll": dp.unroll,
-            "tiles": dp.tiles,
-            "tiles_x": dp.tiles_x,
-            "tiles_y": dp.tiles_y,
-            "compute_units": dp.compute_units,
-            "partitions": dp.partitions,
-            "frequency_hz": dp.frequency_hz,
             "cycles": float(self.latency.cycles),
             "seconds": self.latency.seconds,
             "words": self.resources.words,
@@ -113,6 +101,10 @@ class DseRow:
             "hbm_ports": self.resources.hbm_ports,
             "feasible": self.resources.feasible,
         }
+        for col in DSE_COLUMNS:  # the rest are fields of the problem or the design
+            if col not in rec:
+                rec[col] = getattr(self.problem if hasattr(self.problem, col) else dp, col)
+        return rec
 
 
 def _candidate_designs(problem: ProblemSpec, grid: GridSpec):
@@ -125,7 +117,7 @@ def _candidate_designs(problem: ProblemSpec, grid: GridSpec):
                            compute_units=n_cu, frequency_hz=freq)
         if algo.is_tiled:
             for t in grid.tiles:
-                yield replace(base, tiles=t, tiles_x=t, tiles_y=t)
+                yield replace(base, tiles=t)
         else:
             yield base
 
@@ -135,20 +127,22 @@ def dse_enumerate(problem: ProblemSpec, device: DeviceProfile, grid: GridSpec,
     """Evaluate the grid and return feasible designs ranked by runtime.
 
     Ties break deterministically by algorithm declaration order, then by
-    smaller on-chip footprint. Designs whose tiling cannot cover the
-    problem are skipped; raising happens only when nothing survives.
+    smaller on-chip footprint. Designs the model rejects are skipped; if
+    every one is, the error names the first reason.
     """
-    if not (grid.algorithms or GridSpec.for_kind(problem.kind).algorithms):
-        raise NoFeasibleDesign("empty algorithm grid")
-    evaluated = []
+    evaluated, skipped = [], []
     for dp in _candidate_designs(problem, grid):
         try:
             lat = latency_for_problem(dp, batch=problem.batch, n=problem.size,
                                       dims=problem.dims, n_iter=problem.n_iter)
             res = memory_words(dp, problem.largest_extent, device)
-        except ValueError:
+        except ValueError as exc:
+            skipped.append(exc)
             continue
         evaluated.append((dp, lat, res))
+    if skipped and not evaluated:
+        raise NoFeasibleDesign(f"all {len(skipped)} candidate design(s) were skipped; "
+                               f"the first: {skipped[0]}")
     feasible = [e for e in evaluated if e[2].feasible]
     if not feasible:
         raise NoFeasibleDesign(

@@ -145,9 +145,8 @@ def _check_tiles(dp: DesignPoint) -> DesignPoint:
 
 
 def _axis_tiles(dp: DesignPoint) -> tuple[int, int]:
-    """Tile counts of the tiled 2-D design along x and y, each >= 2."""
-    t1 = dp.tiles_x or dp.tiles
-    t2 = dp.tiles_y or dp.tiles
+    """Tile counts of the resolved tiled 2-D design along x and y, each >= 2."""
+    t1, t2 = dp.tiles_x, dp.tiles_y
     if t1 is None or t2 is None or t1 < 2 or t2 < 2:
         raise ValueError("tiled 2-D design needs tiles_x and tiles_y >= 2")
     return t1, t2

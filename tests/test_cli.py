@@ -84,6 +84,10 @@ class TestSolve:
         assert payload["precision"] == "fp32"
         assert payload["bytes_moved"] == 5 * 4 * 16 * 4 == 1280
 
+    def test_nonpositive_batch_is_usage_error(self, tmp_path, capsys):
+        assert run(["solve", "--batch", 0, "--size", 16, "--out", tmp_path / "s.bin"]) == 2
+        assert capsys.readouterr().err == "error: --batch and --size must be >= 1\n"
+
     def test_input_batch_with_failing_systems(self, tmp_path, capsys):
         rng = np.random.default_rng(5)
         batch = TridiagonalBatch.from_systems(random_dominant_system(16, rng) for _ in range(6))
@@ -132,6 +136,33 @@ class TestAdi:
                                              "precision", "unroll"]
         assert sorted(payload["phases"]) == ["rhs", "sweep_x", "sweep_y", "update"]
         assert [s["iterations"] for s in payload["steps"]] == [1, 2]
+
+    def test_input_mesh_keeps_its_precision(self, tmp_path, capsys):
+        path = tmp_path / "u0.bin"
+        u0 = Mesh(np.random.default_rng(3).uniform(-1, 1, (2, 1, 8, 8)).astype(np.float32), 2)
+        mesh.write_mesh(path, u0)
+        out, rep = tmp_path / "u.bin", tmp_path / "r.json"
+        assert run(["adi", "--input", path, "--gamma", 0.5, "--iters", 3, "--verify",
+                    "--out", out, "--report", rep]) == 0
+        assert "verify: PASS" in capsys.readouterr().out
+        payload = json.loads(rep.read_text())
+        assert payload["config"]["precision"] == "fp32"
+        assert payload["verify"]["result"] == "PASS"
+        assert read_mesh(out).data.dtype == np.float32
+
+    def test_input_mesh_dims(self, tmp_path, capsys):
+        path = tmp_path / "u0.bin"
+        mesh.write_mesh(path, Mesh.zeros((8, 6), batch=2))
+        common = ["adi", "--input", path, "--gamma", 0.5, "--iters", 1,
+                  "--report", tmp_path / "r.json"]
+        assert run(common + ["--dims", "8,6"]) == 0
+        assert run(common + ["--dims", "8,6,4"]) == 2
+        assert "--dims 8,6,4 does not match the input mesh's dims 8,6" in \
+            capsys.readouterr().err
+
+    def test_no_dims_and_no_input_is_usage_error(self, capsys):
+        assert run(["adi", "--gamma", 0.5]) == 2
+        assert "needs --dims" in capsys.readouterr().err
 
     @pytest.mark.parametrize("knob", ["--threads", "--group", "--vector"])
     def test_removed_knobs_are_usage_errors(self, knob):
@@ -186,6 +217,13 @@ class TestModel:
                  "--out", tmp_path / "x"])
         assert err.value.code == 2
 
+    def test_size_and_dims_is_usage_error(self, tmp_path, capsys):
+        rep = tmp_path / "m.json"
+        assert run(["model", "--algo", "adi2d", "--batch", 10, "--size", 128,
+                    "--dims", "64,64", "--report", rep]) == 2
+        assert "not both" in capsys.readouterr().err
+        assert not rep.exists()
+
     def test_incomplete_device_profile_usage_error(self, tmp_path, capsys):
         path = tmp_path / "card.txt"
         path.write_text("dsp_count = 1000\nhbm_ports = 16\n")
@@ -216,12 +254,48 @@ class TestDse:
                     "--algo", "batched-thomas", "--report", tmp_path / "d.json"])
         assert code == 3
 
-    def test_tiling_the_solver_rejects_ranks_nothing(self, tmp_path, capsys):
+    def _ranks_nothing(self, tmp_path, capsys, argv, reason):
         rep = tmp_path / "d.json"
-        assert run(["dse", "--batch", 10, "--size", 10, "--algo", "thomas-thomas",
-                    "--tiles", 4, "--report", rep]) == 3
-        assert "#1" not in capsys.readouterr().out
-        assert json.loads(rep.read_text())["error"] == "no-feasible-design"
+        assert run(["dse", "--batch", 10, "--algo", "thomas-thomas", *argv,
+                    "--report", rep]) == 3
+        out, err = capsys.readouterr()
+        assert "#1" not in out
+        assert "were skipped; the first: " + reason in err and "u280" not in err
+        payload = json.loads(rep.read_text())
+        assert payload["error"] == "no-feasible-design"
+        assert payload["detail"] in err
+
+    def test_tiling_the_solver_rejects_ranks_nothing(self, tmp_path, capsys):
+        self._ranks_nothing(tmp_path, capsys, ["--size", 10, "--tiles", 4],
+                            "n=10 over t=4 tiles leaves a tile of 1 rows")
+
+    def test_design_of_the_wrong_kind_ranks_nothing(self, tmp_path, capsys):
+        self._ranks_nothing(tmp_path, capsys, ["--dims", "128,128"],
+                            "thomas-thomas needs a system size n")
+
+    def test_tiles_with_untiled_algo_is_usage_error(self, tmp_path, capsys):
+        rep = tmp_path / "d.json"
+        assert run(["dse", "--batch", 10, "--size", 64, "--algo", "batched-thomas",
+                    "--tiles", 4, "--report", rep]) == 2
+        assert "not batched-thomas" in capsys.readouterr().err
+        assert not rep.exists()
+
+    def test_size_and_dims_is_usage_error(self, tmp_path, capsys):
+        assert run(["dse", "--batch", 10, "--size", 128, "--dims", "64,64",
+                    "--report", tmp_path / "d.json"]) == 2
+        assert "not both" in capsys.readouterr().err
+
+    def test_out_is_usage_error(self, tmp_path):
+        with pytest.raises(SystemExit) as err:
+            run(["dse", "--batch", 10, "--size", 64, "--out", tmp_path / "x"])
+        assert err.value.code == 2
+
+    def test_csv_error_report(self, tmp_path):
+        rep = tmp_path / "d.csv"
+        assert run(["dse", "--batch", 10, "--size", 8192, "--algo", "batched-thomas",
+                    "--format", "csv", "--report", rep]) == 3
+        assert rep.read_text().splitlines()[:3] == [
+            "schema_version,tridax.report.v1", "command,dse", "error,no-feasible-design"]
 
     def test_csv_report(self, tmp_path):
         rep = tmp_path / "d.csv"

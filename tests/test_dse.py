@@ -1,14 +1,16 @@
+import hashlib
 import json
 
 import pytest
 
 from tridax import NoFeasibleDesign, Precision
+from tridax.cli import main
 from tridax.perfmodel import (DSE_COLUMNS, U280, Algorithm, GridSpec, ProblemSpec,
                               dse_enumerate, rows_to_csv, rows_to_json)
 
 
 def batch_problem(size, batch=8000, precision=Precision.FP32):
-    return ProblemSpec(kind="batch", batch=batch, size=size, precision=precision)
+    return ProblemSpec(batch=batch, size=size, precision=precision)
 
 
 class TestEnumeration:
@@ -62,18 +64,20 @@ class TestEnumeration:
         assert any(r.rank is None and not r.resources.feasible for r in rows)
 
     def test_mesh_problem_kinds(self):
-        problem = ProblemSpec(kind="adi2d", batch=3000, dims=(128, 128),
+        problem = ProblemSpec(batch=3000, dims=(128, 128),
                               precision=Precision.FP32, n_iter=120)
         rows = dse_enumerate(problem, U280, GridSpec.for_kind("adi2d"))
         assert rows[0].design.algorithm is Algorithm.ADI2D
 
     def test_problem_validation(self):
         with pytest.raises(ValueError):
-            ProblemSpec(kind="batch", batch=100)
+            ProblemSpec(batch=100)
         with pytest.raises(ValueError):
-            ProblemSpec(kind="adi2d", batch=100)
+            ProblemSpec(batch=100, dims=(8,))
         with pytest.raises(ValueError):
-            ProblemSpec(kind="warp", batch=100, size=8)
+            ProblemSpec(batch=100, dims=(8, 8, 8, 8))
+        with pytest.raises(ValueError, match="not both"):
+            ProblemSpec(batch=100, size=8, dims=(8, 8))
 
 
 class TestReports:
@@ -94,3 +98,109 @@ class TestReports:
         assert payload["rows"][0]["rank"] == 1
         assert payload["rows"][0]["algorithm"] == "batched-thomas"
         assert set(DSE_COLUMNS) <= set(payload["rows"][0])
+
+
+# Model-layer outputs, recorded before ProblemSpec lost its kind field: the
+# ranked tables (JSON and CSV) of a fixed set of problems and grids, and the
+# `tridax model` JSON reports of a fixed set of designs.
+DSE_CASES = {
+    "batch-128-fp32": (dict(batch=8000, size=128), dict(unrolls=[1, 2, 3])),
+    "batch-8192-fp32": (dict(batch=100, size=8192), dict(include_infeasible=True)),
+    "batch-1000-fp64": (dict(batch=1000, size=1000, precision=Precision.FP64),
+                        dict(algorithms=list(Algorithm)[:5], groups=[None, 16],
+                             vector_widths=[4, 8])),
+    "batch-9-tiles": (dict(batch=10, size=9), dict(tiles=[2, 3, 4])),
+    "adi2d-128": (dict(batch=3000, dims=(128, 128), n_iter=120),
+                  dict(unrolls=[1, 2, 3], compute_units=[1, 3])),
+    "adi2d-4096": (dict(batch=100, dims=(4096, 4096)), dict(include_infeasible=True)),
+    "adi3d-64-fp64": (dict(batch=1, dims=(64, 64, 64), precision=Precision.FP64,
+                           n_iter=10),
+                      dict(compute_units=[1, 2], vector_widths=[4, 8])),
+}
+MODEL_CASES = {
+    "calibration": ["--algo", "batched-thomas", "--batch", 8000, "--size", 128,
+                    "--group", 32, "--precision", "fp32"],
+    "pcr-fp64": ["--algo", "batched-pcr", "--batch", 100, "--size", 1024, "--unroll", 4],
+    "spike": ["--algo", "batched-spike", "--batch", 100, "--size", 512,
+              "--partitions", 4, "--precision", "fp32"],
+    "thomas-thomas": ["--algo", "thomas-thomas", "--batch", 100, "--size", 8192,
+                      "--tiles", 8, "--precision", "fp32"],
+    "thomas-pcr": ["--algo", "thomas-pcr", "--batch", 100, "--size", 1024, "--tiles", 4,
+                   "--cus", 2, "--freq-mhz", 250],
+    "adi2d-reference": ["--algo", "adi2d", "--batch", 3000, "--dims", "128,128",
+                        "--iters", 120, "--unroll", 3, "--cus", 3, "--precision", "fp32"],
+    "adi2d-tiled": ["--algo", "adi2d-tiled", "--batch", 10, "--dims", "4096,4096",
+                    "--tiles", 8, "--precision", "fp32"],
+    "adi3d": ["--algo", "adi3d", "--batch", 2, "--dims", "64,64,64", "--iters", 10],
+}
+GOLDEN = {
+    "csv-adi2d-128":
+        "67b60793a6193efa453460b8839f1fa1c32810efdf6814cd48fd80b8b0982968",
+    "csv-adi2d-4096":
+        "a7015ed8f958d62f292f71a7a64dccd2ec74cffeca0a1488c59335b43d516672",
+    "csv-adi3d-64-fp64":
+        "e182aafd2e95840fa1ca53303e57b78a602851f56ee01fff3e034cfc2fae0423",
+    "csv-batch-1000-fp64":
+        "79f1ff6da551f55388b22cdbd87694544312eb907b7bf118765ae327967bad51",
+    "csv-batch-128-fp32":
+        "00ada33a66ab85768e8a59ef1897247c4de4ec0fba0dc439db6a9f924d353637",
+    "csv-batch-8192-fp32":
+        "d629bb4c0837426ecfdc10f630180ce28485701943e1ca543cf006479f1ef6f8",
+    "csv-batch-9-tiles":
+        "66c236386acf07bf099a355df0320be5b75f02baad26353f8149ff5578b1dd56",
+    "json-adi2d-128":
+        "4357b529e4eebc96967b351ea707ad4d34251c99b4b40c756c0ae73fc15e6377",
+    "json-adi2d-4096":
+        "6faa05720487f60616b74458fe38bbb05b109fe66d1ca185eaee6d026d72fc77",
+    "json-adi3d-64-fp64":
+        "e7c8ec44951b342d86d2f20ad8bd7310aaf3e4f18a5109544414dcab3cc3bf24",
+    "json-batch-1000-fp64":
+        "e2fa42e179ff49d55f1beb8086e60d8c7d412746f3de3ee46b42358c7f7cb1bc",
+    "json-batch-128-fp32":
+        "f4102ed02cd823a01efa039b3f159feb29e671af19a95f476b7743889632132d",
+    "json-batch-8192-fp32":
+        "a8027ec15b45d1806c07f295e1ebc9d8766874881b64f5054fe33a07aa7961b1",
+    "json-batch-9-tiles":
+        "7379dac85be394e6bbc65d9c31ea54514df626d6a6201dab2878bb4146ad2620",
+    "model-adi2d-reference":
+        "5746b5cb9d5e9e2eb0b1731290b199e1cf8f42e50f8dee4116d4aa4bf2f5be50",
+    "model-adi2d-tiled":
+        "bf70e412b2a5359cf048cc597dd3a6341b9c3e4f8aa77428f71cc876bf8da149",
+    "model-adi3d":
+        "12fbc4208e8f272f27e64e582c018a8b46fc214bb066da2b0ef8ee49de71c2cd",
+    "model-calibration":
+        "4f146586221ac08947e597ee9663f29dd1d64b6ac37395427049c6f7027119a3",
+    "model-pcr-fp64":
+        "eac68ab6d51d478b7b2a1dc17912baba472abc4b0f460f3b84f42ef2c7ab5d15",
+    "model-spike":
+        "953325b714daa6cd221af506477a9e597b9d7836feda5f69d616a2372f8e9205",
+    "model-thomas-pcr":
+        "0bec1c5a7427b44e5c1f2a193f4c88218f0a0a3640dc97ef878dc946476eb4d8",
+    "model-thomas-thomas":
+        "479ee90eb91d659e414a0cb5913c58bfc14f928af474874f1b3d862a481de4b1",
+}
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestGoldenDigests:
+    @pytest.mark.parametrize("case", sorted(DSE_CASES))
+    def test_ranked_tables(self, case):
+        problem_args, grid_args = DSE_CASES[case]
+        problem = ProblemSpec(**{"precision": Precision.FP32, **problem_args})
+        grid_args = dict(grid_args)
+        include = grid_args.pop("include_infeasible", False)
+        grid = GridSpec.for_kind(problem.kind)
+        for name, values in grid_args.items():
+            setattr(grid, name, values)
+        rows = dse_enumerate(problem, U280, grid, include_infeasible=include)
+        assert sha256(rows_to_json(rows)) == GOLDEN[f"json-{case}"]
+        assert sha256(rows_to_csv(rows)) == GOLDEN[f"csv-{case}"]
+
+    @pytest.mark.parametrize("case", sorted(MODEL_CASES))
+    def test_model_reports(self, case, tmp_path, capsys):
+        rep = tmp_path / "m.json"
+        assert main(["model", *map(str, MODEL_CASES[case]), "--report", str(rep)]) == 0
+        assert sha256(rep.read_text()) == GOLDEN[f"model-{case}"]
