@@ -4,8 +4,9 @@ drivers and an analytic accelerator performance model.
 There is one solve entry point per input form: :func:`solve_system` for
 one system, :func:`batch_solve` for a batch, :func:`solve_lines` for the
 lines along one axis of a mesh batch and :func:`adi_run` for the ADI
-application. Each makes one kernel call per solve, ``kernel(a, b, c, d)``
-on ``(n, lines)`` arrays, for every algorithm.
+application. The first three make one kernel call per solve,
+``kernel(a, b, c, d)`` on ``(n, lines)`` arrays, for every algorithm;
+``adi_run`` factors each axis once per run, then substitutes every sweep.
 
 The package splits into:
 

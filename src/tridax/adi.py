@@ -135,13 +135,6 @@ class RunReport:
             "steps": self.steps,
         }
 
-    def csv_rows(self) -> list[list]:
-        rows = [["schema_version", REPORT_SCHEMA],
-                ["phase", "seconds", "bytes", "gb_per_s"]]
-        for name, p in self.phases.items():
-            rows.append([name, f"{p.seconds:.9f}", p.bytes, f"{p.gb_per_s:.6f}"])
-        return rows
-
 
 def effective_bandwidth(nbytes: float, seconds: float) -> float:
     """Logical traffic over wall time, in GB/s (1 GB = 1e9 bytes)."""

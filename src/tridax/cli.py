@@ -10,8 +10,8 @@ Subcommands:
 
 Input-generation flags apply only to generated inputs: an ``--input`` file
 keeps its own shape and precision, and ``adi --dims``, if given, must match
-it. Every command writes its report through ``--report`` (stdout if omitted;
-``dse`` writes its ranked table there and prints only the top rows).
+it. ``dse`` writes its ranked table only to ``--report``; every other report,
+JSON or ``key,value`` CSV rows, goes to ``--report``, or stdout if omitted.
 
 Exit codes: 0 success, 2 usage error, 3 infeasible design or verification
 failure, 1 internal error. Given the same flags, seed and input bytes,
@@ -21,6 +21,8 @@ binary outputs are byte-identical across runs.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import sys
 import time
@@ -55,10 +57,11 @@ def _parse_int_list(text: str) -> list[int]:
 
 
 def _add_common(p: argparse.ArgumentParser, precision_help: str = "fp32 or fp64"):
+    """Add ``--precision``, ``--format`` and ``--report``; returns the last."""
     p.add_argument("--precision", default="fp64", help=precision_help)
     p.add_argument("--format", choices=("json", "csv"), default="json",
                    help="report format")
-    p.add_argument("--report", type=Path, help="report file (stdout if omitted)")
+    return p.add_argument("--report", type=Path, help="report file (stdout if omitted)")
 
 
 def _add_problem_and_hardware(p: argparse.ArgumentParser):
@@ -125,7 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tiles", type=_parse_int_list, help="tile counts, comma list")
     p.add_argument("--unroll", type=_parse_int_list, help="unroll factors, comma list")
     p.add_argument("--top", type=int, default=10, help="rows printed to stdout")
-    _add_common(p)
+    _add_common(p).help = "ranked table file; dse writes its table only here"
 
     sub.add_parser("selftest", help="run quick built-in checks")
     return parser
@@ -150,13 +153,15 @@ def read_batch(path) -> core.TridiagonalBatch:
     return core.TridiagonalBatch(rows[:, 0], rows[:, 1], rows[:, 2], rows[:, 3])
 
 
-def _emit_report(args, payload: dict, csv_rows: list[list] | None = None) -> None:
-    """Write ``payload``; as CSV, one ``key,value`` row per field unless given rows."""
+def _emit_report(args, payload: dict) -> None:
+    """Write ``payload``; as CSV, one ``key,value`` row per field, a dict or
+    list value as JSON text."""
     if args.format == "csv":
-        if csv_rows is None:
-            csv_rows = [[k, json.dumps(v) if isinstance(v, (dict, list)) else v]
-                        for k, v in payload.items()]
-        text = "\n".join(",".join(str(c) for c in row) for row in csv_rows) + "\n"
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(
+            [k, json.dumps(v) if isinstance(v, (dict, list)) else str(v)]
+            for k, v in payload.items())
+        text = buf.getvalue()
     else:
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if args.report:
@@ -252,7 +257,7 @@ def cmd_adi(args) -> int:
     if args.out:
         write_mesh(args.out, u_final)
         payload["mesh"] = str(args.out)
-    _emit_report(args, payload, report.csv_rows())
+    _emit_report(args, payload)
     return status
 
 
@@ -263,14 +268,12 @@ def _problem_from_args(args, precision: Precision) -> ProblemSpec:
 
 def cmd_model(args) -> int:
     precision = Precision.parse(args.precision)
-    algo = Algorithm.parse(args.algo)
-    _check_tiles(args.tiles, algo.value, algo.is_tiled)
+    dp = DesignPoint(algorithm=Algorithm.parse(args.algo), precision=precision,
+                     interleave_group=args.group, vector_width=args.vector,
+                     unroll=args.unroll, tiles=args.tiles, compute_units=args.cus,
+                     partitions=args.partitions, frequency_hz=args.freq_mhz * 1e6)
     problem = _problem_from_args(args, precision)
     device = load_device_profile(args.device)
-    dp = DesignPoint(algorithm=algo, precision=precision, interleave_group=args.group,
-                     vector_width=args.vector, unroll=args.unroll, tiles=args.tiles,
-                     compute_units=args.cus, partitions=args.partitions,
-                     frequency_hz=args.freq_mhz * 1e6)
     where = dict(batch=problem.batch, n=problem.size, dims=problem.dims,
                  n_iter=problem.n_iter)
     latency = latency_for_problem(dp, **where)

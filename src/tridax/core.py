@@ -9,18 +9,19 @@ is requested, since the elimination is unstable without it.
 There is one entry point per input form: ``solve_system`` for one system,
 ``batch_solve`` for a batch, and, in the other modules,
 :func:`tridax.mesh.solve_lines` for a mesh axis and
-:func:`tridax.adi.adi_run` for the ADI application. Each makes one kernel
-call. A kernel is called as ``kernel(a, b, c, d)`` on ``(n, lines)``
-arrays, row i of every system side by side, and checks its pivots and
-output once, its error naming every failing line; ``_kernel`` maps an
-algorithm name and tile count to the Thomas or PCR kernel at the bottom of
-this module or to the tiled hybrids' kernel in :mod:`tridax.tiled`. A
-batch stores ``(count, n)`` arrays and is solved through their transposed
-views; a single system is a one-line call. Both containers share one
-coefficient rule, ``_coefficients``. Every line runs the same
-operation sequence, so scalar, batched and sweep results are bitwise
-identical. The Thomas kernel is ``_thomas_factor`` then
-``_thomas_substitute``, which repeated sweeps also call apart.
+:func:`tridax.adi.adi_run` for the ADI application. The first three make
+one kernel call; ``adi_run`` factors each axis once, then substitutes. A
+kernel is called as ``kernel(a, b, c, d)`` on ``(n, lines)`` arrays, row i
+of every system side by side, and checks its pivots and output once, its
+error naming every failing line; ``_kernel`` maps an algorithm name and
+tile count to the Thomas or PCR kernel at the bottom of this module or to
+the tiled hybrids' kernel in :mod:`tridax.tiled`. A batch stores
+``(count, n)`` arrays and is solved through their transposed views; a
+single system is a one-line call. Both containers share one coefficient
+rule, ``_coefficients``; mesh sweeps share its ``_check_corners``. Every
+line runs the same operation sequence, so scalar, batched and sweep
+results are bitwise identical. The Thomas kernel is ``_thomas_factor``
+then ``_thomas_substitute``, which repeated sweeps also call apart.
 """
 
 from __future__ import annotations
@@ -51,10 +52,15 @@ def _coefficients(values, ndim: int) -> list[np.ndarray]:
                          f"got {[x.shape for x in coeffs]}")
     if a.size == 0:
         raise ValueError(f"coefficients need at least one unknown, got shape {a.shape}")
-    # count_nonzero, not np.any: a row's 0-d values are a batch.system(i) hot path
-    if np.count_nonzero(a[..., 0]) or np.count_nonzero(c[..., -1]):
-        raise ValueError("every system needs a[0] == 0 and c[n-1] == 0")
+    _check_corners(a[..., 0], c[..., -1])
     return coeffs
+
+
+def _check_corners(a_first, c_last) -> None:
+    """The corner rule of every form: each system's ``a[0]`` and ``c[n-1]`` is 0."""
+    # count_nonzero, not np.any: a row's 0-d values are a batch.system(i) hot path
+    if np.count_nonzero(a_first) or np.count_nonzero(c_last):
+        raise ValueError("every system needs a[0] == 0 and c[n-1] == 0")
 
 
 @dataclass(frozen=True)

@@ -204,15 +204,16 @@ def solve_lines(mesh: Mesh, coefficients: tuple, axis, algo: str = "thomas",
     The entry point for a mesh axis, as :func:`tridax.core.solve_system`
     is for one system, :func:`tridax.core.batch_solve` for a batch and
     :func:`tridax.adi.adi_run` for the ADI application. The mesh holds the
-    right-hand sides. ``coefficients`` is the tuple
-    ``(a, b, c)``; each entry is either a mesh shaped like ``mesh``, giving
-    every line its own coefficients, or a vector of the axis length, shared
-    by every line. Entries are taken in the mesh's dtype, so the arithmetic
-    and the pivot floor follow the swept mesh. Every algorithm, the tiled
-    hybrids included, solves the whole axis in one ``kernel(a, b, c, d)``
-    call on the gathered lines. A failure raises :class:`LineSolveError`
-    naming every failing mesh and line. ``out`` may alias ``mesh`` for an
-    in-place update; by default a new mesh is returned.
+    right-hand sides. ``coefficients`` is the tuple ``(a, b, c)``; each
+    entry is either a mesh shaped like ``mesh``, giving every line its own
+    coefficients, or a vector of the axis length, shared by every line.
+    Entries are taken in the mesh's dtype, so the arithmetic and the pivot
+    floor follow the swept mesh; a nonzero ``a[0]`` or ``c[n-1]`` raises
+    ``ValueError``. Every algorithm, the tiled hybrids included, solves the
+    whole axis in one ``kernel(a, b, c, d)`` call on the gathered lines. A
+    failure raises :class:`LineSolveError` naming every failing mesh and
+    line. ``out`` may alias ``mesh`` for an in-place update; by default a
+    new mesh is returned.
     """
     axis = Axis.parse(axis)
     if axis is Axis.Z and mesh.spatial_ndim == 2:
@@ -223,6 +224,7 @@ def solve_lines(mesh: Mesh, coefficients: tuple, axis, algo: str = "thomas",
         raise ValueError("destination mesh shape differs from source")
 
     a, b, c = (_line_coefficient(entry, mesh, axis) for entry in coefficients)
+    core._check_corners(a[0], c[-1])
     d = gather_lines(mesh.data, axis)
     kernel = core._kernel(algo, tiles)
     try:
@@ -235,9 +237,11 @@ def solve_lines(mesh: Mesh, coefficients: tuple, axis, algo: str = "thomas",
 
 def factor_lines(mesh: Mesh, profile: tuple, axis: Axis):
     """Thomas factor of the ``(a, b, c)`` vectors shared by every line of
-    ``mesh`` along ``axis``, for :func:`sweep_lines`; a failed pivot raises
-    :class:`LineSolveError` naming every line."""
+    ``mesh`` along ``axis``, for :func:`sweep_lines`; a nonzero ``a[0]`` or
+    ``c[n-1]`` raises ``ValueError``, a failed pivot :class:`LineSolveError`
+    naming every line."""
     a, b, c = (_profile(entry, mesh, axis) for entry in profile)
+    core._check_corners(a[0], c[-1])
     factor, failed = core._thomas_factor(a, b, c)
     lines = mesh.points // mesh.extent(axis)
     no_rows = np.empty((0, lines), dtype=mesh.data.dtype)  # so the check covers pivots alone

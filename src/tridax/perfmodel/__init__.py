@@ -2,10 +2,10 @@
 
 from .calibration import (MeasuredReference, adi2d_fp32_reference, find_reference,
                           reconstruct_adi_runtime, relative_error)
-from .design import Algorithm, DesignPoint, default_interleave_group
+from .design import Algorithm, DesignPoint, ProblemSpec, default_interleave_group
 from .device import BUILTIN_PROFILES, U280, DeviceProfile, load_device_profile
-from .dse import (DSE_COLUMNS, DSE_SCHEMA, DseRow, GridSpec, ProblemSpec,
-                  dse_enumerate, rows_to_csv, rows_to_json)
+from .dse import (DSE_COLUMNS, DSE_SCHEMA, DseRow, GridSpec, dse_enumerate, rows_to_csv,
+                  rows_to_json)
 from .latency import (LatencyEstimate, ceil_div, ceil_log2, cycles_to_seconds,
                       latency_adi2d, latency_adi2d_tiled, latency_adi3d,
                       latency_batched_pcr, latency_batched_spike,

@@ -1,4 +1,5 @@
-"""Design points: one complete parameterization of an accelerator solver."""
+"""Design points, one complete parameterization of an accelerator solver,
+and the problems they solve."""
 
 from __future__ import annotations
 
@@ -33,8 +34,11 @@ class Algorithm(Enum):
                         Algorithm.ADI2D_TILED)
 
     @property
-    def is_adi(self) -> bool:
-        return self in (Algorithm.ADI2D, Algorithm.ADI3D, Algorithm.ADI2D_TILED)
+    def kind(self) -> str:
+        """The :attr:`ProblemSpec.kind` the design solves."""
+        if self is Algorithm.ADI3D:
+            return "adi3d"
+        return "adi2d" if self in (Algorithm.ADI2D, Algorithm.ADI2D_TILED) else "batch"
 
 
 def default_interleave_group(precision: Precision) -> int:
@@ -49,7 +53,10 @@ class DesignPoint:
     ``None`` fields resolve to defaults via :meth:`resolved`: the
     interleave groups to 32 (FP32) or 64 (FP64), the per-axis tile counts
     to ``tiles`` and the pentadiagonal stage cost to twice the pipeline
-    latency.
+    latency. A tiled algorithm needs the tile count of every axis it tiles,
+    and only a tiled algorithm takes one; the latency models check the
+    counts against the problem with the solver's
+    :class:`tridax.tiled.TilePlan`.
     """
 
     algorithm: Algorithm
@@ -85,6 +92,13 @@ class DesignPoint:
             raise ValueError("frequency_hz must be positive")
         if self.points_per_cycle is not None and self.points_per_cycle > self.vector_width:
             raise ValueError("points_per_cycle cannot exceed vector_width")
+        algo = self.algorithm
+        per_axis = (self.tiles_x or self.tiles, self.tiles_y or self.tiles)
+        if not algo.is_tiled and per_axis != (None, None):
+            raise ValueError(f"tiles apply to the tiled algorithms, not {algo.value}")
+        needed = per_axis if algo is Algorithm.ADI2D_TILED else (self.tiles,)
+        if algo.is_tiled and None in needed:
+            raise ValueError(f"{algo.value} requires a tile count")
 
     def resolved(self) -> "DesignPoint":
         """Fill every defaulted field so the model reads concrete values."""
@@ -111,3 +125,30 @@ class DesignPoint:
             if val is not None:
                 out[name] = val
         return out
+
+
+@dataclass(frozen=True)
+class ProblemSpec:
+    """What is being solved: a batch of ``size``-row systems or of ``dims`` meshes."""
+
+    batch: int
+    size: int | None = None         # system size for 1-D batches
+    dims: tuple[int, ...] | None = None
+    precision: Precision = Precision.FP32
+    n_iter: int = 1
+
+    def __post_init__(self):
+        if self.batch < 1 or self.n_iter < 1 or (self.size is not None and self.size < 1):
+            raise ValueError("batch, n_iter and size must be >= 1")
+        if (self.size is None) == (self.dims is None):
+            raise ValueError("a problem needs a system size or mesh dims, not both")
+        if self.dims is not None and (len(self.dims) not in (2, 3) or min(self.dims) < 1):
+            raise ValueError(f"mesh dims must be 2 or 3 positive extents, not {self.dims}")
+
+    @property
+    def kind(self) -> str:
+        return f"adi{len(self.dims)}d" if self.dims else "batch"
+
+    @property
+    def largest_extent(self) -> int:
+        return max(self.dims) if self.dims else self.size

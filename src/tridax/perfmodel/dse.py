@@ -5,12 +5,11 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import product
 
 from ..errors import NoFeasibleDesign
-from ..precision import Precision
-from .design import Algorithm, DesignPoint
+from .design import Algorithm, DesignPoint, ProblemSpec
 from .device import DeviceProfile
 from .latency import LatencyEstimate, latency_for_problem
 from .memory import ResourceEstimate, memory_words
@@ -28,33 +27,6 @@ DSE_COLUMNS = [
 _ALGO_ORDER = {algo: i for i, algo in enumerate(Algorithm)}
 
 
-@dataclass(frozen=True)
-class ProblemSpec:
-    """What is being solved: a batch of ``size``-row systems or of ``dims`` meshes."""
-
-    batch: int
-    size: int | None = None         # system size for 1-D batches
-    dims: tuple[int, ...] | None = None
-    precision: Precision = Precision.FP32
-    n_iter: int = 1
-
-    def __post_init__(self):
-        if self.batch < 1 or self.n_iter < 1 or (self.size is not None and self.size < 1):
-            raise ValueError("batch, n_iter and size must be >= 1")
-        if (self.size is None) == (self.dims is None):
-            raise ValueError("a problem needs a system size or mesh dims, not both")
-        if self.dims is not None and (len(self.dims) not in (2, 3) or min(self.dims) < 1):
-            raise ValueError(f"mesh dims must be 2 or 3 positive extents, not {self.dims}")
-
-    @property
-    def kind(self) -> str:
-        return f"adi{len(self.dims)}d" if self.dims else "batch"
-
-    @property
-    def largest_extent(self) -> int:
-        return max(self.dims) if self.dims else self.size
-
-
 @dataclass
 class GridSpec:
     """Parameter ranges to enumerate; empty lists fall back to defaults."""
@@ -69,14 +41,10 @@ class GridSpec:
 
     @classmethod
     def for_kind(cls, kind: str) -> "GridSpec":
-        if kind == "batch":
-            algos = [Algorithm.BATCHED_THOMAS, Algorithm.BATCHED_PCR,
-                     Algorithm.THOMAS_THOMAS, Algorithm.THOMAS_PCR]
-        elif kind == "adi2d":
-            algos = [Algorithm.ADI2D, Algorithm.ADI2D_TILED]
-        else:
-            algos = [Algorithm.ADI3D]
-        return cls(algorithms=algos)
+        """Every algorithm of ``kind`` but ``batched-spike``, whose partitions
+        the grid does not set."""
+        return cls(algorithms=[a for a in Algorithm
+                               if a.kind == kind and a is not Algorithm.BATCHED_SPIKE])
 
 
 @dataclass(frozen=True)
@@ -112,14 +80,10 @@ def _candidate_designs(problem: ProblemSpec, grid: GridSpec):
     for algo, g, v, f_u, n_cu, freq in product(
             algorithms, grid.groups, grid.vector_widths, grid.unrolls,
             grid.compute_units, grid.frequencies_hz):
-        base = DesignPoint(algorithm=algo, precision=problem.precision,
-                           interleave_group=g, vector_width=v, unroll=f_u,
-                           compute_units=n_cu, frequency_hz=freq)
-        if algo.is_tiled:
-            for t in grid.tiles:
-                yield replace(base, tiles=t)
-        else:
-            yield base
+        for t in grid.tiles if algo.is_tiled else [None]:
+            yield DesignPoint(algorithm=algo, precision=problem.precision,
+                              interleave_group=g, vector_width=v, unroll=f_u, tiles=t,
+                              compute_units=n_cu, frequency_hz=freq)
 
 
 def dse_enumerate(problem: ProblemSpec, device: DeviceProfile, grid: GridSpec,

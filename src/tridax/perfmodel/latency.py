@@ -12,7 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .design import Algorithm, DesignPoint
+from ..tiled import TilePlan
+from .design import Algorithm, DesignPoint, ProblemSpec
 
 
 def ceil_div(a: int, b: int) -> int:
@@ -137,21 +138,6 @@ def latency_batched_spike(batch: int, n: int, dp: DesignPoint) -> LatencyEstimat
     )
 
 
-def _check_tiles(dp: DesignPoint) -> DesignPoint:
-    dp = dp.resolved()
-    if dp.tiles is None or dp.tiles < 2:
-        raise ValueError("tiled designs need tiles >= 2")
-    return dp
-
-
-def _axis_tiles(dp: DesignPoint) -> tuple[int, int]:
-    """Tile counts of the resolved tiled 2-D design along x and y, each >= 2."""
-    t1, t2 = dp.tiles_x, dp.tiles_y
-    if t1 is None or t2 is None or t1 < 2 or t2 < 2:
-        raise ValueError("tiled 2-D design needs tiles_x and tiles_y >= 2")
-    return t1, t2
-
-
 def _reduced_solve(reduced: str, t: int, g: int, l: int) -> int:
     """Cycles of the ``2t``-row reduced solve: ``g*(2t)*2`` interleaved
     over ``g`` systems by Thomas, ``(2t + l) * ceil_log2(2t)`` by PCR."""
@@ -164,8 +150,8 @@ def _reduced_solve(reduced: str, t: int, g: int, l: int) -> int:
 
 def _latency_tiled(reduced: str, batch: int, n: int, dp: DesignPoint) -> LatencyEstimate:
     _require_positive(batch=batch, n=n)
-    dp = _check_tiles(dp)
-    g, t = dp.interleave_group, dp.tiles
+    dp = dp.resolved()
+    g, t = dp.interleave_group, TilePlan(n, dp.tiles).t  # the solver's tiling rule
     tiles_term = Fraction((2 + ceil_div(batch * t, g)) * ceil_div(n, t) * g)
     red = Fraction(_reduced_solve(reduced, t, dp.reduced_group, dp.pipeline_latency))
     return LatencyEstimate(
@@ -181,6 +167,8 @@ def latency_thomas_thomas(batch: int, n: int, dp: DesignPoint) -> LatencyEstimat
 
     Tile phase ``(2 + ceil(B*t/g)) * ceil(n/t) * g`` plus a reduced solve of
     ``2t`` rows interleaved over ``reduced_group`` systems, ``g_r*(2t)*2``.
+    A tiling the solver's :class:`tridax.tiled.TilePlan` rejects raises
+    :class:`tridax.errors.InvalidTilePlan`, as in every tiled model.
     """
     return _latency_tiled("thomas", batch, n, dp)
 
@@ -256,11 +244,12 @@ def latency_adi2d_tiled(x: int, y: int, batch: int, n_iter: int, dp: DesignPoint
     The stencil fuses with the x sweep; the y sweep runs as its own stage
     over buffered planes of ``datapath_tile_x`` columns. With ``reduced ==
     "pcr"`` the per-stage reduced-solve term ``4*g*t`` becomes
-    ``ceil_log2(2t) * (2t + l)``.
+    ``ceil_log2(2t) * (2t + l)``. The x lines are tiled ``tiles_x`` ways
+    and the y lines ``tiles_y`` ways.
     """
     _require_positive(x=x, y=y, batch=batch, n_iter=n_iter)
     dp = dp.resolved()
-    t1, t2 = _axis_tiles(dp)
+    t1, t2 = TilePlan(x, dp.tiles_x).t, TilePlan(y, dp.tiles_y).t  # the solver's rule per axis
     tx = dp.datapath_tile_x or t1
     v = dp.vector_width
     g = dp.interleave_group
@@ -276,34 +265,31 @@ def latency_adi2d_tiled(x: int, y: int, batch: int, n_iter: int, dp: DesignPoint
     )
 
 
-_SYSTEM_MODELS = {  # called as (batch, n, dp)
+_MODELS = {  # called as (batch, n, dp) on systems, (*dims, batch, n_iter, dp) on meshes
     Algorithm.BATCHED_THOMAS: latency_batched_thomas,
     Algorithm.BATCHED_PCR: latency_batched_pcr,
     Algorithm.BATCHED_SPIKE: latency_batched_spike,
     Algorithm.THOMAS_THOMAS: latency_thomas_thomas,
     Algorithm.THOMAS_PCR: latency_thomas_pcr,
-}
-_MESH_MODELS = {  # called as (*dims[:k], batch, n_iter, dp) on k of the 2 or 3 dims
-    Algorithm.ADI2D: (2, latency_adi2d),
-    Algorithm.ADI2D_TILED: (2, latency_adi2d_tiled),
-    Algorithm.ADI3D: (3, latency_adi3d),
+    Algorithm.ADI2D: latency_adi2d,
+    Algorithm.ADI2D_TILED: latency_adi2d_tiled,
+    Algorithm.ADI3D: latency_adi3d,
 }
 
 
 def latency_for_problem(dp: DesignPoint, *, batch: int, n: int | None = None,
                         dims: tuple[int, ...] | None = None,
                         n_iter: int = 1) -> LatencyEstimate:
-    """Dispatch to the model matching the design's algorithm."""
+    """Dispatch to the model of the design's algorithm for the problem of
+    ``n``-row systems or ``dims`` meshes; a problem of another
+    :attr:`~Algorithm.kind` than the design's raises ``ValueError``."""
     algo = dp.algorithm
-    if algo in _SYSTEM_MODELS:
-        if n is None:
-            raise ValueError(f"{algo.value} needs a system size n")
-        return _SYSTEM_MODELS[algo](batch, n, dp)
-    if algo not in _MESH_MODELS:
-        raise ValueError(f"no latency model for {algo}")
+    problem = ProblemSpec(batch, n, None if dims is None else tuple(dims), n_iter=n_iter)
+    if problem.kind != algo.kind:
+        need = ("needs a system size n" if algo.kind == "batch"
+                else "needs mesh dims" if dims is None
+                else f"cannot take mesh dims {problem.dims}")
+        raise ValueError(f"{algo.value} {need}")
     if dims is None:
-        raise ValueError(f"{algo.value} needs mesh dims")
-    k, model = _MESH_MODELS[algo]
-    if len(dims) not in (k, 3):
-        raise ValueError(f"{algo.value} cannot take mesh dims {tuple(dims)}")
-    return model(*dims[:k], batch, n_iter, dp)
+        return _MODELS[algo](batch, n, dp)
+    return _MODELS[algo](*dims, batch, n_iter, dp)

@@ -7,7 +7,10 @@ four ``g``-word carry RAMs. A tiled lane halves that to nine buffers over
 ``g/t``-system groups, with a small reduced-system stage and a FIFO that
 covers the reduced solve's cycle count. A tiling is accepted exactly when
 the solver's :class:`tridax.tiled.TilePlan` accepts it, so every tile,
-the short last one included, keeps at least 3 rows. The vectorized data path
+the short last one included, keeps at least 3 rows. The latency models
+check every extent a design tiles; :func:`memory_words`, which sees only
+the largest extent, checks the tiling of that one again, so it stands
+alone. The vectorized data path
 replicates the lane per vector lane, and each compute unit replicates the
 whole pipeline, so feasibility compares
 
@@ -24,7 +27,7 @@ from ..errors import InfeasibleDesign
 from ..tiled import TilePlan
 from .design import Algorithm, DesignPoint
 from .device import DeviceProfile
-from .latency import _axis_tiles, _check_tiles, _reduced_solve, ceil_div, ceil_log2
+from .latency import _reduced_solve, ceil_div, ceil_log2
 
 REDUCED_FIFO_BUFFERS = 3  # streams drained while the reduced stage runs
 ADI_HBM_PORTS = 24        # measured port budget of the fused ADI pipelines
@@ -77,26 +80,23 @@ def memory_words(dp: DesignPoint, n: int, device: DeviceProfile,
     elif algo is Algorithm.BATCHED_SPIKE:
         words = _solver_lane_words(g, ceil_div(n, dp.partitions))
     elif algo in (Algorithm.THOMAS_THOMAS, Algorithm.THOMAS_PCR):
-        t = _check_tiles(dp).tiles
         reduced = "thomas" if algo is Algorithm.THOMAS_THOMAS else "pcr"
-        words = (_tiled_lane_words(g, n, t) + REDUCED_FIFO_BUFFERS
-                 * _reduced_solve(reduced, t, dp.reduced_group, dp.pipeline_latency))
+        words = (_tiled_lane_words(g, n, dp.tiles) + REDUCED_FIFO_BUFFERS
+                 * _reduced_solve(reduced, dp.tiles, dp.reduced_group, dp.pipeline_latency))
     elif algo is Algorithm.ADI2D:
         words = 2 * _solver_lane_words(g, n) + 2 * n
     elif algo is Algorithm.ADI3D:
         words = 3 * _solver_lane_words(g, n) + 2 * n * n
     elif algo is Algorithm.ADI2D_TILED:
-        t1, t2 = _axis_tiles(dp)
-        tx = dp.datapath_tile_x or t1
-        words = (_tiled_lane_words(g, n, t1) + _tiled_lane_words(g, n, t2)
-                 + 2 * tx * n)
+        words = (_tiled_lane_words(g, n, dp.tiles_x) + _tiled_lane_words(g, n, dp.tiles_y)
+                 + 2 * (dp.datapath_tile_x or dp.tiles_x) * n)
     else:
         raise ValueError(f"no memory model for {algo}")
 
     word_bytes = dp.precision.word_bytes
     lanes = dp.vector_width * dp.compute_units
     total = words * word_bytes * lanes
-    ports = ADI_HBM_PORTS if algo.is_adi else STREAM_HBM_PORTS * 5
+    ports = STREAM_HBM_PORTS * 5 if algo.kind == "batch" else ADI_HBM_PORTS
     violations = []
     if total > device.on_chip_bytes:
         violations.append(

@@ -1,3 +1,4 @@
+import csv
 import errno
 import json
 
@@ -12,6 +13,28 @@ from tridax.core import TridiagonalBatch, random_dominant_system
 def run(argv, capsys=None):
     code = main([str(a) for a in argv])
     return code
+
+
+def csv_report_matches_json(argv, tmp_path, volatile=()):
+    """Run ``argv`` with a CSV and a JSON report; the CSV parses into
+    two-cell ``key,value`` rows, one per JSON key, with dict and list
+    values as JSON text. Keys in ``volatile`` (timings) are not compared."""
+    reports = {fmt: tmp_path / f"r.{fmt}" for fmt in ("csv", "json")}
+    for fmt, path in reports.items():
+        assert run([*argv, "--format", fmt, "--report", path]) == 0
+    rows = list(csv.reader(reports["csv"].read_text().splitlines()))
+    payload = json.loads(reports["json"].read_text())
+    assert [len(row) for row in rows] == [2] * len(rows)
+    assert sorted(key for key, _ in rows) == sorted(payload)
+    for key, cell in rows:
+        value = payload[key]
+        if key in volatile:
+            continue
+        if isinstance(value, (dict, list)):
+            assert json.loads(cell) == value
+        else:
+            assert cell == str(value)
+    return payload
 
 
 class TestSolve:
@@ -137,6 +160,13 @@ class TestAdi:
         assert sorted(payload["phases"]) == ["rhs", "sweep_x", "sweep_y", "update"]
         assert [s["iterations"] for s in payload["steps"]] == [1, 2]
 
+    def test_csv_report_carries_every_field(self, tmp_path, capsys):
+        argv = ["adi", "--dims", "8,8", "--batch", 2, "--gamma", 0.5, "--iters", 3,
+                "--verify", "--out", tmp_path / "u.bin"]
+        timings = ("phases", "steps", "total_seconds", "effective_gb_per_s")
+        payload = csv_report_matches_json(argv, tmp_path, volatile=timings)
+        assert {"config", "delta_inf", "verify", "mesh"} <= set(payload)
+
     def test_input_mesh_keeps_its_precision(self, tmp_path, capsys):
         path = tmp_path / "u0.bin"
         u0 = Mesh(np.random.default_rng(3).uniform(-1, 1, (2, 1, 8, 8)).astype(np.float32), 2)
@@ -224,6 +254,19 @@ class TestModel:
         assert "not both" in capsys.readouterr().err
         assert not rep.exists()
 
+    def test_csv_report_carries_every_field(self, tmp_path, capsys):
+        payload = csv_report_matches_json(
+            ["model", "--algo", "adi2d", "--batch", 3000, "--dims", "128,128",
+             "--iters", 120, "--unroll", 3, "--cus", 3, "--precision", "fp32"], tmp_path)
+        assert {"design", "problem", "violations", "measured_reference"} <= set(payload)
+
+    def test_2d_design_on_3d_dims_is_usage_error(self, tmp_path, capsys):
+        rep = tmp_path / "m.json"
+        assert run(["model", "--algo", "adi2d", "--batch", 100, "--dims", "64,64,64",
+                    "--iters", 10, "--report", rep]) == 2
+        assert "adi2d cannot take mesh dims (64, 64, 64)" in capsys.readouterr().err
+        assert not rep.exists()
+
     def test_incomplete_device_profile_usage_error(self, tmp_path, capsys):
         path = tmp_path / "card.txt"
         path.write_text("dsp_count = 1000\nhbm_ports = 16\n")
@@ -248,6 +291,13 @@ class TestDse:
         assert code == 0
         payload = json.loads(rep.read_text())
         assert payload["rows"][0]["algorithm"] == "adi2d-tiled"
+
+    def test_short_axis_tilings_rank_nothing(self, tmp_path):
+        # 8 or 16 tiles leave tiles of 2 or 1 rows on the 16-point y lines
+        rep = tmp_path / "d.json"
+        assert run(["dse", "--batch", 10, "--dims", "64,16", "--report", rep]) == 0
+        rows = json.loads(rep.read_text())["rows"]
+        assert sorted(r["tiles"] for r in rows if r["algorithm"] == "adi2d-tiled") == [2, 4]
 
     def test_no_feasible_design_exit_code(self, tmp_path):
         code = run(["dse", "--batch", 10, "--size", 8192, "--precision", "fp32",

@@ -232,6 +232,22 @@ class TestSolveLines:
         with pytest.raises(ValueError, match="shape"):
             solve_lines(mesh, coeffs, "x", "pcr")
 
+    @pytest.mark.parametrize("corner", ["a[0]", "c[n-1]"])
+    @pytest.mark.parametrize("form", ["profile", "mesh"])
+    @pytest.mark.parametrize("algo", SOLVER_NAMES)
+    def test_nonzero_corner_rejected_as_by_core(self, algo, form, corner):
+        # thomas and pcr ignored a nonzero corner; the tiled hybrids blamed the tiling
+        mesh = random_mesh((9, 4), batch=2, seed=30)
+        coeffs = dominant_profile(31, mesh, "x")
+        k, row = (0, 0) if corner == "a[0]" else (2, -1)
+        if form == "profile":
+            coeffs[k][row] = 0.5
+        else:
+            coeffs = profile_meshes(coeffs, mesh, "x")
+            coeffs[k].data[1, 0, 2, row] = 0.5  # x line 2 of mesh 1 alone
+        with pytest.raises(ValueError, match=r"a\[0\] == 0 and c\[n-1\] == 0"):
+            solve_lines(mesh, coeffs, "x", algo, tiles=3)
+
     def test_failing_line_identified(self):
         mesh = random_mesh((6, 2, 2), batch=2, seed=8)
         singular = (np.zeros(6), np.zeros(6), np.zeros(6))
@@ -280,6 +296,14 @@ class TestSolveLines:
 
 
 class TestFactoredSweep:
+    @pytest.mark.parametrize("k, row", [(0, 0), (2, -1)])
+    def test_nonzero_corner_rejected_as_by_core(self, k, row):
+        mesh = random_mesh((5, 4), seed=32)
+        profile = dominant_profile(33, mesh, "x")
+        profile[k][row] = 0.5
+        with pytest.raises(ValueError, match=r"a\[0\] == 0 and c\[n-1\] == 0"):
+            factor_lines(mesh, profile, Axis.X)
+
     @pytest.mark.parametrize("axis", ["x", "y", "z"])
     @pytest.mark.parametrize("precision", [Precision.FP32, Precision.FP64])
     def test_equals_solve_lines_bitwise(self, axis, precision):

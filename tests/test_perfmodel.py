@@ -12,8 +12,8 @@ from fractions import Fraction
 import pytest
 
 from tridax import InfeasibleDesign, InvalidTilePlan, Precision, TilePlan
-from tridax.perfmodel import (U280, Algorithm, DesignPoint, adi2d_fp32_reference,
-                              ceil_div, ceil_log2, cycles_to_seconds,
+from tridax.perfmodel import (U280, Algorithm, DesignPoint, ProblemSpec,
+                              adi2d_fp32_reference, ceil_div, ceil_log2, cycles_to_seconds,
                               default_interleave_group, find_reference,
                               latency_adi2d, latency_adi2d_tiled, latency_adi3d,
                               latency_batched_pcr, latency_batched_spike,
@@ -334,12 +334,9 @@ class TestMemoryModel:
     @pytest.mark.parametrize("algo", [Algorithm.THOMAS_THOMAS, Algorithm.THOMAS_PCR,
                                       Algorithm.ADI2D_TILED])
     def test_missing_tiles_rejected_as_by_latency(self, algo):
-        dp = DesignPoint(algo)
-        with pytest.raises(ValueError) as latency_err:
-            latency_for_problem(dp, batch=1, n=64, dims=(64, 64))
-        with pytest.raises(ValueError) as memory_err:
-            memory_words(dp, 64, U280)
-        assert str(memory_err.value) == str(latency_err.value)
+        # the design cannot be built, so neither model ever sees it
+        with pytest.raises(ValueError, match=f"{algo.value} requires a tile count"):
+            DesignPoint(algo)
 
     @pytest.mark.parametrize("algo", [Algorithm.THOMAS_THOMAS, Algorithm.THOMAS_PCR])
     def test_tilings_follow_the_solvers_plan(self, algo):
@@ -355,6 +352,21 @@ class TestMemoryModel:
             else:
                 memory_words(dp, n, U280)
 
+    def test_2d_tilings_follow_the_solvers_plan_on_both_axes(self):
+        """The tiled 2-D model accepts a mesh exactly when the solver's
+        TilePlan accepts the tiling of both its x and its y lines."""
+        fits = {(n, t): _plan_accepts(n, t) for n in range(3, 65) for t in range(2, 17)}
+        for t in range(2, 17):
+            dp = DesignPoint(Algorithm.ADI2D_TILED, tiles=t)
+            for x in range(3, 65):
+                for y in range(3, 65):
+                    try:
+                        latency_for_problem(dp, batch=1, dims=(x, y))
+                    except InvalidTilePlan:
+                        assert not (fits[x, t] and fits[y, t]), (x, y, t)
+                    else:
+                        assert fits[x, t] and fits[y, t], (x, y, t)
+
     def test_strict_raises_with_violation(self):
         dp = dp_thomas(precision=Precision.FP32)
         with pytest.raises(InfeasibleDesign) as err:
@@ -369,6 +381,47 @@ class TestMemoryModel:
         per_group = math.ceil(g / t)
         assert est.words == 18 * per_group * n + 28 * t * per_group \
             + 3 * (2 * t + l) * clog2(2 * t)
+
+
+def _plan_accepts(n, t):
+    try:
+        TilePlan(n, t)
+    except InvalidTilePlan:
+        return False
+    return True
+
+
+class TestDesignFit:
+    @pytest.mark.parametrize("algo", list(Algorithm))
+    def test_tile_count_exactly_for_tiled_algorithms(self, algo):
+        if algo.is_tiled:
+            DesignPoint(algo, tiles=4)
+            with pytest.raises(ValueError, match="requires a tile count"):
+                DesignPoint(algo)
+        else:
+            DesignPoint(algo)
+            for field in ("tiles", "tiles_x", "tiles_y"):
+                with pytest.raises(ValueError, match=f"not {algo.value}"):
+                    DesignPoint(algo, **{field: 4})
+
+    def test_tiled_2d_design_needs_both_axis_counts(self):
+        DesignPoint(Algorithm.ADI2D_TILED, tiles_x=4, tiles_y=8)
+        DesignPoint(Algorithm.ADI2D_TILED, tiles=4, tiles_y=8)
+        with pytest.raises(ValueError, match="requires a tile count"):
+            DesignPoint(Algorithm.ADI2D_TILED, tiles_x=4)
+
+    @pytest.mark.parametrize("algo", list(Algorithm))
+    def test_latency_takes_exactly_problems_of_the_designs_kind(self, algo):
+        dp = DesignPoint(algo, tiles=4 if algo.is_tiled else None)
+        problems = {"batch": dict(n=64), "adi2d": dict(dims=(64, 64)),
+                    "adi3d": dict(dims=(64, 64, 64))}
+        for kind, where in problems.items():
+            assert ProblemSpec(2, where.get("n"), where.get("dims")).kind == kind
+            if kind == algo.kind:
+                latency_for_problem(dp, batch=2, **where)
+            else:
+                with pytest.raises(ValueError, match=f"^{algo.value} (needs|cannot take)"):
+                    latency_for_problem(dp, batch=2, **where)
 
 
 SMALL_PROFILE = {"dsp_count": 1000, "bram_bytes": 1e6, "bram_blocks": 100,
