@@ -155,11 +155,11 @@ def read_batch(path) -> core.TridiagonalBatch:
 
 def _emit_report(args, payload: dict) -> None:
     """Write ``payload``; as CSV, one ``key,value`` row per field, a dict or
-    list value as JSON text."""
+    list value as JSON text, ``None`` as an empty cell."""
     if args.format == "csv":
         buf = io.StringIO()
         csv.writer(buf, lineterminator="\n").writerows(
-            [k, json.dumps(v) if isinstance(v, (dict, list)) else str(v)]
+            [k, json.dumps(v) if isinstance(v, (dict, list)) else v]
             for k, v in payload.items())
         text = buf.getvalue()
     else:

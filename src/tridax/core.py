@@ -26,6 +26,7 @@ then ``_thomas_substitute``, which repeated sweeps also call apart.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -35,6 +36,7 @@ from .errors import BatchSolveError, NonFiniteSolution, SingularMatrix, ZeroPivo
 from .precision import Precision
 
 DENSE_ORACLE_MAX_N = 4096
+_CORNER_RULE = "every system needs a[0] == 0 and c[n-1] == 0"
 
 
 def _coefficients(values, ndim: int) -> list[np.ndarray]:
@@ -58,9 +60,9 @@ def _coefficients(values, ndim: int) -> list[np.ndarray]:
 
 def _check_corners(a_first, c_last) -> None:
     """The corner rule of every form: each system's ``a[0]`` and ``c[n-1]`` is 0."""
-    # count_nonzero, not np.any: a row's 0-d values are a batch.system(i) hot path
+    # count_nonzero, not np.any: faster on a batch's or mesh axis's corner arrays
     if np.count_nonzero(a_first) or np.count_nonzero(c_last):
-        raise ValueError("every system needs a[0] == 0 and c[n-1] == 0")
+        raise ValueError(_CORNER_RULE)
 
 
 @dataclass(frozen=True)
@@ -108,14 +110,15 @@ class TridiagonalSystem:
         return mat
 
 
-@dataclass
+@dataclass(frozen=True)
 class TridiagonalBatch:
-    """``count`` independent systems of shared size ``n``.
+    """``count`` independent systems of shared size ``n``, frozen as a system is.
 
     The four coefficient arrays are shaped ``(count, n)``: row i holds
     system i. They share one float dtype, as a system's vectors do; arrays
     already in it are held by reference. ``batch_solve`` hands the kernels
-    their ``(n, count)`` transposed views.
+    their ``(n, count)`` transposed views. ``system(i)`` views row i, which
+    the batch validated, and checks only its corners again.
     """
 
     a: np.ndarray
@@ -124,7 +127,8 @@ class TridiagonalBatch:
     d: np.ndarray
 
     def __post_init__(self):
-        self.a, self.b, self.c, self.d = _coefficients((self.a, self.b, self.c, self.d), 2)
+        for name, arr in zip("abcd", _coefficients((self.a, self.b, self.c, self.d), 2)):
+            object.__setattr__(self, name, arr)
 
     @property
     def count(self) -> int:
@@ -139,7 +143,13 @@ class TridiagonalBatch:
         return Precision.from_dtype(self.b.dtype)
 
     def system(self, i: int) -> TridiagonalSystem:
-        return TridiagonalSystem(self.a[i], self.b[i], self.c[i], self.d[i])
+        i = operator.index(i)  # a slice or float is no system
+        a, c = self.a[i], self.c[i]
+        if a[0] or c[-1]:  # in-place writes can break only the corner rule; NaN is nonzero
+            raise ValueError(_CORNER_RULE)
+        system = object.__new__(TridiagonalSystem)  # validated rows: no __post_init__
+        vars(system).update(a=a, b=self.b[i], c=c, d=self.d[i])
+        return system
 
     @classmethod
     def from_systems(cls, systems) -> "TridiagonalBatch":
@@ -174,10 +184,12 @@ def residual_max_norm(system: TridiagonalSystem | TridiagonalBatch, u) -> float:
     u = np.asarray(u, dtype=system.b.dtype)
     if u.shape != system.b.shape:
         raise ValueError(f"solution has shape {u.shape}, expected {system.b.shape}")
-    r = system.b * u - system.d
-    r[..., 1:] += system.a[..., 1:] * u[..., :-1]
-    r[..., :-1] += system.c[..., :-1] * u[..., 1:]
-    return float(np.max(np.abs(r)))
+    r = np.multiply(system.b, u)  # one buffer, in bit-fixing order: b*u, -d, +a*u, +c*u
+    np.subtract(r, system.d, out=r)
+    lo, hi = r[..., 1:], r[..., :-1]
+    np.add(lo, system.a[..., 1:] * u[..., :-1], out=lo)
+    np.add(hi, system.c[..., :-1] * u[..., 1:], out=hi)
+    return float(np.abs(r, out=r).max())
 
 
 def solve_system(system: TridiagonalSystem, algo: str = "thomas", tiles: int | None = None,

@@ -129,7 +129,7 @@ def rows_to_csv(rows: list[DseRow]) -> str:
     writer.writerow(DSE_COLUMNS)
     for row in rows:
         rec = row.record()
-        writer.writerow(["" if rec[col] is None else rec[col] for col in DSE_COLUMNS])
+        writer.writerow([rec[col] for col in DSE_COLUMNS])  # csv writes None as ''
     return buf.getvalue()
 
 

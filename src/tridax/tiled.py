@@ -36,9 +36,10 @@ class TilePlan:
     def __post_init__(self):
         if self.t < 2:
             raise InvalidTilePlan(f"need at least 2 tiles, got {self.t}")
-        if min(self.sizes) < MIN_TILE_ROWS:
+        smallest = min(self.m, self.n - (self.t - 1) * self.m)  # < 0: tiles past the rows
+        if smallest < MIN_TILE_ROWS:
             raise InvalidTilePlan(f"n={self.n} over t={self.t} tiles leaves a tile of "
-                                  f"{min(self.sizes)} rows; every tile needs >= {MIN_TILE_ROWS}")
+                                  f"{max(smallest, 0)} rows; every tile needs >= {MIN_TILE_ROWS}")
 
     @property
     def m(self) -> int:

@@ -18,7 +18,8 @@ def run(argv, capsys=None):
 def csv_report_matches_json(argv, tmp_path, volatile=()):
     """Run ``argv`` with a CSV and a JSON report; the CSV parses into
     two-cell ``key,value`` rows, one per JSON key, with dict and list
-    values as JSON text. Keys in ``volatile`` (timings) are not compared."""
+    values as JSON text and null as an empty cell. Keys in ``volatile``
+    (timings) are not compared."""
     reports = {fmt: tmp_path / f"r.{fmt}" for fmt in ("csv", "json")}
     for fmt, path in reports.items():
         assert run([*argv, "--format", fmt, "--report", path]) == 0
@@ -33,7 +34,7 @@ def csv_report_matches_json(argv, tmp_path, volatile=()):
         if isinstance(value, (dict, list)):
             assert json.loads(cell) == value
         else:
-            assert cell == str(value)
+            assert cell == ("" if value is None else str(value))
     return payload
 
 
@@ -70,6 +71,13 @@ class TestSolve:
                     "--out", out]) == 2
         assert "every tile needs >= 3" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_csv_report_writes_null_as_empty_cell(self, tmp_path):
+        argv = ["solve", "--batch", 3, "--size", 8, "--out", tmp_path / "sol.bin"]
+        timings = ("wall_seconds", "effective_gb_per_s")
+        payload = csv_report_matches_json(argv, tmp_path, volatile=timings)
+        assert payload["tiles"] is None
+        assert "tiles,\n" in (tmp_path / "r.csv").read_text()
 
     def test_deterministic_outputs(self, tmp_path):
         a, b = tmp_path / "a.bin", tmp_path / "b.bin"
@@ -233,6 +241,12 @@ class TestModel:
         assert run(["model", "--algo", "thomas-pcr", "--batch", 10, "--size", 9,
                     "--tiles", 4]) == 2
         assert "leaves a tile of 0 rows; every tile needs >= 3" in capsys.readouterr().err
+
+    def test_more_tiles_than_rows_is_usage_error(self, capsys):
+        assert run(["model", "--algo", "thomas-pcr", "--batch", 1, "--size", 1024,
+                    "--tiles", 1000000]) == 2
+        assert ("n=1024 over t=1000000 tiles leaves a tile of 0 rows; every tile needs >= 3"
+                in capsys.readouterr().err)
 
     def test_tiles_with_untiled_algo_is_usage_error(self, tmp_path, capsys):
         rep = tmp_path / "m.json"

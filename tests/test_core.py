@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from tridax import (BatchSolveError, InvalidTilePlan, NonFiniteSolution, Precision,
                     SingularMatrix, TilePlan, TridiagonalBatch, TridiagonalSystem, ZeroPivot,
-                    batch_solve, dense_oracle_solve, random_dominant_system,
+                    batch_solve, core, dense_oracle_solve, random_dominant_system,
                     relative_inf_error, residual_max_norm, solve_system)
 from tridax.core import DENSE_ORACLE_MAX_N, SOLVER_NAMES
 from tridax.reference import thomas_scalar
@@ -135,6 +136,61 @@ class TestBatchInvariants:
         batch = dominant_batch(4, 8, precision, seed=1)
         again = TridiagonalBatch(batch.a, batch.b, batch.c, batch.d)
         assert all(getattr(again, k) is getattr(batch, k) for k in "abcd")
+
+
+class TestBatchSystem:
+    """``batch.system(i)`` views the batch's validated rows and checks only the corners."""
+
+    @pytest.mark.parametrize("precision", [Precision.FP32, Precision.FP64])
+    def test_views_the_batch_rows(self, precision):
+        batch = dominant_batch(4, 8, precision, seed=2)
+        for i in (0, np.int64(3), -1):
+            s = batch.system(i)
+            for k in "abcd":
+                row = getattr(s, k)
+                assert row.dtype == precision.dtype
+                assert np.shares_memory(row, getattr(batch, k)[i])
+                assert np.array_equal(row, getattr(batch, k)[i])
+
+    def test_index_must_be_an_integer(self):
+        batch = dominant_batch(4, 8, Precision.FP64, seed=2)
+        for index in (slice(0, 2), 1.0):
+            with pytest.raises(TypeError):
+                batch.system(index)
+
+    @pytest.mark.parametrize("name, col", [("a", 0), ("c", -1)], ids=["a0", "cn-1"])
+    @pytest.mark.parametrize("value", [1e-30, np.nan], ids=["nonzero", "nan"])
+    def test_corner_written_in_place_raises(self, name, col, value):
+        batch = dominant_batch(3, 8, Precision.FP32, seed=4)
+        before = batch_solve(batch)
+        getattr(batch, name)[1, col] = value
+        with pytest.raises(ValueError, match=r"a\[0\] == 0 and c\[n-1\] == 0"):
+            batch.system(1)
+        for i in (0, 2):
+            assert np.array_equal(solve_system(batch.system(i)), before[i])
+
+    def test_negative_zero_corner_written_in_place_passes(self):
+        batch = dominant_batch(2, 8, Precision.FP64, seed=4)
+        batch.a[0, 0], batch.c[0, -1] = -0.0, -0.0
+        assert np.array_equal(solve_system(batch.system(0)), batch_solve(batch)[0])
+
+    def test_frozen(self):
+        batch = dominant_batch(2, 8, Precision.FP64, seed=4)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            batch.a = np.zeros_like(batch.a)
+
+    def test_no_coefficient_rule_call(self, monkeypatch):
+        batch = dominant_batch(3, 8, Precision.FP64, seed=5)
+        calls, coefficients = [], core._coefficients
+
+        def counted(*args):
+            calls.append(args)
+            return coefficients(*args)
+
+        monkeypatch.setattr(core, "_coefficients", counted)
+        for i in range(batch.count):
+            batch.system(i)
+        assert calls == []
 
 
 class TestThomas:

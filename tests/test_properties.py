@@ -1,12 +1,13 @@
 """Property tests: scalar, batched and mesh-sweep solves agree bit for bit
-for every algorithm and tile count and leave a small residual, a planted
+for every algorithm and tile count and leave a small residual, the
+residual keeps the bits of its plain numpy expression, a planted
 zero pivot is reported at its row and line, a batch's failures are each
 system's own, and an ADI run is its public steps composed by hand, at
 any chunking of its explicit passes."""
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from tridax import (AdiConfig, BatchSolveError, InvalidTilePlan, LineSolveError, Mesh,
@@ -103,6 +104,30 @@ def test_batch_equals_scalar_bitwise(case, algo, data):
     for s, u in zip(systems, solutions):
         assert np.array_equal(u, solve_system(s, algo, tiles))
     assert_small_residual(batch, solutions)
+
+
+def residual_expression(system, u):
+    """The plain numpy form of ``residual_max_norm``, its bitwise reference."""
+    r = system.b * u - system.d
+    r[..., 1:] += system.a[..., 1:] * u[..., :-1]
+    r[..., :-1] += system.c[..., :-1] * u[..., 1:]
+    return float(np.max(np.abs(r)))
+
+
+@SETTINGS
+@given(st.integers(1, 40), st.integers(1, 12), precisions, seeds)
+@example(1, 3, Precision.FP32, 1)
+@example(1, 3, Precision.FP64, 1)
+@example(2, 3, Precision.FP32, 2)
+@example(2, 3, Precision.FP64, 2)
+def test_residual_equals_plain_expression_bitwise(n, count, precision, seed):
+    rng = np.random.default_rng(seed)
+    systems = [random_dominant_system(n, rng, precision) for _ in range(count)]
+    batch = TridiagonalBatch.from_systems(systems)
+    u = rng.uniform(-2, 2, (count, n)).astype(precision.dtype)
+    for s, ui in zip(systems, u):
+        assert residual_max_norm(s, ui).hex() == residual_expression(s, ui).hex()
+    assert residual_max_norm(batch, u).hex() == residual_expression(batch, u).hex()
 
 
 @SETTINGS

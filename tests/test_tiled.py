@@ -49,6 +49,9 @@ class TestTilePlan:
             TilePlan(10, 3)  # last tile = 2
         with pytest.raises(InvalidTilePlan):
             TilePlan(12, 1)
+        with pytest.raises(InvalidTilePlan, match="n=1024 over t=1000000 tiles leaves a tile "
+                                                  "of 0 rows; every tile needs >= 3"):
+            TilePlan(1024, 10**6)  # more tiles than rows: no negative count
 
 
 class TestModifiedPhase:
