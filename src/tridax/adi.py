@@ -21,13 +21,24 @@ time step and is off by default.
 per axis and ``u + d`` on a workspace that lasts the run, as the paper's
 data flow generates coefficients once and stores no intermediate mesh. It
 factors each axis's profile once, before the first iteration; the stencil
-writes into one right-hand side ``d``; each sweep gathers its lines into
-one mesh-sized buffer (also the explicit passes' scratch), substitutes
-them there and scatters them back. The explicit passes walk the flat
-field in chunks of ``STENCIL_CHUNK`` points, as the paper streams them
-through on-chip buffers: the stencil runs all its operations on a chunk
-while it stays in cache, and the update adds ``d`` into the run's own
-field, takes ``max |d|`` and checks the result finite chunk by chunk.
+writes into one right-hand side ``d``; each sweep substitutes its lines
+in place or in one mesh-sized buffer (also the explicit passes' scratch).
+The explicit passes walk the flat field in chunks of ``STENCIL_CHUNK``
+points, as the paper streams them through on-chip buffers: the stencil
+runs all its operations on a chunk while it stays in cache, and the update
+adds ``d`` into the run's own field, takes ``max |d|`` and checks the
+result finite chunk by chunk.
+
+The field and ``d`` are ``(batch, z, y, x)`` views of blocks whose memory
+order is chosen once per run. A batch run, one value from each mesh side
+by side, of at least ``BATCH_RUN_BYTES`` (one 64-byte cache line) puts the
+batch innermost, in ``(z, y, x, batch)`` order; shorter runs keep storage
+order. Either way the outermost non-unit axis (y of batched 2-D meshes, z
+of 3-D ones, or of one 2-D mesh) is swept in place. Batch innermost, the
+other sweeps copy whole batch runs instead of transposing single values;
+that pays from one cache line on (runs were 9-24% faster than in storage
+order at 64 bytes, 7-18% slower at 16). ``u0`` is copied in once, and the
+result copied back to storage order once, into the scratch buffer.
 """
 
 from __future__ import annotations
@@ -38,11 +49,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ZeroDuration
-from .mesh import Mesh, factor_lines, sweep_lines
+from .mesh import Mesh, _blocked_copy, factor_lines, sweep_lines
 from .precision import Precision
 
 REPORT_SCHEMA = "tridax.report.v1"
 STENCIL_CHUNK = 32768  # points per chunk of the explicit passes, sized to stay in L2
+BATCH_RUN_BYTES = 64  # one cache line: a batch run this long puts the batch innermost
 
 
 @dataclass
@@ -143,23 +155,33 @@ def effective_bandwidth(nbytes: float, seconds: float) -> float:
     return nbytes / seconds / 1e9
 
 
-def _stencil(arr: np.ndarray, ndim: int, gamma, d: np.ndarray, tmp: np.ndarray) -> None:
-    """Write the right-hand side of field ``arr`` into ``d``, both C-contiguous
-    ``(batch, z, y, x)``; the flat ``tmp`` holds at least
-    ``min(STENCIL_CHUNK, arr.size)`` elements.
+def _workspace_axes(batch: int, dtype) -> tuple[int, ...]:
+    """The storage axes ``(batch, z, y, x)`` in ``adi_run``'s memory order:
+    batch innermost once a batch run, one value from each mesh, fills
+    ``BATCH_RUN_BYTES``, else storage order."""
+    return (1, 2, 3, 0) if batch * np.dtype(dtype).itemsize >= BATCH_RUN_BYTES else (0, 1, 2, 3)
 
-    Neighbors are flat offsets (1, ``x``, ``x*y``), so each operation runs
-    on one contiguous range, in chunks of ``STENCIL_CHUNK`` points that stay
-    in cache through all of their operations. Its boundary points, where
-    offsets cross a row or a mesh, and the points outside it are then
-    zeroed face by face.
+
+def _stencil(arr: np.ndarray, ndim: int, gamma, d: np.ndarray, tmp: np.ndarray) -> None:
+    """Write the right-hand side of field ``arr`` into ``d``, both
+    ``(batch, z, y, x)`` views of one contiguous block laid out alike in
+    memory; the flat ``tmp`` holds at least ``min(STENCIL_CHUNK, arr.size)``
+    elements.
+
+    Neighbors are the flat offsets of the x, y and z strides, so each
+    operation runs on one contiguous range, in chunks of ``STENCIL_CHUNK``
+    points that stay in cache through all of their operations. Its boundary
+    points, where offsets cross a row or a mesh, and the points outside it
+    are then zeroed face by face.
     """
     dtype = arr.dtype
     two = dtype.type(2)
-    _, _, y, x = arr.shape
-    steps = (1, x) if ndim == 2 else (1, x, x * y)
-    flat, rhs = arr.reshape(-1), d.reshape(-1)
-    first, last = steps[-1], max(steps[-1], arr.size - steps[-1])
+    steps = [arr.strides[dim] // arr.itemsize for dim in (3, 2, 1)[:ndim]]
+    flat, rhs = arr.ravel("K"), d.ravel("K")
+    # the largest offset bounds the range; a unit axis may carry any
+    # stride, but then every point is on its boundary
+    first = max(steps)
+    last = max(first, arr.size - first)
     with np.errstate(over="ignore", invalid="ignore"):  # boundary values are discarded
         for lo in range(first, last, STENCIL_CHUNK):
             hi = min(lo + STENCIL_CHUNK, last)
@@ -183,7 +205,7 @@ def _check_finite(arr: np.ndarray, iteration: int | None = None) -> None:
     """Raise ``ValueError`` naming the first mesh of ``arr`` with a non-finite
     value, and the iteration if given; the clean path is one whole-field test."""
     if not np.all(np.isfinite(arr)):
-        mesh = next(k for k, field in enumerate(arr) if not np.all(np.isfinite(field)))
+        mesh = int(np.argmin(np.isfinite(arr).all(axis=(1, 2, 3))))
         at = "" if iteration is None else f" at iteration {iteration}"
         raise ValueError(f"field contains non-finite values in mesh {mesh}{at}")
 
@@ -223,16 +245,19 @@ def adi_run(u0: Mesh, cfg: AdiConfig) -> tuple[Mesh, RunReport]:
         "precision": cfg.precision.value, "dims": list(u0.dims),
         "batch": u0.batch, "literal_coefficients": cfg.literal_coefficients,
     })
-    u = Mesh(u0.data.astype(cfg.precision.dtype, order="C"), u0.spatial_ndim)  # the run's own copy
-    arr = u.data
+    order = _workspace_axes(u0.batch, cfg.precision.dtype)
+    arr = np.empty([u0.data.shape[k] for k in order], cfg.precision.dtype).transpose(
+        np.argsort(order))  # the run's own copy: a (batch, z, y, x) view
+    arr[...] = u0.data
+    u = Mesh(arr, u0.spatial_ndim)
     mesh_bytes = u.nbytes
     axes = u.solved_axes()
     factors = {axis: factor_lines(u, cfg.line_coefficients(u.extent(axis), arr.dtype), axis)
                for axis in axes}
     _check_finite(arr, 0)
-    d = np.empty_like(arr)
+    d = np.empty_like(arr)  # laid out as arr
     work = np.empty(arr.size, dtype=arr.dtype)
-    flat_u, flat_d = arr.reshape(-1), d.reshape(-1)
+    flat_u, flat_d = arr.ravel("K"), d.ravel("K")
     step_start = time.perf_counter()
     for it in range(cfg.n_iter):
         t0 = time.perf_counter()
@@ -265,7 +290,11 @@ def adi_run(u0: Mesh, cfg: AdiConfig) -> tuple[Mesh, RunReport]:
             now = time.perf_counter()
             report.steps.append({"iterations": it + 1, "seconds": now - step_start})
             step_start = now
-    return u, report
+    out = arr
+    if not out.flags.c_contiguous:  # batch innermost: back to storage order in work
+        out = work.reshape(arr.shape)
+        _blocked_copy(out.reshape(u.batch, -1), arr.reshape(u.batch, -1))
+    return Mesh(out, u0.spatial_ndim), report
 
 
 def logical_bytes_per_iteration(points: int, word_bytes: int, ndim: int) -> int:

@@ -359,19 +359,21 @@ def _thomas_factor(a: np.ndarray, b: np.ndarray, c: np.ndarray):
 
 def _thomas_substitute(factor, d: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Solve ``(n, lines)`` right-hand sides ``d`` with a ``_thomas_factor``
-    factor into ``out``, which may be ``d``; one row temporary."""
-    a, cs, den = factor
-    n = d.shape[0]
+    factor into ``out``, which may be ``d``; one row temporary. Each
+    operand's rows are taken once, so the row loops only dispatch ufuncs."""
+    a, cs, den = (list(x) for x in factor)
+    dr, ur = list(d), list(out)
     row = np.empty(out.shape[1:], dtype=out.dtype)
+    multiply, subtract = np.multiply, np.subtract
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        np.divide(d[0], den[0], out=out[0])
-        for i in range(1, n):
-            np.multiply(a[i], out[i - 1], out=row)
-            np.subtract(d[i], row, out=row)
-            np.multiply(den[i], row, out=out[i])
-        for i in range(n - 2, -1, -1):
-            np.multiply(cs[i], out[i + 1], out=row)
-            np.subtract(out[i], row, out=out[i])
+        np.divide(dr[0], den[0], ur[0])
+        for i in range(1, len(ur)):
+            multiply(a[i], ur[i - 1], row)
+            subtract(dr[i], row, row)
+            multiply(den[i], row, ur[i])
+        for i in range(len(ur) - 2, -1, -1):
+            multiply(cs[i], ur[i + 1], row)
+            subtract(ur[i], row, ur[i])
     return out
 
 

@@ -12,7 +12,12 @@ one kernel call and scatters the result back. X lines lie along the
 storage rows, so their gather and scatter are transposes in cache-sized
 blocks of ``LINE_BLOCK`` lines. For repeated sweeps with one shared
 profile, :func:`factor_lines` factors it once and :func:`sweep_lines`
-substitutes each right-hand side.
+substitutes each right-hand side. :func:`sweep_lines` takes the
+``(batch, z, y, x)`` view of a block in any memory order, as ADI's
+batch-innermost ``(z, y, x, batch)`` workspace: lines along the outermost
+non-unit axis of memory are already ``(n, lines)`` rows and are solved in
+place, lines along the innermost axis are gathered by blocked transposes,
+and lines along any other axis by a plain copy of whole inner runs.
 """
 
 from __future__ import annotations
@@ -118,7 +123,7 @@ class Mesh:
 
 
 _STORAGE_DIM = {Axis.X: 3, Axis.Y: 2, Axis.Z: 1}  # axis position in (batch, z, y, x)
-LINE_BLOCK = 64  # lines per block of a transposing copy: x-line gather and scatter, tiles
+LINE_BLOCK = 64  # lines per block of a transposing copy: line gathers and scatters, tiles
 
 
 def _blocked_copy(dst: np.ndarray, src: np.ndarray) -> None:
@@ -138,27 +143,40 @@ def axis_lines(data: np.ndarray, axis: Axis) -> np.ndarray:
     return np.moveaxis(data, dim, 0).reshape(data.shape[dim], -1)
 
 
-def gather_lines(data: np.ndarray, axis: Axis, out: np.ndarray | None = None) -> np.ndarray:
-    """Contiguous ``(n, lines)`` copy of :func:`axis_lines`, into ``out``
-    (C-contiguous) if given; x lines by blocked transposes."""
-    view = np.moveaxis(data, _STORAGE_DIM[axis], 0)
+def _gather(view: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+    """Contiguous ``(n, lines)`` copy of an ``(n, ...)`` line view; lines along
+    the contiguous memory axis by blocked transposes."""
+    n = view.shape[0]
     if out is None:
-        out = np.empty((view.shape[0], data.size // view.shape[0]), dtype=data.dtype)
-    if axis is Axis.X and data.flags.c_contiguous:
-        _blocked_copy(out, data.reshape(-1, view.shape[0]).T)
+        out = np.empty((n, view.size // n), dtype=view.dtype)
+    rows = np.moveaxis(view, 0, -1)
+    if rows.flags.c_contiguous:
+        _blocked_copy(out, rows.reshape(-1, n).T)
     else:
         out.reshape(view.shape)[...] = view
     return out
 
 
+def _scatter(lines: np.ndarray, view: np.ndarray) -> None:
+    """Write ``(n, lines)`` values back into a line view: the inverse of
+    :func:`_gather`, blocked the same way."""
+    rows = np.moveaxis(view, 0, -1)
+    if rows.flags.c_contiguous:
+        _blocked_copy(rows.reshape(-1, view.shape[0]).T, lines)
+    else:
+        view[...] = lines.reshape(view.shape)
+
+
+def gather_lines(data: np.ndarray, axis: Axis, out: np.ndarray | None = None) -> np.ndarray:
+    """Contiguous ``(n, lines)`` copy of :func:`axis_lines`, into ``out``
+    (C-contiguous) if given; x lines by blocked transposes."""
+    return _gather(np.moveaxis(data, _STORAGE_DIM[axis], 0), out)
+
+
 def scatter_lines(lines: np.ndarray, data: np.ndarray, axis: Axis) -> None:
     """Write ``(n, lines)`` line values back into ``data``: the inverse of
     :func:`gather_lines`, blocked the same way."""
-    view = np.moveaxis(data, _STORAGE_DIM[axis], 0)
-    if axis is Axis.X and data.flags.c_contiguous:
-        _blocked_copy(data.reshape(-1, view.shape[0]).T, lines)
-    else:
-        view[...] = lines.reshape(view.shape)
+    _scatter(lines, np.moveaxis(data, _STORAGE_DIM[axis], 0))
 
 
 def _line_coefficient(entry, mesh: Mesh, axis: Axis) -> np.ndarray:
@@ -254,16 +272,33 @@ def factor_lines(mesh: Mesh, profile: tuple, axis: Axis):
 
 def sweep_lines(data: np.ndarray, factor, axis: Axis, work: np.ndarray) -> None:
     """Solve every line of ``data`` along ``axis`` in place with a
-    :func:`factor_lines` factor, gathered into ``work``, a C-contiguous
-    ``(n, lines)`` buffer. Non-finite solutions raise
-    :class:`LineSolveError`, naming every such line, and leave ``data``."""
-    lines = gather_lines(data, axis, out=work)
+    :func:`factor_lines` factor.
+
+    ``data`` is ``(batch, z, y, x)`` over one contiguous block of memory in
+    any axis order, and the swept axis's place in that order picks the line
+    view. Along the outermost non-unit axis the lines are one contiguous
+    ``(n, lines)`` view, substituted in place. Along any other axis they
+    are gathered into ``work``, a C-contiguous ``(n, lines)`` buffer, and
+    scattered back: by blocked transposes along the innermost axis, else by
+    a plain copy. Non-finite solutions raise :class:`LineSolveError`, naming
+    every such line by its sweep-order number whatever the memory order: a
+    gathered sweep then leaves ``data`` as it was, while an in-place sweep
+    leaves every line substituted, each failed one partly non-finite.
+    """
+    view = np.moveaxis(data, _STORAGE_DIM[axis], 0)
+    order = [0, *sorted(range(1, 4), key=lambda k: -view.strides[k])]  # outermost first
+    view = view.transpose(order)
+    in_place = view.flags.c_contiguous
+    lines = view.reshape(view.shape[0], -1) if in_place else _gather(view, work)
     core._thomas_substitute(factor, lines, lines)
-    try:
-        core._check(lines, [])
-    except NonFiniteSolution as exc:
-        raise _line_error(exc, data.shape[0], lines.shape[1], axis) from exc
-    scatter_lines(lines, data, axis)
+    if not np.isfinite(lines[0]).all():  # a non-finite row reaches row 0 of its line
+        in_sweep_order = lines.reshape(view.shape).transpose(np.argsort(order))
+        try:
+            core._check(in_sweep_order.reshape(lines.shape), [])
+        except NonFiniteSolution as exc:
+            raise _line_error(exc, data.shape[0], lines.shape[1], axis) from exc
+    if not in_place:
+        _scatter(lines, view)
 
 
 # ---------------------------------------------------------------------------

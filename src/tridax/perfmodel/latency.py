@@ -73,6 +73,13 @@ def _require_positive(**kwargs):
             raise ValueError(f"{name} must be >= 1")
 
 
+def _check_partitions(partitions: int, n: int) -> None:
+    """The partitioned solver's rule: every partition holds at least one of
+    a system's ``n`` rows."""
+    if partitions > n:
+        raise ValueError(f"{partitions} partitions exceed the {n} rows of a system")
+
+
 def latency_batched_thomas(batch: int, n: int, dp: DesignPoint,
                            *, ping_pong: bool = True) -> LatencyEstimate:
     """Interleaved elimination over a batch of ``n``-row systems.
@@ -125,6 +132,7 @@ def latency_batched_spike(batch: int, n: int, dp: DesignPoint) -> LatencyEstimat
     """
     _require_positive(batch=batch, n=n)
     dp = dp.resolved()
+    _check_partitions(dp.partitions, n)
     g = dp.interleave_group
     m = dp.partitions
     cost = dp.partition_stage_cost

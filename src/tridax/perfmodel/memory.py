@@ -27,7 +27,7 @@ from ..errors import InfeasibleDesign
 from ..tiled import TilePlan
 from .design import Algorithm, DesignPoint
 from .device import DeviceProfile
-from .latency import _reduced_solve, ceil_div, ceil_log2
+from .latency import _check_partitions, _reduced_solve, ceil_div, ceil_log2
 
 REDUCED_FIFO_BUFFERS = 3  # streams drained while the reduced stage runs
 ADI_HBM_PORTS = 24        # measured port budget of the fused ADI pipelines
@@ -78,6 +78,7 @@ def memory_words(dp: DesignPoint, n: int, device: DeviceProfile,
         # streaming reduction cascade: three row streams buffered per step
         words = 3 * (n + dp.pipeline_latency) * ceil_log2(n) if n > 1 else 3
     elif algo is Algorithm.BATCHED_SPIKE:
+        _check_partitions(dp.partitions, n)
         words = _solver_lane_words(g, ceil_div(n, dp.partitions))
     elif algo in (Algorithm.THOMAS_THOMAS, Algorithm.THOMAS_PCR):
         reduced = "thomas" if algo is Algorithm.THOMAS_THOMAS else "pcr"

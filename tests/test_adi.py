@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from tridax import (AdiConfig, LineSolveError, Mesh, Precision, ZeroDuration, ZeroPivot,
-                    adi, adi_rhs, adi_run, effective_bandwidth)
+from tridax import (AdiConfig, LineSolveError, Mesh, NonFiniteSolution, Precision,
+                    ZeroDuration, ZeroPivot, adi, adi_rhs, adi_run, effective_bandwidth)
 from tridax.adi import logical_bytes_per_iteration
 from tridax.reference import naive_adi_run
 from conftest import digest
@@ -229,6 +229,96 @@ class TestRun:
             with pytest.warns(RuntimeWarning, match="overflow"):
                 with pytest.raises(ValueError, match=r"in mesh 1 at iteration 1$"):
                     adi_run(u0, NegatedX(gamma=1.0, n_iter=n_iter))
+
+
+class TestWorkspace:
+    """``adi_run`` puts the batch innermost in its workspace once a batch
+    run, one value from each mesh, fills 64 bytes. Its 16-mesh FP32 runs
+    here are 64-byte runs: the x sweep copies runs of whole batches, the y
+    sweep runs in place, and every error names the meshes and lines that
+    the storage-order run names."""
+
+    INNERMOST, STORAGE = (1, 2, 3, 0), (0, 1, 2, 3)
+
+    @pytest.mark.parametrize("batch, precision, innermost", [
+        (32, Precision.FP32, True),   # benchmark adi2d-fp32: 128-byte runs
+        (1, Precision.FP64, False),   # benchmark adi3d-fp64: one mesh
+        (3, Precision.FP32, False),   # smoke adi2d-fp32: 12-byte runs
+        (16, Precision.FP32, True), (15, Precision.FP32, False),
+        (8, Precision.FP64, True), (7, Precision.FP64, False)])
+    def test_order_rule(self, batch, precision, innermost):
+        assert adi.BATCH_RUN_BYTES == 64
+        expected = self.INNERMOST if innermost else self.STORAGE
+        assert adi._workspace_axes(batch, precision.dtype) == expected
+
+    def test_bitwise_as_in_storage_order(self, monkeypatch):
+        u0 = full_random((7, 9, 5), batch=16, seed=40, precision=Precision.FP32)
+        cfg = AdiConfig(gamma=0.5, n_iter=2, precision=Precision.FP32)
+        u, report = adi_run(u0, cfg)
+        monkeypatch.setattr(adi, "BATCH_RUN_BYTES", 1 << 30)
+        stored, stored_report = adi_run(u0, cfg)
+        assert u.data.flags.c_contiguous and u.data.shape == u0.data.shape
+        assert u.data.tobytes() == stored.data.tobytes()
+        assert report.delta_inf == stored_report.delta_inf
+
+    @staticmethod
+    def peaks(points, value):
+        """16 FP32 7x9 meshes, zero but for ``value`` at each ``(mesh, x, y)``."""
+        u0 = Mesh.zeros((7, 9), batch=16, precision=Precision.FP32)
+        for k, x, y in points:
+            u0.data[k, 0, y, x] = value
+        return u0
+
+    class Amplify(AdiConfig):
+        """Sweeps divide by 1e-19 along ``amplified`` (x or y, by extent),
+        pass the other axis through. A lone peak M gives the stencil value
+        -4M there and M at its neighbours, so with M = 2e19 only the peak's
+        line overflows."""
+
+        amplified = 7
+
+        def line_coefficients(self, n, dtype):
+            zero = np.zeros(n, dtype)
+            return zero, np.full(n, 1e-19 if n == self.amplified else 1.0, dtype), zero
+
+    def test_overflowing_x_sweep_names_mesh_and_line(self):
+        # kernel lines run batch innermost: mesh 11's line 3 comes first there
+        u0 = self.peaks([(11, 2, 3), (5, 4, 6)], 2e19)
+        cfg = self.Amplify(gamma=1.0, n_iter=2, precision=Precision.FP32)
+        with pytest.raises(LineSolveError) as err:
+            adi_run(u0, cfg)
+        assert (err.value.axis, err.value.batch, err.value.line) == ("x", 5, 6)
+        assert err.value.failures == [(5, 6), (11, 3)]
+        assert str(err.value) == "solve failed on axis x, mesh 5, line 6 (2 lines failed)"
+        assert isinstance(err.value.__cause__, NonFiniteSolution)
+
+    def test_overflowing_in_place_y_sweep_names_mesh_and_line(self):
+        u0 = self.peaks([(9, 2, 4), (3, 5, 2)], 2e19)
+        cfg = self.Amplify(gamma=1.0, n_iter=1, precision=Precision.FP32)
+        cfg.amplified = 9
+        with pytest.raises(LineSolveError) as err:
+            adi_run(u0, cfg)
+        assert (err.value.axis, err.value.batch, err.value.line) == ("y", 3, 5)
+        assert err.value.failures == [(3, 5), (9, 2)]
+        assert isinstance(err.value.__cause__, NonFiniteSolution)
+
+    def test_non_finite_field_names_mesh_and_iteration(self):
+        fp32 = Precision.FP32
+        u0 = self.peaks([(9, 3, 3)], np.nan)
+        u0.data[12, 0, 1, 1] = np.inf
+        with pytest.raises(ValueError, match=r"in mesh 9 at iteration 0$"):
+            adi_run(u0, AdiConfig(gamma=1.0, n_iter=2, precision=fp32))
+
+        class NegatedX(AdiConfig):  # d = -gamma * stencil
+            def line_coefficients(self, n, dtype):
+                zero = np.zeros(n, dtype)
+                return zero, np.full(n, -1.0 if n == 7 else 1.0, dtype), zero
+
+        # a lone peak M: stencil -4M, so the update gives M + 4M, past the FP32 maximum
+        u0 = self.peaks([(13, 3, 3), (9, 4, 5)], 8e37)
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            with pytest.raises(ValueError, match=r"in mesh 9 at iteration 1$"):
+                adi_run(u0, NegatedX(gamma=1.0, n_iter=3, precision=fp32))
 
 
 GOLDEN = {

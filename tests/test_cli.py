@@ -231,6 +231,11 @@ class TestModel:
         assert run(["model", "--algo", "batched-thomas", "--batch", 10,
                     "--size", 8, "--device", "not-a-device"]) == 2
 
+    def test_more_partitions_than_rows_is_usage_error(self, capsys):
+        assert run(["model", "--algo", "batched-spike", "--batch", 100, "--size", 128,
+                    "--partitions", 1000]) == 2
+        assert "1000 partitions exceed the 128 rows" in capsys.readouterr().err
+
     def test_bad_tile_count_usage_error(self, capsys):
         assert run(["model", "--algo", "thomas-pcr", "--batch", 10, "--size", 8,
                     "--tiles", 4]) == 2

@@ -315,6 +315,24 @@ class TestFactoredSweep:
         sweep_lines(data, factor_lines(mesh, profile, ax), ax, work)
         assert data.tobytes() == solve_lines(mesh, profile, axis).data.tobytes()
 
+    @pytest.mark.parametrize("axis", ["x", "y", "z"])
+    @pytest.mark.parametrize("memory", [(1, 2, 3, 0), (3, 0, 1, 2)],
+                             ids=["batch-innermost", "x-outermost"])
+    def test_any_memory_order_equals_solve_lines_bitwise(self, axis, memory):
+        # (batch, z, y, x) views of a block in another memory order: lines
+        # along its outermost axis are solved in place, along its innermost
+        # gathered by blocked transposes, along the others by plain copies
+        mesh = random_mesh((9, 37, 2), batch=16, seed=30, precision=Precision.FP32)
+        ax = Axis.parse(axis)
+        profile = dominant_profile(31, mesh, axis)
+        data = np.empty([mesh.data.shape[k] for k in memory], mesh.data.dtype).transpose(
+            np.argsort(memory))
+        data[...] = mesh.data
+        work = np.empty((mesh.extent(ax), mesh.points // mesh.extent(ax)), data.dtype)
+        sweep_lines(data, factor_lines(mesh, profile, ax), ax, work)
+        expected = solve_lines(mesh, profile, axis).data
+        assert np.ascontiguousarray(data).tobytes() == expected.tobytes()
+
     def test_non_finite_lines_named_and_data_kept(self):
         mesh = random_mesh((5, 4), batch=2, seed=28)
         mesh.data[1, 0, 2, 3] = np.inf  # x line 2 of mesh 1

@@ -144,6 +144,16 @@ class TestBatchedSpike:
         assert latency_batched_spike(10, 64, dp).stalled  # 4*20 >= 64
         assert not latency_batched_spike(10, 256, dp).stalled
 
+    def test_more_partitions_than_rows_rejected(self):
+        dp = DesignPoint(Algorithm.BATCHED_SPIKE, partitions=129)
+        for estimate in (lambda: latency_batched_spike(100, 128, dp),
+                         lambda: memory_words(dp, 128, U280)):
+            with pytest.raises(ValueError, match="^129 partitions exceed the 128 rows "):
+                estimate()
+        one_row_each = DesignPoint(Algorithm.BATCHED_SPIKE, partitions=128)
+        assert latency_batched_spike(100, 128, one_row_each).cycles > 0
+        assert memory_words(one_row_each, 128, U280).words > 0
+
 
 class TestTiledSolvers:
     def test_thomas_thomas_example(self):

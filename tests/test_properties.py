@@ -2,8 +2,9 @@
 for every algorithm and tile count and leave a small residual, the
 residual keeps the bits of its plain numpy expression, a planted
 zero pivot is reported at its row and line, a batch's failures are each
-system's own, and an ADI run is its public steps composed by hand, at
-any chunking of its explicit passes."""
+system's own, a substituted line is finite exactly when its row 0 is, and
+an ADI run is its public steps composed by hand, at any chunking of its
+explicit passes, and a batch's run is each of its meshes' own."""
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from tridax import (AdiConfig, BatchSolveError, InvalidTilePlan, LineSolveError,
                     NonFiniteSolution, Precision, TilePlan, TridiagonalBatch,
                     TridiagonalSystem, ZeroPivot, adi, adi_rhs, adi_run, batch_solve,
                     random_dominant_system, residual_max_norm, solve_lines, solve_system)
-from tridax.core import SOLVER_NAMES
+from tridax.core import SOLVER_NAMES, _thomas_substitute
 
 STORAGE_DIM = {"x": 3, "y": 2, "z": 1}  # axis position in (batch, z, y, x)
 SETTINGS = settings(max_examples=40, deadline=None)
@@ -318,3 +319,56 @@ def test_adi_chunking_is_bitwise_invisible(data):
     whole = run(u0.data.size + data.draw(st.integers(0, 50), label="extra"))
     for chunk in (1, 3, x - 1, x + 1, x * y + 5):
         assert run(chunk) == whole, chunk
+
+
+def with_specials(rng, shape, dtype, specials):
+    """Uniform values in ``dtype``, about a third of them replaced by one of
+    ``specials`` with a random sign."""
+    values = rng.uniform(-2, 2, shape)
+    pick = rng.random(shape) < 1 / 3
+    values[pick] = rng.choice(specials, pick.sum()) * rng.choice([-1.0, 1.0], pick.sum())
+    return values.astype(dtype)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 12), st.integers(1, 6), precisions, seeds)
+@example(1, 4, Precision.FP32, 0)
+@example(1, 4, Precision.FP64, 1)
+@example(2, 4, Precision.FP32, 2)
+@example(2, 4, Precision.FP64, 3)
+def test_substituted_line_finite_exactly_when_row_0_is(n, lines, precision, seed):
+    # mesh sweeps test row 0 alone: the substitution only multiplies and
+    # subtracts after row 0's division, so a non-finite value stays
+    # non-finite, and every row reaches row 0 through both passes
+    rng = np.random.default_rng(seed)
+    dtype = precision.dtype
+    fi = np.finfo(dtype)
+    shape = (n, lines)
+    a, cs = (with_specials(rng, shape, dtype, [0.0, 0.0, fi.tiny, 1e3]) for _ in range(2))
+    # den[0] is row 0's divisor, den[1:] the reciprocal pivots: tiny pivots are huge
+    den = with_specials(rng, shape, dtype, [0.0, fi.tiny, 1 / float(fi.eps), fi.max / 4])
+    d = with_specials(rng, shape, dtype, [np.inf, np.nan, fi.max, fi.max / 2])
+    u = _thomas_substitute((a, cs, den), d, np.empty_like(d))
+    assert np.array_equal(np.isfinite(u[0]), np.isfinite(u).all(axis=0))
+
+
+@SETTINGS
+@given(st.data())
+def test_adi_batch_equals_its_meshes_bitwise(data):
+    # batches reach 40 meshes in both precisions, so runs of one value per
+    # mesh fall on both sides of adi.BATCH_RUN_BYTES, while each mesh alone
+    # runs in storage order
+    ndim = data.draw(st.sampled_from([2, 3]), label="ndim")
+    dims = tuple(data.draw(st.integers(1, 9), label=ax) for ax in "xyz"[:ndim])
+    u0 = Mesh.zeros(dims, batch=data.draw(st.integers(1, 40), label="batch"),
+                    precision=data.draw(precisions, label="input precision"))
+    u0.data[:] = np.random.default_rng(data.draw(seeds, label="seed")).uniform(
+        -1, 1, u0.data.shape)
+    cfg = AdiConfig(gamma=data.draw(st.floats(0.01, 4.0), label="gamma"),
+                    n_iter=data.draw(st.integers(1, 3), label="n_iter"),
+                    precision=data.draw(precisions, label="precision"))
+    got, report = adi_run(u0, cfg)
+    alone = [adi_run(Mesh(u0.data[k:k + 1], u0.spatial_ndim), cfg) for k in range(u0.batch)]
+    for k, (mesh, _) in enumerate(alone):
+        assert got.data[k:k + 1].tobytes() == mesh.data.tobytes()
+    assert report.delta_inf == [max(it) for it in zip(*(r.delta_inf for _, r in alone))]
