@@ -7,6 +7,9 @@ lines along one axis of a mesh batch and :func:`adi_run` for the ADI
 application. The first three make one kernel call per solve,
 ``kernel(a, b, c, d)`` on ``(n, lines)`` arrays, for every algorithm;
 ``adi_run`` factors each axis once per run, then substitutes every sweep.
+The top level exports the containers, these four entry points, mesh file
+I/O, the ADI configuration and report, the tiling plan, the precisions and
+the error classes; the steps inside a solver stay in its module.
 
 The package splits into:
 
@@ -32,12 +35,10 @@ from .errors import (BatchSolveError, InfeasibleDesign, InvalidTilePlan,
                      LineSolveError, MismatchedTiles, NoFeasibleDesign,
                      NonFiniteSolution, SingularMatrix, TridaxError, ZeroDuration,
                      ZeroPivot)
-from .mesh import (Axis, Mesh, axis_lines, gather_lines, read_mesh, scatter_lines, solve_lines,
-                   write_mesh)
-from .adi import AdiConfig, RunReport, adi_rhs, adi_run, effective_bandwidth
+from .mesh import Axis, Mesh, read_mesh, solve_lines, write_mesh
+from .adi import AdiConfig, RunReport, adi_run, effective_bandwidth
 from .precision import Precision
-from .tiled import (ModifiedTileResult, TilePlan, assemble_reduced, back_substitute,
-                    modified_thomas_phase)
+from .tiled import TilePlan
 
 __version__ = "0.1.0"
 
@@ -45,12 +46,9 @@ __all__ = [
     "Precision", "TridiagonalSystem", "TridiagonalBatch",
     "solve_system", "batch_solve", "dense_oracle_solve", "residual_max_norm",
     "random_dominant_system", "relative_inf_error", "TilePlan",
-    "ModifiedTileResult", "modified_thomas_phase", "assemble_reduced",
-    "back_substitute", "Mesh", "Axis", "axis_lines", "gather_lines", "scatter_lines",
-    "solve_lines",
-    "read_mesh", "write_mesh", "AdiConfig", "RunReport", "adi_rhs", "adi_run",
-    "effective_bandwidth", "TridaxError", "ZeroPivot", "SingularMatrix",
-    "InvalidTilePlan", "MismatchedTiles", "LineSolveError", "BatchSolveError",
-    "NonFiniteSolution",
+    "Mesh", "Axis", "solve_lines", "read_mesh", "write_mesh",
+    "AdiConfig", "RunReport", "adi_run", "effective_bandwidth",
+    "TridaxError", "ZeroPivot", "SingularMatrix", "InvalidTilePlan", "MismatchedTiles",
+    "LineSolveError", "BatchSolveError", "NonFiniteSolution",
     "ZeroDuration", "InfeasibleDesign", "NoFeasibleDesign", "__version__",
 ]

@@ -17,17 +17,17 @@ values never change (Dirichlet, taken from the initial field). The
 ``gamma`` form for model-comparison runs; that variant is not a consistent
 time step and is off by default.
 
-``adi_run`` computes the bits of ``adi_rhs``, :func:`tridax.mesh.solve_lines`
-per axis and ``u + d`` on a workspace that lasts the run, as the paper's
-data flow generates coefficients once and stores no intermediate mesh. It
-factors each axis's profile once, before the first iteration; the stencil
-writes into one right-hand side ``d``; each sweep substitutes its lines
-in place or in one mesh-sized buffer (also the explicit passes' scratch).
-The explicit passes walk the flat field in chunks of ``STENCIL_CHUNK``
-points, as the paper streams them through on-chip buffers: the stencil
-runs all its operations on a chunk while it stays in cache, and the update
-adds ``d`` into the run's own field, takes ``max |d|`` and checks the
-result finite chunk by chunk.
+``adi_run`` computes the bits of the stencil above,
+:func:`tridax.mesh.solve_lines` per axis and ``u + d`` on a workspace that
+lasts the run, as the paper's data flow generates coefficients once and
+stores no intermediate mesh. It factors each axis's profile once, before
+the first iteration; the stencil writes into one right-hand side ``d``;
+each sweep substitutes its lines in place or in one mesh-sized buffer
+(also the explicit passes' scratch). The explicit passes walk the flat
+field in chunks of ``STENCIL_CHUNK`` points, as the paper streams them
+through on-chip buffers: the stencil runs all its operations on a chunk
+while it stays in cache, and the update adds ``d`` into the run's own
+field, takes ``max |d|`` and checks the result finite chunk by chunk.
 
 The field and ``d`` are ``(batch, z, y, x)`` views of blocks whose memory
 order is chosen once per run. A batch run, one value from each mesh side
@@ -55,6 +55,9 @@ from .precision import Precision
 REPORT_SCHEMA = "tridax.report.v1"
 STENCIL_CHUNK = 32768  # points per chunk of the explicit passes, sized to stay in L2
 BATCH_RUN_BYTES = 64  # one cache line: a batch run this long puts the batch innermost
+# mesh transfers per iteration of each phase: the stencil reads one mesh and
+# writes one, each sweep likewise, the update reads two and writes one
+MESH_TRANSFERS = {"rhs": 2, "sweep": 2, "update": 3}
 
 
 @dataclass
@@ -210,21 +213,6 @@ def _check_finite(arr: np.ndarray, iteration: int | None = None) -> None:
         raise ValueError(f"field contains non-finite values in mesh {mesh}{at}")
 
 
-def adi_rhs(u: Mesh, cfg: AdiConfig) -> Mesh:
-    """Explicit stencil phase: returns the right-hand side mesh ``d``.
-
-    ``d`` is the scaled sum of per-axis second differences at interior
-    points and zero on every boundary point. A non-finite field raises
-    ``ValueError`` naming its first such mesh.
-    """
-    _check_finite(u.data)
-    arr = np.ascontiguousarray(u.data)
-    d = Mesh(np.empty_like(arr), u.spatial_ndim)
-    _stencil(arr, u.spatial_ndim, cfg.gamma, d.data,
-             np.empty(min(STENCIL_CHUNK, arr.size), arr.dtype))
-    return d
-
-
 def adi_run(u0: Mesh, cfg: AdiConfig) -> tuple[Mesh, RunReport]:
     """Run ``n_iter`` steps, accounting wall time and logical traffic.
 
@@ -235,10 +223,8 @@ def adi_run(u0: Mesh, cfg: AdiConfig) -> tuple[Mesh, RunReport]:
     ``u0`` is checked before the loop and each update's result, the last
     included, in the update's chunked pass.
 
-    Per iteration the stencil phase reads one mesh and writes one; each
-    sweep reads and writes one mesh (its coefficients are one profile per
-    axis, generated once per run); the accumulate phase reads two meshes
-    and writes one.
+    Each phase's logical traffic per iteration is ``MESH_TRANSFERS`` meshes;
+    a sweep's coefficients are one profile per axis, generated once per run.
     """
     report = RunReport(config={
         "gamma": cfg.gamma, "n_iter": cfg.n_iter, "unroll": cfg.unroll,
@@ -265,14 +251,14 @@ def adi_run(u0: Mesh, cfg: AdiConfig) -> tuple[Mesh, RunReport]:
         t1 = time.perf_counter()
         rhs = report.phase("rhs")
         rhs.seconds += t1 - t0
-        rhs.bytes += 2 * mesh_bytes
+        rhs.bytes += MESH_TRANSFERS["rhs"] * mesh_bytes
         for axis in axes:
             t0 = time.perf_counter()
             sweep_lines(d, factors[axis], axis, work.reshape(u.extent(axis), -1))
             t1 = time.perf_counter()
             sweep = report.phase(f"sweep_{axis.value}")
             sweep.seconds += t1 - t0
-            sweep.bytes += 2 * mesh_bytes
+            sweep.bytes += MESH_TRANSFERS["sweep"] * mesh_bytes
         t0 = time.perf_counter()
         delta = 0.0
         for lo in range(0, arr.size, STENCIL_CHUNK):
@@ -284,7 +270,7 @@ def adi_run(u0: Mesh, cfg: AdiConfig) -> tuple[Mesh, RunReport]:
         t1 = time.perf_counter()
         upd = report.phase("update")
         upd.seconds += t1 - t0
-        upd.bytes += 3 * mesh_bytes
+        upd.bytes += MESH_TRANSFERS["update"] * mesh_bytes
         report.delta_inf.append(float(delta))
         if (it + 1) % cfg.unroll == 0 or it + 1 == cfg.n_iter:
             now = time.perf_counter()
@@ -298,8 +284,7 @@ def adi_run(u0: Mesh, cfg: AdiConfig) -> tuple[Mesh, RunReport]:
 
 
 def logical_bytes_per_iteration(points: int, word_bytes: int, ndim: int) -> int:
-    """Mesh traffic one ADI iteration touches, per the phase accounting.
-
-    Stencil: 2 mesh transfers; each of the ``ndim`` sweeps: 2; accumulate: 3.
-    """
-    return (2 + 2 * ndim + 3) * points * word_bytes
+    """Mesh traffic one ADI iteration touches: ``MESH_TRANSFERS`` of the
+    stencil, each of the ``ndim`` sweeps and the update."""
+    t = MESH_TRANSFERS
+    return (t["rhs"] + ndim * t["sweep"] + t["update"]) * points * word_bytes

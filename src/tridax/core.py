@@ -18,10 +18,12 @@ tile count to the Thomas or PCR kernel at the bottom of this module or to
 the tiled hybrids' kernel in :mod:`tridax.tiled`. A batch stores
 ``(count, n)`` arrays and is solved through their transposed views; a
 single system is a one-line call. Both containers share one coefficient
-rule, ``_coefficients``; mesh sweeps share its ``_check_corners``. Every
-line runs the same operation sequence, so scalar, batched and sweep
-results are bitwise identical. The Thomas kernel is ``_thomas_factor``
-then ``_thomas_substitute``, which repeated sweeps also call apart.
+rule, ``_coefficients``; every solve entry point and mesh sweep checks its
+``_check_corners`` again at the call, as a container's arrays stay
+writable. Every line runs the same operation sequence, so scalar, batched
+and sweep results are bitwise identical. The Thomas kernel is
+``_thomas_factor`` then ``_thomas_substitute``, which repeated sweeps also
+call apart.
 """
 
 from __future__ import annotations
@@ -209,6 +211,7 @@ def solve_system(system: TridiagonalSystem, algo: str = "thomas", tiles: int | N
     finite), :class:`NonFiniteSolution` when the solution is not finite.
     """
     kernel = _kernel(algo, tiles)
+    _check_corners(system.a[0], system.c[-1])  # the arrays may be written after validation
     if check_dominance and not system.is_diagonally_dominant():
         raise ValueError("system is not strictly diagonally dominant")
     return kernel(system.a[:, None], system.b[:, None], system.c[:, None],
@@ -246,6 +249,7 @@ def batch_solve(batch: TridiagonalBatch, algo: str = "thomas",
     every failed system's row.
     """
     kernel = _kernel(algo, tiles)
+    _check_corners(batch.a[:, 0], batch.c[:, -1])  # the arrays may be written after validation
     try:
         return np.ascontiguousarray(kernel(batch.a.T, batch.b.T, batch.c.T, batch.d.T).T)
     except (ZeroPivot, NonFiniteSolution) as exc:

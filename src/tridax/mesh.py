@@ -8,16 +8,18 @@ x lines by (z, y), y lines by (z, x), z lines by (y, x).
 
 A sweep gathers the whole axis into one contiguous ``(n, lines)`` array
 (row i of every line side by side, the kernels' input form), solves it in
-one kernel call and scatters the result back. X lines lie along the
-storage rows, so their gather and scatter are transposes in cache-sized
-blocks of ``LINE_BLOCK`` lines. For repeated sweeps with one shared
-profile, :func:`factor_lines` factors it once and :func:`sweep_lines`
-substitutes each right-hand side. :func:`sweep_lines` takes the
-``(batch, z, y, x)`` view of a block in any memory order, as ADI's
-batch-innermost ``(z, y, x, batch)`` workspace: lines along the outermost
-non-unit axis of memory are already ``(n, lines)`` rows and are solved in
-place, lines along the innermost axis are gathered by blocked transposes,
-and lines along any other axis by a plain copy of whole inner runs.
+one kernel call and scatters the result back; one gather and one scatter,
+on the axis-first view ``np.moveaxis(data, dim, 0)``, serve every sweep and
+coefficient mesh. X lines lie along the storage rows, so their gather and
+scatter are transposes in cache-sized blocks of ``LINE_BLOCK`` lines. For
+repeated sweeps with one shared profile, :func:`factor_lines` factors it
+once and :func:`sweep_lines` substitutes each right-hand side.
+:func:`sweep_lines` takes the ``(batch, z, y, x)`` view of a block in any
+memory order, as ADI's batch-innermost ``(z, y, x, batch)`` workspace:
+lines along the outermost non-unit axis of memory are already
+``(n, lines)`` rows and are solved in place, lines along the innermost
+axis are gathered by blocked transposes, and lines along any other axis by
+a plain copy of whole inner runs.
 """
 
 from __future__ import annotations
@@ -133,19 +135,10 @@ def _blocked_copy(dst: np.ndarray, src: np.ndarray) -> None:
         dst[..., lo:lo + LINE_BLOCK] = src[..., lo:lo + LINE_BLOCK]
 
 
-def axis_lines(data: np.ndarray, axis: Axis) -> np.ndarray:
-    """``(n, lines)`` array of every line along ``axis``, in sweep order.
-
-    A view where the storage allows it: x lines, read with a stride of
-    ``x`` elements. Sweeps solve on :func:`gather_lines`'s contiguous copy.
-    """
-    dim = _STORAGE_DIM[axis]
-    return np.moveaxis(data, dim, 0).reshape(data.shape[dim], -1)
-
-
-def _gather(view: np.ndarray, out: np.ndarray | None) -> np.ndarray:
-    """Contiguous ``(n, lines)`` copy of an ``(n, ...)`` line view; lines along
-    the contiguous memory axis by blocked transposes."""
+def _gather(view: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Contiguous ``(n, lines)`` copy of an ``(n, ...)`` line view, into
+    ``out`` (C-contiguous) if given; lines along the contiguous memory axis
+    by blocked transposes."""
     n = view.shape[0]
     if out is None:
         out = np.empty((n, view.size // n), dtype=view.dtype)
@@ -167,18 +160,6 @@ def _scatter(lines: np.ndarray, view: np.ndarray) -> None:
         view[...] = lines.reshape(view.shape)
 
 
-def gather_lines(data: np.ndarray, axis: Axis, out: np.ndarray | None = None) -> np.ndarray:
-    """Contiguous ``(n, lines)`` copy of :func:`axis_lines`, into ``out``
-    (C-contiguous) if given; x lines by blocked transposes."""
-    return _gather(np.moveaxis(data, _STORAGE_DIM[axis], 0), out)
-
-
-def scatter_lines(lines: np.ndarray, data: np.ndarray, axis: Axis) -> None:
-    """Write ``(n, lines)`` line values back into ``data``: the inverse of
-    :func:`gather_lines`, blocked the same way."""
-    _scatter(lines, np.moveaxis(data, _STORAGE_DIM[axis], 0))
-
-
 def _line_coefficient(entry, mesh: Mesh, axis: Axis) -> np.ndarray:
     """The kernel form of one ``solve_lines`` coefficient entry.
 
@@ -191,7 +172,8 @@ def _line_coefficient(entry, mesh: Mesh, axis: Axis) -> np.ndarray:
         if entry.data.shape != mesh.data.shape:
             raise ValueError(f"coefficient mesh has shape {entry.data.shape}, "
                              f"expected the swept mesh's {mesh.data.shape}")
-        return np.asarray(gather_lines(entry.data, axis), dtype=mesh.data.dtype)
+        lines = _gather(np.moveaxis(entry.data, _STORAGE_DIM[axis], 0))
+        return np.asarray(lines, dtype=mesh.data.dtype)
     return _profile(entry, mesh, axis)[:, None]
 
 
@@ -243,13 +225,13 @@ def solve_lines(mesh: Mesh, coefficients: tuple, axis, algo: str = "thomas",
 
     a, b, c = (_line_coefficient(entry, mesh, axis) for entry in coefficients)
     core._check_corners(a[0], c[-1])
-    d = gather_lines(mesh.data, axis)
+    d = _gather(np.moveaxis(mesh.data, _STORAGE_DIM[axis], 0))
     kernel = core._kernel(algo, tiles)
     try:
         u = kernel(a, b, c, d)
     except (ZeroPivot, NonFiniteSolution) as exc:
         raise _line_error(exc, mesh.batch, d.shape[1], axis) from exc
-    scatter_lines(u, out.data, axis)
+    _scatter(u, np.moveaxis(out.data, _STORAGE_DIM[axis], 0))
     return out
 
 

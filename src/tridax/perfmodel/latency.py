@@ -123,12 +123,13 @@ def latency_batched_pcr(batch: int, n: int, dp: DesignPoint) -> LatencyEstimate:
 def latency_batched_spike(batch: int, n: int, dp: DesignPoint) -> LatencyEstimate:
     """Partitioned factor/solve/back-substitute pipeline.
 
-    ``(1 + ceil(B*m/g + 1)) * g*n/m + m*C`` cycles with ``m`` partitions of
-    per-block reduced-stage cost ``C``. The two readings of the ``+1``
-    (inside or outside the ceiling) coincide, since ``ceil(x+1) ==
+    ``(1 + ceil(B*m/g + 1)) * g*ceil(n/m) + m*C`` cycles with ``m``
+    partitions of per-block reduced-stage cost ``C``; a partition holds
+    ``ceil(n/m)`` rows, as in the memory model. The two readings of the
+    ``+1`` (inside or outside the ceiling) coincide, since ``ceil(x+1) ==
     ceil(x)+1`` for any rational x. When ``m*C >= n`` the reduced stage
-    cannot keep up and the data flow stalls; the estimate flags this
-    rather than absorbing it.
+    cannot keep up and the data flow stalls; the estimate flags this rather
+    than absorbing it.
     """
     _require_positive(batch=batch, n=n)
     dp = dp.resolved()
@@ -136,7 +137,7 @@ def latency_batched_spike(batch: int, n: int, dp: DesignPoint) -> LatencyEstimat
     g = dp.interleave_group
     m = dp.partitions
     cost = dp.partition_stage_cost
-    factor = (1 + ceil_div(batch * m, g) + 1) * Fraction(g * n, m)
+    factor = Fraction((1 + ceil_div(batch * m, g) + 1) * g * ceil_div(n, m))
     reduced = m * cost
     return LatencyEstimate(
         cycles=factor + reduced,

@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from tridax import Precision, TridiagonalBatch, random_dominant_system
+from tridax import Mesh, Precision, TridiagonalBatch, adi, random_dominant_system
 
 
 @pytest.fixture
@@ -29,3 +29,13 @@ def digest(*arrays) -> str:
         h.update(f"{x.dtype.str}{x.shape}".encode())
         h.update(x.tobytes())
     return h.hexdigest()
+
+
+def stencil(mesh, gamma) -> Mesh:
+    """The ADI right-hand side ``adi_run`` forms from ``mesh``, by its own
+    stencil pass ``adi._stencil``, in a new mesh."""
+    arr = np.ascontiguousarray(mesh.data)
+    d = np.empty_like(arr)
+    adi._stencil(arr, mesh.spatial_ndim, gamma, d,
+                 np.empty(min(adi.STENCIL_CHUNK, arr.size), arr.dtype))
+    return Mesh(d, mesh.spatial_ndim)

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from tridax import (AdiConfig, LineSolveError, Mesh, NonFiniteSolution, Precision,
-                    ZeroDuration, ZeroPivot, adi, adi_rhs, adi_run, effective_bandwidth)
+                    ZeroDuration, ZeroPivot, adi, adi_run, effective_bandwidth)
 from tridax.adi import logical_bytes_per_iteration
 from tridax.reference import naive_adi_run
-from conftest import digest
+from conftest import digest, stencil
 
 
 def interior_random(dims, batch=1, seed=0, precision=Precision.FP64):
@@ -31,20 +31,20 @@ class TestRhs:
     def test_constant_field_zero(self):
         mesh = Mesh.zeros((8, 8, 8))
         mesh.data[:] = 4.25
-        d = adi_rhs(mesh, AdiConfig(gamma=0.5, n_iter=1))
+        d = stencil(mesh, 0.5)
         assert np.all(d.data == 0)
 
     def test_linear_field_zero_second_difference(self):
         mesh = Mesh.zeros((8, 3, 3))
         for i in range(8):
             mesh.data[:, :, :, i] = i
-        d = adi_rhs(mesh, AdiConfig(gamma=0.5, n_iter=1))
+        d = stencil(mesh, 0.5)
         assert np.all(d.data == 0)
 
     def test_matches_loop_oracle_bitwise(self):
         mesh = full_random((8, 8, 8), seed=88)
         gamma = 0.37
-        d = adi_rhs(mesh, AdiConfig(gamma=gamma, n_iter=1))
+        d = stencil(mesh, gamma)
         u = mesh.data
         expected = np.zeros_like(u)
         for k in range(1, 7):
@@ -59,23 +59,10 @@ class TestRhs:
 
     def test_boundary_rows_zero(self):
         mesh = full_random((6, 6, 6), seed=3)
-        d = adi_rhs(mesh, AdiConfig(gamma=1.0, n_iter=1))
+        d = stencil(mesh, 1.0)
         assert np.all(d.data[:, 0] == 0) and np.all(d.data[:, -1] == 0)
         assert np.all(d.data[:, :, 0] == 0) and np.all(d.data[:, :, -1] == 0)
         assert np.all(d.data[:, :, :, 0] == 0) and np.all(d.data[:, :, :, -1] == 0)
-
-    def test_rejects_non_finite(self):
-        mesh = Mesh.zeros((4, 4))
-        mesh.data[0, 0, 1, 1] = np.nan
-        with pytest.raises(ValueError):
-            adi_rhs(mesh, AdiConfig(gamma=0.5, n_iter=1))
-
-    def test_non_finite_names_first_mesh(self):
-        mesh = Mesh.zeros((4, 4, 3), batch=4)
-        mesh.data[2, 1, 1, 1] = np.inf
-        mesh.data[3, 0, 0, 0] = np.nan
-        with pytest.raises(ValueError, match=r"non-finite values in mesh 2$"):
-            adi_rhs(mesh, AdiConfig(gamma=0.5, n_iter=1))
 
 
 class TestStep:

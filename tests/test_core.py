@@ -193,6 +193,37 @@ class TestBatchSystem:
         assert calls == []
 
 
+@pytest.mark.parametrize("cls", CONTAINERS)
+@pytest.mark.parametrize("algo", SOLVER_NAMES)
+class TestCornerRuleAtSolve:
+    """Both solve entry points check the corners again: the containers are
+    frozen, but their arrays stay writable."""
+
+    @staticmethod
+    def held(cls):
+        s = make_system(16, seed=6)
+        return s if cls is TridiagonalSystem else TridiagonalBatch.from_systems([s, s, s])
+
+    @staticmethod
+    def solve(held, algo):
+        solve = solve_system if isinstance(held, TridiagonalSystem) else batch_solve
+        return solve(held, algo, None if algo in ("thomas", "pcr") else 4)
+
+    @pytest.mark.parametrize("name, col", [("a", 0), ("c", -1)], ids=["a0", "cn-1"])
+    @pytest.mark.parametrize("value", [0.5, np.nan], ids=["nonzero", "nan"])
+    def test_corner_written_in_place_raises(self, cls, algo, name, col, value):
+        held = self.held(cls)
+        getattr(held, name)[col if cls is TridiagonalSystem else (1, col)] = value
+        with pytest.raises(ValueError, match=r"a\[0\] == 0 and c\[n-1\] == 0"):
+            self.solve(held, algo)
+
+    def test_negative_zero_corner_written_in_place_passes(self, cls, algo):
+        held = self.held(cls)
+        before = self.solve(held, algo)
+        held.a[..., 0], held.c[..., -1] = -0.0, -0.0
+        assert np.array_equal(self.solve(held, algo), before)
+
+
 class TestThomas:
     def test_diagonal_system(self):
         assert np.allclose(solve_system(diagonal_system(), "thomas"), [1.0, 2.0, 3.0])

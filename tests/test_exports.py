@@ -3,7 +3,30 @@ import pytest
 import tridax
 import tridax.perfmodel
 
+PUBLIC = [
+    "Precision", "TridiagonalSystem", "TridiagonalBatch",
+    "solve_system", "batch_solve", "dense_oracle_solve", "residual_max_norm",
+    "random_dominant_system", "relative_inf_error", "TilePlan",
+    "Mesh", "Axis", "solve_lines", "read_mesh", "write_mesh",
+    "AdiConfig", "RunReport", "adi_run", "effective_bandwidth",
+    "TridaxError", "ZeroPivot", "SingularMatrix", "InvalidTilePlan", "MismatchedTiles",
+    "LineSolveError", "BatchSolveError", "NonFiniteSolution",
+    "ZeroDuration", "InfeasibleDesign", "NoFeasibleDesign", "__version__",
+]
+# solver internals the top level no longer exports
+INTERNAL = ["adi_rhs", "axis_lines", "gather_lines", "scatter_lines",
+            "modified_thomas_phase", "assemble_reduced", "back_substitute",
+            "ModifiedTileResult"]
+
 
 @pytest.mark.parametrize("module", [tridax, tridax.perfmodel], ids=lambda m: m.__name__)
 def test_every_exported_name_resolves(module):
     assert [name for name in module.__all__ if not hasattr(module, name)] == []
+
+
+def test_public_surface_is_pinned():
+    assert tridax.__all__ == PUBLIC
+
+
+def test_internals_are_not_top_level_names():
+    assert [name for name in INTERNAL if hasattr(tridax, name)] == []

@@ -4,13 +4,23 @@ import numpy as np
 import pytest
 
 from tridax import (Axis, LineSolveError, Mesh, NonFiniteSolution, Precision,
-                    TridiagonalBatch, TridiagonalSystem, ZeroPivot, axis_lines, batch_solve,
-                    gather_lines, read_mesh, scatter_lines, solve_lines, solve_system,
-                    write_mesh)
+                    TridiagonalBatch, TridiagonalSystem, ZeroPivot, batch_solve, read_mesh,
+                    solve_lines, solve_system, write_mesh)
 from tridax.core import SOLVER_NAMES
-from tridax.mesh import factor_lines, sweep_lines
+from tridax.mesh import _gather, _scatter, factor_lines, sweep_lines
 
 STORAGE_DIM = {"x": 3, "y": 2, "z": 1}  # axis position in (batch, z, y, x)
+
+
+def axis_view(data, axis):
+    """The ``(n, ...)`` axis-first view of ``data`` a sweep along ``axis`` works on."""
+    return np.moveaxis(data, STORAGE_DIM[axis.value], 0)
+
+
+def axis_lines(data, axis):
+    """``(n, lines)`` array of every line along ``axis``, in sweep order; a
+    view where the storage allows it."""
+    return axis_view(data, axis).reshape(data.shape[STORAGE_DIM[axis.value]], -1)
 
 
 def dominant_profile(seed, mesh, axis):
@@ -107,11 +117,11 @@ class TestGatherScatter:
         mesh = random_mesh(dims, batch=batch, seed=21)
         for data in (mesh.data, np.asfortranarray(mesh.data)):
             for axis in mesh.solved_axes():
-                lines = gather_lines(data, axis)
+                lines = _gather(axis_view(data, axis))
                 assert lines.flags.c_contiguous
                 assert np.array_equal(lines, axis_lines(data, axis))
                 back = np.zeros_like(data)
-                scatter_lines(lines, back, axis)
+                _scatter(lines, axis_view(back, axis))
                 assert np.array_equal(back, data)
 
     def test_sweep_order_per_mesh(self):

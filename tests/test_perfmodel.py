@@ -138,6 +138,15 @@ class TestBatchedSpike:
         expected = (1 + math.ceil(batch * m / g + 1)) * Fraction(g * n, m) + m * cost
         assert latency_batched_spike(batch, n, dp).cycles == expected
 
+    def test_partitions_not_dividing_rows_hold_ceil_rows(self):
+        # 128 rows in 3 partitions: each holds ceil(128/3) = 43, as memory_words counts
+        batch, n, m, g, cost = 100, 128, 3, 32, 10
+        dp = DesignPoint(Algorithm.BATCHED_SPIKE, interleave_group=g,
+                         partitions=m, partition_stage_cost=cost)
+        expected = (1 + math.ceil(batch * m / g + 1)) * g * math.ceil(n / m) + m * cost
+        assert expected == 16542
+        assert latency_batched_spike(batch, n, dp).cycles == expected
+
     def test_stall_flag(self):
         dp = DesignPoint(Algorithm.BATCHED_SPIKE, partitions=4,
                          partition_stage_cost=20)

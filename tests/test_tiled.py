@@ -5,10 +5,10 @@ from hypothesis import strategies as st
 
 from tridax import (BatchSolveError, InvalidTilePlan, LineSolveError, MismatchedTiles,
                     Mesh, NonFiniteSolution, Precision, TilePlan, TridiagonalBatch,
-                    TridiagonalSystem, ZeroPivot, assemble_reduced, back_substitute,
-                    batch_solve, dense_oracle_solve, modified_thomas_phase,
+                    TridiagonalSystem, ZeroPivot, batch_solve, dense_oracle_solve,
                     random_dominant_system, relative_inf_error, solve_lines, solve_system,
                     tiled)
+from tridax.tiled import assemble_reduced, back_substitute, modified_thomas_phase
 from conftest import digest, dominant_batch, make_system
 
 
