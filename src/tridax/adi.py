@@ -12,10 +12,7 @@ shared by every line), and accumulates the result into the field:
 
 Interior sweep rows are (-gamma/2, 1 + gamma, -gamma/2); boundary rows are
 pinned identity rows with zero right-hand side, so the field's boundary
-values never change (Dirichlet, taken from the initial field). The
-``literal_coefficients`` flag switches the sweep diagonal to the bare
-``gamma`` form for model-comparison runs; that variant is not a consistent
-time step and is off by default.
+values never change (Dirichlet, taken from the initial field).
 
 ``adi_run`` computes the bits of the stencil above,
 :func:`tridax.mesh.solve_lines` per axis and ``u + d`` on a workspace that
@@ -73,7 +70,6 @@ class AdiConfig:
     n_iter: int
     unroll: int = 1
     precision: Precision = Precision.FP64
-    literal_coefficients: bool = False
 
     def __post_init__(self):
         if self.gamma <= 0:
@@ -91,7 +87,7 @@ class AdiConfig:
         one = dtype.type(1)
         off = -(dtype.type(0.5) * gm)
         a = np.full(n, off, dtype=dtype)
-        b = np.full(n, gm if self.literal_coefficients else one + gm, dtype=dtype)
+        b = np.full(n, one + gm, dtype=dtype)
         c = np.full(n, off, dtype=dtype)
         # pinned identity rows on the boundary
         a[0] = a[-1] = 0
@@ -228,8 +224,7 @@ def adi_run(u0: Mesh, cfg: AdiConfig) -> tuple[Mesh, RunReport]:
     """
     report = RunReport(config={
         "gamma": cfg.gamma, "n_iter": cfg.n_iter, "unroll": cfg.unroll,
-        "precision": cfg.precision.value, "dims": list(u0.dims),
-        "batch": u0.batch, "literal_coefficients": cfg.literal_coefficients,
+        "precision": cfg.precision.value, "dims": list(u0.dims), "batch": u0.batch,
     })
     order = _workspace_axes(u0.batch, cfg.precision.dtype)
     arr = np.empty([u0.data.shape[k] for k in order], cfg.precision.dtype).transpose(

@@ -38,6 +38,7 @@ from .perfmodel import (Algorithm, DesignPoint, GridSpec, ProblemSpec,
                         dse_enumerate, find_reference, latency_for_problem,
                         load_device_profile, memory_words, relative_error,
                         rows_to_csv, rows_to_json)
+from .perfmodel.design import check_reads
 from .precision import Precision
 from .reference import naive_adi_run
 
@@ -108,8 +109,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", type=Path, help="initial mesh (omit to generate)")
     p.add_argument("--verify", action="store_true",
                    help="compare against the plain-loop reference")
-    p.add_argument("--literal-coefficients", action="store_true",
-                   help="use the bare-gamma sweep diagonal variant")
     p.add_argument("--out", type=Path, help="final mesh file (not written if omitted)")
     _add_common(p, "fp32 or fp64 of a generated mesh; an --input mesh keeps its own")
 
@@ -170,14 +169,9 @@ def _emit_report(args, payload: dict) -> None:
         sys.stdout.write(text)
 
 
-def _check_tiles(tiles, algo: str, tiled: bool) -> None:
-    """``--tiles`` applies only to tiled algorithms."""
-    if tiles is not None and not tiled:
-        raise ValueError(f"--tiles applies to the tiled algorithms, not {algo}")
-
-
 def cmd_solve(args) -> int:
-    _check_tiles(args.tiles, args.algo, args.algo not in ("thomas", "pcr"))
+    if args.tiles is not None and args.algo not in core.TILED_SOLVERS:
+        raise ValueError(f"tiles applies to {', '.join(core.TILED_SOLVERS)}, not {args.algo}")
     precision = Precision.parse(args.precision)
     if args.input:
         batch = read_batch(args.input)
@@ -238,14 +232,13 @@ def cmd_adi(args) -> int:
     else:
         u0 = _generated_mesh(args.dims, args.batch, precision, args.seed)
     cfg = AdiConfig(gamma=args.gamma, n_iter=args.iters, unroll=args.unroll,
-                    precision=precision, literal_coefficients=args.literal_coefficients)
+                    precision=precision)
     u_final, report = adi_run(u0, cfg)
     status = 0
     payload = report.to_dict()
     payload["command"] = "adi"
     if args.verify:
-        ref = naive_adi_run(u0.data.astype(np.float64), args.gamma, args.iters,
-                            args.literal_coefficients)
+        ref = naive_adi_run(u0.data.astype(np.float64), args.gamma, args.iters)
         dev = float(np.max(np.abs(u_final.data.astype(np.float64) - ref)))
         tol = precision.tolerance * max(1.0, float(np.max(np.abs(ref))))
         ok = dev <= tol
@@ -322,8 +315,9 @@ def cmd_dse(args) -> int:
     grid = GridSpec.for_kind(problem.kind)
     if args.algo:
         grid.algorithms = [Algorithm.parse(args.algo)]
-    _check_tiles(args.tiles, "/".join(a.value for a in grid.algorithms),
-                 any(a.is_tiled for a in grid.algorithms))
+    given = {"tiles": args.tiles, "unroll": args.unroll, "interleave_group": args.group}
+    for name in [name for name, values in given.items() if values is not None]:
+        check_reads(name, grid.algorithms)
     if args.tiles:
         grid.tiles = args.tiles
     if args.unroll:

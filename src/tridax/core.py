@@ -218,7 +218,8 @@ def solve_system(system: TridiagonalSystem, algo: str = "thomas", tiles: int | N
                   system.d[:, None])[:, 0]
 
 
-SOLVER_NAMES = ("thomas", "pcr", "thomas-thomas", "thomas-pcr")
+TILED_SOLVERS = ("thomas-thomas", "thomas-pcr")  # the solvers that take a tile count
+SOLVER_NAMES = ("thomas", "pcr", *TILED_SOLVERS)
 
 
 def _kernel(algo: str, tiles: int | None):

@@ -3,7 +3,8 @@ and the problems they solve."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from copy import copy
+from dataclasses import dataclass, fields
 from enum import Enum
 
 from ..precision import Precision
@@ -30,8 +31,7 @@ class Algorithm(Enum):
 
     @property
     def is_tiled(self) -> bool:
-        return self in (Algorithm.THOMAS_THOMAS, Algorithm.THOMAS_PCR,
-                        Algorithm.ADI2D_TILED)
+        return "tiles" in DESIGN_FIELDS[self]
 
     @property
     def kind(self) -> str:
@@ -41,6 +41,32 @@ class Algorithm(Enum):
         return "adi2d" if self in (Algorithm.ADI2D, Algorithm.ADI2D_TILED) else "batch"
 
 
+# The DesignPoint fields the latency and memory models read: every design's
+# (memory_words charges vector_width * compute_units lanes of precision words),
+# then each design's own (adi2d-tiled's pipeline_latency in its "pcr" form only).
+SHARED_FIELDS = ("precision", "vector_width", "compute_units", "frequency_hz")
+DESIGN_FIELDS = {
+    Algorithm.BATCHED_THOMAS: ("interleave_group",),
+    Algorithm.BATCHED_PCR: ("unroll", "pipeline_latency"),
+    Algorithm.BATCHED_SPIKE: ("interleave_group", "partitions", "partition_stage_cost",
+                              "pipeline_latency"),
+    Algorithm.THOMAS_THOMAS: ("interleave_group", "tiles", "reduced_group"),
+    Algorithm.THOMAS_PCR: ("interleave_group", "tiles", "pipeline_latency"),
+    Algorithm.ADI2D: ("interleave_group", "unroll"),
+    Algorithm.ADI2D_TILED: ("interleave_group", "tiles", "tiles_x", "tiles_y",
+                            "datapath_tile_x", "pipeline_latency"),
+    Algorithm.ADI3D: ("interleave_group", "points_per_cycle"),
+}
+
+
+def check_reads(name: str, algorithms) -> None:
+    """Raise ``ValueError`` unless a design in ``algorithms`` reads field ``name``."""
+    if name not in SHARED_FIELDS and all(name not in DESIGN_FIELDS[a] for a in algorithms):
+        readers = ", ".join(a.value for a in Algorithm if name in DESIGN_FIELDS[a])
+        raise ValueError(f"{name} applies to {readers}, not "
+                         + "/".join(a.value for a in algorithms))
+
+
 def default_interleave_group(precision: Precision) -> int:
     """Systems interleaved to hide the elimination dependency distance."""
     return 32 if precision is Precision.FP32 else 64
@@ -48,15 +74,15 @@ def default_interleave_group(precision: Precision) -> int:
 
 @dataclass(frozen=True)
 class DesignPoint:
-    """Algorithm choice plus every tunable the latency/memory model reads.
+    """Algorithm choice plus the tunables its latency/memory model reads.
 
-    ``None`` fields resolve to defaults via :meth:`resolved`: the
-    interleave groups to 32 (FP32) or 64 (FP64), the per-axis tile counts
-    to ``tiles`` and the pentadiagonal stage cost to twice the pipeline
-    latency. A tiled algorithm needs the tile count of every axis it tiles,
-    and only a tiled algorithm takes one; the latency models check the
-    counts against the problem with the solver's
-    :class:`tridax.tiled.TilePlan`.
+    A field outside ``SHARED_FIELDS`` and the design's ``DESIGN_FIELDS``
+    must keep its default. ``None`` fields resolve to defaults via
+    :meth:`resolved`: the interleave groups to 32 (FP32) or 64 (FP64), the
+    per-axis tile counts to ``tiles`` and the pentadiagonal stage cost to
+    twice the pipeline latency. A tiled algorithm needs the tile count of
+    every axis it tiles; the latency models check the counts against the
+    problem with the solver's :class:`tridax.tiled.TilePlan`.
     """
 
     algorithm: Algorithm
@@ -78,11 +104,8 @@ class DesignPoint:
 
     def __post_init__(self):
         for name in ("vector_width", "unroll", "compute_units", "partitions",
-                     "pipeline_latency"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
-        for name in ("interleave_group", "reduced_group", "tiles", "tiles_x",
-                     "tiles_y", "datapath_tile_x", "points_per_cycle"):
+                     "pipeline_latency", "interleave_group", "reduced_group", "tiles",
+                     "tiles_x", "tiles_y", "datapath_tile_x", "points_per_cycle"):
             val = getattr(self, name)
             if val is not None and val < 1:
                 raise ValueError(f"{name} must be >= 1")
@@ -93,27 +116,22 @@ class DesignPoint:
         if self.points_per_cycle is not None and self.points_per_cycle > self.vector_width:
             raise ValueError("points_per_cycle cannot exceed vector_width")
         algo = self.algorithm
-        per_axis = (self.tiles_x or self.tiles, self.tiles_y or self.tiles)
-        if not algo.is_tiled and per_axis != (None, None):
-            raise ValueError(f"tiles apply to the tiled algorithms, not {algo.value}")
-        needed = per_axis if algo is Algorithm.ADI2D_TILED else (self.tiles,)
-        if algo.is_tiled and None in needed:
+        for name in (f.name for f in fields(self)[1:] if getattr(self, f.name) != f.default):
+            check_reads(name, [algo])
+        if algo.is_tiled and None in (self.tiles_x or self.tiles, self.tiles_y or self.tiles):
             raise ValueError(f"{algo.value} requires a tile count")
 
     def resolved(self) -> "DesignPoint":
         """Fill every defaulted field so the model reads concrete values."""
-        g = self.interleave_group or default_interleave_group(self.precision)
-        return replace(
-            self,
-            interleave_group=g,
-            reduced_group=self.reduced_group or default_interleave_group(self.precision),
-            tiles_x=self.tiles_x or self.tiles,
-            tiles_y=self.tiles_y or self.tiles,
-            partition_stage_cost=(self.partition_stage_cost
-                                  if self.partition_stage_cost is not None
-                                  else 2 * self.pipeline_latency),
-            points_per_cycle=self.points_per_cycle or self.vector_width,
-        )
+        g = default_interleave_group(self.precision)
+        out = copy(self)  # not checked again: the filled values are defaults
+        for name, val in (("interleave_group", g), ("reduced_group", g),
+                          ("tiles_x", self.tiles), ("tiles_y", self.tiles),
+                          ("partition_stage_cost", 2 * self.pipeline_latency),
+                          ("points_per_cycle", self.vector_width)):
+            if getattr(out, name) is None:
+                object.__setattr__(out, name, val)
+        return out
 
     def describe(self) -> dict:
         out = {"algorithm": self.algorithm.value, "precision": self.precision.value}

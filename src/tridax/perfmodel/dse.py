@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 from itertools import product
 
 from ..errors import NoFeasibleDesign
-from .design import Algorithm, DesignPoint, ProblemSpec
+from .design import DESIGN_FIELDS, Algorithm, DesignPoint, ProblemSpec
 from .device import DeviceProfile
 from .latency import LatencyEstimate, latency_for_problem
 from .memory import ResourceEstimate, memory_words
@@ -29,7 +29,8 @@ _ALGO_ORDER = {algo: i for i, algo in enumerate(Algorithm)}
 
 @dataclass
 class GridSpec:
-    """Parameter ranges to enumerate; empty lists fall back to defaults."""
+    """Parameter ranges to enumerate (no algorithms: those of :meth:`for_kind`).
+    A design takes only the lists of fields its model reads, defaults for the rest."""
 
     algorithms: list[Algorithm] = field(default_factory=list)
     tiles: list[int] = field(default_factory=lambda: [2, 4, 8, 16])
@@ -77,10 +78,12 @@ class DseRow:
 
 def _candidate_designs(problem: ProblemSpec, grid: GridSpec):
     algorithms = grid.algorithms or GridSpec.for_kind(problem.kind).algorithms
-    for algo, g, v, f_u, n_cu, freq in product(
-            algorithms, grid.groups, grid.vector_widths, grid.unrolls,
-            grid.compute_units, grid.frequencies_hz):
-        for t in grid.tiles if algo.is_tiled else [None]:
+    for algo in algorithms:  # a list the design's model does not read gives its default
+        reads = DESIGN_FIELDS[algo]
+        for g, v, f_u, n_cu, freq, t in product(
+                grid.groups if "interleave_group" in reads else [None], grid.vector_widths,
+                grid.unrolls if "unroll" in reads else [1], grid.compute_units,
+                grid.frequencies_hz, grid.tiles if "tiles" in reads else [None]):
             yield DesignPoint(algorithm=algo, precision=problem.precision,
                               interleave_group=g, vector_width=v, unroll=f_u, tiles=t,
                               compute_units=n_cu, frequency_hz=freq)
@@ -88,7 +91,8 @@ def _candidate_designs(problem: ProblemSpec, grid: GridSpec):
 
 def dse_enumerate(problem: ProblemSpec, device: DeviceProfile, grid: GridSpec,
                   *, include_infeasible: bool = False) -> list[DseRow]:
-    """Evaluate the grid and return feasible designs ranked by runtime.
+    """Evaluate the grid and return feasible designs ranked by runtime, one
+    row per combination of the grid values a design's model reads.
 
     Ties break deterministically by algorithm declaration order, then by
     smaller on-chip footprint. Designs the model rejects are skipped; if

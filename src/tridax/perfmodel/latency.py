@@ -189,17 +189,16 @@ def latency_thomas_pcr(batch: int, n: int, dp: DesignPoint) -> LatencyEstimate:
 
 
 def latency_adi3d(x: int, y: int, z: int, batch: int, n_iter: int,
-                  dp: DesignPoint, *, port_limited: bool = False) -> LatencyEstimate:
+                  dp: DesignPoint) -> LatencyEstimate:
     """Fused stencil + x/y sweeps pipelined against the z sweep.
 
     Per iteration the two modules swap read/write roles, so the iteration
-    costs the slower of the two. ``port_limited`` substitutes the
-    effective points-per-cycle for the vector width when HBM port sharing
-    throttles the data path.
+    costs the slower of the two. The data path moves ``points_per_cycle``
+    points a cycle: the vector width unless HBM port sharing throttles it.
     """
     _require_positive(x=x, y=y, z=z, batch=batch, n_iter=n_iter)
     dp = dp.resolved()
-    v = dp.points_per_cycle if port_limited else dp.vector_width
+    v = dp.points_per_cycle
     g = dp.interleave_group
     waves = ceil_div(batch, 2 * dp.compute_units)
     drain = waves * Fraction(x * y * z, v)

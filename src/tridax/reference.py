@@ -29,10 +29,10 @@ def thomas_scalar(a, b, c, d):
     return u
 
 
-def _line_coefficients(n, gamma, literal):
+def _line_coefficients(n, gamma):
     off = -(0.5 * gamma)
     a = [off] * n
-    b = [gamma if literal else 1.0 + gamma] * n
+    b = [1.0 + gamma] * n
     c = [off] * n
     a[0] = a[-1] = 0.0
     c[0] = c[-1] = 0.0
@@ -40,8 +40,7 @@ def _line_coefficients(n, gamma, literal):
     return a, b, c
 
 
-def naive_adi_run(u0: np.ndarray, gamma: float, n_iter: int,
-                  literal_coefficients: bool = False) -> np.ndarray:
+def naive_adi_run(u0: np.ndarray, gamma: float, n_iter: int) -> np.ndarray:
     """Run ``n_iter`` ADI steps over a (batch, z, y, x) FP64 array."""
     u = np.asarray(u0, dtype=np.float64).copy()
     nb, nz, ny, nx = u.shape
@@ -58,18 +57,18 @@ def naive_adi_run(u0: np.ndarray, gamma: float, n_iter: int,
                         if not is_2d:
                             acc = acc + ((u[b, k - 1, j, i] - 2.0 * ctr) + u[b, k + 1, j, i])
                         d[b, k, j, i] = gamma * acc
-        ax, bx, cx = _line_coefficients(nx, gamma, literal_coefficients)
+        ax, bx, cx = _line_coefficients(nx, gamma)
         for b in range(nb):
             for k in range(nz):
                 for j in range(ny):
                     d[b, k, j, :] = thomas_scalar(ax, bx, cx, d[b, k, j, :].tolist())
-        ay, by, cy = _line_coefficients(ny, gamma, literal_coefficients)
+        ay, by, cy = _line_coefficients(ny, gamma)
         for b in range(nb):
             for k in range(nz):
                 for i in range(nx):
                     d[b, k, :, i] = thomas_scalar(ay, by, cy, d[b, k, :, i].tolist())
         if not is_2d:
-            az, bz, cz = _line_coefficients(nz, gamma, literal_coefficients)
+            az, bz, cz = _line_coefficients(nz, gamma)
             for b in range(nb):
                 for j in range(ny):
                     for i in range(nx):

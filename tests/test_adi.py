@@ -172,13 +172,6 @@ class TestRun:
         assert len(r1.steps) == 6
         assert len(r3.steps) == 2
 
-    def test_literal_coefficient_mode(self):
-        u0 = full_random((8, 8), seed=13)
-        cfg = AdiConfig(gamma=0.5, n_iter=2, literal_coefficients=True)
-        got, _ = adi_run(u0, cfg)
-        ref = naive_adi_run(u0.data, 0.5, 2, literal_coefficients=True)
-        assert np.max(np.abs(got.data - ref)) <= 1e-12
-
 
     def test_failing_profile_raises_before_first_iteration(self):
         class ZeroPivotOnY(AdiConfig):

@@ -162,8 +162,7 @@ class TestAdi:
         assert sorted(payload) == ["command", "config", "delta_inf", "effective_gb_per_s",
                                    "phases", "schema_version", "steps", "total_bytes",
                                    "total_seconds"]
-        assert sorted(payload["config"]) == ["batch", "dims", "gamma",
-                                             "literal_coefficients", "n_iter",
+        assert sorted(payload["config"]) == ["batch", "dims", "gamma", "n_iter",
                                              "precision", "unroll"]
         assert sorted(payload["phases"]) == ["rhs", "sweep_x", "sweep_y", "update"]
         assert [s["iterations"] for s in payload["steps"]] == [1, 2]
@@ -202,7 +201,8 @@ class TestAdi:
         assert run(["adi", "--gamma", 0.5]) == 2
         assert "needs --dims" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("knob", ["--threads", "--group", "--vector"])
+    @pytest.mark.parametrize("knob", ["--threads", "--group", "--vector",
+                                      "--literal-coefficients"])
     def test_removed_knobs_are_usage_errors(self, knob):
         with pytest.raises(SystemExit) as err:
             run(["adi", "--dims", "8,8", "--gamma", "0.5", knob, "2"])
@@ -259,6 +259,26 @@ class TestModel:
                     "--tiles", 4, "--report", rep]) == 2
         assert "not batched-thomas" in capsys.readouterr().err
         assert not rep.exists()
+
+    @pytest.mark.parametrize("algo,flag,value,message", [
+        ("batched-thomas", "--partitions", 4,
+         "partitions applies to batched-spike, not batched-thomas"),
+        ("batched-pcr", "--group", 7, "interleave_group applies to batched-thomas, "
+         "batched-spike, thomas-thomas, thomas-pcr, adi2d, adi3d, adi2d-tiled, "
+         "not batched-pcr"),
+        ("batched-spike", "--unroll", 2, "unroll applies to batched-pcr, adi2d, "
+         "not batched-spike"),
+    ])
+    def test_knob_the_design_does_not_read_is_usage_error(self, tmp_path, capsys, algo,
+                                                          flag, value, message):
+        rep = tmp_path / "m.json"
+        argv = ["model", "--algo", algo, "--batch", 10, "--size", 64, "--report", rep]
+        assert run([*argv, flag, value]) == 2
+        assert f"error: {message}\n" in capsys.readouterr().err
+        assert not rep.exists()
+        default = {"--partitions": 1, "--unroll": 1}.get(flag)
+        if default is not None:  # the default value sets nothing
+            assert run([*argv, flag, default]) == 0
 
     def test_out_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as err:
@@ -348,6 +368,32 @@ class TestDse:
                     "--tiles", 4, "--report", rep]) == 2
         assert "not batched-thomas" in capsys.readouterr().err
         assert not rep.exists()
+
+    @pytest.mark.parametrize("where,flag,message", [
+        (["--size", 64, "--algo", "batched-thomas"], ["--unroll", "1,2"],
+         "unroll applies to batched-pcr, adi2d, not batched-thomas"),
+        (["--size", 64, "--algo", "batched-pcr"], ["--group", 16],
+         "not batched-pcr"),
+        (["--dims", "16,16,16"], ["--unroll", 2], "not adi3d"),
+        (["--dims", "16,16,16"], ["--tiles", 2], "tiles applies to thomas-thomas, "
+         "thomas-pcr, adi2d-tiled, not adi3d"),
+    ])
+    def test_list_no_design_reads_is_usage_error(self, tmp_path, capsys, where, flag,
+                                                 message):
+        rep = tmp_path / "d.json"
+        assert run(["dse", "--batch", 10, *where, *flag, "--report", rep]) == 2
+        assert message in capsys.readouterr().err
+        assert not rep.exists()
+
+    def test_list_one_design_reads_crosses_only_that_design(self, tmp_path, capsys):
+        rep = tmp_path / "d.json"
+        assert run(["dse", "--batch", 1000, "--size", 128, "--unroll", "1,2,4",
+                    "--precision", "fp32", "--report", rep]) == 0
+        rows = json.loads(rep.read_text())["rows"]
+        assert len(rows) == 12
+        assert sorted(r["unroll"] for r in rows if r["algorithm"] == "batched-pcr") == \
+            [1, 2, 4]
+        assert {r["unroll"] for r in rows if r["algorithm"] != "batched-pcr"} == {1}
 
     def test_size_and_dims_is_usage_error(self, tmp_path, capsys):
         assert run(["dse", "--batch", 10, "--size", 128, "--dims", "64,64",

@@ -7,6 +7,8 @@ arithmetic, so a slip in either copy shows up as an exact mismatch.
 
 import json
 import math
+from copy import copy
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import pytest
@@ -20,6 +22,7 @@ from tridax.perfmodel import (U280, Algorithm, DesignPoint, ProblemSpec,
                               latency_batched_thomas, latency_thomas_pcr,
                               latency_for_problem, latency_thomas_thomas,
                               load_device_profile, memory_words, relative_error)
+from tridax.perfmodel.design import DESIGN_FIELDS, SHARED_FIELDS
 
 
 def clog2(n):
@@ -175,11 +178,11 @@ class TestTiledSolvers:
                                        (5000, 8192, 16, 32, 64, 30),
                                        (77, 300, 3, 64, 64, 12)]:
             dp = DesignPoint(Algorithm.THOMAS_THOMAS, interleave_group=g,
-                             reduced_group=g_r, tiles=t, pipeline_latency=l)
+                             reduced_group=g_r, tiles=t)
             common = (2 + math.ceil(batch * t / g)) * math.ceil(n / t) * g
             assert latency_thomas_thomas(batch, n, dp).cycles == common + g_r * (2 * t) * 2
-            dp2 = DesignPoint(Algorithm.THOMAS_PCR, interleave_group=g,
-                              reduced_group=g_r, tiles=t, pipeline_latency=l)
+            dp2 = DesignPoint(Algorithm.THOMAS_PCR, interleave_group=g, tiles=t,
+                              pipeline_latency=l)
             assert latency_thomas_pcr(batch, n, dp2).cycles == \
                 common + (2 * t + l) * clog2(2 * t)
 
@@ -224,11 +227,10 @@ class TestAdiModels:
             assert term > drain  # both modules carry the same dominant drain
 
     def test_3d_port_limited_substitution(self):
-        dp = DesignPoint(Algorithm.ADI3D, interleave_group=32, vector_width=8,
-                         points_per_cycle=4)
-        full = latency_adi3d(32, 32, 32, 8, 1, dp)
-        limited = latency_adi3d(32, 32, 32, 8, 1, dp, port_limited=True)
-        assert limited.cycles > full.cycles
+        full = DesignPoint(Algorithm.ADI3D, interleave_group=32, vector_width=8)
+        limited = replace(full, points_per_cycle=4)
+        assert latency_adi3d(32, 32, 32, 8, 1, limited).cycles > \
+            latency_adi3d(32, 32, 32, 8, 1, full).cycles
 
     def test_3d_rejects_zero_batch(self):
         dp = DesignPoint(Algorithm.ADI3D)
@@ -441,6 +443,74 @@ class TestDesignFit:
             else:
                 with pytest.raises(ValueError, match=f"^{algo.value} (needs|cannot take)"):
                     latency_for_problem(dp, batch=2, **where)
+
+
+# A non-default value for every DesignPoint field, valid on every problem below.
+PERTURBED = {"precision": Precision.FP64, "interleave_group": 16, "reduced_group": 16,
+             "vector_width": 4, "unroll": 2, "tiles": 8, "tiles_x": 8, "tiles_y": 2,
+             "datapath_tile_x": 16, "compute_units": 2, "partitions": 2,
+             "pipeline_latency": 12, "partition_stage_cost": 7, "points_per_cycle": 4,
+             "frequency_hz": 250e6}
+PROBLEMS = {"batch": [dict(batch=100, n=64), dict(batch=5000, n=1000)],
+            "adi2d": [dict(batch=10, dims=(64, 64), n_iter=3),
+                      dict(batch=2, dims=(96, 48))],
+            "adi3d": [dict(batch=2, dims=(32, 32, 32), n_iter=3),
+                      dict(batch=1, dims=(16, 24, 32))]}
+KEYWORD_FORMS = {  # the models' keyword variants, called as latency_for_problem is
+    Algorithm.BATCHED_THOMAS: lambda dp, batch, n: latency_batched_thomas(
+        batch, n, dp, ping_pong=False),
+    Algorithm.ADI2D_TILED: lambda dp, batch, dims, n_iter=1: latency_adi2d_tiled(
+        *dims, batch, n_iter, dp, reduced="pcr"),
+}
+
+
+def _model_outputs(dp):
+    """Everything the latency and memory models report for ``dp`` on a few
+    problems of its kind, the keyword forms included."""
+    out = []
+    for where in PROBLEMS[dp.algorithm.kind]:
+        models = [latency_for_problem, KEYWORD_FORMS.get(dp.algorithm)]
+        out += [(e.cycles, e.seconds_exact, e.breakdown, e.extras, e.stalled,
+                 e.per_system_asymptote)
+                for e in (model(dp, **where) for model in models if model)]
+        out.append(memory_words(dp, max(where.get("dims") or [where.get("n")]), U280))
+    return out
+
+
+class TestDesignFields:
+    """Each design takes exactly the fields its latency and memory models read."""
+
+    @pytest.mark.parametrize("algo", list(Algorithm))
+    def test_perturbing_a_field_moves_the_model_exactly_when_it_is_read(self, algo):
+        base = DesignPoint(algo, tiles=4 if algo.is_tiled else None)
+        before = _model_outputs(base)
+        for f in fields(DesignPoint)[1:]:
+            read = f.name in SHARED_FIELDS + DESIGN_FIELDS[algo]
+            if read:
+                moved = replace(base, **{f.name: PERTURBED[f.name]})
+            else:
+                moved = copy(base)
+                object.__setattr__(moved, f.name, PERTURBED[f.name])  # past the check
+            assert (_model_outputs(moved) != before) == read, f.name
+
+    @pytest.mark.parametrize("algo", list(Algorithm))
+    def test_a_field_the_model_does_not_read_keeps_its_default(self, algo):
+        base = DesignPoint(algo, tiles=4 if algo.is_tiled else None)
+        for f in fields(DesignPoint)[1:]:
+            if f.name in SHARED_FIELDS + DESIGN_FIELDS[algo]:
+                replace(base, **{f.name: PERTURBED[f.name]})
+                continue
+            replace(base, **{f.name: f.default})
+            readers = ", ".join(a.value for a in Algorithm if f.name in DESIGN_FIELDS[a])
+            with pytest.raises(ValueError,
+                               match=f"^{f.name} applies to {readers}, not {algo.value}$"):
+                replace(base, **{f.name: PERTURBED[f.name]})
+
+    def test_settable_pairs(self):
+        settable = sum(len(SHARED_FIELDS + DESIGN_FIELDS[a]) for a in Algorithm)
+        assert settable == 55 and len(fields(DesignPoint)) - 1 == 15
+        assert [a for a in Algorithm if a.is_tiled] == [
+            Algorithm.THOMAS_THOMAS, Algorithm.THOMAS_PCR, Algorithm.ADI2D_TILED]
 
 
 SMALL_PROFILE = {"dsp_count": 1000, "bram_bytes": 1e6, "bram_blocks": 100,

@@ -302,8 +302,7 @@ def test_adi_run_equals_composed_steps_bitwise(data):
         u0 = Mesh(np.asfortranarray(u0.data), u0.spatial_ndim)
     cfg = AdiConfig(gamma=data.draw(st.floats(0.01, 4.0), label="gamma"),
                     n_iter=data.draw(st.integers(1, 3), label="n_iter"),
-                    precision=data.draw(precisions, label="precision"),
-                    literal_coefficients=data.draw(st.booleans(), label="literal"))
+                    precision=data.draw(precisions, label="precision"))
     before = u0.data.tobytes()
     got, report = adi_run(u0, cfg)
     expected, deltas = composed_adi(u0, cfg)
