@@ -59,16 +59,10 @@ MESH_TRANSFERS = {"rhs": 2, "sweep": 2, "update": 3}
 
 @dataclass
 class AdiConfig:
-    """Parameters of one ADI run.
-
-    ``unroll`` groups that many iterations into one reporting step; it
-    never changes the arithmetic (loop unrolling is a pipeline
-    optimization with no numerical effect).
-    """
+    """Parameters of one ADI run."""
 
     gamma: float
     n_iter: int
-    unroll: int = 1
     precision: Precision = Precision.FP64
 
     def __post_init__(self):
@@ -76,8 +70,6 @@ class AdiConfig:
             raise ValueError("gamma must be positive")
         if self.n_iter < 1:
             raise ValueError("n_iter must be >= 1")
-        if self.unroll < 1:
-            raise ValueError("unroll must be >= 1")
 
     def line_coefficients(self, n: int, dtype) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The ``(a, b, c)`` sweep profile of an axis of ``n`` points,
@@ -108,7 +100,7 @@ class PhaseStats:
 
 @dataclass
 class RunReport:
-    """Per-phase timing/traffic and per-iteration update norms.
+    """Per-phase timing/traffic, and per-iteration update norms and wall times.
 
     In ``adi_run`` the ``update`` phase also times the finiteness check and
     ``delta_inf``, made in its one pass over the field.
@@ -223,8 +215,8 @@ def adi_run(u0: Mesh, cfg: AdiConfig) -> tuple[Mesh, RunReport]:
     a sweep's coefficients are one profile per axis, generated once per run.
     """
     report = RunReport(config={
-        "gamma": cfg.gamma, "n_iter": cfg.n_iter, "unroll": cfg.unroll,
-        "precision": cfg.precision.value, "dims": list(u0.dims), "batch": u0.batch,
+        "gamma": cfg.gamma, "n_iter": cfg.n_iter, "precision": cfg.precision.value,
+        "dims": list(u0.dims), "batch": u0.batch,
     })
     order = _workspace_axes(u0.batch, cfg.precision.dtype)
     arr = np.empty([u0.data.shape[k] for k in order], cfg.precision.dtype).transpose(
@@ -267,10 +259,9 @@ def adi_run(u0: Mesh, cfg: AdiConfig) -> tuple[Mesh, RunReport]:
         upd.seconds += t1 - t0
         upd.bytes += MESH_TRANSFERS["update"] * mesh_bytes
         report.delta_inf.append(float(delta))
-        if (it + 1) % cfg.unroll == 0 or it + 1 == cfg.n_iter:
-            now = time.perf_counter()
-            report.steps.append({"iterations": it + 1, "seconds": now - step_start})
-            step_start = now
+        now = time.perf_counter()
+        report.steps.append({"iterations": it + 1, "seconds": now - step_start})
+        step_start = now
     out = arr
     if not out.flags.c_contiguous:  # batch innermost: back to storage order in work
         out = work.reshape(arr.shape)

@@ -103,8 +103,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch", type=int, default=1)
     p.add_argument("--gamma", type=float, required=True)
     p.add_argument("--iters", type=int, default=100)
-    p.add_argument("--unroll", type=int, default=1,
-                   help="iterations fused per reporting step")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--input", type=Path, help="initial mesh (omit to generate)")
     p.add_argument("--verify", action="store_true",
@@ -231,8 +229,7 @@ def cmd_adi(args) -> int:
         raise ValueError("adi needs --dims to generate a mesh, or an --input mesh")
     else:
         u0 = _generated_mesh(args.dims, args.batch, precision, args.seed)
-    cfg = AdiConfig(gamma=args.gamma, n_iter=args.iters, unroll=args.unroll,
-                    precision=precision)
+    cfg = AdiConfig(gamma=args.gamma, n_iter=args.iters, precision=precision)
     u_final, report = adi_run(u0, cfg)
     status = 0
     payload = report.to_dict()

@@ -134,14 +134,12 @@ class DesignPoint:
         return out
 
     def describe(self) -> dict:
+        """The algorithm and every field its model reads that is not ``None``."""
+        reads = SHARED_FIELDS + DESIGN_FIELDS[self.algorithm]
         out = {"algorithm": self.algorithm.value, "precision": self.precision.value}
-        for name in ("interleave_group", "reduced_group", "vector_width", "unroll",
-                     "tiles", "tiles_x", "tiles_y", "datapath_tile_x",
-                     "compute_units", "partitions", "pipeline_latency",
-                     "points_per_cycle", "frequency_hz"):
-            val = getattr(self, name)
-            if val is not None:
-                out[name] = val
+        for f in fields(self):
+            if f.name in reads and f.name not in out and getattr(self, f.name) is not None:
+                out[f.name] = getattr(self, f.name)
         return out
 
 

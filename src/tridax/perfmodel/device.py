@@ -1,10 +1,11 @@
-"""FPGA device resource/bandwidth profiles."""
+"""FPGA device profiles: the on-chip RAM and HBM port budgets that
+:func:`tridax.perfmodel.memory.memory_words` checks a design against."""
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 DEVICE_DIR_ENV = "TRIDAX_DEVICE_DIR"
@@ -12,25 +13,15 @@ DEVICE_DIR_ENV = "TRIDAX_DEVICE_DIR"
 
 @dataclass(frozen=True)
 class DeviceProfile:
-    """Resource, port and frequency budget of one accelerator card."""
+    """On-chip RAM and HBM port budget of one accelerator card."""
 
     name: str
-    dsp_count: int
     bram_bytes: float
-    bram_blocks: int
     uram_bytes: float
-    uram_blocks: int
-    hbm_bytes: float
-    hbm_bandwidth_gbps: float
     hbm_ports: int
-    ddr_bytes: float
-    ddr_bandwidth_gbps: float
-    default_frequency_hz: float = 300e6
 
     def __post_init__(self):
-        for f in fields(self):
-            if f.name == "name":
-                continue
+        for f in fields(self)[1:]:  # every budget after the name
             if getattr(self, f.name) <= 0:
                 raise ValueError(f"{f.name} must be positive")
 
@@ -40,19 +31,7 @@ class DeviceProfile:
         return self.bram_bytes + self.uram_bytes
 
 
-U280 = DeviceProfile(
-    name="u280",
-    dsp_count=8490,
-    bram_bytes=6.6e6,
-    bram_blocks=1487,
-    uram_bytes=34.5e6,
-    uram_blocks=960,
-    hbm_bytes=8e9,
-    hbm_bandwidth_gbps=460.0,
-    hbm_ports=32,
-    ddr_bytes=32e9,
-    ddr_bandwidth_gbps=38.4,
-)
+U280 = DeviceProfile(name="u280", bram_bytes=6.6e6, uram_bytes=34.5e6, hbm_ports=32)
 
 BUILTIN_PROFILES = {"u280": U280}
 
@@ -74,11 +53,10 @@ def _parse_profile_text(text: str, name: str) -> DeviceProfile:
     unknown = set(values) - known
     if unknown:
         raise ValueError(f"unknown device profile keys: {sorted(unknown)}")
-    missing = {f.name for f in fields(DeviceProfile) if f.default is MISSING} - set(values)
+    missing = known - set(values)
     if missing:
         raise ValueError(f"device profile {name!r} is missing keys: {sorted(missing)}")
-    ints = {"dsp_count", "bram_blocks", "uram_blocks", "hbm_ports"}
-    coerced = {k: (int(v) if k in ints else v) for k, v in values.items() if k != "name"}
+    coerced = {k: (int(v) if k == "hbm_ports" else v) for k, v in values.items() if k != "name"}
     return DeviceProfile(name=str(values["name"]), **coerced)
 
 

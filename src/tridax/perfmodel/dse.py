@@ -5,7 +5,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import product
 
 from ..errors import NoFeasibleDesign
@@ -96,8 +96,12 @@ def dse_enumerate(problem: ProblemSpec, device: DeviceProfile, grid: GridSpec,
 
     Ties break deterministically by algorithm declaration order, then by
     smaller on-chip footprint. Designs the model rejects are skipped; if
-    every one is, the error names the first reason.
+    every one is, the error names the first reason. An empty grid list
+    raises ``ValueError`` naming it.
     """
+    for f in fields(grid):
+        if f.name != "algorithms" and not getattr(grid, f.name):
+            raise ValueError(f"grid list {f.name} is empty")
     evaluated, skipped = [], []
     for dp in _candidate_designs(problem, grid):
         try:

@@ -16,7 +16,9 @@ whole pipeline, so feasibility compares
 
     words * word_bytes * vector_width * compute_units
 
-against the device's combined BRAM+URAM bytes.
+against the device's combined BRAM+URAM bytes, and the design's HBM ports
+(``STREAM_HBM_PORTS`` for each of a batch solver's five streams,
+``ADI_HBM_PORTS`` for an ADI pipeline) against the device's ``hbm_ports``.
 """
 
 from __future__ import annotations
@@ -53,8 +55,6 @@ class ResourceEstimate:
     lanes: int
     total_bytes: int
     hbm_ports: int
-    bram_blocks_equiv: int
-    uram_blocks_equiv: int
     feasible: bool
     violations: tuple[str, ...] = ()
 
@@ -110,8 +110,6 @@ def memory_words(dp: DesignPoint, n: int, device: DeviceProfile,
         lanes=lanes,
         total_bytes=total,
         hbm_ports=ports,
-        bram_blocks_equiv=ceil_div(total, max(1, int(device.bram_bytes // device.bram_blocks))),
-        uram_blocks_equiv=ceil_div(total, max(1, int(device.uram_bytes // device.uram_blocks))),
         feasible=not violations,
         violations=tuple(violations),
     )

@@ -163,7 +163,7 @@ class TestAdi:
                                    "phases", "schema_version", "steps", "total_bytes",
                                    "total_seconds"]
         assert sorted(payload["config"]) == ["batch", "dims", "gamma", "n_iter",
-                                             "precision", "unroll"]
+                                             "precision"]
         assert sorted(payload["phases"]) == ["rhs", "sweep_x", "sweep_y", "update"]
         assert [s["iterations"] for s in payload["steps"]] == [1, 2]
 
@@ -202,7 +202,7 @@ class TestAdi:
         assert "needs --dims" in capsys.readouterr().err
 
     @pytest.mark.parametrize("knob", ["--threads", "--group", "--vector",
-                                      "--literal-coefficients"])
+                                      "--literal-coefficients", "--unroll"])
     def test_removed_knobs_are_usage_errors(self, knob):
         with pytest.raises(SystemExit) as err:
             run(["adi", "--dims", "8,8", "--gamma", "0.5", knob, "2"])
@@ -308,7 +308,7 @@ class TestModel:
 
     def test_incomplete_device_profile_usage_error(self, tmp_path, capsys):
         path = tmp_path / "card.txt"
-        path.write_text("dsp_count = 1000\nhbm_ports = 16\n")
+        path.write_text("hbm_ports = 16\n")
         assert run(["model", "--algo", "batched-thomas", "--batch", 10,
                     "--size", 8, "--device", path]) == 2
         assert "missing keys" in capsys.readouterr().err

@@ -44,6 +44,12 @@ class TestEnumeration:
         with pytest.raises(NoFeasibleDesign):
             dse_enumerate(batch_problem(8192), U280, grid)
 
+    @pytest.mark.parametrize("name", ["unrolls", "groups", "tiles", "compute_units"])
+    def test_empty_grid_list_raises(self, name):
+        grid = GridSpec(**{name: []})
+        with pytest.raises(ValueError, match=f"^grid list {name} is empty$"):
+            dse_enumerate(batch_problem(64, batch=10), U280, grid)
+
     def test_invalid_tilings_are_skipped_not_fatal(self):
         grid = GridSpec(algorithms=[Algorithm.THOMAS_THOMAS], tiles=[2, 64])
         rows = dse_enumerate(batch_problem(8, batch=10), U280, grid)
@@ -107,7 +113,10 @@ class TestReports:
 # `tridax model` JSON reports of a fixed set of designs. The batch-128-fp32,
 # batch-1000-fp64 and adi2d-128 tables were re-pinned when dse stopped
 # crossing designs with grid lists their models do not read: each equals
-# the earlier table without those rows, ranks renumbered.
+# the earlier table without those rows, ranks renumbered. The model reports
+# were re-pinned when a report's design block came to list only the fields
+# its model reads: each equals the earlier block without the unread fields,
+# and the batched-spike block gains its partition_stage_cost.
 DSE_CASES = {
     "batch-128-fp32": (dict(batch=8000, size=128), dict(unrolls=[1, 2, 3])),
     "batch-8192-fp32": (dict(batch=100, size=8192), dict(include_infeasible=True)),
@@ -168,21 +177,21 @@ GOLDEN = {
     "json-batch-9-tiles":
         "7379dac85be394e6bbc65d9c31ea54514df626d6a6201dab2878bb4146ad2620",
     "model-adi2d-reference":
-        "5746b5cb9d5e9e2eb0b1731290b199e1cf8f42e50f8dee4116d4aa4bf2f5be50",
+        "a229d8e180446fdc2db21d21ef2b13036922f474e876e3b91185a1e204acfa69",
     "model-adi2d-tiled":
-        "bf70e412b2a5359cf048cc597dd3a6341b9c3e4f8aa77428f71cc876bf8da149",
+        "6a82fd32f0dfb5b22228c5b9acea67ae6bec6c3612409cb7031212da237e28bc",
     "model-adi3d":
-        "12fbc4208e8f272f27e64e582c018a8b46fc214bb066da2b0ef8ee49de71c2cd",
+        "14942609ad163c00f79c369e85e26330afc3f80c1a6a0a9353e4cebbb045e1a9",
     "model-calibration":
-        "4f146586221ac08947e597ee9663f29dd1d64b6ac37395427049c6f7027119a3",
+        "c8ff490aaa923a8c7d1183cfbed056629c376f825f0c73c901d80386440efb5d",
     "model-pcr-fp64":
-        "eac68ab6d51d478b7b2a1dc17912baba472abc4b0f460f3b84f42ef2c7ab5d15",
+        "3fb0cdf4b5d7db7e8a29f1f2fb1bacf6dc1a31b13f62481d7bfc02924b697832",
     "model-spike":
-        "953325b714daa6cd221af506477a9e597b9d7836feda5f69d616a2372f8e9205",
+        "9fd4fe7ef5d2a2a007af0ff28b6bc058bea64e7bc45d60b7f8502fe413896251",
     "model-thomas-pcr":
-        "0bec1c5a7427b44e5c1f2a193f4c88218f0a0a3640dc97ef878dc946476eb4d8",
+        "4f033c5a730a4cd9143b1ec88e43ead08dbf932a229406eb18d7f9964d586fe0",
     "model-thomas-thomas":
-        "479ee90eb91d659e414a0cb5913c58bfc14f928af474874f1b3d862a481de4b1",
+        "45f560c65a1e9a5c3d1022990bc5529c4bed0d813775e6211edff699af50f1c9",
 }
 
 

@@ -14,9 +14,9 @@ from fractions import Fraction
 import pytest
 
 from tridax import InfeasibleDesign, InvalidTilePlan, Precision, TilePlan
-from tridax.perfmodel import (U280, Algorithm, DesignPoint, ProblemSpec,
-                              adi2d_fp32_reference, ceil_div, ceil_log2, cycles_to_seconds,
-                              default_interleave_group, find_reference,
+from tridax.perfmodel import (U280, Algorithm, DesignPoint, DeviceProfile, ProblemSpec,
+                              ResourceEstimate, adi2d_fp32_reference, ceil_div, ceil_log2,
+                              cycles_to_seconds, default_interleave_group, find_reference,
                               latency_adi2d, latency_adi2d_tiled, latency_adi3d,
                               latency_batched_pcr, latency_batched_spike,
                               latency_batched_thomas, latency_thomas_pcr,
@@ -513,20 +513,32 @@ class TestDesignFields:
             Algorithm.THOMAS_THOMAS, Algorithm.THOMAS_PCR, Algorithm.ADI2D_TILED]
 
 
-SMALL_PROFILE = {"dsp_count": 1000, "bram_bytes": 1e6, "bram_blocks": 100,
-                 "uram_bytes": 2e6, "uram_blocks": 50, "hbm_bytes": 1e9,
-                 "hbm_bandwidth_gbps": 100, "hbm_ports": 16, "ddr_bytes": 8e9,
-                 "ddr_bandwidth_gbps": 20}
+SMALL_PROFILE = {"bram_bytes": 1e6, "uram_bytes": 2e6, "hbm_ports": 16}
 
 
 class TestDeviceProfiles:
     def test_u280_table_values(self):
-        assert U280.dsp_count == 8490
-        assert U280.bram_bytes == 6.6e6 and U280.bram_blocks == 1487
-        assert U280.uram_bytes == 34.5e6 and U280.uram_blocks == 960
-        assert U280.hbm_bytes == 8e9 and U280.hbm_bandwidth_gbps == 460.0
+        assert U280.bram_bytes == 6.6e6 and U280.uram_bytes == 34.5e6
         assert U280.hbm_ports == 32
-        assert U280.ddr_bytes == 32e9
+
+    def test_profile_holds_only_budgets_the_model_reads(self):
+        assert [f.name for f in fields(DeviceProfile)] == [
+            "name", "bram_bytes", "uram_bytes", "hbm_ports"]
+        assert [f.name for f in fields(ResourceEstimate)] == [
+            "words", "word_bytes", "lanes", "total_bytes", "hbm_ports", "feasible",
+            "violations"]
+
+    @pytest.mark.parametrize("name", ["bram_bytes", "uram_bytes", "hbm_ports"])
+    def test_each_budget_moves_feasibility(self, name):
+        # 36.9 MB of buffers and 10 ports: inside U280's 41.1 MB and 32 ports
+        dp, n = dp_thomas(), 3000
+        est = memory_words(dp, n, U280)
+        assert est.feasible and U280.uram_bytes < est.total_bytes < U280.on_chip_bytes
+        short = (est.hbm_ports - 1 if name == "hbm_ports"
+                 else getattr(U280, name) - (U280.on_chip_bytes - est.total_bytes) - 1)
+        got = memory_words(dp, n, replace(U280, **{name: short}))
+        assert not got.feasible and len(got.violations) == 1
+        assert ("HBM ports" in got.violations[0]) == (name == "hbm_ports")
 
     def test_builtin_lookup(self):
         assert load_device_profile("u280") is U280
@@ -536,21 +548,14 @@ class TestDeviceProfiles:
     def test_file_profile_loading(self, tmp_path, monkeypatch):
         path = tmp_path / "small.txt"
         path.write_text("""
-            dsp_count = 1000
             bram_bytes = 1e6
-            bram_blocks = 100
-            uram_bytes = 2e6
-            uram_blocks = 50
-            hbm_bytes = 1e9
-            hbm_bandwidth_gbps = 100
+            uram_bytes = 2e6  # ultra RAM
             hbm_ports = 16
-            ddr_bytes = 8e9
-            ddr_bandwidth_gbps = 20
         """)
         prof = load_device_profile(str(path))
         assert prof.name == "small" and prof.hbm_ports == 16
         monkeypatch.setenv("TRIDAX_DEVICE_DIR", str(tmp_path))
-        assert load_device_profile("small").dsp_count == 1000
+        assert load_device_profile("small").uram_bytes == 2e6
 
     def test_json_profile_loading(self, tmp_path):
         path = tmp_path / "card.json"
@@ -561,10 +566,20 @@ class TestDeviceProfiles:
 
     @pytest.mark.parametrize("suffix", [".txt", ".json"])
     def test_missing_keys_named(self, tmp_path, suffix):
-        values = {k: v for k, v in SMALL_PROFILE.items() if k not in ("hbm_ports", "ddr_bytes")}
+        values = {k: v for k, v in SMALL_PROFILE.items() if k not in ("hbm_ports", "bram_bytes")}
         text = (json.dumps(values) if suffix == ".json"
                 else "".join(f"{k} = {v}\n" for k, v in values.items()))
         path = tmp_path / f"partial{suffix}"
         path.write_text(text)
-        with pytest.raises(ValueError, match=r"missing keys: \['ddr_bytes', 'hbm_ports'\]"):
+        with pytest.raises(ValueError, match=r"missing keys: \['bram_bytes', 'hbm_ports'\]"):
+            load_device_profile(str(path))
+
+    @pytest.mark.parametrize("suffix", [".txt", ".json"])
+    def test_removed_keys_are_unknown(self, tmp_path, suffix):
+        values = {**SMALL_PROFILE, "dsp_count": 1000}
+        text = (json.dumps(values) if suffix == ".json"
+                else "".join(f"{k} = {v}\n" for k, v in values.items()))
+        path = tmp_path / f"old{suffix}"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=r"unknown device profile keys: \['dsp_count'\]"):
             load_device_profile(str(path))
