@@ -31,10 +31,9 @@ The package splits into:
 from .core import (TridiagonalBatch, TridiagonalSystem, batch_solve, dense_oracle_solve,
                    random_dominant_system, relative_inf_error, residual_max_norm,
                    solve_system)
-from .errors import (BatchSolveError, InfeasibleDesign, InvalidTilePlan,
-                     LineSolveError, MismatchedTiles, NoFeasibleDesign,
-                     NonFiniteSolution, SingularMatrix, TridaxError, ZeroDuration,
-                     ZeroPivot)
+from .errors import (BatchSolveError, InvalidTilePlan, LineSolveError, MismatchedTiles,
+                     NoFeasibleDesign, NonFiniteSolution, SingularMatrix, TridaxError,
+                     ZeroDuration, ZeroPivot)
 from .mesh import Axis, Mesh, read_mesh, solve_lines, write_mesh
 from .adi import AdiConfig, RunReport, adi_run, effective_bandwidth
 from .precision import Precision
@@ -50,5 +49,5 @@ __all__ = [
     "AdiConfig", "RunReport", "adi_run", "effective_bandwidth",
     "TridaxError", "ZeroPivot", "SingularMatrix", "InvalidTilePlan", "MismatchedTiles",
     "LineSolveError", "BatchSolveError", "NonFiniteSolution",
-    "ZeroDuration", "InfeasibleDesign", "NoFeasibleDesign", "__version__",
+    "ZeroDuration", "NoFeasibleDesign", "__version__",
 ]

@@ -66,8 +66,8 @@ class AdiConfig:
     precision: Precision = Precision.FP64
 
     def __post_init__(self):
-        if self.gamma <= 0:
-            raise ValueError("gamma must be positive")
+        if not 0 < self.gamma < np.inf:
+            raise ValueError(f"gamma must be finite and positive, not {self.gamma}")
         if self.n_iter < 1:
             raise ValueError("n_iter must be >= 1")
 

@@ -269,8 +269,8 @@ def random_dominant_system(n: int, rng: np.random.Generator,
     Off-diagonals are uniform in [-1, 1]; the diagonal exceeds their
     absolute sum by at least ``margin``.
     """
-    if margin <= 0:
-        raise ValueError("dominance margin must be positive")
+    if not 0 < margin < np.inf:
+        raise ValueError(f"dominance margin must be finite and positive, not {margin}")
     a = rng.uniform(-1.0, 1.0, n)
     c = rng.uniform(-1.0, 1.0, n)
     a[0] = 0.0

@@ -95,16 +95,5 @@ class ZeroDuration(TridaxError):
     """Bandwidth requested over a non-positive time interval."""
 
 
-class InfeasibleDesign(TridaxError):
-    """A design point exceeds the device budget.
-
-    ``violations`` lists human-readable descriptions of each exceeded budget.
-    """
-
-    def __init__(self, violations):
-        self.violations = list(violations)
-        super().__init__("; ".join(self.violations))
-
-
 class NoFeasibleDesign(TridaxError):
     """Design-space enumeration filtered out every candidate."""

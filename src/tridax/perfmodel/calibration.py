@@ -21,7 +21,6 @@ class MeasuredReference:
     name: str
     measured_seconds: float
     reconstructed: bool = False
-    note: str = ""
 
 
 # 8000 systems of size 128, FP32, interleave 32, 8 lanes, 300 MHz:
@@ -29,7 +28,6 @@ class MeasuredReference:
 BATCHED_THOMAS_8000x128 = MeasuredReference(
     name="batched-thomas B=8000 N=128 fp32",
     measured_seconds=0.47e-3,
-    note="vendor-library comparison benchmark, measured runtime",
 )
 
 # 2-D heat application, 128x128 FP32, 3000 meshes, 120 iterations,
@@ -55,7 +53,6 @@ def adi2d_fp32_reference() -> MeasuredReference:
         name="adi2d 128x128 fp32 B=3000 iters=120",
         measured_seconds=seconds,
         reconstructed=True,
-        note="runtime reconstructed from the published 620 GB/s effective bandwidth",
     )
 
 

@@ -3,6 +3,7 @@ and the problems they solve."""
 
 from __future__ import annotations
 
+import math
 from copy import copy
 from dataclasses import dataclass, fields
 from enum import Enum
@@ -43,7 +44,7 @@ class Algorithm(Enum):
 
 # The DesignPoint fields the latency and memory models read: every design's
 # (memory_words charges vector_width * compute_units lanes of precision words),
-# then each design's own (adi2d-tiled's pipeline_latency in its "pcr" form only).
+# then each design's own.
 SHARED_FIELDS = ("precision", "vector_width", "compute_units", "frequency_hz")
 DESIGN_FIELDS = {
     Algorithm.BATCHED_THOMAS: ("interleave_group",),
@@ -54,7 +55,7 @@ DESIGN_FIELDS = {
     Algorithm.THOMAS_PCR: ("interleave_group", "tiles", "pipeline_latency"),
     Algorithm.ADI2D: ("interleave_group", "unroll"),
     Algorithm.ADI2D_TILED: ("interleave_group", "tiles", "tiles_x", "tiles_y",
-                            "datapath_tile_x", "pipeline_latency"),
+                            "datapath_tile_x"),
     Algorithm.ADI3D: ("interleave_group", "points_per_cycle"),
 }
 
@@ -111,8 +112,8 @@ class DesignPoint:
                 raise ValueError(f"{name} must be >= 1")
         if self.partition_stage_cost is not None and self.partition_stage_cost < 0:
             raise ValueError("partition_stage_cost must be >= 0")
-        if self.frequency_hz <= 0:
-            raise ValueError("frequency_hz must be positive")
+        if not 0 < self.frequency_hz < math.inf:
+            raise ValueError(f"frequency_hz must be finite and positive, not {self.frequency_hz}")
         if self.points_per_cycle is not None and self.points_per_cycle > self.vector_width:
             raise ValueError("points_per_cycle cannot exceed vector_width")
         algo = self.algorithm

@@ -4,8 +4,10 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, fields
+from numbers import Real
 from pathlib import Path
 
 DEVICE_DIR_ENV = "TRIDAX_DEVICE_DIR"
@@ -13,7 +15,11 @@ DEVICE_DIR_ENV = "TRIDAX_DEVICE_DIR"
 
 @dataclass(frozen=True)
 class DeviceProfile:
-    """On-chip RAM and HBM port budget of one accelerator card."""
+    """On-chip RAM and HBM port budget of one accelerator card.
+
+    Each budget is a finite positive number, and ``hbm_ports`` a whole one,
+    stored as an ``int``; any other value raises ``ValueError`` naming it.
+    """
 
     name: str
     bram_bytes: float
@@ -22,8 +28,12 @@ class DeviceProfile:
 
     def __post_init__(self):
         for f in fields(self)[1:]:  # every budget after the name
-            if getattr(self, f.name) <= 0:
-                raise ValueError(f"{f.name} must be positive")
+            val = getattr(self, f.name)
+            if isinstance(val, bool) or not isinstance(val, Real) or not 0 < val < math.inf:
+                raise ValueError(f"{f.name} must be a finite positive number, not {val!r}")
+        if self.hbm_ports != int(self.hbm_ports):
+            raise ValueError(f"hbm_ports must be a whole number, not {self.hbm_ports!r}")
+        object.__setattr__(self, "hbm_ports", int(self.hbm_ports))
 
     @property
     def on_chip_bytes(self) -> float:
@@ -56,8 +66,7 @@ def _parse_profile_text(text: str, name: str) -> DeviceProfile:
     missing = known - set(values)
     if missing:
         raise ValueError(f"device profile {name!r} is missing keys: {sorted(missing)}")
-    coerced = {k: (int(v) if k == "hbm_ports" else v) for k, v in values.items() if k != "name"}
-    return DeviceProfile(name=str(values["name"]), **coerced)
+    return DeviceProfile(**{**values, "name": str(values["name"])})
 
 
 def load_device_profile(name_or_path: str) -> DeviceProfile:

@@ -50,7 +50,7 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class DseRow:
-    rank: int | None
+    rank: int
     design: DesignPoint
     latency: LatencyEstimate
     resources: ResourceEstimate
@@ -89,8 +89,8 @@ def _candidate_designs(problem: ProblemSpec, grid: GridSpec):
                               compute_units=n_cu, frequency_hz=freq)
 
 
-def dse_enumerate(problem: ProblemSpec, device: DeviceProfile, grid: GridSpec,
-                  *, include_infeasible: bool = False) -> list[DseRow]:
+def dse_enumerate(problem: ProblemSpec, device: DeviceProfile,
+                  grid: GridSpec) -> list[DseRow]:
     """Evaluate the grid and return feasible designs ranked by runtime, one
     row per combination of the grid values a design's model reads.
 
@@ -121,13 +121,8 @@ def dse_enumerate(problem: ProblemSpec, device: DeviceProfile, grid: GridSpec,
             f"no design in the grid fits {device.name} for this problem")
     feasible.sort(key=lambda e: (e[1].seconds_exact, _ALGO_ORDER[e[0].algorithm],
                                  e[2].total_bytes))
-    rows = [DseRow(i + 1, dp, lat, res, problem)
+    return [DseRow(i + 1, dp, lat, res, problem)
             for i, (dp, lat, res) in enumerate(feasible)]
-    if include_infeasible:
-        rest = [e for e in evaluated if not e[2].feasible]
-        rest.sort(key=lambda e: (_ALGO_ORDER[e[0].algorithm], e[2].total_bytes))
-        rows += [DseRow(None, dp, lat, res, problem) for dp, lat, res in rest]
-    return rows
 
 
 def rows_to_csv(rows: list[DseRow]) -> str:

@@ -45,9 +45,7 @@ class LatencyEstimate:
     cycles: Fraction
     frequency_hz: float
     breakdown: dict = field(default_factory=dict)
-    extras: dict = field(default_factory=dict)
     stalled: bool = False
-    per_system_asymptote: Fraction | None = None
 
     @property
     def seconds_exact(self) -> Fraction:
@@ -80,25 +78,24 @@ def _check_partitions(partitions: int, n: int) -> None:
         raise ValueError(f"{partitions} partitions exceed the {n} rows of a system")
 
 
-def latency_batched_thomas(batch: int, n: int, dp: DesignPoint,
-                           *, ping_pong: bool = True) -> LatencyEstimate:
+def latency_batched_thomas(batch: int, n: int, dp: DesignPoint) -> LatencyEstimate:
     """Interleaved elimination over a batch of ``n``-row systems.
 
-    ``(1 + ceil(B/g)) * g * n`` cycles in the base form; double-buffering
-    the forward/backward hand-off adds ``2*g*n`` fill (the ping-pong form,
-    default). Vector lanes and replicated compute units divide the batch.
+    ``(3 + ceil(B/g)) * g * n`` cycles: the forward and backward sweeps hand
+    off through ping-pong buffers, so the pipeline fills for ``3*g*n``
+    cycles before streaming ``g*n`` per group. Vector lanes and replicated
+    compute units divide the batch.
     """
     _require_positive(batch=batch, n=n)
     dp = dp.resolved()
     g = dp.interleave_group
     lanes = g * dp.vector_width * dp.compute_units
-    fill = (3 if ping_pong else 1) * g * n
+    fill = 3 * g * n
     stream = ceil_div(batch, lanes) * g * n
     return LatencyEstimate(
         cycles=Fraction(fill + stream),
         frequency_hz=dp.frequency_hz,
         breakdown={"fill": Fraction(fill), "stream": Fraction(stream)},
-        per_system_asymptote=Fraction(n, dp.vector_width * dp.compute_units),
     )
 
 
@@ -116,7 +113,6 @@ def latency_batched_pcr(batch: int, n: int, dp: DesignPoint) -> LatencyEstimate:
         cycles=per_step * steps,
         frequency_hz=dp.frequency_hz,
         breakdown={"reduction_steps": per_step * steps},
-        per_system_asymptote=Fraction(n * steps, dp.unroll),
     )
 
 
@@ -167,7 +163,6 @@ def _latency_tiled(reduced: str, batch: int, n: int, dp: DesignPoint) -> Latency
         cycles=tiles_term + red,
         frequency_hz=dp.frequency_hz,
         breakdown={"tile_phase": tiles_term, "reduced_solve": red},
-        per_system_asymptote=Fraction(t * ceil_div(n, t)),
     )
 
 
@@ -222,7 +217,6 @@ def latency_adi2d(x: int, y: int, batch: int, n_iter: int,
     The pipeline prologue scales with the unroll factor while the batch
     drain is paid once per unrolled group, so deeper unrolls win at large
     batch. Iteration counts that the unroll does not divide round up.
-    Also reports the iteration-loopback delay-buffer size in words.
     """
     _require_positive(x=x, y=y, batch=batch, n_iter=n_iter)
     dp = dp.resolved()
@@ -234,26 +228,23 @@ def latency_adi2d(x: int, y: int, batch: int, n_iter: int,
                 + (Fraction(2 * x * y, v) + 3 * g * y))
     per_group = f_u * prologue + ceil_div(batch, dp.compute_units) * Fraction(x * y, v)
     cycles = ceil_div(n_iter, f_u) * per_group
-    fifo_words = (Fraction(2 * x, v) + 2 * v * Fraction(x, v)
-                  + 3 * g * x + 3 * g * y + Fraction(2 * x * y, v))
     return LatencyEstimate(
         cycles=cycles,
         frequency_hz=dp.frequency_hz,
         breakdown={"prologue": ceil_div(n_iter, f_u) * f_u * prologue,
                    "stream": ceil_div(n_iter, f_u) * (per_group - f_u * prologue)},
-        extras={"delay_buffer_words": fifo_words},
     )
 
 
-def latency_adi2d_tiled(x: int, y: int, batch: int, n_iter: int, dp: DesignPoint,
-                        *, reduced: str = "thomas") -> LatencyEstimate:
+def latency_adi2d_tiled(x: int, y: int, batch: int, n_iter: int,
+                        dp: DesignPoint) -> LatencyEstimate:
     """Large-mesh 2-D iteration built on tiled solvers.
 
     The stencil fuses with the x sweep; the y sweep runs as its own stage
-    over buffered planes of ``datapath_tile_x`` columns. With ``reduced ==
-    "pcr"`` the per-stage reduced-solve term ``4*g*t`` becomes
-    ``ceil_log2(2t) * (2t + l)``. The x lines are tiled ``tiles_x`` ways
-    and the y lines ``tiles_y`` ways.
+    over buffered planes of ``datapath_tile_x`` columns. The x lines are
+    tiled ``t1 = tiles_x`` ways and the y lines ``t2 = tiles_y`` ways, and
+    each stage ends in a direct solve of its ``2t`` reduced rows,
+    interleaved over ``g`` systems: ``4*g*t`` cycles.
     """
     _require_positive(x=x, y=y, batch=batch, n_iter=n_iter)
     dp = dp.resolved()
@@ -261,7 +252,7 @@ def latency_adi2d_tiled(x: int, y: int, batch: int, n_iter: int, dp: DesignPoint
     tx = dp.datapath_tile_x or t1
     v = dp.vector_width
     g = dp.interleave_group
-    red1, red2 = (_reduced_solve(reduced, t, g, dp.pipeline_latency) for t in (t1, t2))
+    red1, red2 = 4 * g * t1, 4 * g * t2
     drain = Fraction(batch * x * y, v)
     rhs_x = (Fraction(2 * x, v) + 2 * v * Fraction(x, v)
              + Fraction(3 * g * x, t1) + red1 + drain)

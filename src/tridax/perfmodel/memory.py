@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..errors import InfeasibleDesign
 from ..tiled import TilePlan
 from .design import Algorithm, DesignPoint
 from .device import DeviceProfile
@@ -59,13 +58,12 @@ class ResourceEstimate:
     violations: tuple[str, ...] = ()
 
 
-def memory_words(dp: DesignPoint, n: int, device: DeviceProfile,
-                 *, strict: bool = False) -> ResourceEstimate:
+def memory_words(dp: DesignPoint, n: int, device: DeviceProfile) -> ResourceEstimate:
     """Estimate on-chip storage for a design solving size-``n`` systems.
 
-    For mesh applications pass the largest solved extent as ``n``. With
-    ``strict`` an infeasible design raises :class:`InfeasibleDesign`
-    naming each violated budget.
+    For mesh applications pass the largest solved extent as ``n``. The
+    estimate is infeasible when it exceeds a budget of ``device``, and then
+    ``violations`` names each exceeded budget.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -104,7 +102,7 @@ def memory_words(dp: DesignPoint, n: int, device: DeviceProfile,
             f"on-chip words need {total} bytes, device has {device.on_chip_bytes:.0f}")
     if ports > device.hbm_ports:
         violations.append(f"needs {ports} HBM ports, device has {device.hbm_ports}")
-    est = ResourceEstimate(
+    return ResourceEstimate(
         words=words,
         word_bytes=word_bytes,
         lanes=lanes,
@@ -113,7 +111,4 @@ def memory_words(dp: DesignPoint, n: int, device: DeviceProfile,
         feasible=not violations,
         violations=tuple(violations),
     )
-    if strict and violations:
-        raise InfeasibleDesign(violations)
-    return est
 

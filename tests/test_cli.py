@@ -119,6 +119,13 @@ class TestSolve:
         assert run(["solve", "--batch", 0, "--size", 16, "--out", tmp_path / "s.bin"]) == 2
         assert capsys.readouterr().err == "error: --batch and --size must be >= 1\n"
 
+    @pytest.mark.parametrize("margin", ["nan", "inf"])
+    def test_nonfinite_margin_is_usage_error(self, tmp_path, capsys, margin):
+        assert run(["solve", "--batch", 2, "--size", 8, "--margin", margin,
+                    "--out", tmp_path / "s.bin"]) == 2
+        assert capsys.readouterr().err == \
+            f"error: dominance margin must be finite and positive, not {margin}\n"
+
     def test_input_batch_with_failing_systems(self, tmp_path, capsys):
         rng = np.random.default_rng(5)
         batch = TridiagonalBatch.from_systems(random_dominant_system(16, rng) for _ in range(6))
@@ -212,6 +219,12 @@ class TestAdi:
         with pytest.raises(SystemExit) as err:
             run(["adi", "--dims", "8,8"])
         assert err.value.code == 2
+
+    @pytest.mark.parametrize("gamma", ["nan", "inf"])
+    def test_nonfinite_gamma_is_usage_error(self, capsys, gamma):
+        assert run(["adi", "--dims", "8,8", "--gamma", gamma]) == 2
+        assert capsys.readouterr().err == \
+            f"error: gamma must be finite and positive, not {gamma}\n"
 
 
 class TestModel:
@@ -312,6 +325,25 @@ class TestModel:
         assert run(["model", "--algo", "batched-thomas", "--batch", 10,
                     "--size", 8, "--device", path]) == 2
         assert "missing keys" in capsys.readouterr().err
+
+    def test_nonnumeric_device_budget_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "card.json"
+        path.write_text(json.dumps({"bram_bytes": "6.6e6", "uram_bytes": 1e6,
+                                    "hbm_ports": 32}))
+        assert run(["model", "--algo", "batched-thomas", "--batch", 10,
+                    "--size", 8, "--device", path]) == 2
+        assert capsys.readouterr().err == \
+            "error: bram_bytes must be a finite positive number, not '6.6e6'\n"
+
+    @pytest.mark.parametrize("command", ["model", "dse"])
+    @pytest.mark.parametrize("mhz", ["nan", "inf"])
+    def test_nonfinite_frequency_is_usage_error(self, tmp_path, capsys, command, mhz):
+        argv = [command, "--batch", 10, "--size", 128, "--freq-mhz", mhz]
+        if command == "model":
+            argv += ["--algo", "batched-thomas"]
+        assert run(argv + ["--report", tmp_path / "r.json"]) == 2
+        assert capsys.readouterr().err == \
+            f"error: frequency_hz must be finite and positive, not {mhz}\n"
 
 
 class TestDse:

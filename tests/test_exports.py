@@ -11,7 +11,7 @@ PUBLIC = [
     "AdiConfig", "RunReport", "adi_run", "effective_bandwidth",
     "TridaxError", "ZeroPivot", "SingularMatrix", "InvalidTilePlan", "MismatchedTiles",
     "LineSolveError", "BatchSolveError", "NonFiniteSolution",
-    "ZeroDuration", "InfeasibleDesign", "NoFeasibleDesign", "__version__",
+    "ZeroDuration", "NoFeasibleDesign", "__version__",
 ]
 # solver internals the top level no longer exports
 INTERNAL = ["adi_rhs", "axis_lines", "gather_lines", "scatter_lines",

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from tridax import InfeasibleDesign, InvalidTilePlan, Precision, TilePlan
+from tridax import InvalidTilePlan, Precision, TilePlan
 from tridax.perfmodel import (U280, Algorithm, DesignPoint, DeviceProfile, ProblemSpec,
                               ResourceEstimate, adi2d_fp32_reference, ceil_div, ceil_log2,
                               cycles_to_seconds, default_interleave_group, find_reference,
@@ -62,25 +62,19 @@ class TestBatchedThomas:
         assert est.cycles == 143360
         assert est.milliseconds == pytest.approx(0.4779, abs=1e-4)
 
-    def test_base_form_single_group(self):
-        dp = dp_thomas(vector_width=1)
-        est = latency_batched_thomas(32, 128, dp, ping_pong=False)
-        assert est.cycles == 2 * 32 * 128
-
     def test_transcription_sweep(self):
-        for batch, n, g, v, ncu, pp in [(8000, 128, 32, 8, 1, True),
-                                        (1, 1, 64, 1, 1, True),
-                                        (500, 77, 32, 8, 2, False),
-                                        (10**6, 256, 64, 4, 3, True)]:
+        for batch, n, g, v, ncu in [(8000, 128, 32, 8, 1), (1, 1, 64, 1, 1),
+                                    (500, 77, 32, 8, 2), (10**6, 256, 64, 4, 3)]:
             dp = DesignPoint(Algorithm.BATCHED_THOMAS, interleave_group=g,
                              vector_width=v, compute_units=ncu)
-            expected = ((3 if pp else 1) + math.ceil(batch / (g * v * ncu))) * g * n
-            assert latency_batched_thomas(batch, n, dp, ping_pong=pp).cycles == expected
+            expected = (3 + math.ceil(batch / (g * v * ncu))) * g * n
+            assert latency_batched_thomas(batch, n, dp).cycles == expected
 
     def test_asymptote_per_system(self):
+        # n cycles per system over vector_width * compute_units lanes
         dp = dp_thomas(compute_units=2)
         est = latency_batched_thomas(10**6, 128, dp)
-        assert abs(est.cycles / 10**6 / est.per_system_asymptote - 1) < 0.01
+        assert abs(est.cycles / 10**6 / Fraction(128, 8 * 2) - 1) < 0.01
 
     def test_monotone_in_batch_and_size(self):
         dp = dp_thomas()
@@ -129,10 +123,12 @@ class TestBatchedSpike:
         dp = DesignPoint(Algorithm.BATCHED_SPIKE, interleave_group=32,
                          partitions=1, partition_stage_cost=0)
         spike = latency_batched_spike(100, 64, dp).cycles
-        base = latency_batched_thomas(
+        thomas = latency_batched_thomas(
             100, 64, DesignPoint(Algorithm.BATCHED_THOMAS, interleave_group=32,
-                                 vector_width=1), ping_pong=False).cycles
-        assert spike == base + 32 * 64  # the extra "+1" wave of g*N
+                                 vector_width=1)).cycles
+        # one g*N wave more than Thomas's (1 + ceil(B/g)) * g*N base form, the
+        # "+1", and so one less than its 3*g*N ping-pong fill
+        assert spike == thomas - 32 * 64
 
     def test_transcription(self):
         batch, n, m, g, cost = 1000, 256, 4, 32, 10
@@ -195,10 +191,10 @@ class TestTiledSolvers:
             assert logform < direct
 
     def test_asymptote(self):
+        # t tiles of ceil(n/t) rows each per system
         dp = DesignPoint(Algorithm.THOMAS_PCR, interleave_group=32, tiles=4)
         est = latency_thomas_pcr(10**6, 512, dp)
-        assert est.per_system_asymptote == 4 * 128
-        assert abs(est.cycles / 10**6 / est.per_system_asymptote - 1) < 0.01
+        assert abs(est.cycles / 10**6 / (4 * 128) - 1) < 0.01
 
     def test_tiles_required(self):
         with pytest.raises(ValueError):
@@ -264,34 +260,18 @@ class TestAdiModels:
                 assert cur < prev
             prev = cur
 
-    def test_2d_delay_buffer_words(self):
-        x = y = 128
-        v, g = 8, 32
-        dp = DesignPoint(Algorithm.ADI2D, interleave_group=g, vector_width=v)
-        est = latency_adi2d(x, y, 10, 1, dp)
-        expected = (Fraction(2 * x, v) + 2 * v * Fraction(x, v)
-                    + 3 * g * x + 3 * g * y + Fraction(2 * x * y, v))
-        assert est.extras["delay_buffer_words"] == expected
-
     def test_2d_tiled_transcription_and_variants(self):
         x = y = 896
-        batch, v, g, l = 180, 8, 32, 30
+        batch, v, g = 180, 8, 32
         for t1, t2, tx in [(4, 4, 4), (8, 16, 32)]:
             dp = DesignPoint(Algorithm.ADI2D_TILED, interleave_group=g,
-                             vector_width=v, tiles_x=t1, tiles_y=t2,
-                             datapath_tile_x=tx, pipeline_latency=l)
+                             vector_width=v, tiles_x=t1, tiles_y=t2, datapath_tile_x=tx)
             drain = Fraction(batch * x * y, v)
             base_x = (Fraction(2 * x, v) + 2 * v * Fraction(x, v)
                       + Fraction(3 * g * x, t1) + drain)
             base_y = 2 * y * Fraction(tx, v) + Fraction(3 * g * y, t2) + drain
-            direct = latency_adi2d_tiled(x, y, batch, 100, dp).cycles
-            logvar = latency_adi2d_tiled(x, y, batch, 100, dp, reduced="pcr").cycles
-            assert direct == 100 * (base_x + 4 * g * t1 + base_y + 4 * g * t2)
-            assert logvar == 100 * (base_x + clog2(2 * t1) * (2 * t1 + l)
-                                    + base_y + clog2(2 * t2) * (2 * t2 + l))
-            # the two variants differ exactly by the substituted reduced terms
-            assert direct - logvar == 100 * (4 * g * t1 - clog2(2 * t1) * (2 * t1 + l)
-                                             + 4 * g * t2 - clog2(2 * t2) * (2 * t2 + l))
+            assert latency_adi2d_tiled(x, y, batch, 100, dp).cycles == \
+                100 * (base_x + 4 * g * t1 + base_y + 4 * g * t2)
 
     def test_2d_tiled_large_batch_limit(self):
         dp = DesignPoint(Algorithm.ADI2D_TILED, interleave_group=32, tiles=4)
@@ -388,12 +368,6 @@ class TestMemoryModel:
                     else:
                         assert fits[x, t] and fits[y, t], (x, y, t)
 
-    def test_strict_raises_with_violation(self):
-        dp = dp_thomas(precision=Precision.FP32)
-        with pytest.raises(InfeasibleDesign) as err:
-            memory_words(dp, 8192, U280, strict=True)
-        assert "on-chip" in str(err.value)
-
     def test_tiled_words_transcription(self):
         g, n, t, l = 32, 8192, 8, 30
         dp = DesignPoint(Algorithm.THOMAS_PCR, interleave_group=g, tiles=t,
@@ -456,24 +430,16 @@ PROBLEMS = {"batch": [dict(batch=100, n=64), dict(batch=5000, n=1000)],
                       dict(batch=2, dims=(96, 48))],
             "adi3d": [dict(batch=2, dims=(32, 32, 32), n_iter=3),
                       dict(batch=1, dims=(16, 24, 32))]}
-KEYWORD_FORMS = {  # the models' keyword variants, called as latency_for_problem is
-    Algorithm.BATCHED_THOMAS: lambda dp, batch, n: latency_batched_thomas(
-        batch, n, dp, ping_pong=False),
-    Algorithm.ADI2D_TILED: lambda dp, batch, dims, n_iter=1: latency_adi2d_tiled(
-        *dims, batch, n_iter, dp, reduced="pcr"),
-}
 
 
 def _model_outputs(dp):
     """Everything the latency and memory models report for ``dp`` on a few
-    problems of its kind, the keyword forms included."""
+    problems of its kind."""
     out = []
     for where in PROBLEMS[dp.algorithm.kind]:
-        models = [latency_for_problem, KEYWORD_FORMS.get(dp.algorithm)]
-        out += [(e.cycles, e.seconds_exact, e.breakdown, e.extras, e.stalled,
-                 e.per_system_asymptote)
-                for e in (model(dp, **where) for model in models if model)]
-        out.append(memory_words(dp, max(where.get("dims") or [where.get("n")]), U280))
+        e = latency_for_problem(dp, **where)
+        out += [(e.cycles, e.seconds_exact, e.breakdown, e.stalled),
+                memory_words(dp, max(where.get("dims") or [where.get("n")]), U280)]
     return out
 
 
@@ -508,7 +474,7 @@ class TestDesignFields:
 
     def test_settable_pairs(self):
         settable = sum(len(SHARED_FIELDS + DESIGN_FIELDS[a]) for a in Algorithm)
-        assert settable == 55 and len(fields(DesignPoint)) - 1 == 15
+        assert settable == 54 and len(fields(DesignPoint)) - 1 == 15
         assert [a for a in Algorithm if a.is_tiled] == [
             Algorithm.THOMAS_THOMAS, Algorithm.THOMAS_PCR, Algorithm.ADI2D_TILED]
 
@@ -554,6 +520,7 @@ class TestDeviceProfiles:
         """)
         prof = load_device_profile(str(path))
         assert prof.name == "small" and prof.hbm_ports == 16
+        assert type(prof.hbm_ports) is int  # the text format reads every value as a float
         monkeypatch.setenv("TRIDAX_DEVICE_DIR", str(tmp_path))
         assert load_device_profile("small").uram_bytes == 2e6
 
@@ -572,6 +539,29 @@ class TestDeviceProfiles:
         path = tmp_path / f"partial{suffix}"
         path.write_text(text)
         with pytest.raises(ValueError, match=r"missing keys: \['bram_bytes', 'hbm_ports'\]"):
+            load_device_profile(str(path))
+
+    @pytest.mark.parametrize("suffix", [".txt", ".json"])
+    @pytest.mark.parametrize("key, value, message", [
+        ("hbm_ports", 16.7, "hbm_ports must be a whole number, not 16.7"),
+        ("bram_bytes", math.nan, "bram_bytes must be a finite positive number, not nan"),
+        ("uram_bytes", math.inf, "uram_bytes must be a finite positive number, not inf")])
+    def test_bad_budget_values_named(self, tmp_path, suffix, key, value, message):
+        values = {**SMALL_PROFILE, key: value}
+        text = (json.dumps(values) if suffix == ".json"
+                else "".join(f"{k} = {v}\n" for k, v in values.items()))
+        path = tmp_path / f"bad{suffix}"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            load_device_profile(str(path))
+
+    @pytest.mark.parametrize("key, value", [("hbm_ports", True), ("bram_bytes", "6.6e6"),
+                                            ("uram_bytes", None)])
+    def test_json_budget_of_another_type_named(self, tmp_path, key, value):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({**SMALL_PROFILE, key: value}))
+        with pytest.raises(ValueError,
+                           match=f"^{key} must be a finite positive number, not {value!r}$"):
             load_device_profile(str(path))
 
     @pytest.mark.parametrize("suffix", [".txt", ".json"])
