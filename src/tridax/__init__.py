@@ -31,9 +31,8 @@ The package splits into:
 from .core import (TridiagonalBatch, TridiagonalSystem, batch_solve, dense_oracle_solve,
                    random_dominant_system, relative_inf_error, residual_max_norm,
                    solve_system)
-from .errors import (BatchSolveError, InvalidTilePlan, LineSolveError, MismatchedTiles,
-                     NoFeasibleDesign, NonFiniteSolution, SingularMatrix, TridaxError,
-                     ZeroDuration, ZeroPivot)
+from .errors import (BatchSolveError, InvalidTilePlan, LineSolveError, NoFeasibleDesign,
+                     NonFiniteSolution, SingularMatrix, TridaxError, ZeroDuration, ZeroPivot)
 from .mesh import Axis, Mesh, read_mesh, solve_lines, write_mesh
 from .adi import AdiConfig, RunReport, adi_run, effective_bandwidth
 from .precision import Precision
@@ -47,7 +46,7 @@ __all__ = [
     "random_dominant_system", "relative_inf_error", "TilePlan",
     "Mesh", "Axis", "solve_lines", "read_mesh", "write_mesh",
     "AdiConfig", "RunReport", "adi_run", "effective_bandwidth",
-    "TridaxError", "ZeroPivot", "SingularMatrix", "InvalidTilePlan", "MismatchedTiles",
+    "TridaxError", "ZeroPivot", "SingularMatrix", "InvalidTilePlan",
     "LineSolveError", "BatchSolveError", "NonFiniteSolution",
     "ZeroDuration", "NoFeasibleDesign", "__version__",
 ]

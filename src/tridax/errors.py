@@ -54,10 +54,6 @@ class InvalidTilePlan(TridaxError, ValueError):
     """Requested tiling leaves a tile without interior unknowns (a bad argument)."""
 
 
-class MismatchedTiles(TridaxError):
-    """Tile results are inconsistent in size or ordering."""
-
-
 class LineSolveError(TridaxError):
     """Line solves failed inside a mesh sweep. ``batch`` and ``line`` name
     the mesh and line of the cause's first failure; ``failures`` lists every

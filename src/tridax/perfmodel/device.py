@@ -6,6 +6,7 @@ from __future__ import annotations
 import json
 import math
 import os
+from contextlib import suppress
 from dataclasses import dataclass, fields
 from numbers import Real
 from pathlib import Path
@@ -56,8 +57,12 @@ def _parse_profile_text(text: str, name: str) -> DeviceProfile:
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue
-            key, _, val = line.partition("=")
-            values[key.strip()] = float(val.strip())
+            key, eq, val = (part.strip() for part in line.partition("="))
+            if not eq:
+                raise ValueError(f"device profile line is not 'key = value': {line!r}")
+            with suppress(ValueError):  # a non-number stays text, for DeviceProfile to name
+                val = float(val)
+            values[key] = val
     values.setdefault("name", name)
     known = {f.name for f in fields(DeviceProfile)}
     unknown = set(values) - known

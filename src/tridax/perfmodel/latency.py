@@ -9,7 +9,7 @@ base-2 ceilings throughout, matching the reduction-step count definition
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from ..tiled import TilePlan
@@ -44,7 +44,7 @@ class LatencyEstimate:
 
     cycles: Fraction
     frequency_hz: float
-    breakdown: dict = field(default_factory=dict)
+    breakdown: dict
     stalled: bool = False
 
     @property
@@ -60,8 +60,6 @@ class LatencyEstimate:
         return self.seconds * 1e3
 
     def dominant_term(self) -> str:
-        if not self.breakdown:
-            return "total"
         return max(self.breakdown, key=lambda k: self.breakdown[k])
 
 

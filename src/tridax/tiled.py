@@ -9,7 +9,8 @@ and the tiles' boundary rows form a reduced ``2*t``-row system, solved by
 Thomas or PCR and substituted back. A tile is one more line: the pass copies
 the ``(m, tiles, lines)`` tile views of a kernel's ``(n, lines)`` arrays
 into tile-major buffers, where each row is one contiguous run, and
-eliminates in place there.
+eliminates in place there. The steps below check nothing: every entry
+point checks the tiling and the corner rule before they run.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import _failed_pivots
-from .errors import InvalidTilePlan, MismatchedTiles
+from .errors import InvalidTilePlan
 from .mesh import _blocked_copy
 
 MIN_TILE_ROWS = 3  # a tile needs at least one interior unknown
@@ -66,37 +67,20 @@ def _tile_view(x: np.ndarray, off: int, size: int, count: int) -> np.ndarray:
     return x[off:off + size * count].reshape(count, size, -1).swapaxes(0, 1)
 
 
-@dataclass(frozen=True)
-class ModifiedTileResult:
-    """A run of equal tiles after the modified elimination pass.
+def modified_thomas_phase(a, b, c, d):
+    """Eliminate every tile of every line at once; returns ``(at, ct, dt, failed)``.
 
-    The phase's own C-contiguous ``(m, tiles, lines)`` buffers, ``a_star``
-    and ``c_star`` ``(m, tiles, 1)`` for shared coefficients. Rows ``1..m-2``
-    hold the interior form; rows ``0`` and ``m-1`` each tile's reduced rows,
-    with the outward couplings in ``a_star[0]`` and ``c_star[m-1]``.
-    ``failed_pivots`` marks failed pivots; row 0 is eliminated last.
+    ``d`` is an ``(m, tiles, lines)`` block of tiles, ``m >= 3``; ``a``, ``b``,
+    ``c`` are too, or ``(m, tiles, 1)`` if shared. ``a[0]`` and ``c[m-1]``
+    couple each tile to its neighbors. The inputs, left unmodified, are
+    copied once in blocks of ``mesh.LINE_BLOCK`` lines into C-contiguous
+    buffers, which the pass rewrites in place, row by row with ``out=``, and
+    returns. Rows ``1..m-2`` then hold the interior form, rows 0 and ``m-1``
+    each tile's reduced rows, with the outward couplings in ``at[0]`` and
+    ``ct[m-1]``. A failed pivot raises nothing; it leaves NaN or infinity in
+    its line, and ``failed`` marks it.
     """
-
-    a_star: np.ndarray
-    c_star: np.ndarray
-    d_star: np.ndarray
-    failed_pivots: np.ndarray
-
-
-def modified_thomas_phase(a, b, c, d) -> ModifiedTileResult:
-    """Eliminate every tile of every line at once.
-
-    ``d`` is an ``(m, tiles, lines)`` block of tiles; ``a``, ``b``, ``c`` are
-    too, or ``(m, tiles, 1)`` if shared. ``a[0]`` and ``c[m-1]`` couple each
-    tile to its neighbors. The inputs, left unmodified, are copied once in
-    blocks of ``mesh.LINE_BLOCK`` lines; the pass then rewrites the copies in
-    place, row by row with ``out=``. A failed pivot raises nothing; it leaves
-    NaN or infinity in its line, and ``failed_pivots`` marks it.
-    """
-    a, b, c, d = (np.asarray(v) for v in (a, b, c, d))
     m = d.shape[0]
-    if m < MIN_TILE_ROWS:
-        raise InvalidTilePlan(f"tile has {m} rows, need >= {MIN_TILE_ROWS}")
     one = b.dtype.type(1)
     shape = np.broadcast_shapes(a.shape, b.shape, c.shape)
     at, ct, den = (np.empty(shape, dtype=b.dtype) for _ in range(3))
@@ -128,52 +112,39 @@ def modified_thomas_phase(a, b, c, d) -> ModifiedTileResult:
         np.multiply(r, dt[0], out=dt[0])
         np.multiply(r, at[0], out=at[0])
         np.multiply(np.negative(r, out=r), np.multiply(ct[0], ct[1], out=row), out=ct[0])
-    return ModifiedTileResult(at, ct, dt, _failed_pivots(den))
+    return at, ct, dt, _failed_pivots(den)
 
 
-def assemble_reduced(parts: list[ModifiedTileResult]):
+def assemble_reduced(parts):
     """Couple the tiles' boundary rows into one 2t-row tridiagonal system per line.
 
-    ``parts`` are elimination results in tile order, each for a run of
-    tiles. Returns ``(a, b, c, d)``: ``(2t, lines)`` arrays, ``(2t, 1)``
-    for shared coefficients, with a unit diagonal. Boundary unknowns are
-    ordered (first, last) per tile, which makes the coupling pattern exactly
-    tridiagonal with zero corners.
+    ``parts`` are ``modified_thomas_phase`` results in tile order, each for
+    a run of tiles. Returns ``(a, b, c, d)``: ``(2t, lines)`` arrays,
+    ``(2t, 1)`` for shared coefficients, with a unit diagonal. Boundary
+    unknowns are ordered (first, last) per tile, which makes the coupling
+    pattern exactly tridiagonal with zero corners, as the system's are.
     """
-    t = sum(part.a_star.shape[1] for part in parts)
-    if t < 2:
-        raise MismatchedTiles(f"need at least 2 tiles, got {t}")
-    if any(part.a_star.shape[0] < MIN_TILE_ROWS for part in parts):
-        raise MismatchedTiles("tile results have inconsistent sizes")
     ends = [[np.stack((x[0], x[-1]), 1).reshape(-1, x.shape[-1])  # (first, last) per tile
-             for x in (part.a_star, part.c_star, part.d_star)] for part in parts]
+             for x in part[:3]] for part in parts]
     ra, rc, rd = (np.concatenate(rows) for rows in zip(*ends))
-    # NaN, left by a failed pivot that is reported anyway, is no evidence of misordering
-    if np.any(np.abs(ra[0]) > 0) or np.any(np.abs(rc[-1]) > 0):
-        raise MismatchedTiles("outermost tiles carry external couplings; "
-                              "tiles are out of order or from different systems")
     return ra, np.ones_like(ra), rc, rd
 
 
-def back_substitute(parts: list[ModifiedTileResult], boundary) -> np.ndarray:
-    """Recover the full ``(n, lines)`` solution from the ``(2t, lines)``
-    reduced-system solution, every tile of a run at once."""
-    boundary = np.asarray(boundary)
-    t = sum(part.a_star.shape[1] for part in parts)
-    if boundary.shape[0] != 2 * t:
-        raise MismatchedTiles(f"boundary has {boundary.shape[0]} values for {t} tiles")
-    u = np.empty((sum(part.d_star[..., 0].size for part in parts), boundary.shape[1]),
+def back_substitute(parts, boundary) -> np.ndarray:
+    """Recover the full ``(n, lines)`` solution from the ``parts`` and the
+    ``(2t, lines)`` reduced-system solution, every tile of a run at once."""
+    u = np.empty((sum(dt[..., 0].size for _, _, dt, _ in parts), boundary.shape[1]),
                  dtype=boundary.dtype)
-    ends = boundary.reshape(t, 2, -1)  # (first, last) unknown of every tile
+    ends = boundary.reshape(-1, 2, boundary.shape[1])  # (first, last) unknown of every tile
     off = 0
-    for part in parts:
-        size, count = part.d_star.shape[:2]
+    for at, ct, dt, _ in parts:
+        size, count = dt.shape[:2]
         (u0, um), ends = ends[:count].swapaxes(0, 1), ends[count:]
         view = _tile_view(u, off, size, count)
         for lo in range(0, size, BLOCK_ROWS):
             rows = slice(lo, lo + BLOCK_ROWS)
-            np.subtract(part.d_star[rows], part.a_star[rows] * u0, out=view[rows])
-            view[rows] -= part.c_star[rows] * um
+            np.subtract(dt[rows], at[rows] * u0, out=view[rows])
+            view[rows] -= ct[rows] * um
         view[0], view[-1] = u0, um
         off += size * count
     return u
@@ -194,7 +165,7 @@ def _tiled_kernel(reduced_kernel, tiles: int, a: np.ndarray, b: np.ndarray, c: n
         parts.append(modified_thomas_phase(*(_tile_view(v, off, size, count)
                                              for v in (a, b, c, d))))
         order = np.r_[1:size, 0]
-        bad = parts[-1].failed_pivots[order].swapaxes(0, 1)
+        bad = parts[-1][3][order].swapaxes(0, 1)
         rows = off + size * np.arange(count)[:, None] + order
         failed.append((bad.reshape(-1, bad.shape[-1]), rows.ravel().tolist()))
     boundary, reduced = reduced_kernel(*assemble_reduced(parts))

@@ -9,14 +9,13 @@ PUBLIC = [
     "random_dominant_system", "relative_inf_error", "TilePlan",
     "Mesh", "Axis", "solve_lines", "read_mesh", "write_mesh",
     "AdiConfig", "RunReport", "adi_run", "effective_bandwidth",
-    "TridaxError", "ZeroPivot", "SingularMatrix", "InvalidTilePlan", "MismatchedTiles",
+    "TridaxError", "ZeroPivot", "SingularMatrix", "InvalidTilePlan",
     "LineSolveError", "BatchSolveError", "NonFiniteSolution",
     "ZeroDuration", "NoFeasibleDesign", "__version__",
 ]
 # solver internals the top level no longer exports
 INTERNAL = ["adi_rhs", "axis_lines", "gather_lines", "scatter_lines",
-            "modified_thomas_phase", "assemble_reduced", "back_substitute",
-            "ModifiedTileResult"]
+            "modified_thomas_phase", "assemble_reduced", "back_substitute"]
 
 
 @pytest.mark.parametrize("module", [tridax, tridax.perfmodel], ids=lambda m: m.__name__)

@@ -7,6 +7,7 @@ arithmetic, so a slip in either copy shows up as an exact mismatch.
 
 import json
 import math
+import re
 from copy import copy
 from dataclasses import fields, replace
 from fractions import Fraction
@@ -553,6 +554,22 @@ class TestDeviceProfiles:
         path = tmp_path / f"bad{suffix}"
         path.write_text(text)
         with pytest.raises(ValueError, match=f"^{message}$"):
+            load_device_profile(str(path))
+
+    @pytest.mark.parametrize("name, text, message", [
+        ("bad.txt", "bram_bytes = abc",
+         "bram_bytes must be a finite positive number, not 'abc'"),
+        ("bad.txt", "bram_bytes 6.6e6",
+         "device profile line is not 'key = value': 'bram_bytes 6.6e6'"),
+        ("list.json", "[1, 2]", "device profile line is not 'key = value': '[1, 2]'"),
+        ("name.json", '"u280"', """device profile line is not 'key = value': '"u280"'""")],
+        ids=["txt-value", "txt-line", "json-list", "json-string"])
+    def test_text_names_bad_value_or_line(self, tmp_path, name, text, message):
+        # a .json file holds only the text; a .txt file also the other two budgets
+        path = tmp_path / name
+        path.write_text(text if path.suffix == ".json"
+                        else f"uram_bytes = 2e6\nhbm_ports = 16\n{text}\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             load_device_profile(str(path))
 
     @pytest.mark.parametrize("key, value", [("hbm_ports", True), ("bram_bytes", "6.6e6"),
