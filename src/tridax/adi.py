@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ZeroDuration
+from .errors import LineSolveError, ZeroDuration
 from .mesh import Mesh, _blocked_copy, factor_lines, sweep_lines
 from .precision import Precision
 
@@ -68,6 +68,10 @@ class AdiConfig:
     def __post_init__(self):
         if not 0 < self.gamma < np.inf:
             raise ValueError(f"gamma must be finite and positive, not {self.gamma}")
+        with np.errstate(over="ignore"):
+            if np.isinf(self.precision.dtype.type(self.gamma)):
+                raise ValueError(f"gamma must be finite in {self.precision.value}, "
+                                 f"not {self.gamma}")
         if self.n_iter < 1:
             raise ValueError("n_iter must be >= 1")
 
@@ -192,13 +196,15 @@ def _stencil(arr: np.ndarray, ndim: int, gamma, d: np.ndarray, tmp: np.ndarray) 
             d[tuple(face)] = 0
 
 
-def _check_finite(arr: np.ndarray, iteration: int | None = None) -> None:
-    """Raise ``ValueError`` naming the first mesh of ``arr`` with a non-finite
-    value, and the iteration if given; the clean path is one whole-field test."""
+def _check_finite(arr: np.ndarray, iteration: int | None = None,
+                  what: str = "field") -> None:
+    """Raise ``ValueError`` naming ``what``, the first mesh of ``arr`` with a
+    non-finite value, and the iteration if given; the clean path is one
+    whole-field test."""
     if not np.all(np.isfinite(arr)):
         mesh = int(np.argmin(np.isfinite(arr).all(axis=(1, 2, 3))))
         at = "" if iteration is None else f" at iteration {iteration}"
-        raise ValueError(f"field contains non-finite values in mesh {mesh}{at}")
+        raise ValueError(f"{what} contains non-finite values in mesh {mesh}{at}")
 
 
 def adi_run(u0: Mesh, cfg: AdiConfig) -> tuple[Mesh, RunReport]:
@@ -209,7 +215,10 @@ def adi_run(u0: Mesh, cfg: AdiConfig) -> tuple[Mesh, RunReport]:
     before the first iteration. A non-finite field raises ``ValueError``
     naming its first such mesh and the (0-based) iteration it entered:
     ``u0`` is checked before the loop and each update's result, the last
-    included, in the update's chunked pass.
+    included, in the update's chunked pass. A failing first sweep whose
+    right-hand side is non-finite (the stencil overflowed, as a huge gamma
+    makes it) raises ``ValueError`` naming gamma, the mesh and the iteration:
+    that sweep is gathered, so ``d`` still holds the stencil's values.
 
     Each phase's logical traffic per iteration is ``MESH_TRANSFERS`` meshes;
     a sweep's coefficients are one profile per axis, generated once per run.
@@ -241,7 +250,12 @@ def adi_run(u0: Mesh, cfg: AdiConfig) -> tuple[Mesh, RunReport]:
         rhs.bytes += MESH_TRANSFERS["rhs"] * mesh_bytes
         for axis in axes:
             t0 = time.perf_counter()
-            sweep_lines(d, factors[axis], axis, work.reshape(u.extent(axis), -1))
+            try:
+                sweep_lines(d, factors[axis], axis, work.reshape(u.extent(axis), -1))
+            except LineSolveError:
+                if axis is axes[0]:
+                    _check_finite(d, it, f"the stencil right-hand side (gamma {cfg.gamma})")
+                raise
             t1 = time.perf_counter()
             sweep = report.phase(f"sweep_{axis.value}")
             sweep.seconds += t1 - t0

@@ -34,8 +34,8 @@ from . import __version__, core
 from .adi import REPORT_SCHEMA, AdiConfig, adi_run, effective_bandwidth
 from .errors import NoFeasibleDesign, TridaxError
 from .mesh import Mesh, read_mesh, write_mesh
-from .perfmodel import (Algorithm, DesignPoint, GridSpec, ProblemSpec,
-                        dse_enumerate, find_reference, latency_for_problem,
+from .perfmodel import (MEASURED_REFERENCES, Algorithm, DesignPoint, GridSpec,
+                        ProblemSpec, dse_enumerate, find_reference, latency_for_problem,
                         load_device_profile, memory_words, relative_error,
                         rows_to_csv, rows_to_json)
 from .perfmodel.design import check_reads
@@ -356,6 +356,12 @@ def cmd_selftest(args) -> int:
     dp = DesignPoint(Algorithm.BATCHED_THOMAS, interleave_group=32, vector_width=8)
     est = latency_for_problem(dp, batch=8000, n=128)
     checks.append(("latency model calibration point", est.cycles == 143360))
+    for ref in MEASURED_REFERENCES:  # the paper's "over 85% predictive model accuracy"
+        p = ref.problem
+        est = latency_for_problem(ref.design, batch=p.batch, n=p.size, dims=p.dims,
+                                  n_iter=p.n_iter)
+        checks.append((f"model within 15% of {ref.name}",
+                       relative_error(est.seconds, ref.measured_seconds) <= 0.15))
     u0 = _generated_mesh((12, 12, 12), 1, Precision.FP64, 3)
     u1, _ = adi_run(u0, AdiConfig(gamma=0.5, n_iter=2))
     ref = naive_adi_run(u0.data, 0.5, 2)

@@ -95,11 +95,6 @@ class TridiagonalSystem:
     def is_diagonally_dominant(self) -> bool:
         return bool(np.all(np.abs(self.b) > np.abs(self.a) + np.abs(self.c)))
 
-    def astype(self, precision: Precision) -> "TridiagonalSystem":
-        dt = precision.dtype
-        return TridiagonalSystem(self.a.astype(dt), self.b.astype(dt),
-                                 self.c.astype(dt), self.d.astype(dt))
-
     def dense_matrix(self) -> np.ndarray:
         """Dense FP64 matrix form, for oracles and diagnostics."""
         n = self.n

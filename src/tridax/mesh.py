@@ -114,15 +114,6 @@ class Mesh:
     def solved_axes(self) -> tuple[Axis, ...]:
         return (Axis.X, Axis.Y) if self.spatial_ndim == 2 else (Axis.X, Axis.Y, Axis.Z)
 
-    def copy(self) -> "Mesh":
-        return Mesh(self.data.copy(), self.spatial_ndim)
-
-    def astype(self, precision: Precision) -> "Mesh":
-        return Mesh(self.data.astype(precision.dtype), self.spatial_ndim)
-
-    def max_abs(self) -> float:
-        return float(np.max(np.abs(self.data)))
-
 
 _STORAGE_DIM = {Axis.X: 3, Axis.Y: 2, Axis.Z: 1}  # axis position in (batch, z, y, x)
 LINE_BLOCK = 64  # lines per block of a transposing copy: line gathers and scatters, tiles

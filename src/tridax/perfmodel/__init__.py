@@ -1,6 +1,6 @@
 """Analytic latency, memory and feasibility models plus grid enumeration."""
 
-from .calibration import (MeasuredReference, adi2d_fp32_reference, find_reference,
+from .calibration import (MEASURED_REFERENCES, MeasuredReference, find_reference,
                           reconstruct_adi_runtime, relative_error)
 from .design import Algorithm, DesignPoint, ProblemSpec, default_interleave_group
 from .device import BUILTIN_PROFILES, U280, DeviceProfile, load_device_profile
@@ -22,6 +22,6 @@ __all__ = [
     "latency_batched_spike", "latency_thomas_thomas", "latency_thomas_pcr",
     "latency_adi2d", "latency_adi2d_tiled", "latency_adi3d",
     "latency_for_problem", "memory_words", "dse_enumerate", "rows_to_csv",
-    "rows_to_json", "find_reference", "adi2d_fp32_reference",
+    "rows_to_json", "find_reference", "MEASURED_REFERENCES",
     "reconstruct_adi_runtime", "relative_error",
 ]

@@ -49,14 +49,12 @@ SHARED_FIELDS = ("precision", "vector_width", "compute_units", "frequency_hz")
 DESIGN_FIELDS = {
     Algorithm.BATCHED_THOMAS: ("interleave_group",),
     Algorithm.BATCHED_PCR: ("unroll", "pipeline_latency"),
-    Algorithm.BATCHED_SPIKE: ("interleave_group", "partitions", "partition_stage_cost",
-                              "pipeline_latency"),
-    Algorithm.THOMAS_THOMAS: ("interleave_group", "tiles", "reduced_group"),
+    Algorithm.BATCHED_SPIKE: ("interleave_group", "partitions", "pipeline_latency"),
+    Algorithm.THOMAS_THOMAS: ("interleave_group", "tiles"),
     Algorithm.THOMAS_PCR: ("interleave_group", "tiles", "pipeline_latency"),
     Algorithm.ADI2D: ("interleave_group", "unroll"),
-    Algorithm.ADI2D_TILED: ("interleave_group", "tiles", "tiles_x", "tiles_y",
-                            "datapath_tile_x"),
-    Algorithm.ADI3D: ("interleave_group", "points_per_cycle"),
+    Algorithm.ADI2D_TILED: ("interleave_group", "tiles"),
+    Algorithm.ADI3D: ("interleave_group",),
 }
 
 
@@ -78,61 +76,52 @@ class DesignPoint:
     """Algorithm choice plus the tunables its latency/memory model reads.
 
     A field outside ``SHARED_FIELDS`` and the design's ``DESIGN_FIELDS``
-    must keep its default. ``None`` fields resolve to defaults via
-    :meth:`resolved`: the interleave groups to 32 (FP32) or 64 (FP64), the
-    per-axis tile counts to ``tiles`` and the pentadiagonal stage cost to
-    twice the pipeline latency. A tiled algorithm needs the tile count of
-    every axis it tiles; the latency models check the counts against the
-    problem with the solver's :class:`tridax.tiled.TilePlan`.
+    must keep its default. A ``None`` interleave group resolves to 32
+    (FP32) or 64 (FP64) via :meth:`resolved`. A tiled algorithm needs a
+    tile count, used on every axis it tiles; the latency models check it
+    against the problem with the solver's :class:`tridax.tiled.TilePlan`.
     """
 
     algorithm: Algorithm
     precision: Precision = Precision.FP32
     interleave_group: int | None = None       # systems round-robined per solver
-    reduced_group: int | None = None          # same, for the reduced-system stage
-    vector_width: int = 8                     # solver lanes fed per cycle
+    vector_width: int = 8                     # solver lanes fed (points moved) per cycle
     unroll: int = 1                           # replicated inner-loop/iteration circuits
-    tiles: int | None = None                  # tile count of a tiled solve
-    tiles_x: int | None = None                # per-axis tile counts (tiled 2-D app)
-    tiles_y: int | None = None
-    datapath_tile_x: int | None = None        # buffered x extent of the tiled 2-D data path
+    tiles: int | None = None                  # tile count of a tiled solve, per axis
     compute_units: int = 1                    # replicated full pipelines
     partitions: int = 1                       # partition count of the partitioned solver
     pipeline_latency: int = 30                # arithmetic pipeline depth, cycles
-    partition_stage_cost: int | None = None   # per-block reduced-stage cost, cycles
-    points_per_cycle: int | None = None       # effective points/cycle under port sharing
     frequency_hz: float = 300e6
 
     def __post_init__(self):
         for name in ("vector_width", "unroll", "compute_units", "partitions",
-                     "pipeline_latency", "interleave_group", "reduced_group", "tiles",
-                     "tiles_x", "tiles_y", "datapath_tile_x", "points_per_cycle"):
+                     "pipeline_latency", "interleave_group", "tiles"):
             val = getattr(self, name)
             if val is not None and val < 1:
                 raise ValueError(f"{name} must be >= 1")
-        if self.partition_stage_cost is not None and self.partition_stage_cost < 0:
-            raise ValueError("partition_stage_cost must be >= 0")
         if not 0 < self.frequency_hz < math.inf:
             raise ValueError(f"frequency_hz must be finite and positive, not {self.frequency_hz}")
-        if self.points_per_cycle is not None and self.points_per_cycle > self.vector_width:
-            raise ValueError("points_per_cycle cannot exceed vector_width")
         algo = self.algorithm
         for name in (f.name for f in fields(self)[1:] if getattr(self, f.name) != f.default):
             check_reads(name, [algo])
-        if algo.is_tiled and None in (self.tiles_x or self.tiles, self.tiles_y or self.tiles):
+        if algo.is_tiled and self.tiles is None:
             raise ValueError(f"{algo.value} requires a tile count")
 
     def resolved(self) -> "DesignPoint":
-        """Fill every defaulted field so the model reads concrete values."""
-        g = default_interleave_group(self.precision)
-        out = copy(self)  # not checked again: the filled values are defaults
-        for name, val in (("interleave_group", g), ("reduced_group", g),
-                          ("tiles_x", self.tiles), ("tiles_y", self.tiles),
-                          ("partition_stage_cost", 2 * self.pipeline_latency),
-                          ("points_per_cycle", self.vector_width)):
-            if getattr(out, name) is None:
-                object.__setattr__(out, name, val)
+        """This design with its interleave group filled, the one field
+        whose default depends on another; resolved designs compare equal
+        exactly when they are the same design."""
+        out = copy(self)  # not checked again: the filled value is a default
+        if out.interleave_group is None:
+            object.__setattr__(out, "interleave_group",
+                               default_interleave_group(self.precision))
         return out
+
+    @property
+    def reduced_group(self) -> int:
+        """Systems interleaved by a tiled solve's reduced stage: the
+        precision's default group, whatever ``interleave_group`` is."""
+        return default_interleave_group(self.precision)
 
     def describe(self) -> dict:
         """The algorithm and every field its model reads that is not ``None``."""

@@ -69,8 +69,10 @@ class DseRow:
             "on_chip_bytes": self.resources.total_bytes,
             "hbm_ports": self.resources.hbm_ports,
             "feasible": self.resources.feasible,
+            "tiles_x": dp.tiles,  # frozen per-axis columns: one tile count for every axis
+            "tiles_y": dp.tiles,
         }
-        for col in DSE_COLUMNS:  # the rest are fields of the problem or the design
+        for col in DSE_COLUMNS:  # the rest are attributes of the problem or the design
             if col not in rec:
                 rec[col] = getattr(self.problem if hasattr(self.problem, col) else dp, col)
         return rec

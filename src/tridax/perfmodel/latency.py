@@ -118,7 +118,8 @@ def latency_batched_spike(batch: int, n: int, dp: DesignPoint) -> LatencyEstimat
     """Partitioned factor/solve/back-substitute pipeline.
 
     ``(1 + ceil(B*m/g + 1)) * g*ceil(n/m) + m*C`` cycles with ``m``
-    partitions of per-block reduced-stage cost ``C``; a partition holds
+    partitions of per-block reduced-stage cost ``C = 2*l``, two passes
+    through the ``l``-stage pipeline; a partition holds
     ``ceil(n/m)`` rows, as in the memory model. The two readings of the
     ``+1`` (inside or outside the ceiling) coincide, since ``ceil(x+1) ==
     ceil(x)+1`` for any rational x. When ``m*C >= n`` the reduced stage
@@ -130,7 +131,7 @@ def latency_batched_spike(batch: int, n: int, dp: DesignPoint) -> LatencyEstimat
     _check_partitions(dp.partitions, n)
     g = dp.interleave_group
     m = dp.partitions
-    cost = dp.partition_stage_cost
+    cost = 2 * dp.pipeline_latency
     factor = Fraction((1 + ceil_div(batch * m, g) + 1) * g * ceil_div(n, m))
     reduced = m * cost
     return LatencyEstimate(
@@ -186,12 +187,12 @@ def latency_adi3d(x: int, y: int, z: int, batch: int, n_iter: int,
     """Fused stencil + x/y sweeps pipelined against the z sweep.
 
     Per iteration the two modules swap read/write roles, so the iteration
-    costs the slower of the two. The data path moves ``points_per_cycle``
-    points a cycle: the vector width unless HBM port sharing throttles it.
+    costs the slower of the two. The data path moves ``vector_width``
+    points a cycle.
     """
     _require_positive(x=x, y=y, z=z, batch=batch, n_iter=n_iter)
     dp = dp.resolved()
-    v = dp.points_per_cycle
+    v = dp.vector_width
     g = dp.interleave_group
     waves = ceil_div(batch, 2 * dp.compute_units)
     drain = waves * Fraction(x * y * z, v)
@@ -239,22 +240,20 @@ def latency_adi2d_tiled(x: int, y: int, batch: int, n_iter: int,
     """Large-mesh 2-D iteration built on tiled solvers.
 
     The stencil fuses with the x sweep; the y sweep runs as its own stage
-    over buffered planes of ``datapath_tile_x`` columns. The x lines are
-    tiled ``t1 = tiles_x`` ways and the y lines ``t2 = tiles_y`` ways, and
-    each stage ends in a direct solve of its ``2t`` reduced rows,
-    interleaved over ``g`` systems: ``4*g*t`` cycles.
+    over buffered planes of ``t`` columns. The x and the y lines are tiled
+    ``t = tiles`` ways, and each stage ends in a direct solve of its ``2t``
+    reduced rows, interleaved over ``g`` systems: ``4*g*t`` cycles.
     """
     _require_positive(x=x, y=y, batch=batch, n_iter=n_iter)
     dp = dp.resolved()
-    t1, t2 = TilePlan(x, dp.tiles_x).t, TilePlan(y, dp.tiles_y).t  # the solver's rule per axis
-    tx = dp.datapath_tile_x or t1
+    t = TilePlan(x, dp.tiles).t
+    TilePlan(y, t)  # the solver's rule on both axes
     v = dp.vector_width
     g = dp.interleave_group
-    red1, red2 = 4 * g * t1, 4 * g * t2
     drain = Fraction(batch * x * y, v)
     rhs_x = (Fraction(2 * x, v) + 2 * v * Fraction(x, v)
-             + Fraction(3 * g * x, t1) + red1 + drain)
-    y_stage = (2 * y * Fraction(tx, v) + Fraction(3 * g * y, t2) + red2 + drain)
+             + Fraction(3 * g * x, t) + 4 * g * t + drain)
+    y_stage = (2 * y * Fraction(t, v) + Fraction(3 * g * y, t) + 4 * g * t + drain)
     return LatencyEstimate(
         cycles=n_iter * (rhs_x + y_stage),
         frequency_hz=dp.frequency_hz,

@@ -87,8 +87,7 @@ def memory_words(dp: DesignPoint, n: int, device: DeviceProfile) -> ResourceEsti
     elif algo is Algorithm.ADI3D:
         words = 3 * _solver_lane_words(g, n) + 2 * n * n
     elif algo is Algorithm.ADI2D_TILED:
-        words = (_tiled_lane_words(g, n, dp.tiles_x) + _tiled_lane_words(g, n, dp.tiles_y)
-                 + 2 * (dp.datapath_tile_x or dp.tiles_x) * n)
+        words = 2 * _tiled_lane_words(g, n, dp.tiles) + 2 * dp.tiles * n
     else:
         raise ValueError(f"no memory model for {algo}")
 

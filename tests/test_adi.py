@@ -87,7 +87,7 @@ class TestStep:
             gamma = float(rng.uniform(0.05, 1.0)) if trial % 2 else 1.0
             u = interior_random((8, 8, 8), seed=trial)
             u1, _ = adi_run(u, AdiConfig(gamma=gamma, n_iter=1))
-            assert u1.max_abs() <= u.max_abs(), (trial, gamma)
+            assert np.abs(u1.data).max() <= np.abs(u.data).max(), (trial, gamma)
 
     def test_2d_path_skips_z(self):
         u0 = full_random((16, 16), seed=6)
@@ -104,25 +104,53 @@ class TestRun:
         with pytest.raises(ValueError):
             AdiConfig(gamma=0.5, n_iter=0)
 
+    def test_gamma_must_be_finite_in_its_precision(self):
+        # no overflow warning: the cast is tested quietly
+        with pytest.raises(ValueError, match=r"^gamma must be finite in fp32, not 1e\+39$"):
+            AdiConfig(gamma=1e39, n_iter=1, precision=Precision.FP32)
+        AdiConfig(gamma=3e38, n_iter=1, precision=Precision.FP32)
+        AdiConfig(gamma=1e39, n_iter=1)
+
+    def test_overflowing_stencil_names_gamma_mesh_and_iteration(self):
+        u0 = interior_random((6, 5), batch=3, seed=4)
+        u0.data[:2] = 0  # so meshes 0 and 1 have a zero right-hand side
+        message = (r"^the stencil right-hand side \(gamma 1e\+308\) contains non-finite "
+                   r"values in mesh 2 at iteration 0$")
+        with pytest.raises(ValueError, match=message) as err:
+            adi_run(u0, AdiConfig(gamma=1e308, n_iter=2))
+        assert isinstance(err.value.__context__, LineSolveError)
+
+        class PassThrough(AdiConfig):  # sweeps leave d as the stencil wrote it
+            def line_coefficients(self, n, dtype):
+                zero = np.zeros(n, dtype)
+                return zero, np.ones(n, dtype), zero
+
+        # a lone peak M: u becomes -3M, whose stencil 16M overflows one iteration later
+        u0 = Mesh.zeros((5, 5), batch=2)
+        u0.data[1, 0, 2, 2] = 2e307
+        with pytest.raises(ValueError, match=r"\(gamma 1.0\) contains non-finite values "
+                                             r"in mesh 1 at iteration 1$"):
+            adi_run(u0, PassThrough(gamma=1.0, n_iter=3))
+
     def test_decay_matches_reference_threshold(self):
         # 100 zero-boundary iterations: monotone decay, final norm equal to
         # the plain-loop reference's
         u0 = interior_random((16, 16, 16), seed=7)
-        start = u0.max_abs()
+        start = np.abs(u0.data).max()
         u, report = adi_run(u0, AdiConfig(gamma=0.5, n_iter=100))
         deltas = report.delta_inf
         assert len(deltas) == 100
         ref = naive_adi_run(u0.data, 0.5, 100)
         assert np.max(np.abs(u.data - ref)) <= 1e-12
-        assert u.max_abs() < start
+        assert np.abs(u.data).max() < start
 
     def test_norm_non_increasing_over_run(self):
         u = interior_random((12, 12, 12), seed=8)
         cfg = AdiConfig(gamma=0.5, n_iter=1)
-        prev = u.max_abs()
+        prev = np.abs(u.data).max()
         for _ in range(50):
             u, _ = adi_run(u, cfg)
-            now = u.max_abs()
+            now = np.abs(u.data).max()
             assert now <= prev
             prev = now
 
@@ -131,7 +159,7 @@ class TestRun:
         cfg64 = AdiConfig(gamma=0.5, n_iter=100, precision=Precision.FP64)
         cfg32 = AdiConfig(gamma=0.5, n_iter=100, precision=Precision.FP32)
         u64, _ = adi_run(u0, cfg64)
-        u32, _ = adi_run(u0.astype(Precision.FP32), cfg32)
+        u32, _ = adi_run(Mesh(u0.data.astype(np.float32), 3), cfg32)
         scale = max(1.0, float(np.max(np.abs(u64.data))))
         err = float(np.max(np.abs(u32.data.astype(np.float64) - u64.data))) / scale
         assert err <= 1e-4
@@ -277,6 +305,15 @@ class TestWorkspace:
         assert (err.value.axis, err.value.batch, err.value.line) == ("y", 3, 5)
         assert err.value.failures == [(3, 5), (9, 2)]
         assert isinstance(err.value.__cause__, NonFiniteSolution)
+
+    def test_overflowing_stencil_names_gamma_and_mesh(self):
+        # the x sweep copies batch runs, so the failed sweep leaves d intact
+        u0 = self.peaks([(9, 3, 3), (4, 2, 2)], 1e38)
+        cfg = AdiConfig(gamma=1.0, n_iter=1, precision=Precision.FP32)
+        with pytest.raises(ValueError, match=r"^the stencil right-hand side \(gamma 1.0\) "
+                                             r"contains non-finite values in mesh 4 "
+                                             r"at iteration 0$"):
+            adi_run(u0, cfg)
 
     def test_non_finite_field_names_mesh_and_iteration(self):
         fp32 = Precision.FP32

@@ -1,6 +1,7 @@
 """The benchmark harness runs every workload at tiny size and reports the
-metric names and units that ``BENCHMARK.json`` declares, and its traced
-spans still find the names they wrap. Timings are not checked."""
+metric names and units that ``BENCHMARK.json`` declares, its traced spans
+still find the names they wrap, and its calibration problem still finds its
+published measurement. Timings are not checked."""
 
 import subprocess
 import sys
@@ -16,6 +17,18 @@ def test_benchmark_smoke_run():
                           capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr[-4000:]
     assert "smoke: ok" in proc.stdout
+
+
+def test_smoke_report_pairs_calibration_with_measurement(monkeypatch):
+    # the benchmark's only published point: a stricter match must not drop it
+    monkeypatch.syspath_prepend(str(ROOT / "benchmarks"))
+    import run
+
+    _, report = run.run_workload("batch-thomas-fp32", 1, 0.05, False, ROOT, ROOT / "src",
+                                 smoke=True)
+    assert report["model"]["calibration"]["fpga_measured_s"] == 0.47e-3
+    assert report["model"]["calibration"]["fpga_reference"] == \
+        "batched-thomas B=8000 N=128 fp32"
 
 
 def test_tiled_step_spans_resolve(monkeypatch):

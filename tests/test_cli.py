@@ -226,6 +226,15 @@ class TestAdi:
         assert capsys.readouterr().err == \
             f"error: gamma must be finite and positive, not {gamma}\n"
 
+    @pytest.mark.parametrize("gamma, precision, message", [
+        ("1e39", "fp32", "gamma must be finite in fp32, not 1e+39"),
+        ("1e308", "fp64", "the stencil right-hand side (gamma 1e+308) contains non-finite "
+                          "values in mesh 0 at iteration 0")])
+    def test_huge_gamma_is_usage_error(self, capsys, gamma, precision, message):
+        assert run(["adi", "--dims", "8,8", "--gamma", gamma, "--iters", 2,
+                    "--precision", precision]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
 
 class TestModel:
     def test_calibration_row(self, tmp_path, capsys):
@@ -239,6 +248,29 @@ class TestModel:
         payload = json.loads(rep.read_text())
         assert payload["cycles"] == 143360
         assert payload["measured_reference"]["relative_error"] < 0.15
+
+    @pytest.mark.parametrize("argv", [
+        ["batched-thomas", "--batch", 8000, "--size", 128, "--group", 32,
+         "--precision", "fp64"],
+        ["adi2d", "--batch", 3000, "--dims", "128,128", "--iters", 120, "--unroll", 3,
+         "--cus", 3, "--precision", "fp64", "--freq-mhz", 200, "--group", 64],
+        ["adi2d", "--batch", 3000, "--dims", "128,128", "--iters", 120, "--unroll", 3,
+         "--cus", 3, "--precision", "fp32"]],
+        ids=["thomas-fp64", "adi2d-fp64", "adi2d-300mhz"])
+    def test_other_design_has_no_measured_reference(self, tmp_path, capsys, argv):
+        rep = tmp_path / "m.json"
+        assert run(["model", "--algo", *argv, "--report", rep]) == 0
+        assert "measured" not in capsys.readouterr().out
+        assert "measured_reference" not in json.loads(rep.read_text())
+
+    def test_published_adi2d_point(self, tmp_path, capsys):
+        rep = tmp_path / "m.json"
+        assert run(["model", "--algo", "adi2d", "--batch", 3000, "--dims", "128,128",
+                    "--iters", 120, "--unroll", 3, "--cus", 3, "--precision", "fp32",
+                    "--freq-mhz", 292, "--report", rep]) == 0
+        out = capsys.readouterr().out
+        assert "measured 342.4785 ms, err 14.6% (reconstructed)" in out
+        assert json.loads(rep.read_text())["measured_reference"]["reconstructed"]
 
     def test_unknown_device_usage_error(self):
         assert run(["model", "--algo", "batched-thomas", "--batch", 10,
@@ -309,7 +341,8 @@ class TestModel:
     def test_csv_report_carries_every_field(self, tmp_path, capsys):
         payload = csv_report_matches_json(
             ["model", "--algo", "adi2d", "--batch", 3000, "--dims", "128,128",
-             "--iters", 120, "--unroll", 3, "--cus", 3, "--precision", "fp32"], tmp_path)
+             "--iters", 120, "--unroll", 3, "--cus", 3, "--precision", "fp32",
+             "--freq-mhz", 292], tmp_path)
         assert {"design", "problem", "violations", "measured_reference"} <= set(payload)
 
     def test_2d_design_on_3d_dims_is_usage_error(self, tmp_path, capsys):
@@ -508,6 +541,9 @@ class TestSelftest:
         assert run(["selftest"]) == 0
         out = capsys.readouterr().out
         assert "FAIL" not in out
+        for name in ("batched-thomas B=8000 N=128 fp32",
+                     "adi2d 128x128 fp32 B=3000 iters=120"):
+            assert f"PASS: model within 15% of {name}\n" in out
 
     @pytest.mark.parametrize("option", ["--out", "--report", "--format", "--precision"])
     def test_options_are_usage_errors(self, tmp_path, option):

@@ -13,6 +13,10 @@ from tridax.reference import thomas_scalar
 from conftest import digest, dominant_batch, make_system
 
 
+def as_fp32(s):
+    return TridiagonalSystem(*(v.astype(np.float32) for v in (s.a, s.b, s.c, s.d)))
+
+
 def diagonal_system():
     return TridiagonalSystem([0, 0, 0], [2, 2, 2], [0, 0, 0], [2, 4, 6])
 
@@ -36,7 +40,7 @@ class TestSystemInvariants:
         s = diagonal_system()
         assert s.precision is Precision.FP64
         assert s.is_diagonally_dominant()
-        s32 = s.astype(Precision.FP32)
+        s32 = as_fp32(s)
         assert s32.precision is Precision.FP32
 
     def test_tolerance_ordering(self):
@@ -409,7 +413,7 @@ class TestProperties:
     def test_fp32_accuracy(self):
         for seed in range(10):
             s64 = make_system(256, seed=seed)
-            s32 = s64.astype(Precision.FP32)
+            s32 = as_fp32(s64)
             ref = dense_oracle_solve(s64)
             tol = Precision.FP32.tolerance
             assert relative_inf_error(solve_system(s32, "thomas"), ref) <= tol

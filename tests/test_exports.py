@@ -1,7 +1,10 @@
+from dataclasses import fields
+
 import pytest
 
 import tridax
 import tridax.perfmodel
+from tridax.perfmodel import DesignPoint
 
 PUBLIC = [
     "Precision", "TridiagonalSystem", "TridiagonalBatch",
@@ -13,6 +16,10 @@ PUBLIC = [
     "LineSolveError", "BatchSolveError", "NonFiniteSolution",
     "ZeroDuration", "NoFeasibleDesign", "__version__",
 ]
+# one field per design parameter: none is filled from another
+DESIGN_POINT_FIELDS = ["algorithm", "precision", "interleave_group", "vector_width",
+                       "unroll", "tiles", "compute_units", "partitions",
+                       "pipeline_latency", "frequency_hz"]
 # solver internals the top level no longer exports
 INTERNAL = ["adi_rhs", "axis_lines", "gather_lines", "scatter_lines",
             "modified_thomas_phase", "assemble_reduced", "back_substitute"]
@@ -25,6 +32,10 @@ def test_every_exported_name_resolves(module):
 
 def test_public_surface_is_pinned():
     assert tridax.__all__ == PUBLIC
+
+
+def test_design_point_fields_are_pinned():
+    assert [f.name for f in fields(DesignPoint)] == DESIGN_POINT_FIELDS
 
 
 def test_internals_are_not_top_level_names():

@@ -52,7 +52,7 @@ def profile_meshes(profile, mesh, axis):
 def per_line_expected(mesh, profile, axis):
     """Sweep oracle: every line solved alone by the scalar solver."""
     a, b, c = profile
-    expected = mesh.copy()
+    expected = Mesh(mesh.data.copy(), mesh.spatial_ndim)
     lines = np.moveaxis(expected.data, STORAGE_DIM[axis], 0)
     for idx in np.ndindex(lines.shape[1:]):
         line = lines[(slice(None),) + idx]
@@ -148,7 +148,7 @@ class TestSolveLines:
         mesh = random_mesh((12, 10, 8), batch=2, seed=23, precision=Precision.FP32)
         wide = random_mesh((12, 10, 8), batch=2, seed=23)
         coeffs = profile_meshes(dominant_profile(8, wide, axis), wide, axis)
-        cast = tuple(m.astype(Precision.FP32) for m in coeffs)
+        cast = tuple(Mesh(m.data.astype(np.float32), 3) for m in coeffs)
         got = solve_lines(mesh, coeffs, axis)
         assert got.data.dtype == np.float32
         assert np.array_equal(got.data, solve_lines(mesh, cast, axis).data)

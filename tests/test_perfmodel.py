@@ -15,9 +15,10 @@ from fractions import Fraction
 import pytest
 
 from tridax import InvalidTilePlan, Precision, TilePlan
-from tridax.perfmodel import (U280, Algorithm, DesignPoint, DeviceProfile, ProblemSpec,
-                              ResourceEstimate, adi2d_fp32_reference, ceil_div, ceil_log2,
-                              cycles_to_seconds, default_interleave_group, find_reference,
+from tridax.perfmodel import (MEASURED_REFERENCES, U280, Algorithm, DesignPoint,
+                              DeviceProfile, ProblemSpec, ResourceEstimate, ceil_div,
+                              ceil_log2, cycles_to_seconds, default_interleave_group,
+                              find_reference,
                               latency_adi2d, latency_adi2d_tiled, latency_adi3d,
                               latency_batched_pcr, latency_batched_spike,
                               latency_batched_thomas, latency_thomas_pcr,
@@ -122,35 +123,35 @@ class TestBatchedPcr:
 class TestBatchedSpike:
     def test_single_partition_reduces_to_thomas_base(self):
         dp = DesignPoint(Algorithm.BATCHED_SPIKE, interleave_group=32,
-                         partitions=1, partition_stage_cost=0)
+                         partitions=1, pipeline_latency=5)
         spike = latency_batched_spike(100, 64, dp).cycles
         thomas = latency_batched_thomas(
             100, 64, DesignPoint(Algorithm.BATCHED_THOMAS, interleave_group=32,
                                  vector_width=1)).cycles
         # one g*N wave more than Thomas's (1 + ceil(B/g)) * g*N base form, the
-        # "+1", and so one less than its 3*g*N ping-pong fill
-        assert spike == thomas - 32 * 64
+        # "+1", and so one less than its 3*g*N ping-pong fill; plus the one
+        # partition's reduced stage, two pipeline passes
+        assert spike == thomas - 32 * 64 + 2 * 5
 
     def test_transcription(self):
-        batch, n, m, g, cost = 1000, 256, 4, 32, 10
+        batch, n, m, g, l = 1000, 256, 4, 32, 5
         dp = DesignPoint(Algorithm.BATCHED_SPIKE, interleave_group=g,
-                         partitions=m, partition_stage_cost=cost)
-        expected = (1 + math.ceil(batch * m / g + 1)) * Fraction(g * n, m) + m * cost
+                         partitions=m, pipeline_latency=l)
+        expected = (1 + math.ceil(batch * m / g + 1)) * Fraction(g * n, m) + m * 2 * l
         assert latency_batched_spike(batch, n, dp).cycles == expected
 
     def test_partitions_not_dividing_rows_hold_ceil_rows(self):
         # 128 rows in 3 partitions: each holds ceil(128/3) = 43, as memory_words counts
-        batch, n, m, g, cost = 100, 128, 3, 32, 10
+        batch, n, m, g, l = 100, 128, 3, 32, 5
         dp = DesignPoint(Algorithm.BATCHED_SPIKE, interleave_group=g,
-                         partitions=m, partition_stage_cost=cost)
-        expected = (1 + math.ceil(batch * m / g + 1)) * g * math.ceil(n / m) + m * cost
+                         partitions=m, pipeline_latency=l)
+        expected = (1 + math.ceil(batch * m / g + 1)) * g * math.ceil(n / m) + m * 2 * l
         assert expected == 16542
         assert latency_batched_spike(batch, n, dp).cycles == expected
 
     def test_stall_flag(self):
-        dp = DesignPoint(Algorithm.BATCHED_SPIKE, partitions=4,
-                         partition_stage_cost=20)
-        assert latency_batched_spike(10, 64, dp).stalled  # 4*20 >= 64
+        dp = DesignPoint(Algorithm.BATCHED_SPIKE, partitions=4, pipeline_latency=10)
+        assert latency_batched_spike(10, 64, dp).stalled  # 4*2*10 >= 64
         assert not latency_batched_spike(10, 256, dp).stalled
 
     def test_more_partitions_than_rows_rejected(self):
@@ -166,20 +167,21 @@ class TestBatchedSpike:
 
 class TestTiledSolvers:
     def test_thomas_thomas_example(self):
-        dp = DesignPoint(Algorithm.THOMAS_THOMAS, interleave_group=32,
-                         reduced_group=32, tiles=4)
+        dp = DesignPoint(Algorithm.THOMAS_THOMAS, interleave_group=32, tiles=4)
         assert latency_thomas_thomas(1, 512, dp).cycles == 12800
 
     def test_transcriptions(self):
-        for batch, n, t, g, g_r, l in [(1, 512, 4, 32, 32, 30),
-                                       (5000, 8192, 16, 32, 64, 30),
-                                       (77, 300, 3, 64, 64, 12)]:
-            dp = DesignPoint(Algorithm.THOMAS_THOMAS, interleave_group=g,
-                             reduced_group=g_r, tiles=t)
+        # the reduced solve interleaves the precision's default group g_r
+        fp32, fp64 = Precision.FP32, Precision.FP64
+        for batch, n, t, g, g_r, l, p in [(1, 512, 4, 32, 32, 30, fp32),
+                                          (5000, 8192, 16, 32, 64, 30, fp64),
+                                          (77, 300, 3, 16, 32, 12, fp32)]:
+            dp = DesignPoint(Algorithm.THOMAS_THOMAS, precision=p, interleave_group=g,
+                             tiles=t)
             common = (2 + math.ceil(batch * t / g)) * math.ceil(n / t) * g
             assert latency_thomas_thomas(batch, n, dp).cycles == common + g_r * (2 * t) * 2
-            dp2 = DesignPoint(Algorithm.THOMAS_PCR, interleave_group=g, tiles=t,
-                              pipeline_latency=l)
+            dp2 = DesignPoint(Algorithm.THOMAS_PCR, precision=p, interleave_group=g,
+                              tiles=t, pipeline_latency=l)
             assert latency_thomas_pcr(batch, n, dp2).cycles == \
                 common + (2 * t + l) * clog2(2 * t)
 
@@ -223,10 +225,10 @@ class TestAdiModels:
         for term in est.breakdown.values():
             assert term > drain  # both modules carry the same dominant drain
 
-    def test_3d_port_limited_substitution(self):
+    def test_3d_narrower_data_path_costs_more(self):
         full = DesignPoint(Algorithm.ADI3D, interleave_group=32, vector_width=8)
-        limited = replace(full, points_per_cycle=4)
-        assert latency_adi3d(32, 32, 32, 8, 1, limited).cycles > \
+        narrow = replace(full, vector_width=4)
+        assert latency_adi3d(32, 32, 32, 8, 1, narrow).cycles > \
             latency_adi3d(32, 32, 32, 8, 1, full).cycles
 
     def test_3d_rejects_zero_batch(self):
@@ -261,18 +263,18 @@ class TestAdiModels:
                 assert cur < prev
             prev = cur
 
-    def test_2d_tiled_transcription_and_variants(self):
-        x = y = 896
+    def test_2d_tiled_transcription(self):
+        x, y = 896, 640
         batch, v, g = 180, 8, 32
-        for t1, t2, tx in [(4, 4, 4), (8, 16, 32)]:
+        for t in (4, 7, 16):
             dp = DesignPoint(Algorithm.ADI2D_TILED, interleave_group=g,
-                             vector_width=v, tiles_x=t1, tiles_y=t2, datapath_tile_x=tx)
+                             vector_width=v, tiles=t)
             drain = Fraction(batch * x * y, v)
             base_x = (Fraction(2 * x, v) + 2 * v * Fraction(x, v)
-                      + Fraction(3 * g * x, t1) + drain)
-            base_y = 2 * y * Fraction(tx, v) + Fraction(3 * g * y, t2) + drain
+                      + Fraction(3 * g * x, t) + drain)
+            base_y = 2 * y * Fraction(t, v) + Fraction(3 * g * y, t) + drain
             assert latency_adi2d_tiled(x, y, batch, 100, dp).cycles == \
-                100 * (base_x + 4 * g * t1 + base_y + 4 * g * t2)
+                100 * (base_x + 4 * g * t + base_y + 4 * g * t)
 
     def test_2d_tiled_large_batch_limit(self):
         dp = DesignPoint(Algorithm.ADI2D_TILED, interleave_group=32, tiles=4)
@@ -280,6 +282,15 @@ class TestAdiModels:
         est = latency_adi2d_tiled(64, 64, batch, 1, dp)
         limit = 2 * Fraction(batch * 64 * 64, 8)
         assert abs(est.cycles / limit - 1) < 0.01
+
+
+def _where(p):
+    return dict(batch=p.batch, n=p.size, dims=p.dims, n_iter=p.n_iter)
+
+
+ADI2D_PUBLISHED = DesignPoint(Algorithm.ADI2D, unroll=3, compute_units=3,
+                              frequency_hz=292e6)
+ADI2D_PROBLEM = dict(batch=3000, dims=(128, 128), n_iter=120)
 
 
 class TestCalibration:
@@ -292,16 +303,45 @@ class TestCalibration:
         assert err == pytest.approx(0.0167, abs=0.001)
 
     def test_adi2d_reconstruction_within_budget(self):
-        dp = DesignPoint(Algorithm.ADI2D, precision=Precision.FP32,
-                         interleave_group=32, vector_width=8, unroll=3,
-                         compute_units=3, frequency_hz=292e6)
-        ref = adi2d_fp32_reference()
+        ref = find_reference(ADI2D_PUBLISHED, **ADI2D_PROBLEM)
         assert ref.reconstructed
-        est = latency_adi2d(128, 128, 3000, 120, dp)
+        est = latency_adi2d(128, 128, 3000, 120, ADI2D_PUBLISHED)
+        err = relative_error(est.seconds, ref.measured_seconds)
+        assert err == pytest.approx(0.146, abs=0.001)
+
+    @pytest.mark.parametrize("ref", MEASURED_REFERENCES, ids=lambda r: r.name)
+    def test_every_published_point_within_paper_accuracy(self, ref):
+        # the paper claims over 85% predictive model accuracy
+        assert find_reference(ref.design, **_where(ref.problem)) is ref
+        est = latency_for_problem(ref.design, **_where(ref.problem))
         assert relative_error(est.seconds, ref.measured_seconds) <= 0.15
 
-    def test_no_match_returns_none(self):
-        assert find_reference(dp_thomas(), batch=17, n=128) is None
+    def test_references_are_resolved_designs_in_their_problems_precision(self):
+        for ref in MEASURED_REFERENCES:
+            assert ref.design == ref.design.resolved()
+            assert ref.design.precision is ref.problem.precision
+
+    @pytest.mark.parametrize("change", [
+        dict(precision=Precision.FP64), dict(interleave_group=64), dict(vector_width=4),
+        dict(compute_units=2), dict(frequency_hz=250e6)])
+    def test_calibration_matches_only_its_own_design(self, change):
+        assert find_reference(dp_thomas(), batch=8000, n=128) is not None
+        assert find_reference(dp_thomas(**change), batch=8000, n=128) is None
+
+    @pytest.mark.parametrize("change", [
+        dict(precision=Precision.FP64), dict(frequency_hz=300e6), dict(interleave_group=64),
+        dict(unroll=2), dict(compute_units=1), dict(vector_width=4)])
+    def test_adi2d_matches_only_its_own_design(self, change):
+        assert find_reference(replace(ADI2D_PUBLISHED, **change), **ADI2D_PROBLEM) is None
+
+    @pytest.mark.parametrize("where", [dict(batch=17, n=128), dict(batch=8000, n=127),
+                                       dict(batch=8000, n=128, n_iter=2)])
+    def test_other_problem_returns_none(self, where):
+        assert find_reference(dp_thomas(), **where) is None
+
+    def test_adi2d_other_problem_returns_none(self):
+        for change in (dict(batch=2999), dict(dims=(128, 64)), dict(n_iter=119)):
+            assert find_reference(ADI2D_PUBLISHED, **{**ADI2D_PROBLEM, **change}) is None
 
 
 class TestMemoryModel:
@@ -396,15 +436,8 @@ class TestDesignFit:
                 DesignPoint(algo)
         else:
             DesignPoint(algo)
-            for field in ("tiles", "tiles_x", "tiles_y"):
-                with pytest.raises(ValueError, match=f"not {algo.value}"):
-                    DesignPoint(algo, **{field: 4})
-
-    def test_tiled_2d_design_needs_both_axis_counts(self):
-        DesignPoint(Algorithm.ADI2D_TILED, tiles_x=4, tiles_y=8)
-        DesignPoint(Algorithm.ADI2D_TILED, tiles=4, tiles_y=8)
-        with pytest.raises(ValueError, match="requires a tile count"):
-            DesignPoint(Algorithm.ADI2D_TILED, tiles_x=4)
+            with pytest.raises(ValueError, match=f"not {algo.value}"):
+                DesignPoint(algo, tiles=4)
 
     @pytest.mark.parametrize("algo", list(Algorithm))
     def test_latency_takes_exactly_problems_of_the_designs_kind(self, algo):
@@ -421,11 +454,9 @@ class TestDesignFit:
 
 
 # A non-default value for every DesignPoint field, valid on every problem below.
-PERTURBED = {"precision": Precision.FP64, "interleave_group": 16, "reduced_group": 16,
-             "vector_width": 4, "unroll": 2, "tiles": 8, "tiles_x": 8, "tiles_y": 2,
-             "datapath_tile_x": 16, "compute_units": 2, "partitions": 2,
-             "pipeline_latency": 12, "partition_stage_cost": 7, "points_per_cycle": 4,
-             "frequency_hz": 250e6}
+PERTURBED = {"precision": Precision.FP64, "interleave_group": 16, "vector_width": 4,
+             "unroll": 2, "tiles": 8, "compute_units": 2, "partitions": 2,
+             "pipeline_latency": 12, "frequency_hz": 250e6}
 PROBLEMS = {"batch": [dict(batch=100, n=64), dict(batch=5000, n=1000)],
             "adi2d": [dict(batch=10, dims=(64, 64), n_iter=3),
                       dict(batch=2, dims=(96, 48))],
@@ -475,7 +506,7 @@ class TestDesignFields:
 
     def test_settable_pairs(self):
         settable = sum(len(SHARED_FIELDS + DESIGN_FIELDS[a]) for a in Algorithm)
-        assert settable == 54 and len(fields(DesignPoint)) - 1 == 15
+        assert settable == 48 and len(fields(DesignPoint)) - 1 == 9
         assert [a for a in Algorithm if a.is_tiled] == [
             Algorithm.THOMAS_THOMAS, Algorithm.THOMAS_PCR, Algorithm.ADI2D_TILED]
 

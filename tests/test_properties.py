@@ -87,7 +87,7 @@ def axis_view(mesh, axis):
 
 def per_line_solve(mesh, axis, a, b, c, algo="thomas", tiles=None):
     """Every line solved alone by ``solve_system``; coefficients are mesh-shaped."""
-    expected = mesh.copy()
+    expected = Mesh(mesh.data.copy(), mesh.spatial_ndim)
     lines = axis_view(expected, axis)
     coeffs = [axis_view(m, axis) for m in (a, b, c)]
     for idx in np.ndindex(lines.shape[1:]):
@@ -274,14 +274,14 @@ def sliced_stencil(u: Mesh, gamma) -> Mesh:
 def composed_adi(u0, cfg):
     """An ADI run as its public steps: the plain-slice stencil,
     ``solve_lines`` per axis, ``u + d``; also every iteration's max |d|."""
-    u = u0.astype(cfg.precision)
+    u = Mesh(u0.data.astype(cfg.precision.dtype), u0.spatial_ndim)
     deltas = []
     for _ in range(cfg.n_iter):
         d = sliced_stencil(u, cfg.gamma)
         for axis in u.solved_axes():
             solve_lines(d, cfg.line_coefficients(u.extent(axis), u.data.dtype), axis, out=d)
         u = Mesh(u.data + d.data, u.spatial_ndim)
-        deltas.append(d.max_abs())
+        deltas.append(float(np.abs(d.data).max()))
     return u, deltas
 
 
