@@ -70,7 +70,7 @@ def _add_problem_and_hardware(p: argparse.ArgumentParser):
     p.add_argument("--batch", type=int, required=True)
     p.add_argument("--size", type=int, help="system size (1-D batch problem)")
     p.add_argument("--dims", type=_parse_dims, help="mesh dims (application problem)")
-    p.add_argument("--iters", type=int, default=1)
+    p.add_argument("--iters", type=int, default=1, help="iterations (mesh problems only)")
     p.add_argument("--group", type=int)
     p.add_argument("--vector", type=int, default=8)
     p.add_argument("--cus", type=int, default=1)
@@ -307,6 +307,8 @@ def cmd_model(args) -> int:
 
 
 def cmd_dse(args) -> int:
+    if args.top < 0:
+        raise ValueError(f"--top must be >= 0, not {args.top}")
     problem = _problem_from_args(args, Precision.parse(args.precision))
     device = load_device_profile(args.device)
     grid = GridSpec.for_kind(problem.kind)

@@ -141,13 +141,16 @@ class ProblemSpec:
     size: int | None = None         # system size for 1-D batches
     dims: tuple[int, ...] | None = None
     precision: Precision = Precision.FP32
-    n_iter: int = 1
+    n_iter: int = 1                 # iterations of a mesh problem
 
     def __post_init__(self):
         if self.batch < 1 or self.n_iter < 1 or (self.size is not None and self.size < 1):
             raise ValueError("batch, n_iter and size must be >= 1")
         if (self.size is None) == (self.dims is None):
             raise ValueError("a problem needs a system size or mesh dims, not both")
+        if self.size is not None and self.n_iter != 1:  # no batch model reads it
+            raise ValueError(f"n_iter applies to mesh problems; a batch of systems is "
+                             f"solved once, not {self.n_iter} times")
         if self.dims is not None and (len(self.dims) not in (2, 3) or min(self.dims) < 1):
             raise ValueError(f"mesh dims must be 2 or 3 positive extents, not {self.dims}")
 

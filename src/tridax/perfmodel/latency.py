@@ -2,9 +2,13 @@
 
 All arithmetic is exact (integers and ``fractions.Fraction``), so a
 transcription of the same equation elsewhere must agree to the last digit
-and ``cycles_to_seconds(c, f) * f == c`` holds exactly. Logarithms are
-base-2 ceilings throughout, matching the reduction-step count definition
-(the smallest P with ``2**P >= n``).
+and ``seconds_exact * frequency_hz == cycles`` holds exactly. Logarithms
+are base-2 ceilings throughout, matching the reduction-step count
+definition (the smallest P with ``2**P >= n``).
+
+:func:`latency_for_problem` is the one entry point: it checks the problem
+and resolves the design, so each design's formula below reads a valid
+:class:`ProblemSpec` of its kind and a resolved :class:`DesignPoint`.
 """
 
 from __future__ import annotations
@@ -17,25 +21,12 @@ from .design import Algorithm, DesignPoint, ProblemSpec
 
 
 def ceil_div(a: int, b: int) -> int:
-    if b <= 0:
-        raise ValueError("divisor must be positive")
     return -(-a // b)
 
 
 def ceil_log2(n: int) -> int:
-    """Smallest P with 2**P >= n."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    p = 0
-    while (1 << p) < n:
-        p += 1
-    return p
-
-
-def cycles_to_seconds(cycles, frequency_hz) -> Fraction:
-    if frequency_hz <= 0:
-        raise ValueError("frequency must be positive")
-    return Fraction(cycles) / Fraction(frequency_hz)
+    """Smallest P with 2**P >= n, for n >= 1."""
+    return (n - 1).bit_length()
 
 
 @dataclass(frozen=True)
@@ -49,7 +40,7 @@ class LatencyEstimate:
 
     @property
     def seconds_exact(self) -> Fraction:
-        return cycles_to_seconds(self.cycles, Fraction(self.frequency_hz))
+        return Fraction(self.cycles) / Fraction(self.frequency_hz)
 
     @property
     def seconds(self) -> float:
@@ -63,12 +54,6 @@ class LatencyEstimate:
         return max(self.breakdown, key=lambda k: self.breakdown[k])
 
 
-def _require_positive(**kwargs):
-    for name, val in kwargs.items():
-        if val < 1:
-            raise ValueError(f"{name} must be >= 1")
-
-
 def _check_partitions(partitions: int, n: int) -> None:
     """The partitioned solver's rule: every partition holds at least one of
     a system's ``n`` rows."""
@@ -76,7 +61,7 @@ def _check_partitions(partitions: int, n: int) -> None:
         raise ValueError(f"{partitions} partitions exceed the {n} rows of a system")
 
 
-def latency_batched_thomas(batch: int, n: int, dp: DesignPoint) -> LatencyEstimate:
+def _batched_thomas(p: ProblemSpec, dp: DesignPoint) -> LatencyEstimate:
     """Interleaved elimination over a batch of ``n``-row systems.
 
     ``(3 + ceil(B/g)) * g * n`` cycles: the forward and backward sweeps hand
@@ -84,12 +69,10 @@ def latency_batched_thomas(batch: int, n: int, dp: DesignPoint) -> LatencyEstima
     cycles before streaming ``g*n`` per group. Vector lanes and replicated
     compute units divide the batch.
     """
-    _require_positive(batch=batch, n=n)
-    dp = dp.resolved()
-    g = dp.interleave_group
+    g, n = dp.interleave_group, p.size
     lanes = g * dp.vector_width * dp.compute_units
     fill = 3 * g * n
-    stream = ceil_div(batch, lanes) * g * n
+    stream = ceil_div(p.batch, lanes) * g * n
     return LatencyEstimate(
         cycles=Fraction(fill + stream),
         frequency_hz=dp.frequency_hz,
@@ -97,16 +80,14 @@ def latency_batched_thomas(batch: int, n: int, dp: DesignPoint) -> LatencyEstima
     )
 
 
-def latency_batched_pcr(batch: int, n: int, dp: DesignPoint) -> LatencyEstimate:
+def _batched_pcr(p: ProblemSpec, dp: DesignPoint) -> LatencyEstimate:
     """Cyclic reduction with the inner loop batched and unrolled.
 
     ``(B*n/unroll + l) * ceil_log2(n)`` cycles; the serial outer steps pay
     the pipeline latency once each.
     """
-    _require_positive(batch=batch, n=n)
-    dp = dp.resolved()
-    steps = ceil_log2(n)
-    per_step = Fraction(batch * n, dp.unroll) + dp.pipeline_latency
+    steps = ceil_log2(p.size)
+    per_step = Fraction(p.batch * p.size, dp.unroll) + dp.pipeline_latency
     return LatencyEstimate(
         cycles=per_step * steps,
         frequency_hz=dp.frequency_hz,
@@ -114,7 +95,7 @@ def latency_batched_pcr(batch: int, n: int, dp: DesignPoint) -> LatencyEstimate:
     )
 
 
-def latency_batched_spike(batch: int, n: int, dp: DesignPoint) -> LatencyEstimate:
+def _batched_spike(p: ProblemSpec, dp: DesignPoint) -> LatencyEstimate:
     """Partitioned factor/solve/back-substitute pipeline.
 
     ``(1 + ceil(B*m/g + 1)) * g*ceil(n/m) + m*C`` cycles with ``m``
@@ -126,13 +107,12 @@ def latency_batched_spike(batch: int, n: int, dp: DesignPoint) -> LatencyEstimat
     cannot keep up and the data flow stalls; the estimate flags this rather
     than absorbing it.
     """
-    _require_positive(batch=batch, n=n)
-    dp = dp.resolved()
+    n = p.size
     _check_partitions(dp.partitions, n)
     g = dp.interleave_group
     m = dp.partitions
     cost = 2 * dp.pipeline_latency
-    factor = Fraction((1 + ceil_div(batch * m, g) + 1) * g * ceil_div(n, m))
+    factor = Fraction((1 + ceil_div(p.batch * m, g) + 1) * g * ceil_div(n, m))
     reduced = m * cost
     return LatencyEstimate(
         cycles=factor + reduced,
@@ -142,22 +122,26 @@ def latency_batched_spike(batch: int, n: int, dp: DesignPoint) -> LatencyEstimat
     )
 
 
-def _reduced_solve(reduced: str, t: int, g: int, l: int) -> int:
-    """Cycles of the ``2t``-row reduced solve: ``g*(2t)*2`` interleaved
-    over ``g`` systems by Thomas, ``(2t + l) * ceil_log2(2t)`` by PCR."""
-    if reduced == "thomas":
-        return g * (2 * t) * 2
-    if reduced == "pcr":
-        return (2 * t + l) * ceil_log2(2 * t)
-    raise ValueError("reduced must be 'thomas' or 'pcr'")
+def _reduced_solve(dp: DesignPoint, t: int) -> int:
+    """Cycles of a tiled design's ``2t``-row reduced solve: thomas-thomas
+    interleaves it over ``reduced_group`` systems, ``g_r*(2t)*2``;
+    thomas-pcr takes ``(2t + l) * ceil_log2(2t)``."""
+    if dp.algorithm is Algorithm.THOMAS_THOMAS:
+        return dp.reduced_group * (2 * t) * 2
+    return (2 * t + dp.pipeline_latency) * ceil_log2(2 * t)
 
 
-def _latency_tiled(reduced: str, batch: int, n: int, dp: DesignPoint) -> LatencyEstimate:
-    _require_positive(batch=batch, n=n)
-    dp = dp.resolved()
-    g, t = dp.interleave_group, TilePlan(n, dp.tiles).t  # the solver's tiling rule
-    tiles_term = Fraction((2 + ceil_div(batch * t, g)) * ceil_div(n, t) * g)
-    red = Fraction(_reduced_solve(reduced, t, dp.reduced_group, dp.pipeline_latency))
+def _tiled(p: ProblemSpec, dp: DesignPoint) -> LatencyEstimate:
+    """Tiled elimination followed by the reduced solve of
+    :func:`_reduced_solve`.
+
+    Tile phase ``(2 + ceil(B*t/g)) * ceil(n/t) * g``. A tiling the solver's
+    :class:`tridax.tiled.TilePlan` rejects raises
+    :class:`tridax.errors.InvalidTilePlan`, as in every tiled model.
+    """
+    g, t = dp.interleave_group, TilePlan(p.size, dp.tiles).t  # the solver's tiling rule
+    tiles_term = Fraction((2 + ceil_div(p.batch * t, g)) * ceil_div(p.size, t) * g)
+    red = Fraction(_reduced_solve(dp, t))
     return LatencyEstimate(
         cycles=tiles_term + red,
         frequency_hz=dp.frequency_hz,
@@ -165,36 +149,17 @@ def _latency_tiled(reduced: str, batch: int, n: int, dp: DesignPoint) -> Latency
     )
 
 
-def latency_thomas_thomas(batch: int, n: int, dp: DesignPoint) -> LatencyEstimate:
-    """Tiled elimination with a direct reduced solve.
-
-    Tile phase ``(2 + ceil(B*t/g)) * ceil(n/t) * g`` plus a reduced solve of
-    ``2t`` rows interleaved over ``reduced_group`` systems, ``g_r*(2t)*2``.
-    A tiling the solver's :class:`tridax.tiled.TilePlan` rejects raises
-    :class:`tridax.errors.InvalidTilePlan`, as in every tiled model.
-    """
-    return _latency_tiled("thomas", batch, n, dp)
-
-
-def latency_thomas_pcr(batch: int, n: int, dp: DesignPoint) -> LatencyEstimate:
-    """Tiled elimination with a cyclic-reduction reduced solve:
-    same tile phase plus ``(2t + l) * ceil_log2(2t)``."""
-    return _latency_tiled("pcr", batch, n, dp)
-
-
-def latency_adi3d(x: int, y: int, z: int, batch: int, n_iter: int,
-                  dp: DesignPoint) -> LatencyEstimate:
+def _adi3d(p: ProblemSpec, dp: DesignPoint) -> LatencyEstimate:
     """Fused stencil + x/y sweeps pipelined against the z sweep.
 
     Per iteration the two modules swap read/write roles, so the iteration
     costs the slower of the two. The data path moves ``vector_width``
     points a cycle.
     """
-    _require_positive(x=x, y=y, z=z, batch=batch, n_iter=n_iter)
-    dp = dp.resolved()
+    x, y, z = p.dims
     v = dp.vector_width
     g = dp.interleave_group
-    waves = ceil_div(batch, 2 * dp.compute_units)
+    waves = ceil_div(p.batch, 2 * dp.compute_units)
     drain = waves * Fraction(x * y * z, v)
     rhs_xy = (Fraction(2 * x * y, v)
               + (2 * v * Fraction(x, v) + 3 * g * x)
@@ -203,40 +168,37 @@ def latency_adi3d(x: int, y: int, z: int, batch: int, n_iter: int,
     z_sweep = (Fraction(2 * x * z, v) + 3 * g * z) + drain
     per_iter = max(rhs_xy, z_sweep)
     return LatencyEstimate(
-        cycles=n_iter * per_iter,
+        cycles=p.n_iter * per_iter,
         frequency_hz=dp.frequency_hz,
-        breakdown={"rhs_xy_module": n_iter * rhs_xy, "z_module": n_iter * z_sweep},
+        breakdown={"rhs_xy_module": p.n_iter * rhs_xy, "z_module": p.n_iter * z_sweep},
     )
 
 
-def latency_adi2d(x: int, y: int, batch: int, n_iter: int,
-                  dp: DesignPoint) -> LatencyEstimate:
+def _adi2d(p: ProblemSpec, dp: DesignPoint) -> LatencyEstimate:
     """Fully pipelined 2-D iteration, unrolled ``unroll`` times.
 
     The pipeline prologue scales with the unroll factor while the batch
     drain is paid once per unrolled group, so deeper unrolls win at large
     batch. Iteration counts that the unroll does not divide round up.
     """
-    _require_positive(x=x, y=y, batch=batch, n_iter=n_iter)
-    dp = dp.resolved()
+    x, y = p.dims
     v = dp.vector_width
     g = dp.interleave_group
     f_u = dp.unroll
     prologue = (Fraction(2 * x, v)
                 + (2 * v * Fraction(x, v) + 3 * g * x)
                 + (Fraction(2 * x * y, v) + 3 * g * y))
-    per_group = f_u * prologue + ceil_div(batch, dp.compute_units) * Fraction(x * y, v)
-    cycles = ceil_div(n_iter, f_u) * per_group
+    per_group = f_u * prologue + ceil_div(p.batch, dp.compute_units) * Fraction(x * y, v)
+    groups = ceil_div(p.n_iter, f_u)
     return LatencyEstimate(
-        cycles=cycles,
+        cycles=groups * per_group,
         frequency_hz=dp.frequency_hz,
-        breakdown={"prologue": ceil_div(n_iter, f_u) * f_u * prologue,
-                   "stream": ceil_div(n_iter, f_u) * (per_group - f_u * prologue)},
+        breakdown={"prologue": groups * f_u * prologue,
+                   "stream": groups * (per_group - f_u * prologue)},
     )
 
 
-def latency_adi2d_tiled(x: int, y: int, batch: int, n_iter: int,
-                        dp: DesignPoint) -> LatencyEstimate:
+def _adi2d_tiled(p: ProblemSpec, dp: DesignPoint) -> LatencyEstimate:
     """Large-mesh 2-D iteration built on tiled solvers.
 
     The stencil fuses with the x sweep; the y sweep runs as its own stage
@@ -244,48 +206,49 @@ def latency_adi2d_tiled(x: int, y: int, batch: int, n_iter: int,
     ``t = tiles`` ways, and each stage ends in a direct solve of its ``2t``
     reduced rows, interleaved over ``g`` systems: ``4*g*t`` cycles.
     """
-    _require_positive(x=x, y=y, batch=batch, n_iter=n_iter)
-    dp = dp.resolved()
+    x, y = p.dims
     t = TilePlan(x, dp.tiles).t
     TilePlan(y, t)  # the solver's rule on both axes
     v = dp.vector_width
     g = dp.interleave_group
-    drain = Fraction(batch * x * y, v)
+    drain = Fraction(p.batch * x * y, v)
     rhs_x = (Fraction(2 * x, v) + 2 * v * Fraction(x, v)
              + Fraction(3 * g * x, t) + 4 * g * t + drain)
     y_stage = (2 * y * Fraction(t, v) + Fraction(3 * g * y, t) + 4 * g * t + drain)
     return LatencyEstimate(
-        cycles=n_iter * (rhs_x + y_stage),
+        cycles=p.n_iter * (rhs_x + y_stage),
         frequency_hz=dp.frequency_hz,
-        breakdown={"rhs_x_stage": n_iter * rhs_x, "y_stage": n_iter * y_stage},
+        breakdown={"rhs_x_stage": p.n_iter * rhs_x, "y_stage": p.n_iter * y_stage},
     )
 
 
-_MODELS = {  # called as (batch, n, dp) on systems, (*dims, batch, n_iter, dp) on meshes
-    Algorithm.BATCHED_THOMAS: latency_batched_thomas,
-    Algorithm.BATCHED_PCR: latency_batched_pcr,
-    Algorithm.BATCHED_SPIKE: latency_batched_spike,
-    Algorithm.THOMAS_THOMAS: latency_thomas_thomas,
-    Algorithm.THOMAS_PCR: latency_thomas_pcr,
-    Algorithm.ADI2D: latency_adi2d,
-    Algorithm.ADI2D_TILED: latency_adi2d_tiled,
-    Algorithm.ADI3D: latency_adi3d,
+_MODELS = {
+    Algorithm.BATCHED_THOMAS: _batched_thomas,
+    Algorithm.BATCHED_PCR: _batched_pcr,
+    Algorithm.BATCHED_SPIKE: _batched_spike,
+    Algorithm.THOMAS_THOMAS: _tiled,
+    Algorithm.THOMAS_PCR: _tiled,
+    Algorithm.ADI2D: _adi2d,
+    Algorithm.ADI2D_TILED: _adi2d_tiled,
+    Algorithm.ADI3D: _adi3d,
 }
 
 
 def latency_for_problem(dp: DesignPoint, *, batch: int, n: int | None = None,
                         dims: tuple[int, ...] | None = None,
                         n_iter: int = 1) -> LatencyEstimate:
-    """Dispatch to the model of the design's algorithm for the problem of
-    ``n``-row systems or ``dims`` meshes; a problem of another
-    :attr:`~Algorithm.kind` than the design's raises ``ValueError``."""
+    """The design's modelled latency on ``batch`` systems of ``n`` rows or
+    ``batch`` meshes of ``dims``, ``n_iter`` iterations of a mesh problem.
+
+    The problem is checked as a :class:`ProblemSpec`; one of another
+    :attr:`~Algorithm.kind` than the design's raises ``ValueError``.
+    """
     algo = dp.algorithm
-    problem = ProblemSpec(batch, n, None if dims is None else tuple(dims), n_iter=n_iter)
+    problem = ProblemSpec(batch, n, None if dims is None else tuple(dims), dp.precision,
+                          n_iter)
     if problem.kind != algo.kind:
         need = ("needs a system size n" if algo.kind == "batch"
                 else "needs mesh dims" if dims is None
                 else f"cannot take mesh dims {problem.dims}")
         raise ValueError(f"{algo.value} {need}")
-    if dims is None:
-        return _MODELS[algo](batch, n, dp)
-    return _MODELS[algo](*dims, batch, n_iter, dp)
+    return _MODELS[algo](problem, dp.resolved())

@@ -79,9 +79,8 @@ def memory_words(dp: DesignPoint, n: int, device: DeviceProfile) -> ResourceEsti
         _check_partitions(dp.partitions, n)
         words = _solver_lane_words(g, ceil_div(n, dp.partitions))
     elif algo in (Algorithm.THOMAS_THOMAS, Algorithm.THOMAS_PCR):
-        reduced = "thomas" if algo is Algorithm.THOMAS_THOMAS else "pcr"
-        words = (_tiled_lane_words(g, n, dp.tiles) + REDUCED_FIFO_BUFFERS
-                 * _reduced_solve(reduced, dp.tiles, dp.reduced_group, dp.pipeline_latency))
+        words = (_tiled_lane_words(g, n, dp.tiles)
+                 + REDUCED_FIFO_BUFFERS * _reduced_solve(dp, dp.tiles))
     elif algo is Algorithm.ADI2D:
         words = 2 * _solver_lane_words(g, n) + 2 * n
     elif algo is Algorithm.ADI3D:

@@ -8,8 +8,11 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-TILED_STEP_SPANS = ["tiled.modified_thomas_phase", "tiled.assemble_reduced",
-                    "tiled.back_substitute"]
+# spans of functions the library no longer has; every other span, the tiled
+# steps and perfmodel.latency_for_problem among them, must find its name
+ABSENT_SPANS = ["core.thomas_solve", "tiled.thomas_pcr_solve", "core.pcr_solve",
+                "adi.adi_rhs", "mesh.solve_lines.x", "mesh.solve_lines.y",
+                "mesh.solve_lines.z"]
 
 
 def test_benchmark_smoke_run():
@@ -32,9 +35,9 @@ def test_smoke_report_pairs_calibration_with_measurement(monkeypatch):
 
 
 def test_tiled_step_spans_resolve(monkeypatch):
-    # a renamed step would blank the batch-tiled-fp64 split without an error
+    # a renamed function would blank its span's per-layer metrics without an error
     monkeypatch.syspath_prepend(str(ROOT / "benchmarks"))
     import tracing
 
     with tracing.installed(tracing.Tracer()) as absent:
-        assert [span for span in TILED_STEP_SPANS if span in absent] == []
+        assert absent == ABSENT_SPANS

@@ -345,6 +345,16 @@ class TestModel:
              "--freq-mhz", 292], tmp_path)
         assert {"design", "problem", "violations", "measured_reference"} <= set(payload)
 
+    def test_iterations_of_a_batch_problem_are_usage_error(self, tmp_path, capsys):
+        rep = tmp_path / "m.json"
+        argv = ["model", "--algo", "batched-thomas", "--batch", 8000, "--size", 128,
+                "--precision", "fp32", "--report", rep]
+        assert run([*argv, "--iters", 5]) == 2
+        assert "error: n_iter applies to mesh problems" in capsys.readouterr().err
+        assert not rep.exists()
+        assert run(argv) == 0
+        assert "measured 0.4700 ms, err 1.7%" in capsys.readouterr().out
+
     def test_2d_design_on_3d_dims_is_usage_error(self, tmp_path, capsys):
         rep = tmp_path / "m.json"
         assert run(["model", "--algo", "adi2d", "--batch", 100, "--dims", "64,64,64",
@@ -464,6 +474,23 @@ class TestDse:
         assert run(["dse", "--batch", 10, "--size", 128, "--dims", "64,64",
                     "--report", tmp_path / "d.json"]) == 2
         assert "not both" in capsys.readouterr().err
+
+    def test_iterations_of_a_batch_problem_are_usage_error(self, tmp_path, capsys):
+        rep = tmp_path / "d.json"
+        assert run(["dse", "--batch", 100, "--size", 128, "--iters", 7,
+                    "--report", rep]) == 2
+        assert "error: n_iter applies to mesh problems" in capsys.readouterr().err
+        assert not rep.exists()
+
+    def test_negative_top_is_usage_error(self, tmp_path, capsys):
+        rep = tmp_path / "d.json"
+        argv = ["dse", "--batch", 10, "--size", 64, "--report", rep]
+        assert run([*argv, "--top", -1]) == 2
+        assert capsys.readouterr().err == "error: --top must be >= 0, not -1\n"
+        assert not rep.exists()
+        assert run([*argv, "--top", 0]) == 0  # ranks and reports, prints no row
+        assert "#" not in capsys.readouterr().out
+        assert len(json.loads(rep.read_text())["rows"]) == 10
 
     def test_out_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as err:

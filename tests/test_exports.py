@@ -16,10 +16,24 @@ PUBLIC = [
     "LineSolveError", "BatchSolveError", "NonFiniteSolution",
     "ZeroDuration", "NoFeasibleDesign", "__version__",
 ]
+# the model's entry points and the types they take or return
+PERFMODEL_PUBLIC = [
+    "Algorithm", "DesignPoint", "DeviceProfile", "U280", "BUILTIN_PROFILES",
+    "LatencyEstimate", "ResourceEstimate", "MeasuredReference", "GridSpec",
+    "ProblemSpec", "DseRow", "DSE_COLUMNS", "DSE_SCHEMA",
+    "default_interleave_group", "load_device_profile", "latency_for_problem",
+    "memory_words", "dse_enumerate", "rows_to_csv", "rows_to_json", "find_reference",
+    "MEASURED_REFERENCES", "relative_error",
+]
 # one field per design parameter: none is filled from another
 DESIGN_POINT_FIELDS = ["algorithm", "precision", "interleave_group", "vector_width",
                        "unroll", "tiles", "compute_units", "partitions",
                        "pipeline_latency", "frequency_hz"]
+# model internals tridax.perfmodel no longer exports
+MODEL_INTERNAL = ["latency_batched_thomas", "latency_batched_pcr", "latency_batched_spike",
+                  "latency_thomas_thomas", "latency_thomas_pcr", "latency_adi2d",
+                  "latency_adi2d_tiled", "latency_adi3d", "ceil_div", "ceil_log2",
+                  "cycles_to_seconds", "reconstruct_adi_runtime"]
 # solver internals the top level no longer exports
 INTERNAL = ["adi_rhs", "axis_lines", "gather_lines", "scatter_lines",
             "modified_thomas_phase", "assemble_reduced", "back_substitute"]
@@ -32,6 +46,17 @@ def test_every_exported_name_resolves(module):
 
 def test_public_surface_is_pinned():
     assert tridax.__all__ == PUBLIC
+
+
+def test_perfmodel_surface_is_pinned():
+    assert tridax.perfmodel.__all__ == PERFMODEL_PUBLIC
+
+
+def test_perfmodel_exports_no_per_design_model():
+    # every design's formula is reached through latency_for_problem
+    assert [name for name in MODEL_INTERNAL if hasattr(tridax.perfmodel, name)] == []
+    assert [name for name in dir(tridax.perfmodel)
+            if name.startswith(("latency_batched_", "latency_thomas_", "latency_adi"))] == []
 
 
 def test_design_point_fields_are_pinned():

@@ -16,15 +16,12 @@ import pytest
 
 from tridax import InvalidTilePlan, Precision, TilePlan
 from tridax.perfmodel import (MEASURED_REFERENCES, U280, Algorithm, DesignPoint,
-                              DeviceProfile, ProblemSpec, ResourceEstimate, ceil_div,
-                              ceil_log2, cycles_to_seconds, default_interleave_group,
-                              find_reference,
-                              latency_adi2d, latency_adi2d_tiled, latency_adi3d,
-                              latency_batched_pcr, latency_batched_spike,
-                              latency_batched_thomas, latency_thomas_pcr,
-                              latency_for_problem, latency_thomas_thomas,
-                              load_device_profile, memory_words, relative_error)
+                              DeviceProfile, LatencyEstimate, ProblemSpec,
+                              ResourceEstimate, default_interleave_group, find_reference,
+                              latency_for_problem, load_device_profile, memory_words,
+                              relative_error)
 from tridax.perfmodel.design import DESIGN_FIELDS, SHARED_FIELDS
+from tridax.perfmodel.latency import ceil_div, ceil_log2
 
 
 def clog2(n):
@@ -50,8 +47,8 @@ class TestHelpers:
 
     def test_cycles_to_seconds_exact_round_trip(self):
         for cycles in (143360, 7168210, Fraction(12800, 7)):
-            f = Fraction(300_000_000)
-            assert cycles_to_seconds(cycles, f) * f == cycles
+            est = LatencyEstimate(Fraction(cycles), 300e6, {})
+            assert est.seconds_exact * 300_000_000 == cycles
 
     def test_default_groups(self):
         assert default_interleave_group(Precision.FP32) == 32
@@ -60,7 +57,7 @@ class TestHelpers:
 
 class TestBatchedThomas:
     def test_calibration_point(self):
-        est = latency_batched_thomas(8000, 128, dp_thomas())
+        est = latency_for_problem(dp_thomas(), batch=8000, n=128)
         assert est.cycles == 143360
         assert est.milliseconds == pytest.approx(0.4779, abs=1e-4)
 
@@ -70,24 +67,24 @@ class TestBatchedThomas:
             dp = DesignPoint(Algorithm.BATCHED_THOMAS, interleave_group=g,
                              vector_width=v, compute_units=ncu)
             expected = (3 + math.ceil(batch / (g * v * ncu))) * g * n
-            assert latency_batched_thomas(batch, n, dp).cycles == expected
+            assert latency_for_problem(dp, batch=batch, n=n).cycles == expected
 
     def test_asymptote_per_system(self):
         # n cycles per system over vector_width * compute_units lanes
         dp = dp_thomas(compute_units=2)
-        est = latency_batched_thomas(10**6, 128, dp)
+        est = latency_for_problem(dp, batch=10**6, n=128)
         assert abs(est.cycles / 10**6 / Fraction(128, 8 * 2) - 1) < 0.01
 
     def test_monotone_in_batch_and_size(self):
         dp = dp_thomas()
         prev = 0
         for batch in (1, 10, 100, 1000, 10000):
-            cur = latency_batched_thomas(batch, 64, dp).cycles
+            cur = latency_for_problem(dp, batch=batch, n=64).cycles
             assert cur >= prev
             prev = cur
         prev = 0
         for n in (1, 8, 64, 512):
-            cur = latency_batched_thomas(100, n, dp).cycles
+            cur = latency_for_problem(dp, batch=100, n=n).cycles
             assert cur >= prev
             prev = cur
 
@@ -95,11 +92,11 @@ class TestBatchedThomas:
 class TestBatchedPcr:
     def test_minimal_example(self):
         dp = DesignPoint(Algorithm.BATCHED_PCR)
-        assert latency_batched_pcr(1, 2, dp).cycles == 32
+        assert latency_for_problem(dp, batch=1, n=2).cycles == 32
 
     def test_8000x128(self):
         dp = DesignPoint(Algorithm.BATCHED_PCR)
-        est = latency_batched_pcr(8000, 128, dp)
+        est = latency_for_problem(dp, batch=8000, n=128)
         assert est.cycles == 7168210
         assert est.milliseconds == pytest.approx(23.894, abs=1e-3)
 
@@ -108,14 +105,14 @@ class TestBatchedPcr:
                                  (123, 100, 3, 7), (10**6, 1024, 2, 30)]:
             dp = DesignPoint(Algorithm.BATCHED_PCR, unroll=f_u, pipeline_latency=l)
             expected = (Fraction(batch * n, f_u) + l) * clog2(n)
-            assert latency_batched_pcr(batch, n, dp).cycles == expected
+            assert latency_for_problem(dp, batch=batch, n=n).cycles == expected
 
     def test_ratio_to_thomas_approaches_log(self):
         for n in (128, 256, 1024):
             for f_u in (1, 2, 3):
-                th = latency_batched_thomas(10**6, n, dp_thomas(vector_width=1))
-                pc = latency_batched_pcr(10**6, n, DesignPoint(Algorithm.BATCHED_PCR,
-                                                               unroll=f_u))
+                th = latency_for_problem(dp_thomas(vector_width=1), batch=10**6, n=n)
+                pc = latency_for_problem(DesignPoint(Algorithm.BATCHED_PCR, unroll=f_u),
+                                         batch=10**6, n=n)
                 ratio = pc.cycles / th.cycles
                 assert abs(ratio / Fraction(clog2(n), f_u) - 1) < 0.01
 
@@ -124,10 +121,10 @@ class TestBatchedSpike:
     def test_single_partition_reduces_to_thomas_base(self):
         dp = DesignPoint(Algorithm.BATCHED_SPIKE, interleave_group=32,
                          partitions=1, pipeline_latency=5)
-        spike = latency_batched_spike(100, 64, dp).cycles
-        thomas = latency_batched_thomas(
-            100, 64, DesignPoint(Algorithm.BATCHED_THOMAS, interleave_group=32,
-                                 vector_width=1)).cycles
+        spike = latency_for_problem(dp, batch=100, n=64).cycles
+        thomas = latency_for_problem(
+            DesignPoint(Algorithm.BATCHED_THOMAS, interleave_group=32, vector_width=1),
+            batch=100, n=64).cycles
         # one g*N wave more than Thomas's (1 + ceil(B/g)) * g*N base form, the
         # "+1", and so one less than its 3*g*N ping-pong fill; plus the one
         # partition's reduced stage, two pipeline passes
@@ -138,7 +135,7 @@ class TestBatchedSpike:
         dp = DesignPoint(Algorithm.BATCHED_SPIKE, interleave_group=g,
                          partitions=m, pipeline_latency=l)
         expected = (1 + math.ceil(batch * m / g + 1)) * Fraction(g * n, m) + m * 2 * l
-        assert latency_batched_spike(batch, n, dp).cycles == expected
+        assert latency_for_problem(dp, batch=batch, n=n).cycles == expected
 
     def test_partitions_not_dividing_rows_hold_ceil_rows(self):
         # 128 rows in 3 partitions: each holds ceil(128/3) = 43, as memory_words counts
@@ -147,28 +144,28 @@ class TestBatchedSpike:
                          partitions=m, pipeline_latency=l)
         expected = (1 + math.ceil(batch * m / g + 1)) * g * math.ceil(n / m) + m * 2 * l
         assert expected == 16542
-        assert latency_batched_spike(batch, n, dp).cycles == expected
+        assert latency_for_problem(dp, batch=batch, n=n).cycles == expected
 
     def test_stall_flag(self):
         dp = DesignPoint(Algorithm.BATCHED_SPIKE, partitions=4, pipeline_latency=10)
-        assert latency_batched_spike(10, 64, dp).stalled  # 4*2*10 >= 64
-        assert not latency_batched_spike(10, 256, dp).stalled
+        assert latency_for_problem(dp, batch=10, n=64).stalled  # 4*2*10 >= 64
+        assert not latency_for_problem(dp, batch=10, n=256).stalled
 
     def test_more_partitions_than_rows_rejected(self):
         dp = DesignPoint(Algorithm.BATCHED_SPIKE, partitions=129)
-        for estimate in (lambda: latency_batched_spike(100, 128, dp),
+        for estimate in (lambda: latency_for_problem(dp, batch=100, n=128),
                          lambda: memory_words(dp, 128, U280)):
             with pytest.raises(ValueError, match="^129 partitions exceed the 128 rows "):
                 estimate()
         one_row_each = DesignPoint(Algorithm.BATCHED_SPIKE, partitions=128)
-        assert latency_batched_spike(100, 128, one_row_each).cycles > 0
+        assert latency_for_problem(one_row_each, batch=100, n=128).cycles > 0
         assert memory_words(one_row_each, 128, U280).words > 0
 
 
 class TestTiledSolvers:
     def test_thomas_thomas_example(self):
         dp = DesignPoint(Algorithm.THOMAS_THOMAS, interleave_group=32, tiles=4)
-        assert latency_thomas_thomas(1, 512, dp).cycles == 12800
+        assert latency_for_problem(dp, batch=1, n=512).cycles == 12800
 
     def test_transcriptions(self):
         # the reduced solve interleaves the precision's default group g_r
@@ -179,10 +176,11 @@ class TestTiledSolvers:
             dp = DesignPoint(Algorithm.THOMAS_THOMAS, precision=p, interleave_group=g,
                              tiles=t)
             common = (2 + math.ceil(batch * t / g)) * math.ceil(n / t) * g
-            assert latency_thomas_thomas(batch, n, dp).cycles == common + g_r * (2 * t) * 2
+            assert latency_for_problem(dp, batch=batch, n=n).cycles == \
+                common + g_r * (2 * t) * 2
             dp2 = DesignPoint(Algorithm.THOMAS_PCR, precision=p, interleave_group=g,
                               tiles=t, pipeline_latency=l)
-            assert latency_thomas_pcr(batch, n, dp2).cycles == \
+            assert latency_for_problem(dp2, batch=batch, n=n).cycles == \
                 common + (2 * t + l) * clog2(2 * t)
 
     def test_reduced_term_comparison(self):
@@ -196,12 +194,12 @@ class TestTiledSolvers:
     def test_asymptote(self):
         # t tiles of ceil(n/t) rows each per system
         dp = DesignPoint(Algorithm.THOMAS_PCR, interleave_group=32, tiles=4)
-        est = latency_thomas_pcr(10**6, 512, dp)
+        est = latency_for_problem(dp, batch=10**6, n=512)
         assert abs(est.cycles / 10**6 / (4 * 128) - 1) < 0.01
 
     def test_tiles_required(self):
         with pytest.raises(ValueError):
-            latency_thomas_thomas(1, 128, DesignPoint(Algorithm.THOMAS_THOMAS))
+            latency_for_problem(DesignPoint(Algorithm.THOMAS_THOMAS), batch=1, n=128)
 
 
 class TestAdiModels:
@@ -215,12 +213,13 @@ class TestAdiModels:
                   + (Fraction(2 * x * y, v) + 3 * g * y) + drain)
         z_mod = (Fraction(2 * x * z, v) + 3 * g * z) + drain
         expected = n_iter * max(rhs_xy, z_mod)
-        assert latency_adi3d(x, y, z, batch, n_iter, dp).cycles == expected
+        est = latency_for_problem(dp, batch=batch, dims=(x, y, z), n_iter=n_iter)
+        assert est.cycles == expected
 
     def test_3d_symmetric_shares_drain_term(self):
         dp = DesignPoint(Algorithm.ADI3D, interleave_group=32, vector_width=8,
                          compute_units=2)
-        est = latency_adi3d(64, 64, 64, 10**5, 1, dp)
+        est = latency_for_problem(dp, batch=10**5, dims=(64, 64, 64))
         drain = ceil_div(10**5, 4) * Fraction(64 ** 3, 8)
         for term in est.breakdown.values():
             assert term > drain  # both modules carry the same dominant drain
@@ -228,13 +227,13 @@ class TestAdiModels:
     def test_3d_narrower_data_path_costs_more(self):
         full = DesignPoint(Algorithm.ADI3D, interleave_group=32, vector_width=8)
         narrow = replace(full, vector_width=4)
-        assert latency_adi3d(32, 32, 32, 8, 1, narrow).cycles > \
-            latency_adi3d(32, 32, 32, 8, 1, full).cycles
+        assert latency_for_problem(narrow, batch=8, dims=(32, 32, 32)).cycles > \
+            latency_for_problem(full, batch=8, dims=(32, 32, 32)).cycles
 
     def test_3d_rejects_zero_batch(self):
         dp = DesignPoint(Algorithm.ADI3D)
         with pytest.raises(ValueError):
-            latency_adi3d(16, 16, 16, 0, 1, dp)
+            latency_for_problem(dp, batch=0, dims=(16, 16, 16))
 
     def test_2d_transcription_and_unroll_reduction(self):
         x = y = 128
@@ -246,19 +245,20 @@ class TestAdiModels:
                    + (Fraction(2 * x * y, v) + 3 * g * y))
             expected = math.ceil(n_iter / f_u) * (f_u * pro
                                                   + math.ceil(batch / ncu) * Fraction(x * y, v))
-            assert latency_adi2d(x, y, batch, n_iter, dp).cycles == expected
+            est = latency_for_problem(dp, batch=batch, dims=(x, y), n_iter=n_iter)
+            assert est.cycles == expected
 
     def test_2d_unroll_one_is_per_iteration_pipeline(self):
         dp1 = DesignPoint(Algorithm.ADI2D, interleave_group=32, unroll=1)
-        est = latency_adi2d(64, 64, 10, 7, dp1)
-        per_iter = latency_adi2d(64, 64, 10, 1, dp1)
+        est = latency_for_problem(dp1, batch=10, dims=(64, 64), n_iter=7)
+        per_iter = latency_for_problem(dp1, batch=10, dims=(64, 64))
         assert est.cycles == 7 * per_iter.cycles
 
     def test_2d_deeper_unroll_reduces_cycles_at_large_batch(self):
         prev = None
         for f_u in (1, 2, 4):
             dp = DesignPoint(Algorithm.ADI2D, interleave_group=32, unroll=f_u)
-            cur = latency_adi2d(128, 128, 10**5, 8, dp).cycles
+            cur = latency_for_problem(dp, batch=10**5, dims=(128, 128), n_iter=8).cycles
             if prev is not None:
                 assert cur < prev
             prev = cur
@@ -273,13 +273,13 @@ class TestAdiModels:
             base_x = (Fraction(2 * x, v) + 2 * v * Fraction(x, v)
                       + Fraction(3 * g * x, t) + drain)
             base_y = 2 * y * Fraction(t, v) + Fraction(3 * g * y, t) + drain
-            assert latency_adi2d_tiled(x, y, batch, 100, dp).cycles == \
+            assert latency_for_problem(dp, batch=batch, dims=(x, y), n_iter=100).cycles == \
                 100 * (base_x + 4 * g * t + base_y + 4 * g * t)
 
     def test_2d_tiled_large_batch_limit(self):
         dp = DesignPoint(Algorithm.ADI2D_TILED, interleave_group=32, tiles=4)
         batch = 10**7
-        est = latency_adi2d_tiled(64, 64, batch, 1, dp)
+        est = latency_for_problem(dp, batch=batch, dims=(64, 64))
         limit = 2 * Fraction(batch * 64 * 64, 8)
         assert abs(est.cycles / limit - 1) < 0.01
 
@@ -297,7 +297,7 @@ class TestCalibration:
     def test_thomas_reference_within_budget(self):
         dp = dp_thomas(precision=Precision.FP32)
         ref = find_reference(dp, batch=8000, n=128)
-        est = latency_batched_thomas(8000, 128, dp)
+        est = latency_for_problem(dp, batch=8000, n=128)
         err = relative_error(est.seconds, ref.measured_seconds)
         assert err <= 0.15
         assert err == pytest.approx(0.0167, abs=0.001)
@@ -305,7 +305,7 @@ class TestCalibration:
     def test_adi2d_reconstruction_within_budget(self):
         ref = find_reference(ADI2D_PUBLISHED, **ADI2D_PROBLEM)
         assert ref.reconstructed
-        est = latency_adi2d(128, 128, 3000, 120, ADI2D_PUBLISHED)
+        est = latency_for_problem(ADI2D_PUBLISHED, batch=3000, dims=(128, 128), n_iter=120)
         err = relative_error(est.seconds, ref.measured_seconds)
         assert err == pytest.approx(0.146, abs=0.001)
 
@@ -334,10 +334,16 @@ class TestCalibration:
     def test_adi2d_matches_only_its_own_design(self, change):
         assert find_reference(replace(ADI2D_PUBLISHED, **change), **ADI2D_PROBLEM) is None
 
-    @pytest.mark.parametrize("where", [dict(batch=17, n=128), dict(batch=8000, n=127),
-                                       dict(batch=8000, n=128, n_iter=2)])
+    @pytest.mark.parametrize("where", [dict(batch=17, n=128), dict(batch=8000, n=127)])
     def test_other_problem_returns_none(self, where):
         assert find_reference(dp_thomas(), **where) is None
+
+    @pytest.mark.parametrize("lookup", [find_reference, latency_for_problem])
+    def test_iterations_of_a_batch_problem_are_rejected(self, lookup):
+        # no batch model reads n_iter, so a batch problem is solved once
+        assert lookup(dp_thomas(), batch=8000, n=128, n_iter=1) is not None
+        with pytest.raises(ValueError, match="^n_iter applies to mesh problems; .* not 2 "):
+            lookup(dp_thomas(), batch=8000, n=128, n_iter=2)
 
     def test_adi2d_other_problem_returns_none(self):
         for change in (dict(batch=2999), dict(dims=(128, 64)), dict(n_iter=119)):
