@@ -14,13 +14,14 @@ Interior sweep rows are (-gamma/2, 1 + gamma, -gamma/2); boundary rows are
 pinned identity rows with zero right-hand side, so the field's boundary
 values never change (Dirichlet, taken from the initial field).
 
-``adi_run`` computes the bits of the stencil above,
-:func:`tridax.mesh.solve_lines` per axis and ``u + d`` on a workspace that
-lasts the run, as the paper's data flow generates coefficients once and
-stores no intermediate mesh. It factors each axis's profile once, before
-the first iteration; the stencil writes into one right-hand side ``d``;
-each sweep substitutes its lines in place or in one mesh-sized buffer
-(also the explicit passes' scratch). The explicit passes walk the flat
+``adi_run`` computes the bits of the stencil above, the sweeps and
+``u + d`` on a workspace that lasts the run, as the paper's data flow
+generates coefficients once and stores no intermediate mesh. It factors
+each axis's profile once with :func:`tridax.mesh.factor_lines`, before the
+first iteration; the stencil writes into one right-hand side ``d``; each
+sweep is one :func:`tridax.mesh.sweep_lines` call, which substitutes the
+axis's lines in place or in one mesh-sized buffer (also the explicit
+passes' scratch). The explicit passes walk the flat
 field in chunks of ``STENCIL_CHUNK`` points, as the paper streams them
 through on-chip buffers: the stencil runs all its operations on a chunk
 while it stays in cache, and the update adds ``d`` into the run's own

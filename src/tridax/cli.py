@@ -116,7 +116,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_problem_and_hardware(p)
     p.add_argument("--unroll", type=int, default=1)
     p.add_argument("--tiles", type=int)
-    p.add_argument("--partitions", type=int, default=1)
     _add_common(p)
 
     p = sub.add_parser("dse", help="rank a design grid for a problem")
@@ -261,7 +260,7 @@ def cmd_model(args) -> int:
     dp = DesignPoint(algorithm=Algorithm.parse(args.algo), precision=precision,
                      interleave_group=args.group, vector_width=args.vector,
                      unroll=args.unroll, tiles=args.tiles, compute_units=args.cus,
-                     partitions=args.partitions, frequency_hz=args.freq_mhz * 1e6)
+                     frequency_hz=args.freq_mhz * 1e6)
     problem = _problem_from_args(args, precision)
     device = load_device_profile(args.device)
     where = dict(batch=problem.batch, n=problem.size, dims=problem.dims,

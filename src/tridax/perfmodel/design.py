@@ -16,7 +16,6 @@ class Algorithm(Enum):
 
     BATCHED_THOMAS = "batched-thomas"
     BATCHED_PCR = "batched-pcr"
-    BATCHED_SPIKE = "batched-spike"
     THOMAS_THOMAS = "thomas-thomas"
     THOMAS_PCR = "thomas-pcr"
     ADI2D = "adi2d"
@@ -49,7 +48,6 @@ SHARED_FIELDS = ("precision", "vector_width", "compute_units", "frequency_hz")
 DESIGN_FIELDS = {
     Algorithm.BATCHED_THOMAS: ("interleave_group",),
     Algorithm.BATCHED_PCR: ("unroll", "pipeline_latency"),
-    Algorithm.BATCHED_SPIKE: ("interleave_group", "partitions", "pipeline_latency"),
     Algorithm.THOMAS_THOMAS: ("interleave_group", "tiles"),
     Algorithm.THOMAS_PCR: ("interleave_group", "tiles", "pipeline_latency"),
     Algorithm.ADI2D: ("interleave_group", "unroll"),
@@ -64,6 +62,15 @@ def check_reads(name: str, algorithms) -> None:
         readers = ", ".join(a.value for a in Algorithm if name in DESIGN_FIELDS[a])
         raise ValueError(f"{name} applies to {readers}, not "
                          + "/".join(a.value for a in algorithms))
+
+
+def check_kind(algo: Algorithm, problem: ProblemSpec) -> None:
+    """Raise ``ValueError`` unless ``problem`` is of the kind ``algo`` solves."""
+    if problem.kind != algo.kind:
+        need = ("needs a system size n" if algo.kind == "batch"
+                else "needs mesh dims" if problem.dims is None
+                else f"cannot take mesh dims {problem.dims}")
+        raise ValueError(f"{algo.value} {need}")
 
 
 def default_interleave_group(precision: Precision) -> int:
@@ -89,13 +96,12 @@ class DesignPoint:
     unroll: int = 1                           # replicated inner-loop/iteration circuits
     tiles: int | None = None                  # tile count of a tiled solve, per axis
     compute_units: int = 1                    # replicated full pipelines
-    partitions: int = 1                       # partition count of the partitioned solver
     pipeline_latency: int = 30                # arithmetic pipeline depth, cycles
     frequency_hz: float = 300e6
 
     def __post_init__(self):
-        for name in ("vector_width", "unroll", "compute_units", "partitions",
-                     "pipeline_latency", "interleave_group", "tiles"):
+        for name in ("vector_width", "unroll", "compute_units", "pipeline_latency",
+                     "interleave_group", "tiles"):
             val = getattr(self, name)
             if val is not None and val < 1:
                 raise ValueError(f"{name} must be >= 1")

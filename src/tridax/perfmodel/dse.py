@@ -9,7 +9,7 @@ from dataclasses import dataclass, field, fields
 from itertools import product
 
 from ..errors import NoFeasibleDesign
-from .design import DESIGN_FIELDS, Algorithm, DesignPoint, ProblemSpec
+from .design import DESIGN_FIELDS, Algorithm, DesignPoint, ProblemSpec, check_kind
 from .device import DeviceProfile
 from .latency import LatencyEstimate, latency_for_problem
 from .memory import ResourceEstimate, memory_words
@@ -42,10 +42,8 @@ class GridSpec:
 
     @classmethod
     def for_kind(cls, kind: str) -> "GridSpec":
-        """Every algorithm of ``kind`` but ``batched-spike``, whose partitions
-        the grid does not set."""
-        return cls(algorithms=[a for a in Algorithm
-                               if a.kind == kind and a is not Algorithm.BATCHED_SPIKE])
+        """Every algorithm of ``kind``."""
+        return cls(algorithms=[a for a in Algorithm if a.kind == kind])
 
 
 @dataclass(frozen=True)
@@ -71,6 +69,7 @@ class DseRow:
             "feasible": self.resources.feasible,
             "tiles_x": dp.tiles,  # frozen per-axis columns: one tile count for every axis
             "tiles_y": dp.tiles,
+            "partitions": 1,  # frozen column: no ranked design is partitioned
         }
         for col in DSE_COLUMNS:  # the rest are attributes of the problem or the design
             if col not in rec:
@@ -78,8 +77,7 @@ class DseRow:
         return rec
 
 
-def _candidate_designs(problem: ProblemSpec, grid: GridSpec):
-    algorithms = grid.algorithms or GridSpec.for_kind(problem.kind).algorithms
+def _candidate_designs(problem: ProblemSpec, grid: GridSpec, algorithms):
     for algo in algorithms:  # a list the design's model does not read gives its default
         reads = DESIGN_FIELDS[algo]
         for g, v, f_u, n_cu, freq, t in product(
@@ -98,14 +96,18 @@ def dse_enumerate(problem: ProblemSpec, device: DeviceProfile,
 
     Ties break deterministically by algorithm declaration order, then by
     smaller on-chip footprint. Designs the model rejects are skipped; if
-    every one is, the error names the first reason. An empty grid list
-    raises ``ValueError`` naming it.
+    every one is, the error names the first reason. An empty grid list, or
+    an algorithm of another kind than the problem's, raises ``ValueError``
+    naming it.
     """
     for f in fields(grid):
         if f.name != "algorithms" and not getattr(grid, f.name):
             raise ValueError(f"grid list {f.name} is empty")
+    algorithms = grid.algorithms or GridSpec.for_kind(problem.kind).algorithms
+    for algo in algorithms:
+        check_kind(algo, problem)
     evaluated, skipped = [], []
-    for dp in _candidate_designs(problem, grid):
+    for dp in _candidate_designs(problem, grid, algorithms):
         try:
             lat = latency_for_problem(dp, batch=problem.batch, n=problem.size,
                                       dims=problem.dims, n_iter=problem.n_iter)

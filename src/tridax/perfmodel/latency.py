@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ..tiled import TilePlan
-from .design import Algorithm, DesignPoint, ProblemSpec
+from .design import Algorithm, DesignPoint, ProblemSpec, check_kind
 
 
 def ceil_div(a: int, b: int) -> int:
@@ -36,7 +36,7 @@ class LatencyEstimate:
     cycles: Fraction
     frequency_hz: float
     breakdown: dict
-    stalled: bool = False
+    stalled: bool = False  # no design's data flow stalls yet; reports keep the key
 
     @property
     def seconds_exact(self) -> Fraction:
@@ -52,13 +52,6 @@ class LatencyEstimate:
 
     def dominant_term(self) -> str:
         return max(self.breakdown, key=lambda k: self.breakdown[k])
-
-
-def _check_partitions(partitions: int, n: int) -> None:
-    """The partitioned solver's rule: every partition holds at least one of
-    a system's ``n`` rows."""
-    if partitions > n:
-        raise ValueError(f"{partitions} partitions exceed the {n} rows of a system")
 
 
 def _batched_thomas(p: ProblemSpec, dp: DesignPoint) -> LatencyEstimate:
@@ -83,42 +76,16 @@ def _batched_thomas(p: ProblemSpec, dp: DesignPoint) -> LatencyEstimate:
 def _batched_pcr(p: ProblemSpec, dp: DesignPoint) -> LatencyEstimate:
     """Cyclic reduction with the inner loop batched and unrolled.
 
-    ``(B*n/unroll + l) * ceil_log2(n)`` cycles; the serial outer steps pay
-    the pipeline latency once each.
+    ``(B*n/unroll + l) * max(1, ceil_log2(n))`` cycles; the serial outer
+    steps pay the pipeline latency once each. A 1-row system takes no
+    reduction step but still makes the solver's one normalization pass.
     """
-    steps = ceil_log2(p.size)
+    steps = max(1, ceil_log2(p.size))
     per_step = Fraction(p.batch * p.size, dp.unroll) + dp.pipeline_latency
     return LatencyEstimate(
         cycles=per_step * steps,
         frequency_hz=dp.frequency_hz,
         breakdown={"reduction_steps": per_step * steps},
-    )
-
-
-def _batched_spike(p: ProblemSpec, dp: DesignPoint) -> LatencyEstimate:
-    """Partitioned factor/solve/back-substitute pipeline.
-
-    ``(1 + ceil(B*m/g + 1)) * g*ceil(n/m) + m*C`` cycles with ``m``
-    partitions of per-block reduced-stage cost ``C = 2*l``, two passes
-    through the ``l``-stage pipeline; a partition holds
-    ``ceil(n/m)`` rows, as in the memory model. The two readings of the
-    ``+1`` (inside or outside the ceiling) coincide, since ``ceil(x+1) ==
-    ceil(x)+1`` for any rational x. When ``m*C >= n`` the reduced stage
-    cannot keep up and the data flow stalls; the estimate flags this rather
-    than absorbing it.
-    """
-    n = p.size
-    _check_partitions(dp.partitions, n)
-    g = dp.interleave_group
-    m = dp.partitions
-    cost = 2 * dp.pipeline_latency
-    factor = Fraction((1 + ceil_div(p.batch * m, g) + 1) * g * ceil_div(n, m))
-    reduced = m * cost
-    return LatencyEstimate(
-        cycles=factor + reduced,
-        frequency_hz=dp.frequency_hz,
-        breakdown={"factor_substitute": factor, "reduced_stage": Fraction(reduced)},
-        stalled=m * cost >= n,
     )
 
 
@@ -225,7 +192,6 @@ def _adi2d_tiled(p: ProblemSpec, dp: DesignPoint) -> LatencyEstimate:
 _MODELS = {
     Algorithm.BATCHED_THOMAS: _batched_thomas,
     Algorithm.BATCHED_PCR: _batched_pcr,
-    Algorithm.BATCHED_SPIKE: _batched_spike,
     Algorithm.THOMAS_THOMAS: _tiled,
     Algorithm.THOMAS_PCR: _tiled,
     Algorithm.ADI2D: _adi2d,
@@ -243,12 +209,7 @@ def latency_for_problem(dp: DesignPoint, *, batch: int, n: int | None = None,
     The problem is checked as a :class:`ProblemSpec`; one of another
     :attr:`~Algorithm.kind` than the design's raises ``ValueError``.
     """
-    algo = dp.algorithm
     problem = ProblemSpec(batch, n, None if dims is None else tuple(dims), dp.precision,
                           n_iter)
-    if problem.kind != algo.kind:
-        need = ("needs a system size n" if algo.kind == "batch"
-                else "needs mesh dims" if dims is None
-                else f"cannot take mesh dims {problem.dims}")
-        raise ValueError(f"{algo.value} {need}")
-    return _MODELS[algo](problem, dp.resolved())
+    check_kind(dp.algorithm, problem)
+    return _MODELS[dp.algorithm](problem, dp.resolved())

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from ..tiled import TilePlan
 from .design import Algorithm, DesignPoint
 from .device import DeviceProfile
-from .latency import _check_partitions, _reduced_solve, ceil_div, ceil_log2
+from .latency import _reduced_solve, ceil_div, ceil_log2
 
 REDUCED_FIFO_BUFFERS = 3  # streams drained while the reduced stage runs
 ADI_HBM_PORTS = 24        # measured port budget of the fused ADI pipelines
@@ -75,9 +75,6 @@ def memory_words(dp: DesignPoint, n: int, device: DeviceProfile) -> ResourceEsti
     elif algo is Algorithm.BATCHED_PCR:
         # streaming reduction cascade: three row streams buffered per step
         words = 3 * (n + dp.pipeline_latency) * ceil_log2(n) if n > 1 else 3
-    elif algo is Algorithm.BATCHED_SPIKE:
-        _check_partitions(dp.partitions, n)
-        words = _solver_lane_words(g, ceil_div(n, dp.partitions))
     elif algo in (Algorithm.THOMAS_THOMAS, Algorithm.THOMAS_PCR):
         words = (_tiled_lane_words(g, n, dp.tiles)
                  + REDUCED_FIFO_BUFFERS * _reduced_solve(dp, dp.tiles))
@@ -85,10 +82,8 @@ def memory_words(dp: DesignPoint, n: int, device: DeviceProfile) -> ResourceEsti
         words = 2 * _solver_lane_words(g, n) + 2 * n
     elif algo is Algorithm.ADI3D:
         words = 3 * _solver_lane_words(g, n) + 2 * n * n
-    elif algo is Algorithm.ADI2D_TILED:
+    else:  # Algorithm.ADI2D_TILED
         words = 2 * _tiled_lane_words(g, n, dp.tiles) + 2 * dp.tiles * n
-    else:
-        raise ValueError(f"no memory model for {algo}")
 
     word_bytes = dp.precision.word_bytes
     lanes = dp.vector_width * dp.compute_units

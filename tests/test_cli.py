@@ -276,10 +276,13 @@ class TestModel:
         assert run(["model", "--algo", "batched-thomas", "--batch", 10,
                     "--size", 8, "--device", "not-a-device"]) == 2
 
-    def test_more_partitions_than_rows_is_usage_error(self, capsys):
-        assert run(["model", "--algo", "batched-spike", "--batch", 100, "--size", 128,
-                    "--partitions", 1000]) == 2
-        assert "1000 partitions exceed the 128 rows" in capsys.readouterr().err
+    def test_dropped_design_and_its_knob_are_usage_errors(self, capsys):
+        argv = ["model", "--batch", 100, "--size", 128]
+        assert run([*argv, "--algo", "batched-spike"]) == 2
+        assert capsys.readouterr().err == "error: unknown algorithm 'batched-spike'\n"
+        with pytest.raises(SystemExit) as err:
+            run([*argv, "--algo", "batched-thomas", "--partitions", 1])
+        assert err.value.code == 2
 
     def test_bad_tile_count_usage_error(self, capsys):
         assert run(["model", "--algo", "thomas-pcr", "--batch", 10, "--size", 8,
@@ -306,13 +309,10 @@ class TestModel:
         assert not rep.exists()
 
     @pytest.mark.parametrize("algo,flag,value,message", [
-        ("batched-thomas", "--partitions", 4,
-         "partitions applies to batched-spike, not batched-thomas"),
         ("batched-pcr", "--group", 7, "interleave_group applies to batched-thomas, "
-         "batched-spike, thomas-thomas, thomas-pcr, adi2d, adi3d, adi2d-tiled, "
-         "not batched-pcr"),
-        ("batched-spike", "--unroll", 2, "unroll applies to batched-pcr, adi2d, "
-         "not batched-spike"),
+         "thomas-thomas, thomas-pcr, adi2d, adi3d, adi2d-tiled, not batched-pcr"),
+        ("batched-thomas", "--unroll", 2, "unroll applies to batched-pcr, adi2d, "
+         "not batched-thomas"),
     ])
     def test_knob_the_design_does_not_read_is_usage_error(self, tmp_path, capsys, algo,
                                                           flag, value, message):
@@ -321,7 +321,7 @@ class TestModel:
         assert run([*argv, flag, value]) == 2
         assert f"error: {message}\n" in capsys.readouterr().err
         assert not rep.exists()
-        default = {"--partitions": 1, "--unroll": 1}.get(flag)
+        default = {"--unroll": 1}.get(flag)
         if default is not None:  # the default value sets nothing
             assert run([*argv, flag, default]) == 0
 
@@ -355,11 +355,18 @@ class TestModel:
         assert run(argv) == 0
         assert "measured 0.4700 ms, err 1.7%" in capsys.readouterr().out
 
-    def test_2d_design_on_3d_dims_is_usage_error(self, tmp_path, capsys):
-        rep = tmp_path / "m.json"
-        assert run(["model", "--algo", "adi2d", "--batch", 100, "--dims", "64,64,64",
-                    "--iters", 10, "--report", rep]) == 2
-        assert "adi2d cannot take mesh dims (64, 64, 64)" in capsys.readouterr().err
+    @pytest.mark.parametrize("command", ["model", "dse"])
+    @pytest.mark.parametrize("algo,where,message", [
+        ("adi2d", ["--dims", "64,64,64"], "adi2d cannot take mesh dims (64, 64, 64)"),
+        ("adi2d", ["--size", 64], "adi2d needs mesh dims"),
+        ("adi3d", ["--dims", "64,64"], "adi3d cannot take mesh dims (64, 64)"),
+        ("batched-pcr", ["--dims", "128,128"], "batched-pcr needs a system size n"),
+    ])
+    def test_design_of_another_kind_is_usage_error(self, tmp_path, capsys, command, algo,
+                                                   where, message):
+        rep = tmp_path / "r.json"
+        assert run([command, "--algo", algo, "--batch", 1, *where, "--report", rep]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not rep.exists()
 
     def test_incomplete_device_profile_usage_error(self, tmp_path, capsys):
@@ -418,24 +425,17 @@ class TestDse:
                     "--algo", "batched-thomas", "--report", tmp_path / "d.json"])
         assert code == 3
 
-    def _ranks_nothing(self, tmp_path, capsys, argv, reason):
+    def test_tiling_the_solver_rejects_ranks_nothing(self, tmp_path, capsys):
         rep = tmp_path / "d.json"
-        assert run(["dse", "--batch", 10, "--algo", "thomas-thomas", *argv,
-                    "--report", rep]) == 3
+        assert run(["dse", "--batch", 10, "--algo", "thomas-thomas", "--size", 10,
+                    "--tiles", 4, "--report", rep]) == 3
         out, err = capsys.readouterr()
         assert "#1" not in out
-        assert "were skipped; the first: " + reason in err and "u280" not in err
+        assert ("were skipped; the first: n=10 over t=4 tiles leaves a tile of 1 rows"
+                in err and "u280" not in err)
         payload = json.loads(rep.read_text())
         assert payload["error"] == "no-feasible-design"
         assert payload["detail"] in err
-
-    def test_tiling_the_solver_rejects_ranks_nothing(self, tmp_path, capsys):
-        self._ranks_nothing(tmp_path, capsys, ["--size", 10, "--tiles", 4],
-                            "n=10 over t=4 tiles leaves a tile of 1 rows")
-
-    def test_design_of_the_wrong_kind_ranks_nothing(self, tmp_path, capsys):
-        self._ranks_nothing(tmp_path, capsys, ["--dims", "128,128"],
-                            "thomas-thomas needs a system size n")
 
     def test_tiles_with_untiled_algo_is_usage_error(self, tmp_path, capsys):
         rep = tmp_path / "d.json"
@@ -469,6 +469,15 @@ class TestDse:
         assert sorted(r["unroll"] for r in rows if r["algorithm"] == "batched-pcr") == \
             [1, 2, 4]
         assert {r["unroll"] for r in rows if r["algorithm"] != "batched-pcr"} == {1}
+
+    def test_one_row_systems_rank_no_free_design(self, tmp_path, capsys):
+        # batched-pcr still makes its normalization pass: (1000*1 + 30) * 1 cycles
+        rep = tmp_path / "d.json"
+        assert run(["dse", "--batch", 1000, "--size", 1, "--report", rep]) == 0
+        rows = json.loads(rep.read_text())["rows"]
+        assert rows[0]["algorithm"] == "batched-thomas"
+        assert min(r["cycles"] for r in rows) > 0
+        assert [r["cycles"] for r in rows if r["algorithm"] == "batched-pcr"] == [1030]
 
     def test_size_and_dims_is_usage_error(self, tmp_path, capsys):
         assert run(["dse", "--batch", 10, "--size", 128, "--dims", "64,64",

@@ -55,6 +55,11 @@ class TestEnumeration:
         rows = dse_enumerate(batch_problem(8, batch=10), U280, grid)
         assert {r.design.tiles for r in rows} == {2}
 
+    def test_algorithm_of_another_kind_raises_before_enumerating(self):
+        grid = GridSpec(algorithms=[Algorithm.BATCHED_THOMAS, Algorithm.ADI2D])
+        with pytest.raises(ValueError, match="^adi2d needs mesh dims$"):
+            dse_enumerate(batch_problem(64, batch=10), U280, grid)
+
     def test_ranked_by_seconds_then_deterministic(self):
         grid = GridSpec(algorithms=[Algorithm.BATCHED_THOMAS, Algorithm.BATCHED_PCR,
                                     Algorithm.THOMAS_THOMAS, Algorithm.THOMAS_PCR])
@@ -109,24 +114,27 @@ class TestReports:
 # crossing designs with grid lists their models do not read: each equals
 # the earlier table without those rows, ranks renumbered. The model reports
 # were re-pinned when a report's design block came to list only the fields
-# its model reads: each equals the earlier block without the unread fields,
-# and the batched-spike block gains its partition_stage_cost. The
-# batch-8192-fp32 and adi2d-4096 tables were re-pinned when dse stopped
+# its model reads: each equals the earlier block without the unread fields.
+# The batch-8192-fp32 and adi2d-4096 tables were re-pinned when dse stopped
 # offering unranked infeasible rows: each equals the earlier table without its
 # 3 (or 2) unranked rows. The adi2d-tiled report was re-pinned when that
 # design stopped reading pipeline_latency: it lost only that line. The
-# spike, thomas-thomas, adi2d-tiled and adi3d reports were re-pinned when
+# thomas-thomas, adi2d-tiled and adi3d reports were re-pinned when
 # DesignPoint lost the fields resolved from others: each lost only those
-# lines of its design block (partition_stage_cost; reduced_group; tiles_x
-# and tiles_y; points_per_cycle). The adi2d-reference case was moved to the
+# lines of its design block (reduced_group; tiles_x and tiles_y;
+# points_per_cycle). The adi2d-reference case was moved to the
 # published 292 MHz, where the report still pairs it with its measurement,
-# since a measured reference now matches only its own design.
+# since a measured reference now matches only its own design. The
+# batch-1000-fp64 table was re-pinned when the batched-spike design was
+# dropped: each of its tables equals the earlier one without its 3
+# batched-spike rows, ranks renumbered.
 DSE_CASES = {
     "batch-128-fp32": (dict(batch=8000, size=128), dict(unrolls=[1, 2, 3])),
     "batch-8192-fp32": (dict(batch=100, size=8192), {}),
     "batch-1000-fp64": (dict(batch=1000, size=1000, precision=Precision.FP64),
-                        dict(algorithms=list(Algorithm)[:5], groups=[None, 16],
-                             vector_widths=[4, 8])),
+                        dict(algorithms=[Algorithm.BATCHED_THOMAS, Algorithm.BATCHED_PCR,
+                                         Algorithm.THOMAS_THOMAS, Algorithm.THOMAS_PCR],
+                             groups=[None, 16], vector_widths=[4, 8])),
     "batch-9-tiles": (dict(batch=10, size=9), dict(tiles=[2, 3, 4])),
     "adi2d-128": (dict(batch=3000, dims=(128, 128), n_iter=120),
                   dict(unrolls=[1, 2, 3], compute_units=[1, 3])),
@@ -139,8 +147,6 @@ MODEL_CASES = {
     "calibration": ["--algo", "batched-thomas", "--batch", 8000, "--size", 128,
                     "--group", 32, "--precision", "fp32"],
     "pcr-fp64": ["--algo", "batched-pcr", "--batch", 100, "--size", 1024, "--unroll", 4],
-    "spike": ["--algo", "batched-spike", "--batch", 100, "--size", 512,
-              "--partitions", 4, "--precision", "fp32"],
     "thomas-thomas": ["--algo", "thomas-thomas", "--batch", 100, "--size", 8192,
                       "--tiles", 8, "--precision", "fp32"],
     "thomas-pcr": ["--algo", "thomas-pcr", "--batch", 100, "--size", 1024, "--tiles", 4,
@@ -160,7 +166,7 @@ GOLDEN = {
     "csv-adi3d-64-fp64":
         "e182aafd2e95840fa1ca53303e57b78a602851f56ee01fff3e034cfc2fae0423",
     "csv-batch-1000-fp64":
-        "0935eafb986002f40d67802338859e49e5c70ee71c03ef3645d3a83aba5276b2",
+        "157effdcc6b4bfd65303e1ef390d94f19a11f8c43393e45d2d71514d9356595d",
     "csv-batch-128-fp32":
         "2c73c62162da0c3998420b5e5b60f85b549a99798b105ed7f4a06438cf9599e9",
     "csv-batch-8192-fp32":
@@ -174,7 +180,7 @@ GOLDEN = {
     "json-adi3d-64-fp64":
         "e7c8ec44951b342d86d2f20ad8bd7310aaf3e4f18a5109544414dcab3cc3bf24",
     "json-batch-1000-fp64":
-        "82817dfbf231e1b429e1dcfcd5de207f706cc59c88cd6280084665e4d71c095d",
+        "6407ce371db3eb677add6c48e5fd0c5580d649edc1346d48edf93ab07a7d52d5",
     "json-batch-128-fp32":
         "a161f72dc44b425e37c91699b8547497fd952a1862c610e4c6b8d8cc9f7f7c83",
     "json-batch-8192-fp32":
@@ -191,8 +197,6 @@ GOLDEN = {
         "c8ff490aaa923a8c7d1183cfbed056629c376f825f0c73c901d80386440efb5d",
     "model-pcr-fp64":
         "3fb0cdf4b5d7db7e8a29f1f2fb1bacf6dc1a31b13f62481d7bfc02924b697832",
-    "model-spike":
-        "86c3764aaceb509d560322fac71a77a4dfb5588ce0ef87094496abad054ef455",
     "model-thomas-pcr":
         "4f033c5a730a4cd9143b1ec88e43ead08dbf932a229406eb18d7f9964d586fe0",
     "model-thomas-thomas":

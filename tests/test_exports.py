@@ -4,7 +4,7 @@ import pytest
 
 import tridax
 import tridax.perfmodel
-from tridax.perfmodel import DesignPoint
+from tridax.perfmodel import Algorithm, DesignPoint, GridSpec
 
 PUBLIC = [
     "Precision", "TridiagonalSystem", "TridiagonalBatch",
@@ -27,8 +27,11 @@ PERFMODEL_PUBLIC = [
 ]
 # one field per design parameter: none is filled from another
 DESIGN_POINT_FIELDS = ["algorithm", "precision", "interleave_group", "vector_width",
-                       "unroll", "tiles", "compute_units", "partitions",
-                       "pipeline_latency", "frequency_hz"]
+                       "unroll", "tiles", "compute_units", "pipeline_latency",
+                       "frequency_hz"]
+# every design the model covers, each one dse ranks
+ALGORITHMS = ["batched-thomas", "batched-pcr", "thomas-thomas", "thomas-pcr", "adi2d",
+              "adi3d", "adi2d-tiled"]
 # model internals tridax.perfmodel no longer exports
 MODEL_INTERNAL = ["latency_batched_thomas", "latency_batched_pcr", "latency_batched_spike",
                   "latency_thomas_thomas", "latency_thomas_pcr", "latency_adi2d",
@@ -61,6 +64,14 @@ def test_perfmodel_exports_no_per_design_model():
 
 def test_design_point_fields_are_pinned():
     assert [f.name for f in fields(DesignPoint)] == DESIGN_POINT_FIELDS
+
+
+def test_model_designs_are_pinned():
+    assert [a.value for a in Algorithm] == ALGORITHMS
+
+
+def test_every_model_design_is_ranked_by_dse():
+    assert [a for a in Algorithm if a not in GridSpec.for_kind(a.kind).algorithms] == []
 
 
 def test_internals_are_not_top_level_names():

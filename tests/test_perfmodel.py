@@ -107,6 +107,12 @@ class TestBatchedPcr:
             expected = (Fraction(batch * n, f_u) + l) * clog2(n)
             assert latency_for_problem(dp, batch=batch, n=n).cycles == expected
 
+    def test_one_row_systems_cost_the_normalization_pass(self):
+        # no reduction step at n = 1, but the solver still divides by the diagonal
+        dp = DesignPoint(Algorithm.BATCHED_PCR)
+        assert latency_for_problem(dp, batch=1000, n=1).cycles == 1000 + 30
+        assert latency_for_problem(replace(dp, unroll=4), batch=1000, n=1).cycles == 250 + 30
+
     def test_ratio_to_thomas_approaches_log(self):
         for n in (128, 256, 1024):
             for f_u in (1, 2, 3):
@@ -115,51 +121,6 @@ class TestBatchedPcr:
                                          batch=10**6, n=n)
                 ratio = pc.cycles / th.cycles
                 assert abs(ratio / Fraction(clog2(n), f_u) - 1) < 0.01
-
-
-class TestBatchedSpike:
-    def test_single_partition_reduces_to_thomas_base(self):
-        dp = DesignPoint(Algorithm.BATCHED_SPIKE, interleave_group=32,
-                         partitions=1, pipeline_latency=5)
-        spike = latency_for_problem(dp, batch=100, n=64).cycles
-        thomas = latency_for_problem(
-            DesignPoint(Algorithm.BATCHED_THOMAS, interleave_group=32, vector_width=1),
-            batch=100, n=64).cycles
-        # one g*N wave more than Thomas's (1 + ceil(B/g)) * g*N base form, the
-        # "+1", and so one less than its 3*g*N ping-pong fill; plus the one
-        # partition's reduced stage, two pipeline passes
-        assert spike == thomas - 32 * 64 + 2 * 5
-
-    def test_transcription(self):
-        batch, n, m, g, l = 1000, 256, 4, 32, 5
-        dp = DesignPoint(Algorithm.BATCHED_SPIKE, interleave_group=g,
-                         partitions=m, pipeline_latency=l)
-        expected = (1 + math.ceil(batch * m / g + 1)) * Fraction(g * n, m) + m * 2 * l
-        assert latency_for_problem(dp, batch=batch, n=n).cycles == expected
-
-    def test_partitions_not_dividing_rows_hold_ceil_rows(self):
-        # 128 rows in 3 partitions: each holds ceil(128/3) = 43, as memory_words counts
-        batch, n, m, g, l = 100, 128, 3, 32, 5
-        dp = DesignPoint(Algorithm.BATCHED_SPIKE, interleave_group=g,
-                         partitions=m, pipeline_latency=l)
-        expected = (1 + math.ceil(batch * m / g + 1)) * g * math.ceil(n / m) + m * 2 * l
-        assert expected == 16542
-        assert latency_for_problem(dp, batch=batch, n=n).cycles == expected
-
-    def test_stall_flag(self):
-        dp = DesignPoint(Algorithm.BATCHED_SPIKE, partitions=4, pipeline_latency=10)
-        assert latency_for_problem(dp, batch=10, n=64).stalled  # 4*2*10 >= 64
-        assert not latency_for_problem(dp, batch=10, n=256).stalled
-
-    def test_more_partitions_than_rows_rejected(self):
-        dp = DesignPoint(Algorithm.BATCHED_SPIKE, partitions=129)
-        for estimate in (lambda: latency_for_problem(dp, batch=100, n=128),
-                         lambda: memory_words(dp, 128, U280)):
-            with pytest.raises(ValueError, match="^129 partitions exceed the 128 rows "):
-                estimate()
-        one_row_each = DesignPoint(Algorithm.BATCHED_SPIKE, partitions=128)
-        assert latency_for_problem(one_row_each, batch=100, n=128).cycles > 0
-        assert memory_words(one_row_each, 128, U280).words > 0
 
 
 class TestTiledSolvers:
@@ -461,8 +422,8 @@ class TestDesignFit:
 
 # A non-default value for every DesignPoint field, valid on every problem below.
 PERTURBED = {"precision": Precision.FP64, "interleave_group": 16, "vector_width": 4,
-             "unroll": 2, "tiles": 8, "compute_units": 2, "partitions": 2,
-             "pipeline_latency": 12, "frequency_hz": 250e6}
+             "unroll": 2, "tiles": 8, "compute_units": 2, "pipeline_latency": 12,
+             "frequency_hz": 250e6}
 PROBLEMS = {"batch": [dict(batch=100, n=64), dict(batch=5000, n=1000)],
             "adi2d": [dict(batch=10, dims=(64, 64), n_iter=3),
                       dict(batch=2, dims=(96, 48))],
@@ -512,7 +473,7 @@ class TestDesignFields:
 
     def test_settable_pairs(self):
         settable = sum(len(SHARED_FIELDS + DESIGN_FIELDS[a]) for a in Algorithm)
-        assert settable == 48 and len(fields(DesignPoint)) - 1 == 9
+        assert settable == 41 and len(fields(DesignPoint)) - 1 == 8
         assert [a for a in Algorithm if a.is_tiled] == [
             Algorithm.THOMAS_THOMAS, Algorithm.THOMAS_PCR, Algorithm.ADI2D_TILED]
 
