@@ -3,13 +3,14 @@ drivers and an analytic accelerator performance model.
 
 There is one solve entry point per input form: :func:`solve_system` for
 one system, :func:`batch_solve` for a batch, :func:`solve_lines` for the
-lines along one axis of a mesh batch and :func:`adi_run` for the ADI
-application. The first three make one kernel call per solve,
-``kernel(a, b, c, d)`` on ``(n, lines)`` arrays, for every algorithm;
-``adi_run`` factors each axis once per run, then substitutes every sweep.
-The top level exports the containers, these four entry points, mesh file
-I/O, the ADI configuration and report, the tiling plan, the precisions and
-the error classes; the steps inside a solver stay in its module.
+lines along one axis of a mesh batch, which share one coefficient profile,
+and :func:`adi_run` for the ADI application. The first three make one
+kernel call per solve, ``kernel(a, b, c, d)`` on ``(n, lines)`` arrays,
+for every algorithm; ``adi_run`` factors each axis once per run, then
+substitutes every sweep. The top level exports the containers, these four
+entry points, mesh file I/O, the ADI configuration and report, the tiling
+plan, the precisions and the error classes; the steps inside a solver stay
+in its module.
 
 The package splits into:
 

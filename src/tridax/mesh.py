@@ -9,11 +9,13 @@ x lines by (z, y), y lines by (z, x), z lines by (y, x).
 A sweep gathers the whole axis into one contiguous ``(n, lines)`` array
 (row i of every line side by side, the kernels' input form), solves it in
 one kernel call and scatters the result back; one gather and one scatter,
-on the axis-first view ``np.moveaxis(data, dim, 0)``, serve every sweep and
-coefficient mesh. X lines lie along the storage rows, so their gather and
-scatter are transposes in cache-sized blocks of ``LINE_BLOCK`` lines. For
-repeated sweeps with one shared profile, :func:`factor_lines` factors it
-once and :func:`sweep_lines` substitutes each right-hand side.
+on the axis-first view ``np.moveaxis(data, dim, 0)``, serve every sweep.
+Every line along an axis shares one ``(a, b, c)`` profile, the form ADI
+passes, as the paper's data flow generates each sweep's coefficients on
+chip. X lines lie along the storage rows, so their gather and scatter are
+transposes in cache-sized blocks of ``LINE_BLOCK`` lines. For repeated
+sweeps, :func:`factor_lines` factors the profile once and
+:func:`sweep_lines` substitutes each right-hand side.
 :func:`sweep_lines` takes the ``(batch, z, y, x)`` view of a block in any
 memory order, as ADI's batch-innermost ``(z, y, x, batch)`` workspace:
 lines along the outermost non-unit axis of memory are already
@@ -151,32 +153,20 @@ def _scatter(lines: np.ndarray, view: np.ndarray) -> None:
         view[...] = lines.reshape(view.shape)
 
 
-def _line_coefficient(entry, mesh: Mesh, axis: Axis) -> np.ndarray:
-    """The kernel form of one ``solve_lines`` coefficient entry.
-
-    Every entry is taken in the swept mesh's dtype. A mesh shaped like
-    ``mesh`` gives its gathered ``(n, lines)`` lines; a vector of the axis
-    length gives the ``(n, 1)`` profile every line shares. Any other shape
-    raises ``ValueError``.
-    """
-    if isinstance(entry, Mesh):
-        if entry.data.shape != mesh.data.shape:
-            raise ValueError(f"coefficient mesh has shape {entry.data.shape}, "
-                             f"expected the swept mesh's {mesh.data.shape}")
-        lines = _gather(np.moveaxis(entry.data, _STORAGE_DIM[axis], 0))
-        return np.asarray(lines, dtype=mesh.data.dtype)
-    return _profile(entry, mesh, axis)[:, None]
-
-
-def _profile(entry, mesh: Mesh, axis: Axis) -> np.ndarray:
-    """A coefficient vector of ``axis``'s length in ``mesh``'s dtype; any
-    other shape raises ``ValueError``."""
-    profile = np.asarray(entry, dtype=mesh.data.dtype)
+def _profile(profile: tuple, mesh: Mesh, axis: Axis) -> tuple[np.ndarray, ...]:
+    """The ``(a, b, c)`` vectors every line of ``mesh`` along ``axis``
+    shares, in ``mesh``'s dtype. An entry that is not a vector of the axis
+    length, or a nonzero ``a[0]`` or ``c[n-1]``, raises ``ValueError``."""
     n = mesh.extent(axis)
-    if profile.shape != (n,):
-        raise ValueError(f"coefficient profile has shape {profile.shape}, "
-                         f"expected ({n},) for axis {axis.value}")
-    return profile
+    vectors = []
+    for entry in profile:
+        if np.shape(entry) != (n,):
+            raise ValueError(f"coefficient profile entry has shape {np.shape(entry)}, "
+                             f"expected ({n},) for axis {axis.value}")
+        vectors.append(np.asarray(entry, dtype=mesh.data.dtype))
+    a, b, c = vectors
+    core._check_corners(a[0], c[-1])
+    return a, b, c
 
 
 def _line_error(exc: ZeroPivot | NonFiniteSolution, batch: int, lines: int,
@@ -188,52 +178,45 @@ def _line_error(exc: ZeroPivot | NonFiniteSolution, batch: int, lines: int,
                           [divmod(k, per_mesh) for k in exc.lines.tolist()])
 
 
-def solve_lines(mesh: Mesh, coefficients: tuple, axis, algo: str = "thomas",
-                *, tiles: int | None = None, out: Mesh | None = None) -> Mesh:
-    """Solve every line system along ``axis``, writing solutions over ``d``.
+def solve_lines(mesh: Mesh, profile: tuple, axis, algo: str = "thomas",
+                *, tiles: int | None = None) -> Mesh:
+    """Solve every line system along ``axis`` and return the solutions as
+    a new mesh.
 
     The entry point for a mesh axis, as :func:`tridax.core.solve_system`
     is for one system, :func:`tridax.core.batch_solve` for a batch and
     :func:`tridax.adi.adi_run` for the ADI application. The mesh holds the
-    right-hand sides. ``coefficients`` is the tuple ``(a, b, c)``; each
-    entry is either a mesh shaped like ``mesh``, giving every line its own
-    coefficients, or a vector of the axis length, shared by every line.
-    Entries are taken in the mesh's dtype, so the arithmetic and the pivot
-    floor follow the swept mesh; a nonzero ``a[0]`` or ``c[n-1]`` raises
-    ``ValueError``. Every algorithm, the tiled hybrids included, solves the
-    whole axis in one ``kernel(a, b, c, d)`` call on the gathered lines. A
-    failure raises :class:`LineSolveError` naming every failing mesh and
-    line. ``out`` may alias ``mesh`` for an in-place update; by default a
-    new mesh is returned.
+    right-hand sides. ``profile`` is the tuple ``(a, b, c)`` of vectors of
+    the axis length that every line shares, as each ADI sweep's are. They
+    are taken in the mesh's dtype, so the arithmetic and the pivot floor
+    follow the swept mesh; an entry of any other shape, or a nonzero
+    ``a[0]`` or ``c[n-1]``, raises ``ValueError``. Every algorithm, the
+    tiled hybrids included, solves the whole axis in one
+    ``kernel(a, b, c, d)`` call on the gathered lines, the profile as
+    ``(n, 1)`` columns. A failure raises :class:`LineSolveError` naming
+    every failing mesh and line; a failed pivot fails every line.
     """
     axis = Axis.parse(axis)
     if axis is Axis.Z and mesh.spatial_ndim == 2:
         raise ValueError("2-D mesh has no z axis")
-    if out is None:
-        out = Mesh(np.empty_like(mesh.data), mesh.spatial_ndim)
-    elif out.data.shape != mesh.data.shape:
-        raise ValueError("destination mesh shape differs from source")
-
-    a, b, c = (_line_coefficient(entry, mesh, axis) for entry in coefficients)
-    core._check_corners(a[0], c[-1])
+    a, b, c = (v[:, None] for v in _profile(profile, mesh, axis))
     d = _gather(np.moveaxis(mesh.data, _STORAGE_DIM[axis], 0))
     kernel = core._kernel(algo, tiles)
     try:
         u = kernel(a, b, c, d)
     except (ZeroPivot, NonFiniteSolution) as exc:
         raise _line_error(exc, mesh.batch, d.shape[1], axis) from exc
+    out = Mesh(np.empty_like(mesh.data), mesh.spatial_ndim)
     _scatter(u, np.moveaxis(out.data, _STORAGE_DIM[axis], 0))
     return out
 
 
 def factor_lines(mesh: Mesh, profile: tuple, axis: Axis):
     """Thomas factor of the ``(a, b, c)`` vectors shared by every line of
-    ``mesh`` along ``axis``, for :func:`sweep_lines`; a nonzero ``a[0]`` or
-    ``c[n-1]`` raises ``ValueError``, a failed pivot :class:`LineSolveError`
-    naming every line."""
-    a, b, c = (_profile(entry, mesh, axis) for entry in profile)
-    core._check_corners(a[0], c[-1])
-    factor, failed = core._thomas_factor(a, b, c)
+    ``mesh`` along ``axis``, for :func:`sweep_lines`; a misshapen entry or
+    a nonzero ``a[0]`` or ``c[n-1]`` raises ``ValueError``, a failed pivot
+    :class:`LineSolveError` naming every line."""
+    factor, failed = core._thomas_factor(*_profile(profile, mesh, axis))
     lines = mesh.points // mesh.extent(axis)
     no_rows = np.empty((0, lines), dtype=mesh.data.dtype)  # so the check covers pivots alone
     try:

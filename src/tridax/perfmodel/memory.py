@@ -50,8 +50,6 @@ class ResourceEstimate:
     """Words per solver lane and the feasibility verdict for a full design."""
 
     words: int
-    word_bytes: int
-    lanes: int
     total_bytes: int
     hbm_ports: int
     feasible: bool
@@ -85,9 +83,7 @@ def memory_words(dp: DesignPoint, n: int, device: DeviceProfile) -> ResourceEsti
     else:  # Algorithm.ADI2D_TILED
         words = 2 * _tiled_lane_words(g, n, dp.tiles) + 2 * dp.tiles * n
 
-    word_bytes = dp.precision.word_bytes
-    lanes = dp.vector_width * dp.compute_units
-    total = words * word_bytes * lanes
+    total = words * dp.precision.word_bytes * dp.vector_width * dp.compute_units
     ports = STREAM_HBM_PORTS * 5 if algo.kind == "batch" else ADI_HBM_PORTS
     violations = []
     if total > device.on_chip_bytes:
@@ -97,8 +93,6 @@ def memory_words(dp: DesignPoint, n: int, device: DeviceProfile) -> ResourceEsti
         violations.append(f"needs {ports} HBM ports, device has {device.hbm_ports}")
     return ResourceEstimate(
         words=words,
-        word_bytes=word_bytes,
-        lanes=lanes,
         total_bytes=total,
         hbm_ports=ports,
         feasible=not violations,

@@ -39,16 +39,6 @@ def identity_profile(mesh, axis):
     return np.zeros(n, dtype), np.ones(n, dtype), np.zeros(n, dtype)
 
 
-def profile_meshes(profile, mesh, axis):
-    """Coefficient meshes that put ``profile`` on every line along ``axis``."""
-    out = []
-    for v in profile:
-        m = Mesh(np.empty_like(mesh.data), mesh.spatial_ndim)
-        np.moveaxis(m.data, STORAGE_DIM[axis], 0)[...] = v.reshape((-1,) + (1,) * 3)
-        out.append(m)
-    return tuple(out)
-
-
 def per_line_expected(mesh, profile, axis):
     """Sweep oracle: every line solved alone by the scalar solver."""
     a, b, c = profile
@@ -91,8 +81,8 @@ class TestGatherScatter:
     @pytest.mark.parametrize("axis", ["x", "y", "z"])
     def test_round_trip_bit_exact(self, axis):
         mesh = random_mesh((5, 4, 3), batch=2, seed=9)
-        dest = Mesh.zeros((5, 4, 3), batch=2)
-        solve_lines(mesh, identity_profile(mesh, axis), axis, out=dest)
+        dest = solve_lines(mesh, identity_profile(mesh, axis), axis)
+        assert not np.shares_memory(dest.data, mesh.data)
         assert np.array_equal(dest.data, mesh.data)
 
     def test_gather_order_x_contiguous(self):
@@ -143,28 +133,22 @@ class TestSolveLines:
         assert np.array_equal(got.data, mesh.data / np.float32(2))
 
     @pytest.mark.parametrize("axis", ["x", "y", "z"])
-    def test_coefficient_meshes_taken_in_mesh_dtype(self, axis):
-        # FP64 coefficient meshes on an FP32 mesh: FP32 arithmetic, FP32 floor
+    def test_wide_profile_taken_in_mesh_dtype(self, axis):
+        # FP64 profiles on an FP32 mesh: FP32 arithmetic, FP32 floor
         mesh = random_mesh((12, 10, 8), batch=2, seed=23, precision=Precision.FP32)
-        wide = random_mesh((12, 10, 8), batch=2, seed=23)
-        coeffs = profile_meshes(dominant_profile(8, wide, axis), wide, axis)
-        cast = tuple(Mesh(m.data.astype(np.float32), 3) for m in coeffs)
-        got = solve_lines(mesh, coeffs, axis)
+        wide = dominant_profile(8, random_mesh((12, 10, 8)), axis)
+        got = solve_lines(mesh, wide, axis)
         assert got.data.dtype == np.float32
+        cast = tuple(v.astype(np.float32) for v in wide)
         assert np.array_equal(got.data, solve_lines(mesh, cast, axis).data)
 
-    @pytest.mark.parametrize("algo", SOLVER_NAMES)
-    @pytest.mark.parametrize("axis", ["x", "y", "z"])
-    def test_mixed_coefficient_forms_bitwise(self, algo, axis):
-        # a per-line a beside shared b and c: reduced rows take the per-line shape
-        mesh = random_mesh((12, 9, 15), batch=2, seed=29)
-        _, b, c = dominant_profile(9, mesh, axis)  # |b| > 1 + |c|
-        a = random_mesh((12, 9, 15), batch=2, seed=31)
-        a.data[...] = np.clip(a.data, -1, 1)
-        np.moveaxis(a.data, STORAGE_DIM[axis], 0)[0] = 0
-        got = solve_lines(mesh, (a, b, c), axis, algo, tiles=3)
-        meshes = (a,) + profile_meshes((b, c), mesh, axis)
-        assert np.array_equal(got.data, solve_lines(mesh, meshes, axis, algo, tiles=3).data)
+    def test_input_mesh_left_unchanged(self):
+        mesh = random_mesh((8, 4, 4), seed=5)
+        before = mesh.data.copy()
+        out = solve_lines(mesh, dominant_profile(8, mesh, "x"), "x")
+        assert out is not mesh and not np.shares_memory(out.data, mesh.data)
+        assert np.array_equal(mesh.data, before)
+        assert not np.array_equal(out.data, before)
 
     def test_identity_lines_leave_mesh_unchanged(self):
         mesh = random_mesh((8, 8, 8), seed=1)
@@ -206,6 +190,18 @@ class TestSolveLines:
             alone = solve_lines(Mesh(mesh.data[k:k + 1].copy(), 3), coeffs, axis)
             assert np.array_equal(whole.data[k], alone.data[0])
 
+    @pytest.mark.parametrize("algo", SOLVER_NAMES)
+    @pytest.mark.parametrize("axis", ["x", "y", "z"])
+    def test_equals_batch_solve_of_gathered_lines_bitwise(self, algo, axis):
+        # the shared profile's (n, 1) columns give the bits of full per-line rows
+        mesh = random_mesh((12, 9, 15), batch=2, seed=29)
+        coeffs = dominant_profile(31, mesh, axis)
+        got = solve_lines(mesh, coeffs, axis, algo, tiles=3)
+        d = axis_lines(mesh.data, Axis.parse(axis)).T.copy()
+        rows = [np.tile(v, (len(d), 1)) for v in coeffs]
+        expected = batch_solve(TridiagonalBatch(*rows, d), algo, 3)
+        assert np.array_equal(axis_lines(got.data, Axis.parse(axis)).T, expected)
+
     def test_pcr_algo_agrees_with_thomas(self):
         mesh = random_mesh((16, 4, 4), seed=4)
         coeffs = dominant_profile(7, mesh, "x")
@@ -213,50 +209,36 @@ class TestSolveLines:
         pc = solve_lines(mesh, coeffs, "x", "pcr")
         assert np.max(np.abs(th.data - pc.data)) <= 1e-12
 
-    def test_in_place_destination(self):
-        mesh = random_mesh((8, 4, 4), seed=5)
-        coeffs = dominant_profile(8, mesh, "x")
-        expected = solve_lines(mesh, coeffs, "x")
-        out = solve_lines(mesh, coeffs, "x", out=mesh)
-        assert out is mesh
-        assert np.array_equal(mesh.data, expected.data)
-
-    def test_stored_coefficients_match_generated(self):
-        mesh = random_mesh((12, 6, 3), seed=7)
-        gen = dominant_profile(10, mesh, "x")
-        stored = profile_meshes(gen, mesh, "x")
-        out_g = solve_lines(mesh, gen, "x")
-        out_s = solve_lines(mesh, stored, "x")
-        assert np.array_equal(out_g.data, out_s.data)
-
-    @pytest.mark.parametrize("bad", ["short", "long", "column", "mesh"])
+    @pytest.mark.parametrize("bad", ["short", "long", "column", "mesh", "full mesh",
+                                     "meshes"])
     def test_misshapen_coefficients_rejected(self, bad):
         # length-1 profiles used to broadcast over every row: pcr with the
-        # profile (0, 2, 0) returned d / 2 and raised nothing
+        # profile (0, 2, 0) returned d / 2 and raised nothing; lines share
+        # one profile, so a mesh of per-line coefficients is misshapen too
         mesh = random_mesh((6, 4), seed=17)
         a, b, c = dominant_profile(18, mesh, "x")
         coeffs = {"short": (np.zeros(1), np.full(1, 2.0), np.zeros(1)),
                   "long": (a, np.ones(7), c),
                   "column": (a, b[:, None], c),
-                  "mesh": (a, Mesh(np.ones((1, 1, 6, 4)), 2), c)}[bad]
-        with pytest.raises(ValueError, match="shape"):
+                  "mesh": (a, Mesh(np.ones((1, 1, 6, 4)), 2), c),
+                  "full mesh": (a, Mesh(np.ones_like(mesh.data), 2), c),
+                  "meshes": (mesh, mesh, mesh)}[bad]
+        with pytest.raises(ValueError, match=r"shape .*expected \(6,\) for axis x"):
             solve_lines(mesh, coeffs, "x", "pcr")
+        with pytest.raises(ValueError, match=r"shape .*expected \(6,\) for axis x"):
+            factor_lines(mesh, coeffs, Axis.X)
 
     @pytest.mark.parametrize("corner", ["a[0]", "c[n-1]"])
-    @pytest.mark.parametrize("form", ["profile", "mesh"])
+    @pytest.mark.parametrize("axis", ["x", "y", "z"])
     @pytest.mark.parametrize("algo", SOLVER_NAMES)
-    def test_nonzero_corner_rejected_as_by_core(self, algo, form, corner):
+    def test_nonzero_corner_rejected_as_by_core(self, algo, axis, corner):
         # thomas and pcr ignored a nonzero corner; the tiled hybrids blamed the tiling
-        mesh = random_mesh((9, 4), batch=2, seed=30)
-        coeffs = dominant_profile(31, mesh, "x")
+        mesh = random_mesh((9, 10, 12), batch=2, seed=30)
+        coeffs = dominant_profile(31, mesh, axis)
         k, row = (0, 0) if corner == "a[0]" else (2, -1)
-        if form == "profile":
-            coeffs[k][row] = 0.5
-        else:
-            coeffs = profile_meshes(coeffs, mesh, "x")
-            coeffs[k].data[1, 0, 2, row] = 0.5  # x line 2 of mesh 1 alone
+        coeffs[k][row] = 0.5
         with pytest.raises(ValueError, match=r"a\[0\] == 0 and c\[n-1\] == 0"):
-            solve_lines(mesh, coeffs, "x", algo, tiles=3)
+            solve_lines(mesh, coeffs, axis, algo, tiles=3)
 
     def test_failing_line_identified(self):
         mesh = random_mesh((6, 2, 2), batch=2, seed=8)
@@ -269,15 +251,17 @@ class TestSolveLines:
 
     @pytest.mark.parametrize("algo", ["thomas", "pcr", "thomas-thomas", "thomas-pcr"])
     def test_zero_interior_pivot_names_line(self, algo):
-        # line 5 of mesh 1 along x is (z=1, y=1); row 4 is tile 1's first interior row
+        # row 4 is tile 1's first interior row; the shared pivot fails every line
         mesh = random_mesh((9, 4, 2), batch=2, seed=13)
-        coeffs = profile_meshes(dominant_profile(14, mesh, "x"), mesh, "x")
-        for m in coeffs:
-            m.data[1, 1, 1, 4] = 0.0
+        coeffs = dominant_profile(14, mesh, "x")
+        for v in coeffs:
+            v[4] = 0.0
         with pytest.raises(LineSolveError) as err:
             solve_lines(mesh, coeffs, "x", algo, tiles=3)
-        assert (err.value.batch, err.value.line, err.value.axis) == (1, 5, "x")
+        assert (err.value.batch, err.value.line, err.value.axis) == (0, 0, "x")
+        assert err.value.failures == [(k, line) for k in range(2) for line in range(8)]
         assert isinstance(err.value.__cause__, ZeroPivot)
+        assert err.value.__cause__.index == 4
 
     @pytest.mark.parametrize("algo", ["thomas", "pcr", "thomas-pcr"])
     def test_non_finite_rhs_names_line(self, algo):
@@ -292,17 +276,15 @@ class TestSolveLines:
 
     @pytest.mark.parametrize("algo", ["thomas", "pcr", "thomas-thomas", "thomas-pcr"])
     def test_every_failing_line_named(self, algo):
-        # zero rows on x line 2 of mesh 0 and lines 1 and 4 of mesh 2; the
-        # first failure is the lowest row, 1, on mesh 2's line 1
+        # NaN right-hand sides on x line 2 of mesh 0 and lines 1 and 4 of
+        # mesh 2; the first failure is the lowest line, mesh 0's line 2
         mesh = random_mesh((6, 3, 2), batch=3, seed=24)
-        coeffs = profile_meshes(dominant_profile(25, mesh, "x"), mesh, "x")
         for k, z, y, row in [(0, 0, 2, 3), (2, 0, 1, 1), (2, 1, 1, 5)]:
-            for m in coeffs:
-                m.data[k, z, y, row] = 0.0
+            mesh.data[k, z, y, row] = np.nan
         with pytest.raises(LineSolveError) as err:
-            solve_lines(mesh, coeffs, "x", algo, tiles=2)
+            solve_lines(mesh, dominant_profile(25, mesh, "x"), "x", algo, tiles=2)
         assert err.value.failures == [(0, 2), (2, 1), (2, 4)]
-        assert (err.value.batch, err.value.line, err.value.axis) == (2, 1, "x")
+        assert (err.value.batch, err.value.line, err.value.axis) == (0, 2, "x")
 
 
 class TestFactoredSweep:

@@ -490,8 +490,7 @@ class TestDeviceProfiles:
         assert [f.name for f in fields(DeviceProfile)] == [
             "name", "bram_bytes", "uram_bytes", "hbm_ports"]
         assert [f.name for f in fields(ResourceEstimate)] == [
-            "words", "word_bytes", "lanes", "total_bytes", "hbm_ports", "feasible",
-            "violations"]
+            "words", "total_bytes", "hbm_ports", "feasible", "violations"]
 
     @pytest.mark.parametrize("name", ["bram_bytes", "uram_bytes", "hbm_ports"])
     def test_each_budget_moves_feasibility(self, name):

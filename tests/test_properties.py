@@ -1,7 +1,7 @@
 """Property tests: scalar, batched and mesh-sweep solves agree bit for bit
 for every algorithm and tile count and leave a small residual, the
 residual keeps the bits of its plain numpy expression, a planted
-zero pivot is reported at its row and line, a batch's failures are each
+zero pivot is reported at its row and system, a batch's failures are each
 system's own, a substituted line is finite exactly when its row 0 is, and
 an ADI run is its public steps composed by hand, at any chunking of its
 explicit passes, and a batch's run is each of its meshes' own."""
@@ -11,10 +11,10 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from tridax import (AdiConfig, BatchSolveError, InvalidTilePlan, LineSolveError, Mesh,
-                    NonFiniteSolution, Precision, TilePlan, TridiagonalBatch,
-                    TridiagonalSystem, ZeroPivot, adi, adi_run, batch_solve,
-                    random_dominant_system, residual_max_norm, solve_lines, solve_system)
+from tridax import (AdiConfig, BatchSolveError, InvalidTilePlan, Mesh, NonFiniteSolution,
+                    Precision, TilePlan, TridiagonalBatch, TridiagonalSystem, ZeroPivot, adi,
+                    adi_run, batch_solve, random_dominant_system, residual_max_norm,
+                    solve_lines, solve_system)
 from tridax.core import SOLVER_NAMES, _thomas_substitute
 from conftest import stencil
 
@@ -85,15 +85,13 @@ def axis_view(mesh, axis):
     return np.moveaxis(mesh.data, STORAGE_DIM[axis], 0)
 
 
-def per_line_solve(mesh, axis, a, b, c, algo="thomas", tiles=None):
-    """Every line solved alone by ``solve_system``; coefficients are mesh-shaped."""
+def per_line_solve(mesh, axis, profile, algo, tiles):
+    """Every line solved alone by ``solve_system`` with the shared ``profile``."""
     expected = Mesh(mesh.data.copy(), mesh.spatial_ndim)
     lines = axis_view(expected, axis)
-    coeffs = [axis_view(m, axis) for m in (a, b, c)]
     for idx in np.ndindex(lines.shape[1:]):
         sel = (slice(None),) + idx
-        system = TridiagonalSystem(*(v[sel] for v in coeffs), lines[sel].copy())
-        lines[sel] = solve_system(system, algo, tiles)
+        lines[sel] = solve_system(TridiagonalSystem(*profile, lines[sel].copy()), algo, tiles)
     return expected
 
 
@@ -135,43 +133,28 @@ def test_residual_equals_plain_expression_bitwise(n, count, precision, seed):
 @SETTINGS
 @given(meshes(), algos, st.data())
 def test_sweep_equals_per_line_scalar_bitwise(case, algo, data):
-    mesh, axis, rng = case
-    tiles = draw_tiles(data, algo, axis_view(mesh, axis).shape[0])
-    coeffs = [Mesh(np.empty_like(mesh.data), mesh.spatial_ndim) for _ in range(3)]
-    rows = dominant_rows(rng, axis_view(mesh, axis).shape, mesh.data.dtype)
-    for m, v in zip(coeffs, rows):
-        axis_view(m, axis)[...] = v
-    got = solve_lines(mesh, tuple(coeffs), axis, algo, tiles=tiles)
-    assert np.array_equal(got.data, per_line_solve(mesh, axis, *coeffs, algo, tiles).data)
-    n = axis_view(mesh, axis).shape[0]
-    systems = TridiagonalBatch(*(axis_view(m, axis).reshape(n, -1).T for m in (*coeffs, mesh)))
-    assert_small_residual(systems, axis_view(got, axis).reshape(n, -1).T)
-
-
-@SETTINGS
-@given(meshes())
-def test_stored_equals_constant_coefficients_bitwise(case):
+    # one shared profile per sweep; a batch of the gathered lines gives the same bits
     mesh, axis, rng = case
     n = axis_view(mesh, axis).shape[0]
+    tiles = draw_tiles(data, algo, n)
     profile = dominant_rows(rng, (n,), mesh.data.dtype)
-    stored = []
-    for v in profile:
-        m = Mesh(np.empty_like(mesh.data), mesh.spatial_ndim)
-        axis_view(m, axis)[...] = v.reshape((n,) + (1,) * 3)
-        stored.append(m)
-    got = solve_lines(mesh, profile, axis)
-    assert np.array_equal(got.data, solve_lines(mesh, tuple(stored), axis).data)
-    assert np.array_equal(got.data, per_line_solve(mesh, axis, *stored).data)
+    got = solve_lines(mesh, profile, axis, algo, tiles=tiles)
+    assert np.array_equal(got.data, per_line_solve(mesh, axis, profile, algo, tiles).data)
+    d = axis_view(mesh, axis).reshape(n, -1).T
+    systems = TridiagonalBatch(*(np.tile(v, (len(d), 1)) for v in profile), d)
+    solved = axis_view(got, axis).reshape(n, -1).T
+    assert np.array_equal(batch_solve(systems, algo, tiles), solved)
+    assert_small_residual(systems, solved)
 
 
 @SETTINGS
 @given(st.integers(2, 30), st.integers(1, 10), precisions, seeds, algos, st.data())
 def test_planted_zero_pivot_reported_at_lowest_row_then_line(n, count, precision, seed,
                                                              algo, data):
-    # x lines of a 2-D mesh: row = x, line = y. A zero row is Thomas's and
-    # PCR's first failing pivot, so several plants are reported at the
-    # lowest (row, line); the tiled hybrids eliminate tile by tile, a tile's
-    # row 0 after its other rows, and report the first plant in that order.
+    # A zero row is Thomas's and PCR's first failing pivot, so several
+    # plants are reported at the lowest (row, system); the tiled hybrids
+    # eliminate tile by tile, a tile's row 0 after its other rows, and
+    # report the first plant in that order.
     tiles = draw_tiles(data, algo, n)
     size = None if tiles is None else TilePlan(n, tiles).m
 
@@ -179,30 +162,17 @@ def test_planted_zero_pivot_reported_at_lowest_row_then_line(n, count, precision
         return plant if size is None else (plant[0] // size, plant[0] % size == 0) + plant
 
     rng = np.random.default_rng(seed)
-    mesh = Mesh.zeros((n, count), precision=precision)
-    mesh.data[:] = rng.standard_normal(mesh.data.shape)
-    a, b, c = (Mesh(v.T.reshape(mesh.data.shape).copy(), 2)
-               for v in dominant_rows(rng, (n, count), mesh.data.dtype))
+    d = rng.standard_normal((count, n)).astype(precision.dtype)
+    a, b, c = (v.T.copy() for v in dominant_rows(rng, (n, count), precision.dtype))
     plants = data.draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, count - 1)),
                                min_size=1, max_size=4))
-    for row, line in plants:
-        for m in (a, b, c):
-            m.data[0, 0, line, row] = 0  # a zero row: its pivot is exactly 0
-    row, line = min(plants, key=key)
+    for row, k in plants:
+        a[k, row] = b[k, row] = c[k, row] = 0  # a zero row: its pivot is exactly 0
     try:
-        solve_lines(mesh, (a, b, c), "x", algo, tiles=tiles)
-    except LineSolveError as exc:
-        assert (exc.batch, exc.line) == (0, line)
-        assert exc.failures == [(0, k) for k in sorted({k for _, k in plants})]
-        assert exc.__cause__.index == row and type(exc.__cause__.index) is int
-    else:
-        raise AssertionError("no LineSolveError")
-
-    systems = [TridiagonalSystem(*(m.data[0, 0, k] for m in (a, b, c)), mesh.data[0, 0, k])
-               for k in range(count)]
-    try:
-        batch_solve(TridiagonalBatch.from_systems(systems), algo, tiles)
+        batch_solve(TridiagonalBatch(a, b, c, d), algo, tiles)
     except BatchSolveError as exc:
+        assert (exc.__cause__.index, exc.__cause__.line) == min(plants, key=key)
+        assert type(exc.__cause__.index) is int
         first_row = {}
         for r, k in sorted(plants, key=key, reverse=True):
             first_row[k] = r
@@ -279,7 +249,7 @@ def composed_adi(u0, cfg):
     for _ in range(cfg.n_iter):
         d = sliced_stencil(u, cfg.gamma)
         for axis in u.solved_axes():
-            solve_lines(d, cfg.line_coefficients(u.extent(axis), u.data.dtype), axis, out=d)
+            d = solve_lines(d, cfg.line_coefficients(u.extent(axis), u.data.dtype), axis)
         u = Mesh(u.data + d.data, u.spatial_ndim)
         deltas.append(float(np.abs(d.data).max()))
     return u, deltas

@@ -3,10 +3,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from tridax import (BatchSolveError, InvalidTilePlan, LineSolveError, Mesh,
-                    NonFiniteSolution, Precision, TilePlan, TridiagonalBatch, TridiagonalSystem,
-                    ZeroPivot, batch_solve, dense_oracle_solve, random_dominant_system,
-                    relative_inf_error, solve_lines, solve_system, tiled)
+from tridax import (BatchSolveError, InvalidTilePlan, Mesh, NonFiniteSolution, Precision,
+                    TilePlan, TridiagonalBatch, TridiagonalSystem, ZeroPivot, batch_solve,
+                    dense_oracle_solve, random_dominant_system, relative_inf_error,
+                    solve_lines, solve_system, tiled)
 from tridax.tiled import assemble_reduced, back_substitute, modified_thomas_phase
 from conftest import digest, dominant_batch, make_system
 
@@ -257,16 +257,6 @@ class TestHybridSolvers:
             batch_solve(TridiagonalBatch.from_systems(systems), algo, tiles)
         [(i, exc)] = err.value.failures
         assert (i, exc.index) == (1, row)
-
-        # x lines of a 2-D mesh: line k is system k
-        def as_mesh(values):
-            return Mesh(np.stack(values).reshape(1, 1, len(systems), -1), 2)
-
-        coeffs = [as_mesh([getattr(sys_, k) for sys_ in systems]) for k in "abc"]
-        with pytest.raises(LineSolveError) as err:
-            solve_lines(as_mesh([sys_.d for sys_ in systems]), coeffs, "x", algo, tiles=tiles)
-        assert (err.value.batch, err.value.line) == (0, 1)
-        assert err.value.__cause__.index == row
 
 
 @settings(max_examples=60, deadline=None)
