@@ -10,8 +10,8 @@ Subcommands:
 
 Input-generation flags apply only to generated inputs: an ``--input`` file
 keeps its own shape and precision, and ``adi --dims``, if given, must match
-it. ``dse`` writes its ranked table only to ``--report``; every other report,
-JSON or ``key,value`` CSV rows, goes to ``--report``, or stdout if omitted.
+it. Reports are JSON: ``dse`` writes its ranked table only to ``--report``;
+every other report goes to ``--report``, or stdout if omitted.
 
 Exit codes: 0 success, 2 usage error, 3 infeasible design or verification
 failure, 1 internal error. Given the same flags, seed and input bytes,
@@ -21,8 +21,6 @@ binary outputs are byte-identical across runs.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import sys
 import time
@@ -36,8 +34,7 @@ from .errors import NoFeasibleDesign, TridaxError
 from .mesh import Mesh, read_mesh, write_mesh
 from .perfmodel import (MEASURED_REFERENCES, Algorithm, DesignPoint, GridSpec,
                         ProblemSpec, dse_enumerate, find_reference, latency_for_problem,
-                        load_device_profile, memory_words, relative_error,
-                        rows_to_csv, rows_to_json)
+                        load_device_profile, memory_words, relative_error, rows_to_json)
 from .perfmodel.design import check_reads
 from .precision import Precision
 from .reference import naive_adi_run
@@ -58,11 +55,9 @@ def _parse_int_list(text: str) -> list[int]:
 
 
 def _add_common(p: argparse.ArgumentParser, precision_help: str = "fp32 or fp64"):
-    """Add ``--precision``, ``--format`` and ``--report``; returns the last."""
+    """Add ``--precision`` and ``--report``; returns the last."""
     p.add_argument("--precision", default="fp64", help=precision_help)
-    p.add_argument("--format", choices=("json", "csv"), default="json",
-                   help="report format")
-    return p.add_argument("--report", type=Path, help="report file (stdout if omitted)")
+    return p.add_argument("--report", type=Path, help="JSON report file (stdout if omitted)")
 
 
 def _add_problem_and_hardware(p: argparse.ArgumentParser):
@@ -75,7 +70,7 @@ def _add_problem_and_hardware(p: argparse.ArgumentParser):
     p.add_argument("--vector", type=int, default=8)
     p.add_argument("--cus", type=int, default=1)
     p.add_argument("--freq-mhz", type=float, default=300.0)
-    p.add_argument("--device", default="u280")
+    p.add_argument("--device", default="u280", help="u280 or a JSON device profile file")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -150,16 +145,8 @@ def read_batch(path) -> core.TridiagonalBatch:
 
 
 def _emit_report(args, payload: dict) -> None:
-    """Write ``payload``; as CSV, one ``key,value`` row per field, a dict or
-    list value as JSON text, ``None`` as an empty cell."""
-    if args.format == "csv":
-        buf = io.StringIO()
-        csv.writer(buf, lineterminator="\n").writerows(
-            [k, json.dumps(v) if isinstance(v, (dict, list)) else v]
-            for k, v in payload.items())
-        text = buf.getvalue()
-    else:
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """Write ``payload`` as JSON to ``--report``, or stdout if omitted."""
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if args.report:
         args.report.write_text(text)
     else:
@@ -336,8 +323,7 @@ def cmd_dse(args) -> int:
               f"unroll={rec['unroll']} {rec['seconds'] * 1e3:10.4f} ms  "
               f"{rec['on_chip_bytes'] / 1e6:8.2f} MB on-chip")
     if args.report:
-        args.report.write_text(rows_to_csv(rows) if args.format == "csv"
-                               else rows_to_json(rows))
+        args.report.write_text(rows_to_json(rows))
     return 0
 
 

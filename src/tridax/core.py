@@ -285,10 +285,11 @@ def relative_inf_error(u, ref) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Kernels: d and the solution are (n, lines); a, b, c are (n, lines) or
-# (n, 1), shared by every line. Each line runs the same operation sequence
-# whatever the line count or coefficient sharing, so results do not depend
-# on how lines are batched. Raw kernels return (u, failed pivots), checked once per call.
+# Kernels: d and the solution are (n, lines); a, b, c share one shape, (n, lines)
+# or (n, 1) shared by every line, so b.shape sizes the coefficient buffers.
+# Each line runs the same operation sequence whatever the line count or
+# coefficient sharing, so results do not depend on how lines are batched.
+# Raw kernels return (u, failed pivots), checked once per call.
 # ---------------------------------------------------------------------------
 
 
@@ -343,9 +344,8 @@ def _thomas_factor(a: np.ndarray, b: np.ndarray, c: np.ndarray):
     """
     n = b.shape[0]
     one = b.dtype.type(1)
-    shape = np.broadcast_shapes(a.shape, b.shape, c.shape)
-    cs = np.empty(shape, dtype=b.dtype)
-    den = np.empty(shape, dtype=b.dtype)
+    cs = np.empty(b.shape, dtype=b.dtype)
+    den = np.empty(b.shape, dtype=b.dtype)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         den[0] = b[0]
         cs[0] = c[0] / b[0]
@@ -381,7 +381,7 @@ def _thomas_kernel(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray):
     """Forward elimination and back substitution, O(n) per line: the factor,
     then the substitution."""
     factor, failed = _thomas_factor(a, b, c)
-    u = np.empty(np.broadcast_shapes(failed.shape, d.shape), dtype=b.dtype)
+    u = np.empty(d.shape, dtype=b.dtype)
     return _thomas_substitute(factor, d, u), [(failed, range(d.shape[0]))]
 
 
@@ -400,10 +400,8 @@ def _pcr_kernel(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray):
     failed = [_failed_pivots(b)]
     steps = 0 if n <= 1 else int(np.ceil(np.log2(n)))
     pad = (1 << steps) // 2
-    # after one step, a per-line coefficient of any kind makes both ra and rc per-line
-    shape = np.broadcast_shapes(a.shape, b.shape, c.shape)
-    ra, rc = (np.zeros((n + 2 * pad,) + shape[1:], b.dtype) for _ in range(2))
-    rd = np.zeros((n + 2 * pad,) + np.broadcast_shapes(shape, d.shape)[1:], b.dtype)
+    ra, rc = (np.zeros((n + 2 * pad,) + b.shape[1:], b.dtype) for _ in range(2))
+    rd = np.zeros((n + 2 * pad,) + d.shape[1:], b.dtype)
     mid = slice(pad, pad + n)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for x, buf in ((a, ra), (c, rc), (d, rd)):

@@ -5,13 +5,9 @@ from __future__ import annotations
 
 import json
 import math
-import os
-from contextlib import suppress
 from dataclasses import dataclass, fields
 from numbers import Real
 from pathlib import Path
-
-DEVICE_DIR_ENV = "TRIDAX_DEVICE_DIR"
 
 
 @dataclass(frozen=True)
@@ -47,48 +43,31 @@ U280 = DeviceProfile(name="u280", bram_bytes=6.6e6, uram_bytes=34.5e6, hbm_ports
 BUILTIN_PROFILES = {"u280": U280}
 
 
-def _parse_profile_text(text: str, name: str) -> DeviceProfile:
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        values = json.loads(text)
-    else:
-        values = {}
-        for line in text.splitlines():
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, eq, val = (part.strip() for part in line.partition("="))
-            if not eq:
-                raise ValueError(f"device profile line is not 'key = value': {line!r}")
-            with suppress(ValueError):  # a non-number stays text, for DeviceProfile to name
-                val = float(val)
-            values[key] = val
-    values.setdefault("name", name)
+def load_device_profile(name_or_path: str) -> DeviceProfile:
+    """Resolve a device by built-in name, else read the JSON file at that path.
+
+    The file holds one object with every ``DeviceProfile`` field; ``name``
+    defaults to the file's stem.
+    """
+    key = name_or_path.lower()
+    if key in BUILTIN_PROFILES:
+        return BUILTIN_PROFILES[key]
+    path = Path(name_or_path)
+    if not path.is_file():
+        raise ValueError(f"unknown device profile {name_or_path!r}")
+    try:
+        values = json.loads(path.read_text())
+    except ValueError as exc:  # malformed JSON or text that is not UTF-8
+        raise ValueError(f"device profile {name_or_path!r} is not JSON: {exc}") from None
+    if not isinstance(values, dict):
+        raise ValueError(f"device profile {name_or_path!r} must be a JSON object, "
+                         f"not {type(values).__name__}")
+    values.setdefault("name", path.stem)
     known = {f.name for f in fields(DeviceProfile)}
     unknown = set(values) - known
     if unknown:
         raise ValueError(f"unknown device profile keys: {sorted(unknown)}")
     missing = known - set(values)
     if missing:
-        raise ValueError(f"device profile {name!r} is missing keys: {sorted(missing)}")
+        raise ValueError(f"device profile {path.stem!r} is missing keys: {sorted(missing)}")
     return DeviceProfile(**{**values, "name": str(values["name"])})
-
-
-def load_device_profile(name_or_path: str) -> DeviceProfile:
-    """Resolve a device by built-in name, search-dir name, or file path.
-
-    The search directory comes from the ``TRIDAX_DEVICE_DIR`` environment
-    variable; files may be JSON or ``key = value`` text.
-    """
-    key = name_or_path.lower()
-    if key in BUILTIN_PROFILES:
-        return BUILTIN_PROFILES[key]
-    candidates = [Path(name_or_path)]
-    search = os.environ.get(DEVICE_DIR_ENV)
-    if search:
-        base = Path(search) / name_or_path
-        candidates += [base, base.with_suffix(".json"), base.with_suffix(".txt")]
-    for path in candidates:
-        if path.is_file():
-            return _parse_profile_text(path.read_text(), path.stem)
-    raise ValueError(f"unknown device profile {name_or_path!r}")

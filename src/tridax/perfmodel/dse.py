@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 from dataclasses import dataclass, field, fields
 from itertools import product
@@ -127,17 +125,6 @@ def dse_enumerate(problem: ProblemSpec, device: DeviceProfile,
                                  e[2].total_bytes))
     return [DseRow(i + 1, dp, lat, res, problem)
             for i, (dp, lat, res) in enumerate(feasible)]
-
-
-def rows_to_csv(rows: list[DseRow]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["# schema", DSE_SCHEMA])
-    writer.writerow(DSE_COLUMNS)
-    for row in rows:
-        rec = row.record()
-        writer.writerow([rec[col] for col in DSE_COLUMNS])  # csv writes None as ''
-    return buf.getvalue()
 
 
 def rows_to_json(rows: list[DseRow]) -> str:

@@ -46,11 +46,8 @@ class Precision(Enum):
 
     @classmethod
     def parse(cls, name: str) -> "Precision":
-        key = name.strip().lower()
-        aliases = {
-            "fp32": cls.FP32, "f32": cls.FP32, "float32": cls.FP32, "single": cls.FP32,
-            "fp64": cls.FP64, "f64": cls.FP64, "float64": cls.FP64, "double": cls.FP64,
-        }
-        if key not in aliases:
-            raise ValueError(f"unknown precision {name!r}")
-        return aliases[key]
+        """``fp32`` or ``fp64``, in any case and with surrounding spaces."""
+        try:
+            return cls(name.strip().lower())
+        except ValueError:
+            raise ValueError(f"unknown precision {name!r}") from None

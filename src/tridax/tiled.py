@@ -82,11 +82,10 @@ def modified_thomas_phase(a, b, c, d):
     """
     m = d.shape[0]
     one = b.dtype.type(1)
-    shape = np.broadcast_shapes(a.shape, b.shape, c.shape)
-    at, ct, den = (np.empty(shape, dtype=b.dtype) for _ in range(3))
-    dt = np.empty(np.broadcast_shapes(shape, d.shape), dtype=b.dtype)
+    at, ct, den = (np.empty(b.shape, dtype=b.dtype) for _ in range(3))
+    dt = np.empty(d.shape, dtype=b.dtype)
     for src, buf in ((a, at), (b, den), (c, ct), (d, dt)):
-        _blocked_copy(buf, np.broadcast_to(src, buf.shape))
+        _blocked_copy(buf, src)
     r, row, drow = (np.empty(x.shape[1:], dtype=b.dtype) for x in (at, at, dt))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         # forward: row i becomes at[i]*u0 + u[i] + ct[i]*u[i+1] = dt[i]; at[i] is a[i] until last

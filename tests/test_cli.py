@@ -1,4 +1,3 @@
-import csv
 import errno
 import json
 
@@ -13,29 +12,6 @@ from tridax.core import TridiagonalBatch, random_dominant_system
 def run(argv, capsys=None):
     code = main([str(a) for a in argv])
     return code
-
-
-def csv_report_matches_json(argv, tmp_path, volatile=()):
-    """Run ``argv`` with a CSV and a JSON report; the CSV parses into
-    two-cell ``key,value`` rows, one per JSON key, with dict and list
-    values as JSON text and null as an empty cell. Keys in ``volatile``
-    (timings) are not compared."""
-    reports = {fmt: tmp_path / f"r.{fmt}" for fmt in ("csv", "json")}
-    for fmt, path in reports.items():
-        assert run([*argv, "--format", fmt, "--report", path]) == 0
-    rows = list(csv.reader(reports["csv"].read_text().splitlines()))
-    payload = json.loads(reports["json"].read_text())
-    assert [len(row) for row in rows] == [2] * len(rows)
-    assert sorted(key for key, _ in rows) == sorted(payload)
-    for key, cell in rows:
-        value = payload[key]
-        if key in volatile:
-            continue
-        if isinstance(value, (dict, list)):
-            assert json.loads(cell) == value
-        else:
-            assert cell == ("" if value is None else str(value))
-    return payload
 
 
 class TestSolve:
@@ -72,12 +48,25 @@ class TestSolve:
         assert "every tile needs >= 3" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_csv_report_writes_null_as_empty_cell(self, tmp_path):
-        argv = ["solve", "--batch", 3, "--size", 8, "--out", tmp_path / "sol.bin"]
-        timings = ("wall_seconds", "effective_gb_per_s")
-        payload = csv_report_matches_json(argv, tmp_path, volatile=timings)
-        assert payload["tiles"] is None
-        assert "tiles,\n" in (tmp_path / "r.csv").read_text()
+    def test_report_without_tiles_writes_null(self, tmp_path):
+        rep = tmp_path / "r.json"
+        assert run(["solve", "--batch", 3, "--size", 8, "--out", tmp_path / "sol.bin",
+                    "--report", rep]) == 0
+        assert json.loads(rep.read_text())["tiles"] is None
+
+    @pytest.mark.parametrize("name", ["f32", "float32", "single", "f64", "float64", "double"])
+    def test_precision_alias_is_usage_error(self, tmp_path, capsys, name):
+        out = tmp_path / "s.bin"
+        assert run(["solve", "--batch", 2, "--size", 8, "--precision", name,
+                    "--out", out]) == 2
+        assert capsys.readouterr().err == f"error: unknown precision {name!r}\n"
+        assert not out.exists()
+
+    def test_precision_ignores_case_and_spaces(self, tmp_path):
+        rep = tmp_path / "r.json"
+        assert run(["solve", "--batch", 2, "--size", 8, "--precision", " FP32 ",
+                    "--out", tmp_path / "s.bin", "--report", rep]) == 0
+        assert json.loads(rep.read_text())["precision"] == "fp32"
 
     def test_deterministic_outputs(self, tmp_path):
         a, b = tmp_path / "a.bin", tmp_path / "b.bin"
@@ -174,11 +163,11 @@ class TestAdi:
         assert sorted(payload["phases"]) == ["rhs", "sweep_x", "sweep_y", "update"]
         assert [s["iterations"] for s in payload["steps"]] == [1, 2]
 
-    def test_csv_report_carries_every_field(self, tmp_path, capsys):
-        argv = ["adi", "--dims", "8,8", "--batch", 2, "--gamma", 0.5, "--iters", 3,
-                "--verify", "--out", tmp_path / "u.bin"]
-        timings = ("phases", "steps", "total_seconds", "effective_gb_per_s")
-        payload = csv_report_matches_json(argv, tmp_path, volatile=timings)
+    def test_report_carries_verify_and_mesh(self, tmp_path, capsys):
+        rep = tmp_path / "r.json"
+        assert run(["adi", "--dims", "8,8", "--batch", 2, "--gamma", 0.5, "--iters", 3,
+                    "--verify", "--out", tmp_path / "u.bin", "--report", rep]) == 0
+        payload = json.loads(rep.read_text())
         assert {"config", "delta_inf", "verify", "mesh"} <= set(payload)
 
     def test_input_mesh_keeps_its_precision(self, tmp_path, capsys):
@@ -338,11 +327,12 @@ class TestModel:
         assert "not both" in capsys.readouterr().err
         assert not rep.exists()
 
-    def test_csv_report_carries_every_field(self, tmp_path, capsys):
-        payload = csv_report_matches_json(
-            ["model", "--algo", "adi2d", "--batch", 3000, "--dims", "128,128",
-             "--iters", 120, "--unroll", 3, "--cus", 3, "--precision", "fp32",
-             "--freq-mhz", 292], tmp_path)
+    def test_report_carries_every_field(self, tmp_path, capsys):
+        rep = tmp_path / "m.json"
+        assert run(["model", "--algo", "adi2d", "--batch", 3000, "--dims", "128,128",
+                    "--iters", 120, "--unroll", 3, "--cus", 3, "--precision", "fp32",
+                    "--freq-mhz", 292, "--report", rep]) == 0
+        payload = json.loads(rep.read_text())
         assert {"design", "problem", "violations", "measured_reference"} <= set(payload)
 
     def test_iterations_of_a_batch_problem_are_usage_error(self, tmp_path, capsys):
@@ -370,11 +360,19 @@ class TestModel:
         assert not rep.exists()
 
     def test_incomplete_device_profile_usage_error(self, tmp_path, capsys):
-        path = tmp_path / "card.txt"
-        path.write_text("hbm_ports = 16\n")
+        path = tmp_path / "card.json"
+        path.write_text(json.dumps({"hbm_ports": 16}))
         assert run(["model", "--algo", "batched-thomas", "--batch", 10,
                     "--size", 8, "--device", path]) == 2
         assert "missing keys" in capsys.readouterr().err
+
+    def test_device_dir_is_not_searched(self, tmp_path, monkeypatch, capsys):
+        (tmp_path / "card.json").write_text(json.dumps({"bram_bytes": 1e6, "uram_bytes": 2e6,
+                                                        "hbm_ports": 16}))
+        monkeypatch.setenv("TRIDAX_DEVICE_DIR", str(tmp_path))
+        assert run(["model", "--algo", "batched-thomas", "--batch", 10,
+                    "--size", 8, "--device", "card"]) == 2
+        assert capsys.readouterr().err == "error: unknown device profile 'card'\n"
 
     def test_nonnumeric_device_budget_usage_error(self, tmp_path, capsys):
         path = tmp_path / "card.json"
@@ -420,10 +418,14 @@ class TestDse:
         rows = json.loads(rep.read_text())["rows"]
         assert sorted(r["tiles"] for r in rows if r["algorithm"] == "adi2d-tiled") == [2, 4]
 
-    def test_no_feasible_design_exit_code(self, tmp_path):
+    def test_no_feasible_design_report(self, tmp_path):
+        rep = tmp_path / "d.json"
         code = run(["dse", "--batch", 10, "--size", 8192, "--precision", "fp32",
-                    "--algo", "batched-thomas", "--report", tmp_path / "d.json"])
+                    "--algo", "batched-thomas", "--report", rep])
         assert code == 3
+        payload = json.loads(rep.read_text())
+        assert (payload["schema_version"], payload["command"], payload["error"]) == (
+            "tridax.report.v1", "dse", "no-feasible-design")
 
     def test_tiling_the_solver_rejects_ranks_nothing(self, tmp_path, capsys):
         rep = tmp_path / "d.json"
@@ -506,21 +508,13 @@ class TestDse:
             run(["dse", "--batch", 10, "--size", 64, "--out", tmp_path / "x"])
         assert err.value.code == 2
 
-    def test_csv_error_report(self, tmp_path):
-        rep = tmp_path / "d.csv"
-        assert run(["dse", "--batch", 10, "--size", 8192, "--algo", "batched-thomas",
-                    "--format", "csv", "--report", rep]) == 3
-        assert rep.read_text().splitlines()[:3] == [
-            "schema_version,tridax.report.v1", "command,dse", "error,no-feasible-design"]
-
-    def test_csv_report(self, tmp_path):
-        rep = tmp_path / "d.csv"
-        code = run(["dse", "--batch", 8000, "--size", 128, "--precision", "fp32",
-                    "--format", "csv", "--report", rep])
-        assert code == 0
-        lines = rep.read_text().splitlines()
-        assert lines[0].startswith("# schema")
-        assert lines[2].split(",")[1] == "batched-thomas"
+    def test_calibration_problem_ranks_thomas_first(self, tmp_path):
+        rep = tmp_path / "d.json"
+        assert run(["dse", "--batch", 8000, "--size", 128, "--precision", "fp32",
+                    "--report", rep]) == 0
+        payload = json.loads(rep.read_text())
+        assert payload["schema_version"] == "tridax.dse.v1"
+        assert payload["rows"][0]["algorithm"] == "batched-thomas"
 
 
 class _FullDisk:
@@ -551,6 +545,19 @@ WRITING_COMMANDS = {
     "solve": ["solve", "--batch", 3, "--size", 16],
     "adi": ["adi", "--dims", "8,8", "--gamma", "0.5", "--iters", 2],
 }
+
+
+@pytest.mark.parametrize("argv", [
+    WRITING_COMMANDS["solve"], WRITING_COMMANDS["adi"],
+    ["model", "--algo", "batched-thomas", "--batch", 10, "--size", 8],
+    ["dse", "--batch", 10, "--size", 8]], ids=["solve", "adi", "model", "dse"])
+def test_format_is_usage_error(tmp_path, monkeypatch, argv):
+    # every report is JSON; there is no format to choose
+    monkeypatch.chdir(tmp_path)  # where solve writes solutions.bin by default
+    with pytest.raises(SystemExit) as err:
+        run([*argv, "--format", "json", "--report", "r.json"])
+    assert err.value.code == 2
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("command", sorted(WRITING_COMMANDS))

@@ -7,7 +7,7 @@ import pytest
 from tridax import NoFeasibleDesign, Precision
 from tridax.cli import main
 from tridax.perfmodel import (DSE_COLUMNS, U280, Algorithm, DesignPoint, GridSpec,
-                              ProblemSpec, dse_enumerate, rows_to_csv, rows_to_json)
+                              ProblemSpec, dse_enumerate, rows_to_json)
 from tridax.perfmodel.design import DESIGN_FIELDS, SHARED_FIELDS
 
 
@@ -88,15 +88,6 @@ class TestEnumeration:
 
 
 class TestReports:
-    def test_csv_schema_and_columns(self):
-        grid = GridSpec(algorithms=[Algorithm.BATCHED_THOMAS])
-        rows = dse_enumerate(batch_problem(128), U280, grid)
-        text = rows_to_csv(rows)
-        lines = text.splitlines()
-        assert lines[0] == "# schema,tridax.dse.v1"
-        assert lines[1] == ",".join(DSE_COLUMNS)
-        assert len(lines) == 2 + len(rows)
-
     def test_json_schema(self):
         grid = GridSpec(algorithms=[Algorithm.BATCHED_THOMAS])
         rows = dse_enumerate(batch_problem(128), U280, grid)
@@ -108,7 +99,7 @@ class TestReports:
 
 
 # Model-layer outputs, recorded before ProblemSpec lost its kind field: the
-# ranked tables (JSON and CSV) of a fixed set of problems and grids, and the
+# ranked JSON tables of a fixed set of problems and grids, and the
 # `tridax model` JSON reports of a fixed set of designs. The batch-128-fp32,
 # batch-1000-fp64 and adi2d-128 tables were re-pinned when dse stopped
 # crossing designs with grid lists their models do not read: each equals
@@ -126,7 +117,7 @@ class TestReports:
 # published 292 MHz, where the report still pairs it with its measurement,
 # since a measured reference now matches only its own design. The
 # batch-1000-fp64 table was re-pinned when the batched-spike design was
-# dropped: each of its tables equals the earlier one without its 3
+# dropped: its table equals the earlier one without its 3
 # batched-spike rows, ranks renumbered.
 DSE_CASES = {
     "batch-128-fp32": (dict(batch=8000, size=128), dict(unrolls=[1, 2, 3])),
@@ -159,20 +150,6 @@ MODEL_CASES = {
     "adi3d": ["--algo", "adi3d", "--batch", 2, "--dims", "64,64,64", "--iters", 10],
 }
 GOLDEN = {
-    "csv-adi2d-128":
-        "d8191589f9701cb1a71adbf1fd4427b6e00da53cda5367da676a25a7b20b05ca",
-    "csv-adi2d-4096":
-        "69e9c66008f7d3177d476a7900c496bea24c92412c0fd5d8574e9feea28d37b0",
-    "csv-adi3d-64-fp64":
-        "e182aafd2e95840fa1ca53303e57b78a602851f56ee01fff3e034cfc2fae0423",
-    "csv-batch-1000-fp64":
-        "157effdcc6b4bfd65303e1ef390d94f19a11f8c43393e45d2d71514d9356595d",
-    "csv-batch-128-fp32":
-        "2c73c62162da0c3998420b5e5b60f85b549a99798b105ed7f4a06438cf9599e9",
-    "csv-batch-8192-fp32":
-        "ae105b23c6c6a6bde62c437b499cfd0a7e1d5c3f0e04ac1350444802344ea750",
-    "csv-batch-9-tiles":
-        "66c236386acf07bf099a355df0320be5b75f02baad26353f8149ff5578b1dd56",
     "json-adi2d-128":
         "94f6091735f196d2c9b097f4456982b85a04a34137c776865c4140be62a891cd",
     "json-adi2d-4096":
@@ -223,7 +200,6 @@ class TestGoldenDigests:
     def test_ranked_tables(self, case):
         rows = case_rows(case)
         assert sha256(rows_to_json(rows)) == GOLDEN[f"json-{case}"]
-        assert sha256(rows_to_csv(rows)) == GOLDEN[f"csv-{case}"]
 
     @pytest.mark.parametrize("case", sorted(MODEL_CASES))
     def test_model_reports(self, case, tmp_path, capsys):

@@ -4,6 +4,8 @@ import pytest
 
 import tridax
 import tridax.perfmodel
+import tridax.perfmodel.device
+import tridax.perfmodel.dse
 from tridax.perfmodel import Algorithm, DesignPoint, GridSpec
 
 PUBLIC = [
@@ -22,7 +24,7 @@ PERFMODEL_PUBLIC = [
     "LatencyEstimate", "ResourceEstimate", "MeasuredReference", "GridSpec",
     "ProblemSpec", "DseRow", "DSE_COLUMNS", "DSE_SCHEMA",
     "default_interleave_group", "load_device_profile", "latency_for_problem",
-    "memory_words", "dse_enumerate", "rows_to_csv", "rows_to_json", "find_reference",
+    "memory_words", "dse_enumerate", "rows_to_json", "find_reference",
     "MEASURED_REFERENCES", "relative_error",
 ]
 # one field per design parameter: none is filled from another
@@ -37,6 +39,8 @@ MODEL_INTERNAL = ["latency_batched_thomas", "latency_batched_pcr", "latency_batc
                   "latency_thomas_thomas", "latency_thomas_pcr", "latency_adi2d",
                   "latency_adi2d_tiled", "latency_adi3d", "ceil_div", "ceil_log2",
                   "cycles_to_seconds", "reconstruct_adi_runtime"]
+# the CSV table writer and the device search directory: every CLI artifact is JSON
+REMOVED = [(tridax.perfmodel.dse, "rows_to_csv"), (tridax.perfmodel.device, "DEVICE_DIR_ENV")]
 # solver internals the top level no longer exports
 INTERNAL = ["adi_rhs", "axis_lines", "gather_lines", "scatter_lines",
             "modified_thomas_phase", "assemble_reduced", "back_substitute"]
@@ -76,3 +80,7 @@ def test_every_model_design_is_ranked_by_dse():
 
 def test_internals_are_not_top_level_names():
     assert [name for name in INTERNAL if hasattr(tridax, name)] == []
+
+
+def test_removed_encodings_stay_gone():
+    assert [name for module, name in REMOVED if hasattr(module, name)] == []

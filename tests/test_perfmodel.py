@@ -509,18 +509,12 @@ class TestDeviceProfiles:
         with pytest.raises(ValueError):
             load_device_profile("nonexistent-device")
 
-    def test_file_profile_loading(self, tmp_path, monkeypatch):
-        path = tmp_path / "small.txt"
-        path.write_text("""
-            bram_bytes = 1e6
-            uram_bytes = 2e6  # ultra RAM
-            hbm_ports = 16
-        """)
+    def test_file_profile_loading(self, tmp_path):
+        path = tmp_path / "small.json"
+        path.write_text(json.dumps({**SMALL_PROFILE, "hbm_ports": 16.0}))
         prof = load_device_profile(str(path))
         assert prof.name == "small" and prof.hbm_ports == 16
-        assert type(prof.hbm_ports) is int  # the text format reads every value as a float
-        monkeypatch.setenv("TRIDAX_DEVICE_DIR", str(tmp_path))
-        assert load_device_profile("small").uram_bytes == 2e6
+        assert type(prof.hbm_ports) is int  # a whole JSON float is stored as an int
 
     def test_json_profile_loading(self, tmp_path):
         path = tmp_path / "card.json"
@@ -529,44 +523,34 @@ class TestDeviceProfiles:
         assert prof.name == "card-a" and prof.hbm_ports == 16
         assert prof.on_chip_bytes == 3e6
 
-    @pytest.mark.parametrize("suffix", [".txt", ".json"])
-    def test_missing_keys_named(self, tmp_path, suffix):
+    def test_missing_keys_named(self, tmp_path):
         values = {k: v for k, v in SMALL_PROFILE.items() if k not in ("hbm_ports", "bram_bytes")}
-        text = (json.dumps(values) if suffix == ".json"
-                else "".join(f"{k} = {v}\n" for k, v in values.items()))
-        path = tmp_path / f"partial{suffix}"
-        path.write_text(text)
+        path = tmp_path / "partial.json"
+        path.write_text(json.dumps(values))
         with pytest.raises(ValueError, match=r"missing keys: \['bram_bytes', 'hbm_ports'\]"):
             load_device_profile(str(path))
 
-    @pytest.mark.parametrize("suffix", [".txt", ".json"])
     @pytest.mark.parametrize("key, value, message", [
         ("hbm_ports", 16.7, "hbm_ports must be a whole number, not 16.7"),
         ("bram_bytes", math.nan, "bram_bytes must be a finite positive number, not nan"),
         ("uram_bytes", math.inf, "uram_bytes must be a finite positive number, not inf")])
-    def test_bad_budget_values_named(self, tmp_path, suffix, key, value, message):
-        values = {**SMALL_PROFILE, key: value}
-        text = (json.dumps(values) if suffix == ".json"
-                else "".join(f"{k} = {v}\n" for k, v in values.items()))
-        path = tmp_path / f"bad{suffix}"
-        path.write_text(text)
+    def test_bad_budget_values_named(self, tmp_path, key, value, message):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({**SMALL_PROFILE, key: value}))
         with pytest.raises(ValueError, match=f"^{message}$"):
             load_device_profile(str(path))
 
-    @pytest.mark.parametrize("name, text, message", [
-        ("bad.txt", "bram_bytes = abc",
-         "bram_bytes must be a finite positive number, not 'abc'"),
-        ("bad.txt", "bram_bytes 6.6e6",
-         "device profile line is not 'key = value': 'bram_bytes 6.6e6'"),
-        ("list.json", "[1, 2]", "device profile line is not 'key = value': '[1, 2]'"),
-        ("name.json", '"u280"', """device profile line is not 'key = value': '"u280"'""")],
-        ids=["txt-value", "txt-line", "json-list", "json-string"])
-    def test_text_names_bad_value_or_line(self, tmp_path, name, text, message):
-        # a .json file holds only the text; a .txt file also the other two budgets
-        path = tmp_path / name
-        path.write_text(text if path.suffix == ".json"
-                        else f"uram_bytes = 2e6\nhbm_ports = 16\n{text}\n")
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+    @pytest.mark.parametrize("text, message", [
+        ("[1, 2]", "must be a JSON object, not list"),
+        ('"u280"', "must be a JSON object, not str"),
+        ('{"bram_bytes": 1e6,', "is not JSON: Expecting property name enclosed in double "
+                                "quotes: line 1 column 20 (char 19)")],
+        ids=["list", "string", "truncated"])
+    def test_file_that_is_not_a_json_object_named(self, tmp_path, text, message):
+        path = tmp_path / "card.json"
+        path.write_text(text)
+        with pytest.raises(ValueError,
+                           match=f"^{re.escape(f'device profile {str(path)!r} {message}')}$"):
             load_device_profile(str(path))
 
     @pytest.mark.parametrize("key, value", [("hbm_ports", True), ("bram_bytes", "6.6e6"),
@@ -578,12 +562,8 @@ class TestDeviceProfiles:
                            match=f"^{key} must be a finite positive number, not {value!r}$"):
             load_device_profile(str(path))
 
-    @pytest.mark.parametrize("suffix", [".txt", ".json"])
-    def test_removed_keys_are_unknown(self, tmp_path, suffix):
-        values = {**SMALL_PROFILE, "dsp_count": 1000}
-        text = (json.dumps(values) if suffix == ".json"
-                else "".join(f"{k} = {v}\n" for k, v in values.items()))
-        path = tmp_path / f"old{suffix}"
-        path.write_text(text)
+    def test_removed_keys_are_unknown(self, tmp_path):
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps({**SMALL_PROFILE, "dsp_count": 1000}))
         with pytest.raises(ValueError, match=r"unknown device profile keys: \['dsp_count'\]"):
             load_device_profile(str(path))
