@@ -67,8 +67,9 @@ def _add_problem_and_hardware(p: argparse.ArgumentParser):
     p.add_argument("--dims", type=_parse_dims, help="mesh dims (application problem)")
     p.add_argument("--iters", type=int, default=1, help="iterations (mesh problems only)")
     p.add_argument("--group", type=int)
-    p.add_argument("--vector", type=int, default=8)
-    p.add_argument("--cus", type=int, default=1)
+    p.add_argument("--vector", type=int,
+                   help="vector lanes; read by batched-thomas, adi2d, adi3d, adi2d-tiled")
+    p.add_argument("--cus", type=int, help="compute units; read by batched-thomas, adi2d, adi3d")
     p.add_argument("--freq-mhz", type=float, default=300.0)
     p.add_argument("--device", default="u280", help="u280 or a JSON device profile file")
 
@@ -242,12 +243,21 @@ def _problem_from_args(args, precision: Precision) -> ProblemSpec:
                        precision=precision, n_iter=args.iters)
 
 
+def _given(algorithms, **flags) -> dict:
+    """The design fields of the ``flags`` given; a design in ``algorithms`` must read each."""
+    given = {name: value for name, value in flags.items() if value is not None}
+    for name in given:
+        check_reads(name, algorithms)
+    return given
+
+
 def cmd_model(args) -> int:
     precision = Precision.parse(args.precision)
-    dp = DesignPoint(algorithm=Algorithm.parse(args.algo), precision=precision,
-                     interleave_group=args.group, vector_width=args.vector,
-                     unroll=args.unroll, tiles=args.tiles, compute_units=args.cus,
-                     frequency_hz=args.freq_mhz * 1e6)
+    algo = Algorithm.parse(args.algo)
+    dp = DesignPoint(algorithm=algo, precision=precision, unroll=args.unroll,
+                     frequency_hz=args.freq_mhz * 1e6,
+                     **_given([algo], interleave_group=args.group, vector_width=args.vector,
+                              compute_units=args.cus, tiles=args.tiles))
     problem = _problem_from_args(args, precision)
     device = load_device_profile(args.device)
     where = dict(batch=problem.batch, n=problem.size, dims=problem.dims,
@@ -300,16 +310,10 @@ def cmd_dse(args) -> int:
     grid = GridSpec.for_kind(problem.kind)
     if args.algo:
         grid.algorithms = [Algorithm.parse(args.algo)]
-    given = {"tiles": args.tiles, "unroll": args.unroll, "interleave_group": args.group}
-    for name in [name for name, values in given.items() if values is not None]:
-        check_reads(name, grid.algorithms)
-    if args.tiles:
-        grid.tiles = args.tiles
-    if args.unroll:
-        grid.unrolls = args.unroll
-    grid.groups = [args.group]
-    grid.vector_widths = [args.vector]
-    grid.compute_units = [args.cus]
+    for name, values in _given(grid.algorithms, tiles=args.tiles, unroll=args.unroll,
+                               interleave_group=args.group, vector_width=args.vector,
+                               compute_units=args.cus).items():
+        setattr(grid, GridSpec.LISTS[name], values if isinstance(values, list) else [values])
     grid.frequencies_hz = [args.freq_mhz * 1e6]
     try:
         rows = dse_enumerate(problem, device, grid)
@@ -320,7 +324,7 @@ def cmd_dse(args) -> int:
     for row in rows[:args.top]:
         rec = row.record()
         print(f"#{rec['rank']:<3} {rec['algorithm']:<15} tiles={rec['tiles'] or '-':<4} "
-              f"unroll={rec['unroll']} {rec['seconds'] * 1e3:10.4f} ms  "
+              f"unroll={rec['unroll'] or '-'} {rec['seconds'] * 1e3:10.4f} ms  "
               f"{rec['on_chip_bytes'] / 1e6:8.2f} MB on-chip")
     if args.report:
         args.report.write_text(rows_to_json(rows))

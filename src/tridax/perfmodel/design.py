@@ -41,18 +41,19 @@ class Algorithm(Enum):
         return "adi2d" if self in (Algorithm.ADI2D, Algorithm.ADI2D_TILED) else "batch"
 
 
-# The DesignPoint fields the latency and memory models read: every design's
-# (memory_words charges vector_width * compute_units lanes of precision words),
-# then each design's own.
-SHARED_FIELDS = ("precision", "vector_width", "compute_units", "frequency_hz")
+# The DesignPoint fields the latency and memory models read: every design's,
+# then each design's own. A lane field, vector_width (batched-thomas, adi2d,
+# adi3d, adi2d-tiled) or compute_units (batched-thomas, adi2d, adi3d), is read
+# where the latency divides work by it; memory_words replicates over just those.
+SHARED_FIELDS = ("precision", "frequency_hz")
 DESIGN_FIELDS = {
-    Algorithm.BATCHED_THOMAS: ("interleave_group",),
+    Algorithm.BATCHED_THOMAS: ("interleave_group", "vector_width", "compute_units"),
     Algorithm.BATCHED_PCR: ("unroll", "pipeline_latency"),
     Algorithm.THOMAS_THOMAS: ("interleave_group", "tiles"),
     Algorithm.THOMAS_PCR: ("interleave_group", "tiles", "pipeline_latency"),
-    Algorithm.ADI2D: ("interleave_group", "unroll"),
-    Algorithm.ADI2D_TILED: ("interleave_group", "tiles"),
-    Algorithm.ADI3D: ("interleave_group",),
+    Algorithm.ADI2D: ("interleave_group", "vector_width", "unroll", "compute_units"),
+    Algorithm.ADI2D_TILED: ("interleave_group", "vector_width", "tiles"),
+    Algorithm.ADI3D: ("interleave_group", "vector_width", "compute_units"),
 }
 
 

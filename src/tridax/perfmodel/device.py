@@ -14,8 +14,8 @@ from pathlib import Path
 class DeviceProfile:
     """On-chip RAM and HBM port budget of one accelerator card.
 
-    Each budget is a finite positive number, and ``hbm_ports`` a whole one,
-    stored as an ``int``; any other value raises ``ValueError`` naming it.
+    ``name`` is a string, each budget a finite positive number, ``hbm_ports``
+    a whole one stored as an ``int``; any other value raises ``ValueError`` naming it.
     """
 
     name: str
@@ -24,6 +24,8 @@ class DeviceProfile:
     hbm_ports: int
 
     def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise ValueError(f"name must be a string, not {self.name!r}")
         for f in fields(self)[1:]:  # every budget after the name
             val = getattr(self, f.name)
             if isinstance(val, bool) or not isinstance(val, Real) or not 0 < val < math.inf:
@@ -70,4 +72,4 @@ def load_device_profile(name_or_path: str) -> DeviceProfile:
     missing = known - set(values)
     if missing:
         raise ValueError(f"device profile {path.stem!r} is missing keys: {sorted(missing)}")
-    return DeviceProfile(**{**values, "name": str(values["name"])})
+    return DeviceProfile(**values)

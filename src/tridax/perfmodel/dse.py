@@ -7,19 +7,19 @@ from dataclasses import dataclass, field, fields
 from itertools import product
 
 from ..errors import NoFeasibleDesign
-from .design import DESIGN_FIELDS, Algorithm, DesignPoint, ProblemSpec, check_kind
+from .design import (DESIGN_FIELDS, SHARED_FIELDS, Algorithm, DesignPoint, ProblemSpec,
+                     check_kind)
 from .device import DeviceProfile
 from .latency import LatencyEstimate, latency_for_problem
 from .memory import ResourceEstimate, memory_words
 
 DSE_SCHEMA = "tridax.dse.v1"
 
-# frozen report column order
+# frozen report column order; a design column a row's design does not read is null
 DSE_COLUMNS = [
     "rank", "algorithm", "precision", "batch", "size", "dims", "n_iter",
-    "interleave_group", "reduced_group", "vector_width", "unroll", "tiles",
-    "tiles_x", "tiles_y", "compute_units", "partitions", "frequency_hz",
-    "cycles", "seconds", "words", "on_chip_bytes", "hbm_ports", "feasible",
+    "interleave_group", "vector_width", "unroll", "tiles", "compute_units",
+    "frequency_hz", "cycles", "seconds", "words", "on_chip_bytes", "hbm_ports",
 ]
 
 _ALGO_ORDER = {algo: i for i, algo in enumerate(Algorithm)}
@@ -37,6 +37,10 @@ class GridSpec:
     vector_widths: list[int] = field(default_factory=lambda: [8])
     compute_units: list[int] = field(default_factory=lambda: [1])
     frequencies_hz: list[float] = field(default_factory=lambda: [300e6])
+    # the list of each DesignPoint field, in enumeration order
+    LISTS = {"interleave_group": "groups", "vector_width": "vector_widths",
+             "unroll": "unrolls", "compute_units": "compute_units",
+             "frequency_hz": "frequencies_hz", "tiles": "tiles"}
 
     @classmethod
     def for_kind(cls, kind: str) -> "GridSpec":
@@ -53,38 +57,24 @@ class DseRow:
     problem: ProblemSpec
 
     def record(self) -> dict:
-        dp = self.design.resolved()
-        rec = {
-            "rank": self.rank,
-            "algorithm": dp.algorithm.value,
-            "precision": dp.precision.value,
-            "dims": "x".join(map(str, self.problem.dims)) if self.problem.dims else None,
-            "cycles": float(self.latency.cycles),
-            "seconds": self.latency.seconds,
-            "words": self.resources.words,
-            "on_chip_bytes": self.resources.total_bytes,
-            "hbm_ports": self.resources.hbm_ports,
-            "feasible": self.resources.feasible,
-            "tiles_x": dp.tiles,  # frozen per-axis columns: one tile count for every axis
-            "tiles_y": dp.tiles,
-            "partitions": 1,  # frozen column: no ranked design is partitioned
-        }
-        for col in DSE_COLUMNS:  # the rest are attributes of the problem or the design
-            if col not in rec:
-                rec[col] = getattr(self.problem if hasattr(self.problem, col) else dp, col)
-        return rec
+        """The row's columns: the design's are its :meth:`DesignPoint.describe`."""
+        p, res = self.problem, self.resources
+        rec = {**self.design.resolved().describe(), "rank": self.rank, "batch": p.batch,
+               "size": p.size, "dims": "x".join(map(str, p.dims)) if p.dims else None,
+               "n_iter": p.n_iter, "cycles": float(self.latency.cycles),
+               "seconds": self.latency.seconds, "words": res.words,
+               "on_chip_bytes": res.total_bytes, "hbm_ports": res.hbm_ports}
+        return {col: rec.get(col) for col in DSE_COLUMNS}
 
 
 def _candidate_designs(problem: ProblemSpec, grid: GridSpec, algorithms):
+    defaults = {f.name: f.default for f in fields(DesignPoint)}
     for algo in algorithms:  # a list the design's model does not read gives its default
-        reads = DESIGN_FIELDS[algo]
-        for g, v, f_u, n_cu, freq, t in product(
-                grid.groups if "interleave_group" in reads else [None], grid.vector_widths,
-                grid.unrolls if "unroll" in reads else [1], grid.compute_units,
-                grid.frequencies_hz, grid.tiles if "tiles" in reads else [None]):
+        reads = SHARED_FIELDS + DESIGN_FIELDS[algo]
+        for values in product(*(getattr(grid, lst) if name in reads else [defaults[name]]
+                                for name, lst in GridSpec.LISTS.items())):
             yield DesignPoint(algorithm=algo, precision=problem.precision,
-                              interleave_group=g, vector_width=v, unroll=f_u, tiles=t,
-                              compute_units=n_cu, frequency_hz=freq)
+                              **dict(zip(GridSpec.LISTS, values)))
 
 
 def dse_enumerate(problem: ProblemSpec, device: DeviceProfile,

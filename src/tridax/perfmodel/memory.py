@@ -10,12 +10,13 @@ the solver's :class:`tridax.tiled.TilePlan` accepts it, so every tile,
 the short last one included, keeps at least 3 rows. The latency models
 check every extent a design tiles; :func:`memory_words`, which sees only
 the largest extent, checks the tiling of that one again, so it stands
-alone. The vectorized data path
-replicates the lane per vector lane, and each compute unit replicates the
-whole pipeline, so feasibility compares
+alone. Lanes replicate only where the latency reads them: a vector lane
+replicates the solver lane, a compute unit the whole pipeline, so
+feasibility compares
 
     words * word_bytes * vector_width * compute_units
 
+(a lane field is a factor only if the design's ``DESIGN_FIELDS`` list it)
 against the device's combined BRAM+URAM bytes, and the design's HBM ports
 (``STREAM_HBM_PORTS`` for each of a batch solver's five streams,
 ``ADI_HBM_PORTS`` for an ADI pipeline) against the device's ``hbm_ports``.
@@ -83,7 +84,9 @@ def memory_words(dp: DesignPoint, n: int, device: DeviceProfile) -> ResourceEsti
     else:  # Algorithm.ADI2D_TILED
         words = 2 * _tiled_lane_words(g, n, dp.tiles) + 2 * dp.tiles * n
 
-    total = words * dp.precision.word_bytes * dp.vector_width * dp.compute_units
+    lanes = dp.describe()  # only the lane fields the design reads replicate its words
+    total = (words * dp.precision.word_bytes * lanes.get("vector_width", 1)
+             * lanes.get("compute_units", 1))
     ports = STREAM_HBM_PORTS * 5 if algo.kind == "batch" else ADI_HBM_PORTS
     violations = []
     if total > device.on_chip_bytes:

@@ -1,7 +1,8 @@
 """The benchmark harness runs every workload at tiny size and reports the
 metric names and units that ``BENCHMARK.json`` declares, its traced spans
-still find the names they wrap, and its calibration problem still finds its
-published measurement. Timings are not checked."""
+still find the names they wrap, its calibration problem still finds its
+published measurement, and its workloads' model cycle counts hold. Timings
+are not checked."""
 
 import subprocess
 import sys
@@ -32,6 +33,20 @@ def test_smoke_report_pairs_calibration_with_measurement(monkeypatch):
     assert report["model"]["calibration"]["fpga_measured_s"] == 0.47e-3
     assert report["model"]["calibration"]["fpga_reference"] == \
         "batched-thomas B=8000 N=128 fp32"
+
+
+def test_bench_design_cycles_are_pinned(monkeypatch):
+    # a model change would silently move every run's host_over_model ratio
+    monkeypatch.syspath_prepend(str(ROOT / "benchmarks"))
+    import workloads
+    from tridax.perfmodel import latency_for_problem
+
+    cycles = {}
+    for name in workloads.NAMES:
+        wl = workloads.make(name)
+        cycles[name] = latency_for_problem(wl.design, **wl.problem).cycles
+    assert cycles == {"batch-thomas-fp32": 20480, "batch-tiled-fp64": 278712,
+                      "adi2d-fp32": 472480, "adi3d-fp64": 297600}
 
 
 def test_tiled_step_spans_resolve(monkeypatch):

@@ -7,6 +7,8 @@ import pytest
 from tridax import Mesh, Precision, mesh, read_mesh, residual_max_norm
 from tridax.cli import main, read_batch, write_batch
 from tridax.core import TridiagonalBatch, random_dominant_system
+from tridax.perfmodel import Algorithm
+from tridax.perfmodel.design import DESIGN_FIELDS
 
 
 def run(argv, capsys=None):
@@ -314,6 +316,43 @@ class TestModel:
         if default is not None:  # the default value sets nothing
             assert run([*argv, flag, default]) == 0
 
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--cus", 2, "compute_units applies to batched-thomas, adi2d, adi3d, not thomas-pcr"),
+        ("--cus", 1, "compute_units applies to batched-thomas, adi2d, adi3d, not thomas-pcr"),
+        ("--vector", 8, "vector_width applies to batched-thomas, adi2d, adi3d, adi2d-tiled, "
+         "not thomas-pcr"),
+    ])
+    def test_lane_flag_the_design_does_not_read_is_usage_error(self, tmp_path, capsys,
+                                                               flag, value, message):
+        # a lane flag starts unset: given, even at its default, it must be read
+        rep = tmp_path / "m.json"
+        argv = ["model", "--algo", "thomas-pcr", "--batch", 100, "--size", 1024,
+                "--tiles", 4, "--report", rep]
+        assert run([*argv, flag, value]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not rep.exists()
+        assert run(argv) == 0
+
+    def test_adi2d_tiled_reads_vector_not_cus(self, tmp_path, capsys):
+        argv = ["model", "--algo", "adi2d-tiled", "--batch", 10, "--dims", "4096,4096",
+                "--tiles", 8, "--precision", "fp32", "--report", tmp_path / "m.json"]
+        assert run([*argv, "--cus", 2]) == 2
+        assert "compute_units applies to batched-thomas, adi2d, adi3d, not adi2d-tiled" in \
+            capsys.readouterr().err
+        assert run([*argv, "--vector", 4]) == 0
+        assert json.loads((tmp_path / "m.json").read_text())["design"]["vector_width"] == 4
+
+    def test_lane_flag_help_names_its_readers(self, capsys):
+        with pytest.raises(SystemExit):
+            run(["model", "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        for flag, name, what, after in (
+                ("--vector", "vector_width", "vector lanes", "--cus"),
+                ("--cus", "compute_units", "compute units", "--freq-mhz")):
+            readers = ", ".join(a.value for a in Algorithm if name in DESIGN_FIELDS[a])
+            assert (f"{flag} {flag[2:].upper()} {what}; read by {readers} {after}"
+                    in help_text), flag
+
     def test_out_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as err:
             run(["model", "--algo", "batched-thomas", "--batch", 10, "--size", 8,
@@ -382,6 +421,24 @@ class TestModel:
                     "--size", 8, "--device", path]) == 2
         assert capsys.readouterr().err == \
             "error: bram_bytes must be a finite positive number, not '6.6e6'\n"
+
+    @pytest.mark.parametrize("name", [None, 5])
+    def test_device_name_that_is_not_a_string_usage_error(self, tmp_path, capsys, name):
+        path = tmp_path / "card.json"
+        path.write_text(json.dumps({"name": name, "bram_bytes": 6.6e6, "uram_bytes": 1e6,
+                                    "hbm_ports": 32}))
+        assert run(["model", "--algo", "batched-thomas", "--batch", 10,
+                    "--size", 8, "--device", path]) == 2
+        assert capsys.readouterr().err == \
+            f"error: name must be a string, not {name!r}\n"
+
+    def test_device_without_name_is_named_for_its_file(self, tmp_path, capsys):
+        path = tmp_path / "card.json"
+        path.write_text(json.dumps({"bram_bytes": 6.6e6, "uram_bytes": 1e6, "hbm_ports": 32}))
+        rep = tmp_path / "m.json"
+        assert run(["model", "--algo", "batched-thomas", "--batch", 10,
+                    "--size", 8, "--device", path, "--report", rep]) == 0
+        assert json.loads(rep.read_text())["device"] == "card"
 
     @pytest.mark.parametrize("command", ["model", "dse"])
     @pytest.mark.parametrize("mhz", ["nan", "inf"])
@@ -454,6 +511,10 @@ class TestDse:
         (["--dims", "16,16,16"], ["--unroll", 2], "not adi3d"),
         (["--dims", "16,16,16"], ["--tiles", 2], "tiles applies to thomas-thomas, "
          "thomas-pcr, adi2d-tiled, not adi3d"),
+        (["--size", 1024, "--algo", "thomas-pcr"], ["--vector", 4], "vector_width applies "
+         "to batched-thomas, adi2d, adi3d, adi2d-tiled, not thomas-pcr"),
+        (["--size", 1024, "--algo", "thomas-pcr"], ["--cus", 2], "compute_units applies "
+         "to batched-thomas, adi2d, adi3d, not thomas-pcr"),
     ])
     def test_list_no_design_reads_is_usage_error(self, tmp_path, capsys, where, flag,
                                                  message):
@@ -470,7 +531,30 @@ class TestDse:
         assert len(rows) == 12
         assert sorted(r["unroll"] for r in rows if r["algorithm"] == "batched-pcr") == \
             [1, 2, 4]
-        assert {r["unroll"] for r in rows if r["algorithm"] != "batched-pcr"} == {1}
+        assert {r["unroll"] for r in rows if r["algorithm"] != "batched-pcr"} == {None}
+        printed = [line.split()[3] for line in capsys.readouterr().out.splitlines()]
+        assert printed == [f"unroll={r['unroll'] or '-'}" for r in rows[:10]]
+        assert {"unroll=-", "unroll=4"} <= set(printed)  # an unread unroll prints as -
+
+    def test_lane_flag_crosses_only_the_designs_that_read_it(self, tmp_path, capsys):
+        rep = tmp_path / "d.json"
+        assert run(["dse", "--batch", 1000, "--size", 128, "--vector", 4, "--cus", 2,
+                    "--precision", "fp32", "--report", rep]) == 0
+        rows = json.loads(rep.read_text())["rows"]
+        assert {(r["algorithm"], r["vector_width"], r["compute_units"]) for r in rows} == {
+            ("batched-thomas", 4, 2), ("batched-pcr", None, None),
+            ("thomas-thomas", None, None), ("thomas-pcr", None, None)}
+
+    def test_long_systems_fit_once_idle_lanes_are_not_charged(self, tmp_path, capsys):
+        # fits since the 8 default lanes its latency ignores are not charged (75.6 MB)
+        rep = tmp_path / "d.json"
+        assert run(["dse", "--batch", 100, "--size", 65536, "--precision", "fp32",
+                    "--report", rep]) == 0
+        first = capsys.readouterr().out.splitlines()[0]
+        assert first.split() == ["#1", "thomas-pcr", "tiles=16", "unroll=-", "22.7202", "ms",
+                                 "9.44", "MB", "on-chip"]
+        row = json.loads(rep.read_text())["rows"][0]
+        assert (row["algorithm"], row["tiles"], row["vector_width"]) == ("thomas-pcr", 16, None)
 
     def test_one_row_systems_rank_no_free_design(self, tmp_path, capsys):
         # batched-pcr still makes its normalization pass: (1000*1 + 30) * 1 cycles

@@ -95,7 +95,26 @@ class TestReports:
         assert payload["schema_version"] == "tridax.dse.v1"
         assert payload["rows"][0]["rank"] == 1
         assert payload["rows"][0]["algorithm"] == "batched-thomas"
-        assert set(DSE_COLUMNS) <= set(payload["rows"][0])
+        assert list(payload["rows"][0]) == sorted(DSE_COLUMNS)
+
+    def test_removed_columns_stay_gone(self):
+        # frozen columns that never changed a result: feasible, since only
+        # fitting rows are ranked; tiles_x and tiles_y, which repeated tiles;
+        # reduced_group, a rule of the precision; partitions, always 1
+        removed = {"feasible", "reduced_group", "tiles_x", "tiles_y", "partitions"}
+        assert len(DSE_COLUMNS) == 18 and not removed & set(DSE_COLUMNS)
+        for case in DSE_CASES:
+            for row in json.loads(rows_to_json(case_rows(case)))["rows"]:
+                assert not removed & set(row), (case, row)
+
+    def test_design_columns_are_the_designs_description(self):
+        # a design column the row's design does not read is null
+        for case in DSE_CASES:
+            for row in case_rows(case):
+                rec, described = row.record(), row.design.resolved().describe()
+                for col in ("algorithm", "precision", "interleave_group", "vector_width",
+                            "unroll", "tiles", "compute_units", "frequency_hz"):
+                    assert rec[col] == described.get(col), (case, col, rec)
 
 
 # Model-layer outputs, recorded before ProblemSpec lost its kind field: the
@@ -118,7 +137,17 @@ class TestReports:
 # since a measured reference now matches only its own design. The
 # batch-1000-fp64 table was re-pinned when the batched-spike design was
 # dropped: its table equals the earlier one without its 3
-# batched-spike rows, ranks renumbered.
+# batched-spike rows, ranks renumbered. The 7 tables and the pcr-fp64,
+# thomas-thomas, thomas-pcr and adi2d-tiled reports were re-pinned when a
+# design came to read vector_width and compute_units only where its latency
+# divides work by them: each earlier table lost its 5 frozen columns
+# (feasible, reduced_group, tiles_x, tiles_y, partitions), nulled the design
+# columns its row's design does not read, divided on_chip_bytes by the unread
+# lanes, collapsed the rows that differed only in an unread lane value, gained
+# the rows that now fit (batch-8192-fp32's two t=2 rows), and renumbered its
+# ranks; each report lost those lines of its design block and divided its
+# on_chip_bytes likewise. The thomas-pcr case lost its --cus 2, which that
+# design no longer reads. Every cycle count stayed the same.
 DSE_CASES = {
     "batch-128-fp32": (dict(batch=8000, size=128), dict(unrolls=[1, 2, 3])),
     "batch-8192-fp32": (dict(batch=100, size=8192), {}),
@@ -141,7 +170,7 @@ MODEL_CASES = {
     "thomas-thomas": ["--algo", "thomas-thomas", "--batch", 100, "--size", 8192,
                       "--tiles", 8, "--precision", "fp32"],
     "thomas-pcr": ["--algo", "thomas-pcr", "--batch", 100, "--size", 1024, "--tiles", 4,
-                   "--cus", 2, "--freq-mhz", 250],
+                   "--freq-mhz", 250],
     "adi2d-reference": ["--algo", "adi2d", "--batch", 3000, "--dims", "128,128",
                         "--iters", 120, "--unroll", 3, "--cus", 3, "--precision", "fp32",
                         "--freq-mhz", 292],
@@ -151,33 +180,33 @@ MODEL_CASES = {
 }
 GOLDEN = {
     "json-adi2d-128":
-        "94f6091735f196d2c9b097f4456982b85a04a34137c776865c4140be62a891cd",
+        "1097510cc2680ae8bf7b0dba955e330647e4040972a5bf3d92960a512ec228e4",
     "json-adi2d-4096":
-        "c7e262c5d51551edfd92ad599fe558e2cff844f5a049219b3f15c9e49809d0be",
+        "b2d2884a7233883cc8efd44342937c0787404f6d79d75af717737224bdd00b0e",
     "json-adi3d-64-fp64":
-        "e7c8ec44951b342d86d2f20ad8bd7310aaf3e4f18a5109544414dcab3cc3bf24",
+        "b61cc768819f5d1481c1642b9ae8bbf483d8b6c54025363a0dcc9489825eda72",
     "json-batch-1000-fp64":
-        "6407ce371db3eb677add6c48e5fd0c5580d649edc1346d48edf93ab07a7d52d5",
+        "73d8e44b530c2f1fbcb02819c656568c3eba02c481ce98b05196cea44a751157",
     "json-batch-128-fp32":
-        "a161f72dc44b425e37c91699b8547497fd952a1862c610e4c6b8d8cc9f7f7c83",
+        "63ee4b8c500c05c1e2ec93be63423481862062cd945de813e57bd0bad12db8cb",
     "json-batch-8192-fp32":
-        "3ce3ff183a1119160cda2f6a7f683b387e4b9f2d2c19dc746a9c76db5778c376",
+        "17446090f0fda6540d2b0150843d12f907465631dff3cb4e6c003ca58af8ca83",
     "json-batch-9-tiles":
-        "7379dac85be394e6bbc65d9c31ea54514df626d6a6201dab2878bb4146ad2620",
+        "233c566796264557a89156096c59943c529451a78ecb2fd295138266782968d0",
     "model-adi2d-reference":
         "ea50369d2e559c01adc6e405c01c562eb3473a0faf553ea6f2891eb182efbad9",
     "model-adi2d-tiled":
-        "63b5847f63d9d8e3b65a0dd66fb9f3f9a80020104df4e8d302bb59e7d83ba700",
+        "80d4bb8a4ebfb6c423bcb0f61133d49f7acea5837d0fe92cafc711b7d5262d9a",
     "model-adi3d":
         "ed65697ec7deb1d25dbbfb24d49775cf3db04f5499aa19d977191f27cb8bdbe7",
     "model-calibration":
         "c8ff490aaa923a8c7d1183cfbed056629c376f825f0c73c901d80386440efb5d",
     "model-pcr-fp64":
-        "3fb0cdf4b5d7db7e8a29f1f2fb1bacf6dc1a31b13f62481d7bfc02924b697832",
+        "02079ac53feec9c1813f85ff812bdd07730385d2fd4e06d613c1f927b6fffd1f",
     "model-thomas-pcr":
-        "4f033c5a730a4cd9143b1ec88e43ead08dbf932a229406eb18d7f9964d586fe0",
+        "5f99ceddfe352e62e87a79a83327fc9d0c5700c543067f96d1fab37a274b58a9",
     "model-thomas-thomas":
-        "1a20cba579490c61a3b7df762a38fc640de151069b27ad31ec58eb293802864a",
+        "8829a20ac6e2e42e8f34a3c74f86a02aa0417ea2a2ae9e84adc92336496fe42b",
 }
 
 

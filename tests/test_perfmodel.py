@@ -473,7 +473,7 @@ class TestDesignFields:
 
     def test_settable_pairs(self):
         settable = sum(len(SHARED_FIELDS + DESIGN_FIELDS[a]) for a in Algorithm)
-        assert settable == 41 and len(fields(DesignPoint)) - 1 == 8
+        assert settable == 34 and len(fields(DesignPoint)) - 1 == 8
         assert [a for a in Algorithm if a.is_tiled] == [
             Algorithm.THOMAS_THOMAS, Algorithm.THOMAS_PCR, Algorithm.ADI2D_TILED]
 
