@@ -13,6 +13,11 @@ keeps its own shape and precision, and ``adi --dims``, if given, must match
 it. Reports are JSON: ``dse`` writes its ranked table only to ``--report``;
 every other report goes to ``--report``, or stdout if omitted.
 
+Design knobs start unset and pass as given into ``DesignPoint`` or
+``GridSpec``: a knob given to a design that does not read it, even at its
+resolved value, exits 2, and the library raises the same ``ValueError``, as
+the solvers do for ``solve --tiles`` on an untiled solver.
+
 Exit codes: 0 success, 2 usage error, 3 infeasible design or verification
 failure, 1 internal error. Given the same flags, seed and input bytes,
 binary outputs are byte-identical across runs.
@@ -35,7 +40,7 @@ from .mesh import Mesh, read_mesh, write_mesh
 from .perfmodel import (MEASURED_REFERENCES, Algorithm, DesignPoint, GridSpec,
                         ProblemSpec, dse_enumerate, find_reference, latency_for_problem,
                         load_device_profile, memory_words, relative_error, rows_to_json)
-from .perfmodel.design import check_reads
+from .perfmodel.design import readers_of
 from .precision import Precision
 from .reference import naive_adi_run
 
@@ -60,16 +65,19 @@ def _add_common(p: argparse.ArgumentParser, precision_help: str = "fp32 or fp64"
     return p.add_argument("--report", type=Path, help="JSON report file (stdout if omitted)")
 
 
-def _add_problem_and_hardware(p: argparse.ArgumentParser):
-    """The flags ``model`` and ``dse`` share: the problem, then the hardware."""
+def _add_problem_and_hardware(p: argparse.ArgumentParser, knob=int, each: str = ""):
+    """The flags ``model`` and ``dse`` share: the problem, then the design knobs,
+    each of type ``knob`` and help ``each``, then the hardware."""
     p.add_argument("--batch", type=int, required=True)
     p.add_argument("--size", type=int, help="system size (1-D batch problem)")
     p.add_argument("--dims", type=_parse_dims, help="mesh dims (application problem)")
     p.add_argument("--iters", type=int, default=1, help="iterations (mesh problems only)")
-    p.add_argument("--group", type=int)
-    p.add_argument("--vector", type=int,
-                   help="vector lanes; read by batched-thomas, adi2d, adi3d, adi2d-tiled")
-    p.add_argument("--cus", type=int, help="compute units; read by batched-thomas, adi2d, adi3d")
+    for flag, name, what in (("--tiles", "tiles", "tile count"),
+                             ("--unroll", "unroll", "unroll factor"),
+                             ("--group", "interleave_group", "interleave group"),
+                             ("--vector", "vector_width", "vector lanes"),
+                             ("--cus", "compute_units", "compute units")):
+        p.add_argument(flag, type=knob, help=f"{what}{each}; read by {readers_of(name)}")
     p.add_argument("--freq-mhz", type=float, default=300.0)
     p.add_argument("--device", default="u280", help="u280 or a JSON device profile file")
 
@@ -110,15 +118,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algo", required=True,
                    help="|".join(a.value for a in Algorithm))
     _add_problem_and_hardware(p)
-    p.add_argument("--unroll", type=int, default=1)
-    p.add_argument("--tiles", type=int)
     _add_common(p)
 
     p = sub.add_parser("dse", help="rank a design grid for a problem")
     p.add_argument("--algo", help="restrict to one algorithm")
-    _add_problem_and_hardware(p)
-    p.add_argument("--tiles", type=_parse_int_list, help="tile counts, comma list")
-    p.add_argument("--unroll", type=_parse_int_list, help="unroll factors, comma list")
+    _add_problem_and_hardware(p, _parse_int_list, " (comma list)")
     p.add_argument("--top", type=int, default=10, help="rows printed to stdout")
     _add_common(p).help = "ranked table file; dse writes its table only here"
 
@@ -155,8 +159,6 @@ def _emit_report(args, payload: dict) -> None:
 
 
 def cmd_solve(args) -> int:
-    if args.tiles is not None and args.algo not in core.TILED_SOLVERS:
-        raise ValueError(f"tiles applies to {', '.join(core.TILED_SOLVERS)}, not {args.algo}")
     precision = Precision.parse(args.precision)
     if args.input:
         batch = read_batch(args.input)
@@ -243,21 +245,12 @@ def _problem_from_args(args, precision: Precision) -> ProblemSpec:
                        precision=precision, n_iter=args.iters)
 
 
-def _given(algorithms, **flags) -> dict:
-    """The design fields of the ``flags`` given; a design in ``algorithms`` must read each."""
-    given = {name: value for name, value in flags.items() if value is not None}
-    for name in given:
-        check_reads(name, algorithms)
-    return given
-
-
 def cmd_model(args) -> int:
     precision = Precision.parse(args.precision)
-    algo = Algorithm.parse(args.algo)
-    dp = DesignPoint(algorithm=algo, precision=precision, unroll=args.unroll,
-                     frequency_hz=args.freq_mhz * 1e6,
-                     **_given([algo], interleave_group=args.group, vector_width=args.vector,
-                              compute_units=args.cus, tiles=args.tiles))
+    dp = DesignPoint(algorithm=Algorithm.parse(args.algo), precision=precision,
+                     interleave_group=args.group, vector_width=args.vector,
+                     unroll=args.unroll, tiles=args.tiles, compute_units=args.cus,
+                     frequency_hz=args.freq_mhz * 1e6)
     problem = _problem_from_args(args, precision)
     device = load_device_profile(args.device)
     where = dict(batch=problem.batch, n=problem.size, dims=problem.dims,
@@ -267,7 +260,7 @@ def cmd_model(args) -> int:
     payload = {
         "schema_version": REPORT_SCHEMA,
         "command": "model",
-        "design": dp.resolved().describe(),
+        "design": dp.describe(),
         "device": device.name,
         "problem": {"batch": problem.batch, "size": problem.size,
                     "dims": list(problem.dims) if problem.dims else None,
@@ -307,14 +300,10 @@ def cmd_dse(args) -> int:
         raise ValueError(f"--top must be >= 0, not {args.top}")
     problem = _problem_from_args(args, Precision.parse(args.precision))
     device = load_device_profile(args.device)
-    grid = GridSpec.for_kind(problem.kind)
-    if args.algo:
-        grid.algorithms = [Algorithm.parse(args.algo)]
-    for name, values in _given(grid.algorithms, tiles=args.tiles, unroll=args.unroll,
-                               interleave_group=args.group, vector_width=args.vector,
-                               compute_units=args.cus).items():
-        setattr(grid, GridSpec.LISTS[name], values if isinstance(values, list) else [values])
-    grid.frequencies_hz = [args.freq_mhz * 1e6]
+    grid = GridSpec(algorithms=[Algorithm.parse(args.algo)] if args.algo else None,
+                    tiles=args.tiles, unrolls=args.unroll, groups=args.group,
+                    vector_widths=args.vector, compute_units=args.cus,
+                    frequencies_hz=[args.freq_mhz * 1e6])
     try:
         rows = dse_enumerate(problem, device, grid)
     except NoFeasibleDesign as exc:

@@ -213,14 +213,12 @@ def solve_system(system: TridiagonalSystem, algo: str = "thomas", tiles: int | N
                   system.d[:, None])[:, 0]
 
 
-TILED_SOLVERS = ("thomas-thomas", "thomas-pcr")  # the solvers that take a tile count
-SOLVER_NAMES = ("thomas", "pcr", *TILED_SOLVERS)
-
-
 def _kernel(algo: str, tiles: int | None):
     """The ``(n, lines)`` kernel that solves ``algo``, called as
-    ``kernel(a, b, c, d)``; the tiled hybrids need ``tiles``."""
+    ``kernel(a, b, c, d)``; only the tiled hybrids take ``tiles``, and need it."""
     if algo in _KERNELS:
+        if tiles is not None:
+            raise ValueError(f"tiles applies to {', '.join(TILED_SOLVERS)}, not {algo}")
         return _KERNELS[algo]
     if algo not in _REDUCED_KERNELS:
         raise ValueError(f"unknown algorithm {algo!r}")
@@ -421,3 +419,5 @@ def _pcr_kernel(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray):
 
 _KERNELS = {"thomas": _checked(_thomas_kernel), "pcr": _checked(_pcr_kernel)}
 _REDUCED_KERNELS = {"thomas-thomas": _thomas_kernel, "thomas-pcr": _pcr_kernel}
+TILED_SOLVERS = tuple(_REDUCED_KERNELS)  # the solvers that take a tile count
+SOLVER_NAMES = (*_KERNELS, *TILED_SOLVERS)

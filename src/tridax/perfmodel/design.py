@@ -57,11 +57,15 @@ DESIGN_FIELDS = {
 }
 
 
+def readers_of(name: str) -> str:
+    """The designs whose ``DESIGN_FIELDS`` list field ``name``, comma-separated."""
+    return ", ".join(a.value for a in Algorithm if name in DESIGN_FIELDS[a])
+
+
 def check_reads(name: str, algorithms) -> None:
     """Raise ``ValueError`` unless a design in ``algorithms`` reads field ``name``."""
     if name not in SHARED_FIELDS and all(name not in DESIGN_FIELDS[a] for a in algorithms):
-        readers = ", ".join(a.value for a in Algorithm if name in DESIGN_FIELDS[a])
-        raise ValueError(f"{name} applies to {readers}, not "
+        raise ValueError(f"{name} applies to {readers_of(name)}, not "
                          + "/".join(a.value for a in algorithms))
 
 
@@ -83,45 +87,47 @@ def default_interleave_group(precision: Precision) -> int:
 class DesignPoint:
     """Algorithm choice plus the tunables its latency/memory model reads.
 
-    A field outside ``SHARED_FIELDS`` and the design's ``DESIGN_FIELDS``
-    must keep its default. A ``None`` interleave group resolves to 32
-    (FP32) or 64 (FP64) via :meth:`resolved`. A tiled algorithm needs a
-    tile count, used on every axis it tiles; the latency models check it
-    against the problem with the solver's :class:`tridax.tiled.TilePlan`.
+    The knobs between ``precision`` and ``frequency_hz`` start unset,
+    ``None``. Setting a field outside ``SHARED_FIELDS`` and the design's
+    ``DESIGN_FIELDS`` raises :func:`check_reads`'s ``ValueError`` before
+    any value is checked. A tiled algorithm needs a tile count, used on
+    every axis it tiles; the latency models check it against the problem
+    with the solver's :class:`tridax.tiled.TilePlan`.
     """
 
     algorithm: Algorithm
     precision: Precision = Precision.FP32
-    interleave_group: int | None = None       # systems round-robined per solver
-    vector_width: int = 8                     # solver lanes fed (points moved) per cycle
-    unroll: int = 1                           # replicated inner-loop/iteration circuits
-    tiles: int | None = None                  # tile count of a tiled solve, per axis
-    compute_units: int = 1                    # replicated full pipelines
-    pipeline_latency: int = 30                # arithmetic pipeline depth, cycles
+    interleave_group: int | None = None   # systems round-robined per solver
+    vector_width: int | None = None       # solver lanes fed (points moved) per cycle
+    unroll: int | None = None             # replicated inner-loop/iteration circuits
+    tiles: int | None = None              # tile count of a tiled solve, per axis
+    compute_units: int | None = None      # replicated full pipelines
+    pipeline_latency: int | None = None   # arithmetic pipeline depth, cycles
     frequency_hz: float = 300e6
 
     def __post_init__(self):
-        for name in ("vector_width", "unroll", "compute_units", "pipeline_latency",
-                     "interleave_group", "tiles"):
-            val = getattr(self, name)
-            if val is not None and val < 1:
-                raise ValueError(f"{name} must be >= 1")
+        algo = self.algorithm
+        for f in fields(self)[1:]:
+            if getattr(self, f.name) is not None:
+                check_reads(f.name, [algo])
+        for f in fields(self)[2:-1]:  # the knobs that count something
+            if getattr(self, f.name) is not None and getattr(self, f.name) < 1:
+                raise ValueError(f"{f.name} must be >= 1")
         if not 0 < self.frequency_hz < math.inf:
             raise ValueError(f"frequency_hz must be finite and positive, not {self.frequency_hz}")
-        algo = self.algorithm
-        for name in (f.name for f in fields(self)[1:] if getattr(self, f.name) != f.default):
-            check_reads(name, [algo])
         if algo.is_tiled and self.tiles is None:
             raise ValueError(f"{algo.value} requires a tile count")
 
     def resolved(self) -> "DesignPoint":
-        """This design with its interleave group filled, the one field
-        whose default depends on another; resolved designs compare equal
-        exactly when they are the same design."""
-        out = copy(self)  # not checked again: the filled value is a default
-        if out.interleave_group is None:
-            object.__setattr__(out, "interleave_group",
-                               default_interleave_group(self.precision))
+        """This design with each unset field it reads filled from one table,
+        so it holds a value in exactly those fields; resolved designs compare
+        equal exactly when they are the same design."""
+        out = copy(self)  # not checked again: the filled values are defaults
+        defaults = {"interleave_group": default_interleave_group(self.precision),
+                    "vector_width": 8, "unroll": 1, "compute_units": 1, "pipeline_latency": 30}
+        for name in DESIGN_FIELDS[self.algorithm]:
+            if getattr(out, name) is None:
+                object.__setattr__(out, name, defaults[name])
         return out
 
     @property
@@ -131,13 +137,10 @@ class DesignPoint:
         return default_interleave_group(self.precision)
 
     def describe(self) -> dict:
-        """The algorithm and every field its model reads that is not ``None``."""
-        reads = SHARED_FIELDS + DESIGN_FIELDS[self.algorithm]
-        out = {"algorithm": self.algorithm.value, "precision": self.precision.value}
-        for f in fields(self):
-            if f.name in reads and f.name not in out and getattr(self, f.name) is not None:
-                out[f.name] = getattr(self, f.name)
-        return out
+        """The algorithm and every field of :meth:`resolved` that the model reads."""
+        dp, reads = self.resolved(), SHARED_FIELDS + DESIGN_FIELDS[self.algorithm]
+        return {"algorithm": dp.algorithm.value, "precision": dp.precision.value,
+                **{f.name: getattr(dp, f.name) for f in fields(dp)[2:] if f.name in reads}}
 
 
 @dataclass(frozen=True)

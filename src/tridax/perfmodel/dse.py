@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from itertools import product
 
 from ..errors import NoFeasibleDesign
 from .design import (DESIGN_FIELDS, SHARED_FIELDS, Algorithm, DesignPoint, ProblemSpec,
-                     check_kind)
+                     check_kind, check_reads)
 from .device import DeviceProfile
 from .latency import LatencyEstimate, latency_for_problem
 from .memory import ResourceEstimate, memory_words
@@ -27,16 +27,19 @@ _ALGO_ORDER = {algo: i for i, algo in enumerate(Algorithm)}
 
 @dataclass
 class GridSpec:
-    """Parameter ranges to enumerate (no algorithms: those of :meth:`for_kind`).
-    A design takes only the lists of fields its model reads, defaults for the rest."""
+    """Parameter ranges to enumerate. Every list starts unset, ``None``: unset
+    algorithms are those of :meth:`for_kind`, unset tiles are ``[2, 4, 8, 16]``,
+    and any other unset list leaves its field to :meth:`DesignPoint.resolved`.
+    A design crosses only the lists of the fields its model reads."""
 
-    algorithms: list[Algorithm] = field(default_factory=list)
-    tiles: list[int] = field(default_factory=lambda: [2, 4, 8, 16])
-    unrolls: list[int] = field(default_factory=lambda: [1])
-    groups: list[int | None] = field(default_factory=lambda: [None])
-    vector_widths: list[int] = field(default_factory=lambda: [8])
-    compute_units: list[int] = field(default_factory=lambda: [1])
-    frequencies_hz: list[float] = field(default_factory=lambda: [300e6])
+    algorithms: list[Algorithm] | None = None
+    tiles: list[int] | None = None
+    unrolls: list[int] | None = None
+    groups: list[int | None] | None = None
+    vector_widths: list[int] | None = None
+    compute_units: list[int] | None = None
+    frequencies_hz: list[float] | None = None
+    UNSET = {"tiles": [2, 4, 8, 16]}  # an unset list's values where resolved() has none
     # the list of each DesignPoint field, in enumeration order
     LISTS = {"interleave_group": "groups", "vector_width": "vector_widths",
              "unroll": "unrolls", "compute_units": "compute_units",
@@ -59,7 +62,7 @@ class DseRow:
     def record(self) -> dict:
         """The row's columns: the design's are its :meth:`DesignPoint.describe`."""
         p, res = self.problem, self.resources
-        rec = {**self.design.resolved().describe(), "rank": self.rank, "batch": p.batch,
+        rec = {**self.design.describe(), "rank": self.rank, "batch": p.batch,
                "size": p.size, "dims": "x".join(map(str, p.dims)) if p.dims else None,
                "n_iter": p.n_iter, "cycles": float(self.latency.cycles),
                "seconds": self.latency.seconds, "words": res.words,
@@ -68,13 +71,13 @@ class DseRow:
 
 
 def _candidate_designs(problem: ProblemSpec, grid: GridSpec, algorithms):
-    defaults = {f.name: f.default for f in fields(DesignPoint)}
-    for algo in algorithms:  # a list the design's model does not read gives its default
+    for algo in algorithms:  # the set lists, or unset tiles, of the fields algo reads
         reads = SHARED_FIELDS + DESIGN_FIELDS[algo]
-        for values in product(*(getattr(grid, lst) if name in reads else [defaults[name]]
-                                for name, lst in GridSpec.LISTS.items())):
+        lists = {name: values for name, lst in GridSpec.LISTS.items() if name in reads
+                 and (values := getattr(grid, lst) or GridSpec.UNSET.get(name)) is not None}
+        for values in product(*lists.values()):
             yield DesignPoint(algorithm=algo, precision=problem.precision,
-                              **dict(zip(GridSpec.LISTS, values)))
+                              **dict(zip(lists, values)))
 
 
 def dse_enumerate(problem: ProblemSpec, device: DeviceProfile,
@@ -84,14 +87,18 @@ def dse_enumerate(problem: ProblemSpec, device: DeviceProfile,
 
     Ties break deterministically by algorithm declaration order, then by
     smaller on-chip footprint. Designs the model rejects are skipped; if
-    every one is, the error names the first reason. An empty grid list, or
-    an algorithm of another kind than the problem's, raises ``ValueError``
-    naming it.
+    every one is, the error names the first reason. An empty grid list, a
+    set list no grid algorithm reads (``check_reads``'s error, as
+    :class:`DesignPoint` raises it), then an algorithm of another kind than
+    the problem's raises ``ValueError`` naming it.
     """
     for f in fields(grid):
-        if f.name != "algorithms" and not getattr(grid, f.name):
+        if getattr(grid, f.name) is not None and not getattr(grid, f.name):
             raise ValueError(f"grid list {f.name} is empty")
     algorithms = grid.algorithms or GridSpec.for_kind(problem.kind).algorithms
+    for name, lst in GridSpec.LISTS.items():
+        if getattr(grid, lst) is not None:
+            check_reads(name, algorithms)
     for algo in algorithms:
         check_kind(algo, problem)
     evaluated, skipped = [], []

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from tridax import Mesh, Precision, TridiagonalBatch, adi, random_dominant_system
+from tridax.core import TILED_SOLVERS
 
 
 @pytest.fixture
@@ -19,6 +20,11 @@ def dominant_batch(count, n, precision, seed):
     rng = np.random.default_rng(seed)
     return TridiagonalBatch.from_systems(random_dominant_system(n, rng, precision)
                                          for _ in range(count))
+
+
+def tiles_for(algo, tiles):
+    """``tiles`` for a tiled solver, ``None`` for one that takes no tile count."""
+    return tiles if algo in TILED_SOLVERS else None
 
 
 def digest(*arrays) -> str:

@@ -1,8 +1,8 @@
 """The benchmark harness runs every workload at tiny size and reports the
 metric names and units that ``BENCHMARK.json`` declares, its traced spans
 still find the names they wrap, its calibration problem still finds its
-published measurement, and its workloads' model cycle counts hold. Timings
-are not checked."""
+published measurement, and its workloads' model cycle counts and design
+descriptions hold. Timings are not checked."""
 
 import subprocess
 import sys
@@ -47,6 +47,27 @@ def test_bench_design_cycles_are_pinned(monkeypatch):
         cycles[name] = latency_for_problem(wl.design, **wl.problem).cycles
     assert cycles == {"batch-thomas-fp32": 20480, "batch-tiled-fp64": 278712,
                       "adi2d-fp32": 472480, "adi3d-fp64": 297600}
+
+
+def test_bench_design_descriptions_are_pinned(monkeypatch):
+    # each report line's model.design; the group is named since describe()
+    # reads the resolved design
+    monkeypatch.syspath_prepend(str(ROOT / "benchmarks"))
+    import workloads
+
+    shared = {"frequency_hz": 300e6}
+    lanes = {"vector_width": 8, "compute_units": 1}
+    assert {name: workloads.make(name).design.describe() for name in workloads.NAMES} == {
+        "batch-thomas-fp32": {"algorithm": "batched-thomas", "precision": "fp32",
+                              "interleave_group": 32, **lanes, **shared},
+        "batch-tiled-fp64": {"algorithm": "thomas-pcr", "precision": "fp64",
+                             "interleave_group": 64, "tiles": 8, "pipeline_latency": 30,
+                             **shared},
+        "adi2d-fp32": {"algorithm": "adi2d", "precision": "fp32", "interleave_group": 32,
+                       "unroll": 1, **lanes, **shared},
+        "adi3d-fp64": {"algorithm": "adi3d", "precision": "fp64", "interleave_group": 64,
+                       **lanes, **shared},
+    }
 
 
 def test_tiled_step_spans_resolve(monkeypatch):

@@ -1,5 +1,6 @@
 import errno
 import json
+import re
 
 import numpy as np
 import pytest
@@ -313,8 +314,9 @@ class TestModel:
         assert f"error: {message}\n" in capsys.readouterr().err
         assert not rep.exists()
         default = {"--unroll": 1}.get(flag)
-        if default is not None:  # the default value sets nothing
-            assert run([*argv, flag, default]) == 0
+        if default is not None:  # a knob starts unset: given, even at its default, it is set
+            assert run([*argv, flag, default]) == 2
+            assert f"error: {message}\n" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag,value,message", [
         ("--cus", 2, "compute_units applies to batched-thomas, adi2d, adi3d, not thomas-pcr"),
@@ -352,6 +354,21 @@ class TestModel:
             readers = ", ".join(a.value for a in Algorithm if name in DESIGN_FIELDS[a])
             assert (f"{flag} {flag[2:].upper()} {what}; read by {readers} {after}"
                     in help_text), flag
+
+    @pytest.mark.parametrize("command", ["model", "dse"])
+    def test_every_design_flag_help_names_exactly_its_readers(self, capsys, monkeypatch,
+                                                              command):
+        monkeypatch.setenv("COLUMNS", "1000")  # no line breaks inside a design name
+        with pytest.raises(SystemExit):
+            run([command, "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        for flag, name in (("--tiles", "tiles"), ("--unroll", "unroll"),
+                           ("--group", "interleave_group"), ("--vector", "vector_width"),
+                           ("--cus", "compute_units")):
+            text = re.search(rf" {flag} {flag[2:].upper()} ([^-]|-(?!-))*", help_text)[0]
+            named = {a for a in Algorithm if re.search(rf"(?<![\w-]){a.value}(?![\w-])", text)}
+            assert "; read by " in text and named == {a for a in Algorithm
+                                                      if name in DESIGN_FIELDS[a]}, text
 
     def test_out_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as err:
@@ -535,6 +552,16 @@ class TestDse:
         printed = [line.split()[3] for line in capsys.readouterr().out.splitlines()]
         assert printed == [f"unroll={r['unroll'] or '-'}" for r in rows[:10]]
         assert {"unroll=-", "unroll=4"} <= set(printed)  # an unread unroll prints as -
+
+    def test_every_design_flag_takes_a_comma_list(self, tmp_path):
+        rep = tmp_path / "d.json"
+        assert run(["dse", "--batch", 1000, "--size", 128, "--algo", "batched-thomas",
+                    "--group", "16,32", "--vector", "4,8", "--cus", "1,2",
+                    "--precision", "fp32", "--report", rep]) == 0
+        rows = json.loads(rep.read_text())["rows"]
+        assert sorted((r["interleave_group"], r["vector_width"], r["compute_units"])
+                      for r in rows) == [(g, v, cu) for g in (16, 32) for v in (4, 8)
+                                         for cu in (1, 2)]
 
     def test_lane_flag_crosses_only_the_designs_that_read_it(self, tmp_path, capsys):
         rep = tmp_path / "d.json"

@@ -4,13 +4,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from tridax import (BatchSolveError, InvalidTilePlan, NonFiniteSolution, Precision,
+from tridax import (BatchSolveError, InvalidTilePlan, Mesh, NonFiniteSolution, Precision,
                     SingularMatrix, TilePlan, TridiagonalBatch, TridiagonalSystem, ZeroPivot,
                     batch_solve, core, dense_oracle_solve, random_dominant_system,
-                    relative_inf_error, residual_max_norm, solve_system)
+                    relative_inf_error, residual_max_norm, solve_lines, solve_system)
 from tridax.core import DENSE_ORACLE_MAX_N, SOLVER_NAMES
 from tridax.reference import thomas_scalar
-from conftest import digest, dominant_batch, make_system
+from conftest import digest, dominant_batch, make_system, tiles_for
 
 
 def as_fp32(s):
@@ -228,6 +228,20 @@ class TestCornerRuleAtSolve:
         assert np.array_equal(self.solve(held, algo), before)
 
 
+@pytest.mark.parametrize("algo", ["thomas", "pcr"])
+def test_tile_count_for_an_untiled_solver_raises_at_every_door(algo):
+    # each door once solved as if no tile count were given; tridax solve
+    # --algo thomas --tiles 4 prints this message and exits 2
+    s = make_system(16, seed=2)
+    message = f"^tiles applies to thomas-thomas, thomas-pcr, not {algo}$"
+    with pytest.raises(ValueError, match=message):
+        solve_system(s, algo, 4)
+    with pytest.raises(ValueError, match=message):
+        batch_solve(TridiagonalBatch.from_systems([s, s]), algo, tiles=3)
+    with pytest.raises(ValueError, match=message):
+        solve_lines(Mesh.zeros((16, 4)), (s.a, s.b, s.c), "x", algo, tiles=4)
+
+
 class TestThomas:
     def test_diagonal_system(self):
         assert np.allclose(solve_system(diagonal_system(), "thomas"), [1.0, 2.0, 3.0])
@@ -384,10 +398,11 @@ class TestBatch:
     @pytest.mark.parametrize("algo", SOLVER_NAMES)
     def test_returns_one_array(self, algo):
         batch = dominant_batch(5, 24, Precision.FP32, seed=5)
-        u = batch_solve(batch, algo, 4)
+        tiles = tiles_for(algo, 4)
+        u = batch_solve(batch, algo, tiles)
         assert u.shape == (5, 24) and u.dtype == np.float32 and u.flags.c_contiguous
         for i in range(5):
-            assert np.array_equal(u[i], solve_system(batch.system(i), algo, 4))
+            assert np.array_equal(u[i], solve_system(batch.system(i), algo, tiles))
 
     @pytest.mark.parametrize("count", [1, 3])
     def test_failed_rows_nan_and_raw_output_kept(self, count):

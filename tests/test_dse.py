@@ -44,11 +44,33 @@ class TestEnumeration:
         with pytest.raises(NoFeasibleDesign):
             dse_enumerate(batch_problem(8192), U280, grid)
 
-    @pytest.mark.parametrize("name", ["unrolls", "groups", "tiles", "compute_units"])
+    @pytest.mark.parametrize("name", ["algorithms", "unrolls", "groups", "tiles",
+                                      "compute_units"])
     def test_empty_grid_list_raises(self, name):
         grid = GridSpec(**{name: []})
         with pytest.raises(ValueError, match=f"^grid list {name} is empty$"):
             dse_enumerate(batch_problem(64, batch=10), U280, grid)
+
+    @pytest.mark.parametrize("algos, grid_args, message", [
+        ([Algorithm.THOMAS_PCR], dict(vector_widths=[4]), "vector_width applies to "
+         "batched-thomas, adi2d, adi3d, adi2d-tiled, not thomas-pcr"),
+        ([Algorithm.BATCHED_THOMAS, Algorithm.THOMAS_THOMAS], dict(unrolls=[1]),
+         "unroll applies to batched-pcr, adi2d, not batched-thomas/thomas-thomas"),
+        # before the kind check, as tridax dse --algo adi2d --size 64 --tiles 2
+        ([Algorithm.ADI2D], dict(tiles=[2]), "tiles applies to thomas-thomas, thomas-pcr, "
+         "adi2d-tiled, not adi2d"),
+    ])
+    def test_list_no_grid_algorithm_reads_raises(self, algos, grid_args, message):
+        # such a list once ranked the same rows as no list at all
+        grid = GridSpec(algorithms=algos, **grid_args)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            dse_enumerate(batch_problem(1024, batch=100), U280, grid)
+
+    def test_unset_lists_enumerate_the_unset_tiles(self):
+        rows = dse_enumerate(batch_problem(1024, batch=100), U280,
+                             GridSpec(algorithms=[Algorithm.THOMAS_PCR]))
+        assert sorted(r.design.tiles for r in rows) == [2, 4, 8, 16]
+        assert {r.design.vector_width for r in rows} == {None}
 
     def test_invalid_tilings_are_skipped_not_fatal(self):
         grid = GridSpec(algorithms=[Algorithm.THOMAS_THOMAS], tiles=[2, 64])
@@ -111,7 +133,7 @@ class TestReports:
         # a design column the row's design does not read is null
         for case in DSE_CASES:
             for row in case_rows(case):
-                rec, described = row.record(), row.design.resolved().describe()
+                rec, described = row.record(), row.design.describe()
                 for col in ("algorithm", "precision", "interleave_group", "vector_width",
                             "unroll", "tiles", "compute_units", "frequency_hz"):
                     assert rec[col] == described.get(col), (case, col, rec)
@@ -249,4 +271,4 @@ class TestGridFields:
         for row in rows:
             reads = SHARED_FIELDS + DESIGN_FIELDS[row.design.algorithm]
             assert [f.name for f in fields(DesignPoint)[1:] if f.name not in reads
-                    and getattr(row.design, f.name) != f.default] == [], row.record()
+                    and getattr(row.design, f.name) is not None] == [], row.record()

@@ -8,6 +8,7 @@ from tridax import (Axis, LineSolveError, Mesh, NonFiniteSolution, Precision,
                     solve_lines, solve_system, write_mesh)
 from tridax.core import SOLVER_NAMES
 from tridax.mesh import _gather, _scatter, factor_lines, sweep_lines
+from conftest import tiles_for
 
 STORAGE_DIM = {"x": 3, "y": 2, "z": 1}  # axis position in (batch, z, y, x)
 
@@ -196,10 +197,10 @@ class TestSolveLines:
         # the shared profile's (n, 1) columns give the bits of full per-line rows
         mesh = random_mesh((12, 9, 15), batch=2, seed=29)
         coeffs = dominant_profile(31, mesh, axis)
-        got = solve_lines(mesh, coeffs, axis, algo, tiles=3)
+        got = solve_lines(mesh, coeffs, axis, algo, tiles=tiles_for(algo, 3))
         d = axis_lines(mesh.data, Axis.parse(axis)).T.copy()
         rows = [np.tile(v, (len(d), 1)) for v in coeffs]
-        expected = batch_solve(TridiagonalBatch(*rows, d), algo, 3)
+        expected = batch_solve(TridiagonalBatch(*rows, d), algo, tiles_for(algo, 3))
         assert np.array_equal(axis_lines(got.data, Axis.parse(axis)).T, expected)
 
     def test_pcr_algo_agrees_with_thomas(self):
@@ -238,7 +239,7 @@ class TestSolveLines:
         k, row = (0, 0) if corner == "a[0]" else (2, -1)
         coeffs[k][row] = 0.5
         with pytest.raises(ValueError, match=r"a\[0\] == 0 and c\[n-1\] == 0"):
-            solve_lines(mesh, coeffs, axis, algo, tiles=3)
+            solve_lines(mesh, coeffs, axis, algo, tiles=tiles_for(algo, 3))
 
     def test_failing_line_identified(self):
         mesh = random_mesh((6, 2, 2), batch=2, seed=8)
@@ -257,7 +258,7 @@ class TestSolveLines:
         for v in coeffs:
             v[4] = 0.0
         with pytest.raises(LineSolveError) as err:
-            solve_lines(mesh, coeffs, "x", algo, tiles=3)
+            solve_lines(mesh, coeffs, "x", algo, tiles=tiles_for(algo, 3))
         assert (err.value.batch, err.value.line, err.value.axis) == (0, 0, "x")
         assert err.value.failures == [(k, line) for k in range(2) for line in range(8)]
         assert isinstance(err.value.__cause__, ZeroPivot)
@@ -269,7 +270,8 @@ class TestSolveLines:
         mesh = random_mesh((4, 9, 2), batch=2, seed=15)
         mesh.data[1, 1, 5, 3] = np.nan
         with pytest.raises(LineSolveError) as err:
-            solve_lines(mesh, dominant_profile(16, mesh, "y"), "y", algo, tiles=3)
+            solve_lines(mesh, dominant_profile(16, mesh, "y"), "y", algo,
+                        tiles=tiles_for(algo, 3))
         assert (err.value.batch, err.value.line, err.value.axis) == (1, 7, "y")
         assert isinstance(err.value.__cause__, NonFiniteSolution)
 
@@ -282,7 +284,8 @@ class TestSolveLines:
         for k, z, y, row in [(0, 0, 2, 3), (2, 0, 1, 1), (2, 1, 1, 5)]:
             mesh.data[k, z, y, row] = np.nan
         with pytest.raises(LineSolveError) as err:
-            solve_lines(mesh, dominant_profile(25, mesh, "x"), "x", algo, tiles=2)
+            solve_lines(mesh, dominant_profile(25, mesh, "x"), "x", algo,
+                        tiles=tiles_for(algo, 2))
         assert err.value.failures == [(0, 2), (2, 1), (2, 4)]
         assert (err.value.batch, err.value.line, err.value.axis) == (0, 2, "x")
 

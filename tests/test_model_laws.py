@@ -29,7 +29,7 @@ precisions = st.sampled_from([Precision.FP32, Precision.FP64])
 
 @st.composite
 def designs(draw, algo):
-    """A valid design of ``algo``: each field it reads drawn, the rest default."""
+    """A valid design of ``algo``: each field it reads drawn, the rest unset."""
     values = {"interleave_group": st.sampled_from([None, 1, 4, 16, 64]),
               "vector_width": st.integers(1, 16), "unroll": st.integers(1, 4),
               "tiles": st.integers(1, 16), "compute_units": st.integers(1, 8),
@@ -74,7 +74,7 @@ def test_more_lanes_never_raise_the_latency(algo, data, lane, extra):
     where = data.draw(problems(algo.kind))
     before = cycles(dp, **where)
     assume(before is not None)
-    assert cycles(with_field(dp, lane, getattr(dp, lane) + extra), **where) <= before
+    assert cycles(with_field(dp, lane, (getattr(dp, lane) or 1) + extra), **where) <= before
 
 
 @pytest.mark.parametrize("algo", list(Algorithm))
@@ -86,7 +86,7 @@ def test_a_lane_that_costs_memory_lowers_the_latency_of_some_batch(algo, data, l
     dp = data.draw(designs(algo))
     where = data.draw(problems(algo.kind))
     assume(cycles(dp, **where) is not None)
-    wider = with_field(dp, lane, getattr(dp, lane) + extra)
+    wider = with_field(dp, lane, (getattr(dp, lane) or 1) + extra)  # an ignored lane is None
     n = max(where["dims"]) if "dims" in where else where["n"]
     if memory_words(wider, n, U280).total_bytes > memory_words(dp, n, U280).total_bytes:
         assert any(cycles(wider, **{**where, "batch": b}) < cycles(dp, **{**where, "batch": b})
@@ -142,6 +142,18 @@ PROBLEMS = {"batch": [dict(batch=100, size=64), dict(batch=100, size=8192),
             "adi3d": [dict(batch=2, dims=(32, 16, 24), n_iter=2)]}
 
 
+def draw_grid(data, algos, values, label):
+    """A grid of some of ``algos`` with a list drawn from ``values[lst]`` for
+    each field one of them reads; the grid rejects the other lists."""
+    def some(pool, name):
+        return data.draw(st.lists(st.sampled_from(pool), min_size=1, unique=True),
+                         label=label + name)
+    picked = some(algos, "algorithms")
+    return GridSpec(algorithms=picked, **{
+        lst: some(values[lst], lst) for name, lst in GridSpec.LISTS.items()
+        if any(name in SHARED_FIELDS + DESIGN_FIELDS[a] for a in picked)})
+
+
 def best_seconds(problem, grid):
     try:
         return dse_enumerate(problem, U280, grid)[0].latency.seconds_exact
@@ -154,15 +166,8 @@ def best_seconds(problem, grid):
 def test_a_smaller_grid_never_ranks_a_better_design(data, kind, precision):
     problem = ProblemSpec(precision=precision,
                           **data.draw(st.sampled_from(PROBLEMS[kind]), label="problem"))
-    lists = {name: data.draw(st.lists(st.sampled_from(values), min_size=1, unique=True),
-                             label=name) for name, values in GRID_VALUES.items()}
-    algos = [a for a in Algorithm if a.kind == kind]
-    full = GridSpec(algorithms=data.draw(st.lists(st.sampled_from(algos), min_size=1,
-                                                  unique=True), label="algorithms"),
-                    **lists)
-    small = GridSpec(**{name: data.draw(st.lists(st.sampled_from(getattr(full, name)),
-                                                 min_size=1, unique=True), label=f"sub {name}")
-                        for name in ["algorithms", *GRID_VALUES]})
+    full = draw_grid(data, [a for a in Algorithm if a.kind == kind], GRID_VALUES, "")
+    small = draw_grid(data, full.algorithms, vars(full), "sub ")
     best, best_small = best_seconds(problem, full), best_seconds(problem, small)
     if best is None:
         assert best_small is None

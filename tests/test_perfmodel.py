@@ -471,6 +471,29 @@ class TestDesignFields:
                                match=f"^{f.name} applies to {readers}, not {algo.value}$"):
                 replace(base, **{f.name: PERTURBED[f.name]})
 
+    @pytest.mark.parametrize("precision", [Precision.FP32, Precision.FP64])
+    @pytest.mark.parametrize("algo", list(Algorithm))
+    def test_resolved_holds_a_value_in_exactly_the_fields_the_model_reads(self, algo,
+                                                                          precision):
+        dp = DesignPoint(algo, precision=precision, tiles=4 if algo.is_tiled else None)
+        assert {f.name for f in fields(DesignPoint)[1:] if getattr(dp.resolved(), f.name)
+                is not None} == set(SHARED_FIELDS + DESIGN_FIELDS[algo])
+        assert set(dp.describe()) == {"algorithm", *SHARED_FIELDS, *DESIGN_FIELDS[algo]}
+
+    @pytest.mark.parametrize("algo", list(Algorithm))
+    def test_an_unread_field_set_to_the_value_it_resolves_to_raises(self, algo):
+        # the lanes, unroll and pipeline depth once defaulted to these values,
+        # so only other values were rejected
+        base = DesignPoint(algo, tiles=4 if algo.is_tiled else None)
+        for name, value in {"interleave_group": 32, "vector_width": 8, "unroll": 1,
+                            "compute_units": 1, "pipeline_latency": 30}.items():
+            if name not in DESIGN_FIELDS[algo]:
+                message = f"^{name} applies to .* not {algo.value}$"
+                with pytest.raises(ValueError, match=message):
+                    replace(base, **{name: value})
+                with pytest.raises(ValueError, match=f"^{name} applies to "):
+                    replace(base, **{name: 0})  # the reads check comes first
+
     def test_settable_pairs(self):
         settable = sum(len(SHARED_FIELDS + DESIGN_FIELDS[a]) for a in Algorithm)
         assert settable == 34 and len(fields(DesignPoint)) - 1 == 8
