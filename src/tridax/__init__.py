@@ -30,8 +30,8 @@ The package splits into:
 - :mod:`tridax.cli` — the ``tridax`` command."""
 
 from .core import (TridiagonalBatch, TridiagonalSystem, batch_solve, dense_oracle_solve,
-                   random_dominant_system, relative_inf_error, residual_max_norm,
-                   solve_system)
+                   random_dominant_batch, random_dominant_system, relative_inf_error,
+                   residual_max_norm, solve_system)
 from .errors import (BatchSolveError, InvalidTilePlan, LineSolveError, NoFeasibleDesign,
                      NonFiniteSolution, SingularMatrix, TridaxError, ZeroDuration, ZeroPivot)
 from .mesh import Axis, Mesh, read_mesh, solve_lines, write_mesh
@@ -44,7 +44,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Precision", "TridiagonalSystem", "TridiagonalBatch",
     "solve_system", "batch_solve", "dense_oracle_solve", "residual_max_norm",
-    "random_dominant_system", "relative_inf_error", "TilePlan",
+    "random_dominant_batch", "random_dominant_system", "relative_inf_error", "TilePlan",
     "Mesh", "Axis", "solve_lines", "read_mesh", "write_mesh",
     "AdiConfig", "RunReport", "adi_run", "effective_bandwidth",
     "TridaxError", "ZeroPivot", "SingularMatrix", "InvalidTilePlan",

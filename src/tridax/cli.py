@@ -10,13 +10,15 @@ Subcommands:
 
 Input-generation flags apply only to generated inputs: an ``--input`` file
 keeps its own shape and precision, and ``adi --dims``, if given, must match
-it. Reports are JSON: ``dse`` writes its ranked table only to ``--report``;
-every other report goes to ``--report``, or stdout if omitted.
+it. Every report is JSON, written to ``--report``, or stdout if omitted;
+``dse``'s report is its ranked table, written after its ``--top`` lines.
 
 Design knobs start unset and pass as given into ``DesignPoint`` or
 ``GridSpec``: a knob given to a design that does not read it, even at its
 resolved value, exits 2, and the library raises the same ``ValueError``, as
-the solvers do for ``solve --tiles`` on an untiled solver.
+the solvers do for ``solve --tiles`` on an untiled solver. ``model`` and
+``dse --iters`` follow the same rule through ``ProblemSpec``: a mesh problem
+runs one iteration unless given more, and a batch problem rejects any count.
 
 Exit codes: 0 success, 2 usage error, 3 infeasible design or verification
 failure, 1 internal error. Given the same flags, seed and input bytes,
@@ -49,20 +51,16 @@ CHECK_FAILED = 3
 
 
 def _parse_dims(text: str) -> tuple[int, ...]:
-    parts = tuple(int(p) for p in text.split(","))
-    if len(parts) not in (2, 3) or min(parts) < 1:
-        raise argparse.ArgumentTypeError("dims must be X,Y or X,Y,Z of positive ints")
-    return parts
+    return tuple(int(p) for p in text.split(","))  # Mesh and ProblemSpec check the extents
 
 
 def _parse_int_list(text: str) -> list[int]:
     return [int(p) for p in text.split(",")]
 
 
-def _add_common(p: argparse.ArgumentParser, precision_help: str = "fp32 or fp64"):
-    """Add ``--precision`` and ``--report``; returns the last."""
+def _add_common(p: argparse.ArgumentParser, precision_help: str = "fp32 or fp64") -> None:
     p.add_argument("--precision", default="fp64", help=precision_help)
-    return p.add_argument("--report", type=Path, help="JSON report file (stdout if omitted)")
+    p.add_argument("--report", type=Path, help="JSON report file (stdout if omitted)")
 
 
 def _add_problem_and_hardware(p: argparse.ArgumentParser, knob=int, each: str = ""):
@@ -71,7 +69,7 @@ def _add_problem_and_hardware(p: argparse.ArgumentParser, knob=int, each: str = 
     p.add_argument("--batch", type=int, required=True)
     p.add_argument("--size", type=int, help="system size (1-D batch problem)")
     p.add_argument("--dims", type=_parse_dims, help="mesh dims (application problem)")
-    p.add_argument("--iters", type=int, default=1, help="iterations (mesh problems only)")
+    p.add_argument("--iters", type=int, help="iterations (mesh problems only; default 1)")
     for flag, name, what in (("--tiles", "tiles", "tile count"),
                              ("--unroll", "unroll", "unroll factor"),
                              ("--group", "interleave_group", "interleave group"),
@@ -124,7 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algo", help="restrict to one algorithm")
     _add_problem_and_hardware(p, _parse_int_list, " (comma list)")
     p.add_argument("--top", type=int, default=10, help="rows printed to stdout")
-    _add_common(p).help = "ranked table file; dse writes its table only here"
+    _add_common(p)
 
     sub.add_parser("selftest", help="run quick built-in checks")
     return parser
@@ -149,13 +147,13 @@ def read_batch(path) -> core.TridiagonalBatch:
     return core.TridiagonalBatch(rows[:, 0], rows[:, 1], rows[:, 2], rows[:, 3])
 
 
-def _emit_report(args, payload: dict) -> None:
-    """Write ``payload`` as JSON to ``--report``, or stdout if omitted."""
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+def _emit_report(args, report: dict | str) -> None:
+    """Write ``report``, a payload or its JSON text, to ``--report``, or stdout if omitted."""
+    text = report if isinstance(report, str) else json.dumps(report, indent=2, sort_keys=True)
     if args.report:
-        args.report.write_text(text)
+        args.report.write_text(text + "\n")
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(text + "\n")
 
 
 def cmd_solve(args) -> int:
@@ -163,12 +161,8 @@ def cmd_solve(args) -> int:
     if args.input:
         batch = read_batch(args.input)
     else:
-        if args.batch < 1 or args.size < 1:
-            raise ValueError("--batch and --size must be >= 1")
         rng = np.random.default_rng(args.seed)
-        systems = [core.random_dominant_system(args.size, rng, precision, args.margin)
-                   for _ in range(args.batch)]
-        batch = core.TridiagonalBatch.from_systems(systems)
+        batch = core.random_dominant_batch(args.batch, args.size, rng, precision, args.margin)
 
     t0 = time.perf_counter()
     solutions = core.batch_solve(batch, args.algo, args.tiles)
@@ -315,8 +309,7 @@ def cmd_dse(args) -> int:
         print(f"#{rec['rank']:<3} {rec['algorithm']:<15} tiles={rec['tiles'] or '-':<4} "
               f"unroll={rec['unroll'] or '-'} {rec['seconds'] * 1e3:10.4f} ms  "
               f"{rec['on_chip_bytes'] / 1e6:8.2f} MB on-chip")
-    if args.report:
-        args.report.write_text(rows_to_json(rows))
+    _emit_report(args, rows_to_json(rows))
     return 0
 
 

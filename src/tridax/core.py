@@ -148,11 +148,6 @@ class TridiagonalBatch:
         vars(system).update(a=a, b=self.b[i], c=c, d=self.d[i])
         return system
 
-    @classmethod
-    def from_systems(cls, systems) -> "TridiagonalBatch":
-        systems = list(systems)
-        return cls(*(np.stack([getattr(s, k) for s in systems]) for k in "abcd"))
-
 
 def dense_oracle_solve(system: TridiagonalSystem) -> np.ndarray:
     """Reference solution via dense FP64 Gaussian elimination.
@@ -254,24 +249,34 @@ def batch_solve(batch: TridiagonalBatch, algo: str = "thomas",
         raise BatchSolveError(failures, solutions) from exc
 
 
+def random_dominant_batch(count: int, n: int, rng: np.random.Generator,
+                          precision: Precision = Precision.FP64,
+                          margin: float = 1.0) -> TridiagonalBatch:
+    """Seeded batch of ``count`` strictly diagonally dominant test systems
+    of ``n`` rows; ``tridax solve`` generates its batch with one call.
+
+    One ``(count, n)`` draw per coefficient array, in the order a, c, b, d:
+    off-diagonals are uniform in [-1, 1]; the diagonal exceeds their
+    absolute sum by at least ``margin``.
+    """
+    if count < 1 or n < 1:
+        raise ValueError(f"a generated batch needs count and n >= 1, not {count} and {n}")
+    if not 0 < margin < np.inf:
+        raise ValueError(f"dominance margin must be finite and positive, not {margin}")
+    a, c = rng.uniform(-1.0, 1.0, (count, n)), rng.uniform(-1.0, 1.0, (count, n))
+    a[:, 0] = c[:, -1] = 0.0
+    b = np.abs(a) + np.abs(c) + rng.uniform(margin, margin + 1.0, (count, n))
+    d = rng.uniform(-1.0, 1.0, (count, n))
+    return TridiagonalBatch(*(x.astype(precision.dtype) for x in (a, b, c, d)))
+
+
 def random_dominant_system(n: int, rng: np.random.Generator,
                            precision: Precision = Precision.FP64,
                            margin: float = 1.0) -> TridiagonalSystem:
-    """Seeded strictly diagonally dominant test system.
-
-    Off-diagonals are uniform in [-1, 1]; the diagonal exceeds their
-    absolute sum by at least ``margin``.
-    """
-    if not 0 < margin < np.inf:
-        raise ValueError(f"dominance margin must be finite and positive, not {margin}")
-    a = rng.uniform(-1.0, 1.0, n)
-    c = rng.uniform(-1.0, 1.0, n)
-    a[0] = 0.0
-    c[-1] = 0.0
-    b = np.abs(a) + np.abs(c) + rng.uniform(margin, margin + 1.0, n)
-    d = rng.uniform(-1.0, 1.0, n)
-    dt = precision.dtype
-    return TridiagonalSystem(a.astype(dt), b.astype(dt), c.astype(dt), d.astype(dt))
+    """Seeded strictly diagonally dominant test system: the one system of
+    ``random_dominant_batch(1, n, ...)``, whose ``(1, n)`` draws take the
+    same stream values as ``(n,)`` draws."""
+    return random_dominant_batch(1, n, rng, precision, margin).system(0)
 
 
 def relative_inf_error(u, ref) -> float:

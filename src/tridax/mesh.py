@@ -78,15 +78,12 @@ class Mesh:
     @classmethod
     def zeros(cls, dims, batch: int = 1, precision: Precision = Precision.FP64) -> "Mesh":
         dims = tuple(int(e) for e in dims)
-        if len(dims) == 2:
-            dims = dims + (1,)
-            ndim = 2
-        elif len(dims) == 3:
-            ndim = 3
-        else:
+        if len(dims) not in (2, 3):
             raise ValueError("dims must be (x, y) or (x, y, z)")
-        x, y, z = dims
-        return cls(np.zeros((batch, z, y, x), dtype=precision.dtype), ndim)
+        if min(dims) < 1 or batch < 1:  # before np.zeros, which rejects negatives its own way
+            raise ValueError("mesh extents must be positive")
+        x, y, z = (*dims, 1)[:3]
+        return cls(np.zeros((batch, z, y, x), dtype=precision.dtype), len(dims))
 
     @property
     def batch(self) -> int:

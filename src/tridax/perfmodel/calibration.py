@@ -67,7 +67,7 @@ def relative_error(predicted_seconds: float, measured_seconds: float) -> float:
 
 def find_reference(dp: DesignPoint, *, batch: int, n: int | None = None,
                    dims: tuple[int, ...] | None = None,
-                   n_iter: int = 1) -> MeasuredReference | None:
+                   n_iter: int | None = None) -> MeasuredReference | None:
     """The published measurement of exactly this design on exactly this
     problem (in the design's precision), or ``None``."""
     design = dp.resolved()

@@ -145,22 +145,25 @@ class DesignPoint:
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """What is being solved: a batch of ``size``-row systems or of ``dims`` meshes."""
+    """What is being solved: a batch of ``size``-row systems or of ``dims`` meshes.
+    ``n_iter`` starts unset: a mesh problem fills in 1, a batch rejects any value."""
 
     batch: int
     size: int | None = None         # system size for 1-D batches
     dims: tuple[int, ...] | None = None
     precision: Precision = Precision.FP32
-    n_iter: int = 1                 # iterations of a mesh problem
+    n_iter: int | None = None       # iterations of a mesh problem
 
     def __post_init__(self):
-        if self.batch < 1 or self.n_iter < 1 or (self.size is not None and self.size < 1):
+        if self.n_iter is None and self.dims is not None:
+            object.__setattr__(self, "n_iter", 1)
+        if self.batch < 1 or any(v is not None and v < 1 for v in (self.n_iter, self.size)):
             raise ValueError("batch, n_iter and size must be >= 1")
         if (self.size is None) == (self.dims is None):
             raise ValueError("a problem needs a system size or mesh dims, not both")
-        if self.size is not None and self.n_iter != 1:  # no batch model reads it
+        if self.size is not None and self.n_iter is not None:  # no batch model reads it
             raise ValueError(f"n_iter applies to mesh problems; a batch of systems is "
-                             f"solved once, not {self.n_iter} times")
+                             f"solved once and takes none, not {self.n_iter}")
         if self.dims is not None and (len(self.dims) not in (2, 3) or min(self.dims) < 1):
             raise ValueError(f"mesh dims must be 2 or 3 positive extents, not {self.dims}")
 

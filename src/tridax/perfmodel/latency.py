@@ -202,9 +202,10 @@ _MODELS = {
 
 def latency_for_problem(dp: DesignPoint, *, batch: int, n: int | None = None,
                         dims: tuple[int, ...] | None = None,
-                        n_iter: int = 1) -> LatencyEstimate:
+                        n_iter: int | None = None) -> LatencyEstimate:
     """The design's modelled latency on ``batch`` systems of ``n`` rows or
-    ``batch`` meshes of ``dims``, ``n_iter`` iterations of a mesh problem.
+    ``batch`` meshes of ``dims``, ``n_iter`` iterations of a mesh problem
+    (1 if unset; a batch problem takes none).
 
     The problem is checked as a :class:`ProblemSpec`; one of another
     :attr:`~Algorithm.kind` than the design's raises ``ValueError``.

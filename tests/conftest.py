@@ -16,10 +16,15 @@ def make_system(n, seed, precision=Precision.FP64, margin=1.0):
     return random_dominant_system(n, np.random.default_rng(seed), precision, margin)
 
 
+def stack_systems(systems) -> TridiagonalBatch:
+    """The batch holding ``systems`` in order, one row per system."""
+    return TridiagonalBatch(*(np.stack([getattr(s, k) for s in systems]) for k in "abcd"))
+
+
 def dominant_batch(count, n, precision, seed):
+    """``count`` systems drawn one at a time, as the golden inputs were."""
     rng = np.random.default_rng(seed)
-    return TridiagonalBatch.from_systems(random_dominant_system(n, rng, precision)
-                                         for _ in range(count))
+    return stack_systems([random_dominant_system(n, rng, precision) for _ in range(count)])
 
 
 def tiles_for(algo, tiles):

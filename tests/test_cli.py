@@ -5,9 +5,10 @@ import re
 import numpy as np
 import pytest
 
-from tridax import Mesh, Precision, mesh, read_mesh, residual_max_norm
+from tridax import Mesh, Precision, batch_solve, mesh, read_mesh, residual_max_norm
 from tridax.cli import main, read_batch, write_batch
-from tridax.core import TridiagonalBatch, random_dominant_system
+from tridax.core import random_dominant_batch, random_dominant_system
+from conftest import stack_systems
 from tridax.perfmodel import Algorithm
 from tridax.perfmodel.design import DESIGN_FIELDS
 
@@ -81,7 +82,7 @@ class TestSolve:
     def test_batch_file_round_trip(self, tmp_path):
         rng = np.random.default_rng(0)
         systems = [random_dominant_system(24, rng) for _ in range(5)]
-        batch = TridiagonalBatch.from_systems(systems)
+        batch = stack_systems(systems)
         path = tmp_path / "batch.bin"
         write_batch(path, batch)
         back = read_batch(path)
@@ -99,7 +100,7 @@ class TestSolve:
         rng = np.random.default_rng(4)
         systems = [random_dominant_system(16, rng, Precision.FP32) for _ in range(4)]
         path = tmp_path / "batch.bin"
-        write_batch(path, TridiagonalBatch.from_systems(systems))
+        write_batch(path, stack_systems(systems))
         rep = tmp_path / "r.json"
         assert run(["solve", "--input", path, "--out", tmp_path / "sol.bin",
                     "--report", rep]) == 0
@@ -109,7 +110,16 @@ class TestSolve:
 
     def test_nonpositive_batch_is_usage_error(self, tmp_path, capsys):
         assert run(["solve", "--batch", 0, "--size", 16, "--out", tmp_path / "s.bin"]) == 2
-        assert capsys.readouterr().err == "error: --batch and --size must be >= 1\n"
+        assert capsys.readouterr().err == \
+            "error: a generated batch needs count and n >= 1, not 0 and 16\n"
+
+    def test_generated_batch_is_one_library_draw(self, tmp_path):
+        out = tmp_path / "sol.bin"
+        assert run(["solve", "--batch", 5, "--size", 16, "--seed", 3, "--precision", "fp32",
+                    "--out", out, "--report", tmp_path / "r.json"]) == 0
+        batch = random_dominant_batch(5, 16, np.random.default_rng(3), Precision.FP32)
+        expected = batch_solve(batch).reshape(5, 1, 1, 16)
+        assert read_mesh(out).data.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("margin", ["nan", "inf"])
     def test_nonfinite_margin_is_usage_error(self, tmp_path, capsys, margin):
@@ -120,7 +130,7 @@ class TestSolve:
 
     def test_input_batch_with_failing_systems(self, tmp_path, capsys):
         rng = np.random.default_rng(5)
-        batch = TridiagonalBatch.from_systems(random_dominant_system(16, rng) for _ in range(6))
+        batch = stack_systems([random_dominant_system(16, rng) for _ in range(6)])
         batch.a[2, 5] = batch.b[2, 5] = batch.c[2, 5] = 0  # a zero pivot
         batch.d[4, 9] = np.nan
         path = tmp_path / "batch.bin"
@@ -604,6 +614,13 @@ class TestDse:
         assert "error: n_iter applies to mesh problems" in capsys.readouterr().err
         assert not rep.exists()
 
+    def test_table_goes_to_stdout_without_report(self, capsys):
+        assert run(["dse", "--batch", 10, "--size", 64, "--top", 2]) == 0
+        out = capsys.readouterr().out
+        lines, table = out[:out.index("{")], json.loads(out[out.index("{"):])
+        assert [line.split()[0] for line in lines.splitlines()] == ["#1", "#2"]
+        assert table["schema_version"] == "tridax.dse.v1" and len(table["rows"]) == 10
+
     def test_negative_top_is_usage_error(self, tmp_path, capsys):
         rep = tmp_path / "d.json"
         argv = ["dse", "--batch", 10, "--size", 64, "--report", rep]
@@ -669,6 +686,32 @@ def test_format_is_usage_error(tmp_path, monkeypatch, argv):
         run([*argv, "--format", "json", "--report", "r.json"])
     assert err.value.code == 2
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["adi", "--dims", "0,4", "--gamma", 0.5], "mesh extents must be positive"),
+    (["adi", "--dims", "4", "--gamma", 0.5], "dims must be (x, y) or (x, y, z)"),
+    (["adi", "--dims=4,-1", "--gamma", 0.5], "mesh extents must be positive"),
+    (["model", "--algo", "adi2d", "--batch", 10, "--dims", "1,2,3,4"],
+     "mesh dims must be 2 or 3 positive extents, not (1, 2, 3, 4)"),
+    (["model", "--algo", "adi2d", "--batch", 10, "--dims", "0,4"],
+     "mesh dims must be 2 or 3 positive extents, not (0, 4)")],
+    ids=["adi-zero", "adi-one-axis", "adi-negative", "model-four-axes", "model-zero"])
+def test_bad_dims_are_the_librarys_usage_error(tmp_path, capsys, argv, message):
+    # --dims parses integers only; Mesh and ProblemSpec check the extents,
+    # Mesh.zeros before numpy's own negative-dimension error
+    assert run([*argv, "--report", tmp_path / "r.json"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["model", "dse"])
+def test_one_iteration_of_a_batch_problem_is_usage_error(tmp_path, capsys, command):
+    # n_iter starts unset, so even a mesh problem's default is a value a batch rejects
+    rep = tmp_path / "r.json"
+    assert run([command, "--algo", "batched-thomas", "--batch", 100, "--size", 128,
+                "--iters", 1, "--report", rep]) == 2
+    assert "error: n_iter applies to mesh problems" in capsys.readouterr().err
+    assert not rep.exists()
 
 
 @pytest.mark.parametrize("command", sorted(WRITING_COMMANDS))

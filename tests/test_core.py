@@ -1,16 +1,18 @@
 import dataclasses
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from tridax import (BatchSolveError, InvalidTilePlan, Mesh, NonFiniteSolution, Precision,
                     SingularMatrix, TilePlan, TridiagonalBatch, TridiagonalSystem, ZeroPivot,
-                    batch_solve, core, dense_oracle_solve, random_dominant_system,
-                    relative_inf_error, residual_max_norm, solve_lines, solve_system)
+                    batch_solve, core, dense_oracle_solve, random_dominant_batch,
+                    random_dominant_system, relative_inf_error, residual_max_norm,
+                    solve_lines, solve_system)
 from tridax.core import DENSE_ORACLE_MAX_N, SOLVER_NAMES
 from tridax.reference import thomas_scalar
-from conftest import digest, dominant_batch, make_system, tiles_for
+from conftest import digest, dominant_batch, make_system, stack_systems, tiles_for
 
 
 def as_fp32(s):
@@ -206,7 +208,7 @@ class TestCornerRuleAtSolve:
     @staticmethod
     def held(cls):
         s = make_system(16, seed=6)
-        return s if cls is TridiagonalSystem else TridiagonalBatch.from_systems([s, s, s])
+        return s if cls is TridiagonalSystem else stack_systems([s, s, s])
 
     @staticmethod
     def solve(held, algo):
@@ -237,7 +239,7 @@ def test_tile_count_for_an_untiled_solver_raises_at_every_door(algo):
     with pytest.raises(ValueError, match=message):
         solve_system(s, algo, 4)
     with pytest.raises(ValueError, match=message):
-        batch_solve(TridiagonalBatch.from_systems([s, s]), algo, tiles=3)
+        batch_solve(stack_systems([s, s]), algo, tiles=3)
     with pytest.raises(ValueError, match=message):
         solve_lines(Mesh.zeros((16, 4)), (s.a, s.b, s.c), "x", algo, tiles=4)
 
@@ -352,7 +354,7 @@ class TestResidual:
     def test_batch_is_max_over_systems_exactly(self, n, precision):
         rng = np.random.default_rng(n)
         systems = [random_dominant_system(n, rng, precision) for _ in range(9)]
-        batch = TridiagonalBatch.from_systems(systems)
+        batch = stack_systems(systems)
         u = batch_solve(batch)
         per_system = max(residual_max_norm(s, ui) for s, ui in zip(systems, u))
         assert residual_max_norm(batch, u) == per_system
@@ -360,9 +362,44 @@ class TestResidual:
             residual_max_norm(batch, u[0])
 
 
+class TestGenerator:
+    @pytest.mark.parametrize("margin", [1.0, 0.5])
+    @pytest.mark.parametrize("precision", [Precision.FP32, Precision.FP64])
+    def test_batch_is_the_benchmarks_draw_bitwise(self, monkeypatch, precision, margin):
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "benchmarks"))
+        import workloads
+
+        ours = random_dominant_batch(37, 129, np.random.default_rng(9), precision, margin)
+        theirs = workloads.dominant_batch(37, 129, precision, margin, np.random.default_rng(9))
+        for k in "abcd":
+            x, y = getattr(ours, k), getattr(theirs, k)
+            assert x.dtype == y.dtype == precision.dtype and x.tobytes() == y.tobytes()
+
+    @pytest.mark.parametrize("precision", [Precision.FP32, Precision.FP64])
+    @pytest.mark.parametrize("n", [1, 2, 17, 128])
+    def test_system_is_the_one_dimensional_draw_bitwise(self, n, precision):
+        # a (1, n) draw takes the stream values an (n,) draw takes, in order a, c, b, d
+        rng = np.random.default_rng(n)
+        a, c = rng.uniform(-1.0, 1.0, n), rng.uniform(-1.0, 1.0, n)
+        a[0] = c[-1] = 0.0
+        b = np.abs(a) + np.abs(c) + rng.uniform(0.5, 1.5, n)
+        d = rng.uniform(-1.0, 1.0, n)
+        s = random_dominant_system(n, np.random.default_rng(n), precision, 0.5)
+        for x, y in zip((s.a, s.b, s.c, s.d), (a, b, c, d)):
+            assert x.shape == (n,) and x.tobytes() == y.astype(precision.dtype).tobytes()
+
+    @pytest.mark.parametrize("draw", [lambda rng: random_dominant_system(0, rng),
+                                      lambda rng: random_dominant_batch(0, 8, rng),
+                                      lambda rng: random_dominant_batch(3, 0, rng)],
+                             ids=["system-n0", "batch-count0", "batch-n0"])
+    def test_empty_draw_is_value_error(self, draw):
+        with pytest.raises(ValueError, match="^a generated batch needs count and n >= 1, "):
+            draw(np.random.default_rng(0))
+
+
 class TestBatch:
     def test_trivial_copies(self):
-        batch = TridiagonalBatch.from_systems([diagonal_system()] * 3)
+        batch = stack_systems([diagonal_system()] * 3)
         sols = batch_solve(batch, "thomas")
         for u in sols:
             assert np.allclose(u, [1, 2, 3])
@@ -370,14 +407,14 @@ class TestBatch:
     def test_seeded_sweep_matches_oracle(self):
         rng = np.random.default_rng(100)
         systems = [random_dominant_system(128, rng) for _ in range(100)]
-        batch = TridiagonalBatch.from_systems(systems)
+        batch = stack_systems(systems)
         sols = batch_solve(batch, "thomas")
         for s, u in zip(systems, sols):
             assert relative_inf_error(u, dense_oracle_solve(s)) <= 1e-12
 
     def test_single_system_equals_scalar_bitwise(self):
         s = make_system(64, seed=4)
-        batch = TridiagonalBatch.from_systems([s])
+        batch = stack_systems([s])
         assert np.array_equal(batch_solve(batch, "thomas")[0], solve_system(s, "thomas"))
         assert np.array_equal(batch_solve(batch, "pcr")[0], solve_system(s, "pcr"))
 
@@ -388,7 +425,7 @@ class TestBatch:
         object.__setattr__(bad, "b", np.array([0.0, 2.0, 2.0]))
         object.__setattr__(bad, "c", np.array([0.0, 0.0, 0.0]))
         object.__setattr__(bad, "d", np.array([1.0, 1.0, 1.0]))
-        batch = TridiagonalBatch.from_systems([good, bad, good])
+        batch = stack_systems([good, bad, good])
         with pytest.raises(BatchSolveError) as err:
             batch_solve(batch, "thomas")
         assert [i for i, _ in err.value.failures] == [1]
@@ -473,7 +510,7 @@ class TestNonFinite:
         systems = [make_system(16, seed=i) for i in range(5)]
         systems[1] = with_value(systems[1], "d", 0, np.nan)
         systems[3] = with_value(systems[3], "b", 7, np.nan)
-        batch = TridiagonalBatch.from_systems(systems)
+        batch = stack_systems(systems)
         with pytest.raises(BatchSolveError) as err:
             batch_solve(batch, algo)
         failures = err.value.failures

@@ -301,10 +301,17 @@ class TestCalibration:
 
     @pytest.mark.parametrize("lookup", [find_reference, latency_for_problem])
     def test_iterations_of_a_batch_problem_are_rejected(self, lookup):
-        # no batch model reads n_iter, so a batch problem is solved once
-        assert lookup(dp_thomas(), batch=8000, n=128, n_iter=1) is not None
-        with pytest.raises(ValueError, match="^n_iter applies to mesh problems; .* not 2 "):
-            lookup(dp_thomas(), batch=8000, n=128, n_iter=2)
+        # no batch model reads n_iter, so a batch problem takes none, 1 included
+        assert lookup(dp_thomas(), batch=8000, n=128) is not None
+        for n_iter in (1, 2):
+            with pytest.raises(ValueError,
+                               match=f"^n_iter applies to mesh problems; .* not {n_iter}$"):
+                lookup(dp_thomas(), batch=8000, n=128, n_iter=n_iter)
+
+    def test_unset_iterations_of_a_mesh_problem_are_one(self):
+        unset = ProblemSpec(batch=3000, dims=(128, 128))
+        assert unset.n_iter == 1 and unset == ProblemSpec(batch=3000, dims=(128, 128), n_iter=1)
+        assert ProblemSpec(batch=8000, size=128).n_iter is None
 
     def test_adi2d_other_problem_returns_none(self):
         for change in (dict(batch=2999), dict(dims=(128, 64)), dict(n_iter=119)):

@@ -16,7 +16,7 @@ from tridax import (AdiConfig, BatchSolveError, InvalidTilePlan, Mesh, NonFinite
                     adi_run, batch_solve, random_dominant_system, residual_max_norm,
                     solve_lines, solve_system)
 from tridax.core import SOLVER_NAMES, _thomas_substitute
-from conftest import stencil
+from conftest import stack_systems, stencil
 
 STORAGE_DIM = {"x": 3, "y": 2, "z": 1}  # axis position in (batch, z, y, x)
 SETTINGS = settings(max_examples=40, deadline=None)
@@ -59,7 +59,7 @@ def batches(draw):
     precision = draw(precisions)
     rng = np.random.default_rng(draw(seeds))
     systems = [random_dominant_system(n, rng, precision) for _ in range(count)]
-    return systems, TridiagonalBatch.from_systems(systems)
+    return systems, stack_systems(systems)
 
 
 @st.composite
@@ -123,7 +123,7 @@ def residual_expression(system, u):
 def test_residual_equals_plain_expression_bitwise(n, count, precision, seed):
     rng = np.random.default_rng(seed)
     systems = [random_dominant_system(n, rng, precision) for _ in range(count)]
-    batch = TridiagonalBatch.from_systems(systems)
+    batch = stack_systems(systems)
     u = rng.uniform(-2, 2, (count, n)).astype(precision.dtype)
     for s, ui in zip(systems, u):
         assert residual_max_norm(s, ui).hex() == residual_expression(s, ui).hex()
@@ -189,8 +189,7 @@ def test_planted_zero_pivot_reported_at_lowest_row_then_line(n, count, precision
 def test_batch_failures_match_each_systems_own_solve(n, count, precision, seed, algo, data):
     tiles = draw_tiles(data, algo, n)
     rng = np.random.default_rng(seed)
-    batch = TridiagonalBatch.from_systems(
-        random_dominant_system(n, rng, precision) for _ in range(count))
+    batch = stack_systems([random_dominant_system(n, rng, precision) for _ in range(count)])
     plants = data.draw(st.lists(st.tuples(st.integers(0, count - 1), st.integers(0, n - 1),
                                           st.sampled_from(["zero row", "nan d", "inf b"])),
                                 min_size=1, max_size=6), label="plants")

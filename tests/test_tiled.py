@@ -4,11 +4,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tridax import (BatchSolveError, InvalidTilePlan, Mesh, NonFiniteSolution, Precision,
-                    TilePlan, TridiagonalBatch, TridiagonalSystem, ZeroPivot, batch_solve,
+                    TilePlan, TridiagonalSystem, ZeroPivot, batch_solve,
                     dense_oracle_solve, random_dominant_system, relative_inf_error,
                     solve_lines, solve_system, tiled)
 from tridax.tiled import assemble_reduced, back_substitute, modified_thomas_phase
-from conftest import digest, dominant_batch, make_system
+from conftest import digest, dominant_batch, make_system, stack_systems
 
 
 def identity_system(n, d=None):
@@ -254,7 +254,7 @@ class TestHybridSolvers:
 
         systems = [s, bad, s]
         with pytest.raises(BatchSolveError) as err:
-            batch_solve(TridiagonalBatch.from_systems(systems), algo, tiles)
+            batch_solve(stack_systems(systems), algo, tiles)
         [(i, exc)] = err.value.failures
         assert (i, exc.index) == (1, row)
 
@@ -288,7 +288,7 @@ def test_one_phase_call_per_run_of_equal_tiles(monkeypatch, t, divides):
     monkeypatch.setattr(tiled, "modified_thomas_phase", counted)
     n = 6 * t if divides else 6 * t - 3
     assert (n % t == 0) == divides
-    batch = TridiagonalBatch.from_systems(make_system(n, seed) for seed in range(3))
+    batch = stack_systems([make_system(n, seed) for seed in range(3)])
     batch_solve(batch, "thomas-pcr", t)
     assert len(calls) == (1 if divides else 2)
 
