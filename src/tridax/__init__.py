@@ -16,7 +16,7 @@ The package splits into:
 
 - :mod:`tridax.core` — scalar/batched direct solvers (elimination and
   cyclic reduction), each one kernel over ``(n, lines)`` arrays, plus a
-  dense reference oracle;
+  certified O(n) error bound;
 - :mod:`tridax.tiled` — tiled hybrid solvers for systems larger than one
   sweep's working set, a kernel over the same ``(n, lines)`` arrays that
   eliminates every tile of every line as one more line;
@@ -29,11 +29,11 @@ The package splits into:
   design-space enumerator;
 - :mod:`tridax.cli` — the ``tridax`` command."""
 
-from .core import (TridiagonalBatch, TridiagonalSystem, batch_solve, dense_oracle_solve,
+from .core import (TridiagonalBatch, TridiagonalSystem, batch_solve, error_bound,
                    random_dominant_batch, random_dominant_system, relative_inf_error,
                    residual_max_norm, solve_system)
 from .errors import (BatchSolveError, InvalidTilePlan, LineSolveError, NoFeasibleDesign,
-                     NonFiniteSolution, SingularMatrix, TridaxError, ZeroDuration, ZeroPivot)
+                     NonFiniteSolution, TridaxError, ZeroDuration, ZeroPivot)
 from .mesh import Axis, Mesh, read_mesh, solve_lines, write_mesh
 from .adi import AdiConfig, RunReport, adi_run, effective_bandwidth
 from .precision import Precision
@@ -43,11 +43,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Precision", "TridiagonalSystem", "TridiagonalBatch",
-    "solve_system", "batch_solve", "dense_oracle_solve", "residual_max_norm",
+    "solve_system", "batch_solve", "error_bound", "residual_max_norm",
     "random_dominant_batch", "random_dominant_system", "relative_inf_error", "TilePlan",
     "Mesh", "Axis", "solve_lines", "read_mesh", "write_mesh",
     "AdiConfig", "RunReport", "adi_run", "effective_bandwidth",
-    "TridaxError", "ZeroPivot", "SingularMatrix", "InvalidTilePlan",
+    "TridaxError", "ZeroPivot", "InvalidTilePlan",
     "LineSolveError", "BatchSolveError", "NonFiniteSolution",
     "ZeroDuration", "NoFeasibleDesign", "__version__",
 ]

@@ -2,9 +2,9 @@
 
 A system is ``a[i]*u[i-1] + b[i]*u[i] + c[i]*u[i+1] = d[i]`` for
 ``i = 0..n-1`` with the boundary convention ``a[0] == c[n-1] == 0``.
-Solvers assume strict diagonal dominance (``|b[i]| > |a[i]| + |c[i]|``);
-this is a documented precondition, enforced only when ``check_dominance``
-is requested, since the elimination is unstable without it.
+Solvers assume strict diagonal dominance (``|b[i]| > |a[i]| + |c[i]|``),
+since the elimination is unstable without it; ``error_bound`` certifies a
+solution's accuracy under it in O(n), and reads ``inf`` without it.
 
 There is one entry point per input form: ``solve_system`` for one system,
 ``batch_solve`` for a batch, and, in the other modules,
@@ -34,10 +34,9 @@ from functools import partial
 
 import numpy as np
 
-from .errors import BatchSolveError, NonFiniteSolution, SingularMatrix, ZeroPivot
+from .errors import BatchSolveError, NonFiniteSolution, ZeroPivot
 from .precision import Precision
 
-DENSE_ORACLE_MAX_N = 4096
 _CORNER_RULE = "every system needs a[0] == 0 and c[n-1] == 0"
 
 
@@ -92,20 +91,6 @@ class TridiagonalSystem:
     def precision(self) -> Precision:
         return Precision.from_dtype(self.b.dtype)
 
-    def is_diagonally_dominant(self) -> bool:
-        return bool(np.all(np.abs(self.b) > np.abs(self.a) + np.abs(self.c)))
-
-    def dense_matrix(self) -> np.ndarray:
-        """Dense FP64 matrix form, for oracles and diagnostics."""
-        n = self.n
-        mat = np.zeros((n, n), dtype=np.float64)
-        idx = np.arange(n)
-        mat[idx, idx] = self.b
-        if n > 1:
-            mat[idx[1:], idx[:-1]] = self.a[1:]
-            mat[idx[:-1], idx[1:]] = self.c[:-1]
-        return mat
-
 
 @dataclass(frozen=True)
 class TridiagonalBatch:
@@ -149,22 +134,6 @@ class TridiagonalBatch:
         return system
 
 
-def dense_oracle_solve(system: TridiagonalSystem) -> np.ndarray:
-    """Reference solution via dense FP64 Gaussian elimination.
-
-    Builds the full matrix and solves it with LAPACK's partially pivoted
-    LU (``numpy.linalg.solve``); O(n^3), capped at n <= 4096. Always
-    computes in FP64 regardless of the system's precision.
-    """
-    if system.n > DENSE_ORACLE_MAX_N:
-        raise ValueError(f"dense oracle capped at n <= {DENSE_ORACLE_MAX_N}")
-    mat = system.dense_matrix()
-    try:
-        return np.linalg.solve(mat, system.d.astype(np.float64))
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrix(str(exc)) from exc
-
-
 def residual_max_norm(system: TridiagonalSystem | TridiagonalBatch, u) -> float:
     """Max-norm of ``A u - d`` with out-of-range neighbor terms zero.
 
@@ -184,8 +153,30 @@ def residual_max_norm(system: TridiagonalSystem | TridiagonalBatch, u) -> float:
     return float(np.abs(r, out=r).max())
 
 
-def solve_system(system: TridiagonalSystem, algo: str = "thomas", tiles: int | None = None,
-                 *, check_dominance: bool = False) -> np.ndarray:
+def error_bound(system: TridiagonalSystem | TridiagonalBatch, u) -> float:
+    """Certified bound on the max-norm error of ``u`` (Varah, 1975): the
+    residual max-norm over the smallest dominance margin ``|b| - |a| - |c|``.
+
+    Never below ``max|u - u*|`` for the exact solution ``u*`` of the stored
+    coefficients, barring underflow: both parts are taken in FP64, the
+    margin stepped down after each rounding and the residual raised by
+    ``gamma * s``, where ``s = max(|a u| + |b u| + |c u| + |d|)`` covers its
+    own rounding. A batch gets one bound, covering every system. ``inf``
+    when a row is not strictly dominant or a value is not finite; O(n).
+    """
+    a, b, c, d = (np.asarray(x, np.float64) for x in (system.a, system.b, system.c, system.d))
+    u = np.asarray(u, np.float64)
+    gamma = 5 * 2.0**-53 / (1 - 5 * 2.0**-53)  # a residual row rounds 4 times, s once more
+    with np.errstate(all="ignore"):
+        margin = np.nextafter(np.nextafter(abs(b) - abs(a), -np.inf) - abs(c), -np.inf).min()
+        res = residual_max_norm(type(system)(a, b, c, d), u)
+        s = residual_max_norm(type(system)(abs(a), abs(b), abs(c), -abs(d)), abs(u))
+        bound = (res + gamma * s) / margin * (1 + 2.0**-51)  # and three roundings here
+    return float(bound) if margin > 0 and bound == bound else np.inf
+
+
+def solve_system(system: TridiagonalSystem, algo: str = "thomas",
+                 tiles: int | None = None) -> np.ndarray:
     """Solve one system by algorithm name; the input is left untouched.
 
     The entry point for one system, as ``batch_solve`` is for a batch,
@@ -194,16 +185,13 @@ def solve_system(system: TridiagonalSystem, algo: str = "thomas", tiles: int | N
     ``kernel(a, b, c, d)`` call on ``(n, 1)`` columns.
 
     ``algo`` is one of ``thomas``, ``pcr``, ``thomas-thomas``,
-    ``thomas-pcr``; the tiled hybrids require ``tiles >= 2``. With
-    ``check_dominance`` a system that is not strictly diagonally dominant
-    raises ``ValueError``. Raises :class:`ZeroPivot` when an elimination
-    denominator falls below the precision's pivot floor (or is not
-    finite), :class:`NonFiniteSolution` when the solution is not finite.
+    ``thomas-pcr``; the tiled hybrids require ``tiles >= 2``. Raises
+    :class:`ZeroPivot` when an elimination denominator falls below the
+    precision's pivot floor (or is not finite), :class:`NonFiniteSolution`
+    when the solution is not finite.
     """
     kernel = _kernel(algo, tiles)
     _check_corners(system.a[0], system.c[-1])  # the arrays may be written after validation
-    if check_dominance and not system.is_diagonally_dominant():
-        raise ValueError("system is not strictly diagonally dominant")
     return kernel(system.a[:, None], system.b[:, None], system.c[:, None],
                   system.d[:, None])[:, 0]
 

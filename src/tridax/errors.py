@@ -46,10 +46,6 @@ class NonFiniteSolution(TridaxError):
         super().__init__(message)
 
 
-class SingularMatrix(TridaxError):
-    """Dense elimination found no usable pivot."""
-
-
 class InvalidTilePlan(TridaxError, ValueError):
     """Requested tiling leaves a tile without interior unknowns (a bad argument)."""
 

@@ -40,11 +40,13 @@ def _line_coefficients(n, gamma):
     return a, b, c
 
 
-def naive_adi_run(u0: np.ndarray, gamma: float, n_iter: int) -> np.ndarray:
-    """Run ``n_iter`` ADI steps over a (batch, z, y, x) FP64 array."""
+def naive_adi_run(u0: np.ndarray, gamma: float, n_iter: int,
+                  ndim: int | None = None) -> np.ndarray:
+    """Run ``n_iter`` ADI steps over a (batch, z, y, x) FP64 array of ``ndim``
+    spatial dimensions; unset, a z extent of 1 means 2-D."""
     u = np.asarray(u0, dtype=np.float64).copy()
     nb, nz, ny, nx = u.shape
-    is_2d = nz == 1
+    is_2d = nz == 1 if ndim is None else ndim == 2
     for _ in range(n_iter):
         d = np.zeros_like(u)
         for b in range(nb):

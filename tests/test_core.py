@@ -6,11 +6,10 @@ import numpy as np
 import pytest
 
 from tridax import (BatchSolveError, InvalidTilePlan, Mesh, NonFiniteSolution, Precision,
-                    SingularMatrix, TilePlan, TridiagonalBatch, TridiagonalSystem, ZeroPivot,
-                    batch_solve, core, dense_oracle_solve, random_dominant_batch,
-                    random_dominant_system, relative_inf_error, residual_max_norm,
-                    solve_lines, solve_system)
-from tridax.core import DENSE_ORACLE_MAX_N, SOLVER_NAMES
+                    TilePlan, TridiagonalBatch, TridiagonalSystem, ZeroPivot, batch_solve,
+                    core, error_bound, random_dominant_batch, random_dominant_system,
+                    relative_inf_error, residual_max_norm, solve_lines, solve_system)
+from tridax.core import SOLVER_NAMES
 from tridax.reference import thomas_scalar
 from conftest import digest, dominant_batch, make_system, stack_systems, tiles_for
 
@@ -41,7 +40,7 @@ class TestSystemInvariants:
     def test_precision_and_dominance(self):
         s = diagonal_system()
         assert s.precision is Precision.FP64
-        assert s.is_diagonally_dominant()
+        assert error_bound(s, [1.0, 2.0, 3.0]) < 1e-14  # finite: strictly dominant
         s32 = as_fp32(s)
         assert s32.precision is Precision.FP32
 
@@ -252,9 +251,9 @@ class TestThomas:
         s = TridiagonalSystem([0], [5], [0], [10])
         assert solve_system(s, "thomas") == pytest.approx([2.0])
 
-    def test_matches_dense_oracle_seeded(self):
+    def test_within_error_bound_seeded(self):
         s = make_system(8, seed=8)
-        assert relative_inf_error(solve_system(s, "thomas"), dense_oracle_solve(s)) <= 1e-12
+        assert error_bound(s, solve_system(s, "thomas")) <= 1e-12
 
     def test_does_not_modify_input(self):
         s = make_system(16, seed=1)
@@ -272,11 +271,6 @@ class TestThomas:
             solve_system(s, "thomas")
         assert err.value.index == 0
 
-    def test_dominance_check_flag(self):
-        s = TridiagonalSystem([0, 1], [1, 1], [1, 0], [1, 1])
-        with pytest.raises(ValueError):
-            solve_system(s, "thomas", check_dominance=True)
-
 
 class TestPcr:
     def test_identity_already_reduced(self):
@@ -287,9 +281,9 @@ class TestPcr:
         s = make_system(7, seed=77)
         assert relative_inf_error(solve_system(s, "pcr"), solve_system(s, "thomas")) <= 1e-10
 
-    def test_matches_dense_oracle(self):
+    def test_within_error_bound(self):
         s = make_system(16, seed=16)
-        assert relative_inf_error(solve_system(s, "pcr"), dense_oracle_solve(s)) <= 1e-12
+        assert error_bound(s, solve_system(s, "pcr")) <= 1e-12
 
     def test_normalization_pivot(self):
         s = TridiagonalSystem.__new__(TridiagonalSystem)
@@ -301,38 +295,10 @@ class TestPcr:
             solve_system(s, "pcr")
 
 
-class TestDenseOracle:
-    def test_hand_eliminated_2x2(self):
-        s = TridiagonalSystem([0, 0.5], [1, 1], [0.5, 0], [1.5, 1.5])
-        assert dense_oracle_solve(s) == pytest.approx([1.0, 1.0])
-
-    def test_single_unknown(self):
-        s = TridiagonalSystem([0], [3], [0], [9])
-        assert dense_oracle_solve(s) == pytest.approx([3.0])
-
-    def test_identity_returns_rhs(self):
-        d = np.array([5.0, -1.0, 2.0, 0.25, 9.0])
-        s = TridiagonalSystem(np.zeros(5), np.ones(5), np.zeros(5), d)
-        assert np.array_equal(dense_oracle_solve(s), d)
-
-    def test_singular_raises(self):
-        s = TridiagonalSystem([0, 0], [0, 0], [0, 0], [1, 1])
-        with pytest.raises(SingularMatrix):
-            dense_oracle_solve(s)
-
-    def test_size_cap(self):
-        s = make_system(8, seed=0)
-        big = TridiagonalSystem(np.zeros(5000), np.ones(5000), np.zeros(5000),
-                                np.ones(5000))
-        assert dense_oracle_solve(s) is not None
-        with pytest.raises(ValueError):
-            dense_oracle_solve(big)
-
-
 class TestResidual:
     def test_exact_solution_zero(self):
         s = make_system(32, seed=5)
-        u = dense_oracle_solve(s)
+        u = thomas_scalar(*([Fraction(float(x)) for x in getattr(s, k)] for k in "abcd"))
         assert residual_max_norm(s, u) < 1e-13
 
     def test_zero_vector_gives_max_d(self):
@@ -406,11 +372,8 @@ class TestBatch:
 
     def test_seeded_sweep_matches_oracle(self):
         rng = np.random.default_rng(100)
-        systems = [random_dominant_system(128, rng) for _ in range(100)]
-        batch = stack_systems(systems)
-        sols = batch_solve(batch, "thomas")
-        for s, u in zip(systems, sols):
-            assert relative_inf_error(u, dense_oracle_solve(s)) <= 1e-12
+        batch = stack_systems([random_dominant_system(128, rng) for _ in range(100)])
+        assert error_bound(batch, batch_solve(batch, "thomas")) <= 1e-12
 
     def test_single_system_equals_scalar_bitwise(self):
         s = make_system(64, seed=4)
@@ -457,19 +420,17 @@ class TestProperties:
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 17, 64, 257, 512])
     def test_oracle_equivalence_sizes(self, n):
         s = make_system(n, seed=n)
-        ref = dense_oracle_solve(s)
         tol = Precision.FP64.tolerance
-        assert relative_inf_error(solve_system(s, "thomas"), ref) <= tol
-        assert relative_inf_error(solve_system(s, "pcr"), ref) <= tol
+        assert error_bound(s, solve_system(s, "thomas")) <= tol
+        assert error_bound(s, solve_system(s, "pcr")) <= tol
 
     def test_fp32_accuracy(self):
         for seed in range(10):
             s64 = make_system(256, seed=seed)
             s32 = as_fp32(s64)
-            ref = dense_oracle_solve(s64)
-            tol = Precision.FP32.tolerance
-            assert relative_inf_error(solve_system(s32, "thomas"), ref) <= tol
-            assert relative_inf_error(solve_system(s32, "pcr"), ref) <= tol
+            tol = Precision.FP32.tolerance  # the FP32 solutions certified against s64
+            assert error_bound(s64, solve_system(s32, "thomas")) <= tol
+            assert error_bound(s64, solve_system(s32, "pcr")) <= tol
 
     def test_determinism(self):
         s = make_system(100, seed=3)
@@ -521,19 +482,22 @@ class TestNonFinite:
             assert np.array_equal(err.value.solutions[i], solve_system(systems[i], algo))
 
 
-class TestPastDenseCap:
-    """Systems longer than the dense oracle allows, checked against the O(n)
-    FP64 scalar reference."""
+class TestLongSystems:
+    """Systems far past what a dense O(n^3) reference can check, certified
+    by ``error_bound`` in O(n)."""
 
     @pytest.mark.parametrize("precision", [Precision.FP32, Precision.FP64])
     @pytest.mark.parametrize("algo", SOLVER_NAMES)
-    def test_matches_scalar_reference(self, algo, precision):
-        n = 10_000
-        assert n > DENSE_ORACLE_MAX_N
-        s = make_system(n, seed=31, precision=precision)
-        ref = thomas_scalar(*(getattr(s, k).astype(np.float64).tolist() for k in "abcd"))
+    def test_within_error_bound(self, algo, precision):
+        s = make_system(10_000, seed=31, precision=precision)
         tiles = None if algo in ("thomas", "pcr") else 8
-        assert relative_inf_error(solve_system(s, algo, tiles), ref) <= precision.tolerance
+        assert error_bound(s, solve_system(s, algo, tiles)) <= precision.tolerance
+
+    @pytest.mark.parametrize("precision", [Precision.FP32, Precision.FP64])
+    @pytest.mark.parametrize("algo", ["thomas-thomas", "thomas-pcr"])
+    def test_million_rows_at_thousand_tiles(self, algo, precision):
+        s = make_system(10**6, seed=32, precision=precision)
+        assert error_bound(s, solve_system(s, algo, 1000)) <= precision.tolerance
 
 
 def most_tiles(n):

@@ -10,11 +10,11 @@ from tridax.perfmodel import Algorithm, DesignPoint, GridSpec
 
 PUBLIC = [
     "Precision", "TridiagonalSystem", "TridiagonalBatch",
-    "solve_system", "batch_solve", "dense_oracle_solve", "residual_max_norm",
+    "solve_system", "batch_solve", "error_bound", "residual_max_norm",
     "random_dominant_batch", "random_dominant_system", "relative_inf_error", "TilePlan",
     "Mesh", "Axis", "solve_lines", "read_mesh", "write_mesh",
     "AdiConfig", "RunReport", "adi_run", "effective_bandwidth",
-    "TridaxError", "ZeroPivot", "SingularMatrix", "InvalidTilePlan",
+    "TridaxError", "ZeroPivot", "InvalidTilePlan",
     "LineSolveError", "BatchSolveError", "NonFiniteSolution",
     "ZeroDuration", "NoFeasibleDesign", "__version__",
 ]

@@ -1,10 +1,12 @@
 """Property tests: scalar, batched and mesh-sweep solves agree bit for bit
 for every algorithm and tile count and leave a small residual, the
 residual keeps the bits of its plain numpy expression, a planted
-zero pivot is reported at its row and system, a batch's failures are each
-system's own, a substituted line is finite exactly when its row 0 is, and
+zero pivot is reported at its row and system, the certified error bound
+covers the exact error, a batch's failures are each system's own, a substituted line is finite exactly when its row 0 is, and
 an ADI run is its public steps composed by hand, at any chunking of its
 explicit passes, and a batch's run is each of its meshes' own."""
+
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,9 +15,10 @@ from hypothesis import strategies as st
 
 from tridax import (AdiConfig, BatchSolveError, InvalidTilePlan, Mesh, NonFiniteSolution,
                     Precision, TilePlan, TridiagonalBatch, TridiagonalSystem, ZeroPivot, adi,
-                    adi_run, batch_solve, random_dominant_system, residual_max_norm,
-                    solve_lines, solve_system)
+                    adi_run, batch_solve, error_bound, random_dominant_system,
+                    residual_max_norm, solve_lines, solve_system)
 from tridax.core import SOLVER_NAMES, _thomas_substitute
+from tridax.reference import thomas_scalar
 from conftest import stack_systems, stencil
 
 STORAGE_DIM = {"x": 3, "y": 2, "z": 1}  # axis position in (batch, z, y, x)
@@ -128,6 +131,56 @@ def test_residual_equals_plain_expression_bitwise(n, count, precision, seed):
     for s, ui in zip(systems, u):
         assert residual_max_norm(s, ui).hex() == residual_expression(s, ui).hex()
     assert residual_max_norm(batch, u).hex() == residual_expression(batch, u).hex()
+
+
+@SETTINGS
+@given(st.integers(1, 40), precisions, st.sampled_from([1.0, 0.05, 1e-6]), algos,
+       st.integers(2, 13), seeds)
+@example(1, Precision.FP32, 1.0, "thomas", 2, 0)
+@example(1, Precision.FP64, 1e-6, "pcr", 2, 0)
+def test_error_bound_covers_the_exact_error(n, precision, margin, algo, tiles, seed):
+    # every row dominant by the margin alone, either sign of diagonal; the
+    # exact error is taken against the rational solution of the stored system
+    if algo in ("thomas", "pcr"):
+        tiles = None
+    else:
+        try:
+            TilePlan(n, tiles)
+        except InvalidTilePlan:
+            assume(False)
+    rng = np.random.default_rng(seed)
+    a, c, d = rng.uniform(-1, 1, (3, n))
+    a[0] = c[-1] = 0
+    b = rng.choice([-1.0, 1.0], n) * (np.abs(a) + np.abs(c) + margin)
+    s = TridiagonalSystem(*(x.astype(precision.dtype) for x in (a, b, c, d)))
+    u = solve_system(s, algo, tiles)
+    exact = thomas_scalar(*([Fraction(float(x)) for x in getattr(s, k)] for k in "abcd"))
+    err = max(abs(Fraction(float(x)) - y) for x, y in zip(u, exact))
+    bound = error_bound(s, u)
+    assert bound == np.inf or Fraction(bound) >= err, (float(err), bound)
+
+
+@pytest.mark.parametrize("where", ["a", "b", "c", "d", "u"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("batched", [False, True])
+def test_error_bound_is_inf_for_a_non_finite_value(where, value, batched):
+    rows = {"a": [0.0, 0.5, 0.5], "b": [2.0, 2.0, 2.0], "c": [0.5, 0.5, 0.0],
+            "d": [1.0, 1.0, 1.0], "u": [0.5, 0.5, 0.5]}
+    rows[where][1] = value
+    s = TridiagonalSystem(*(rows[k] for k in "abcd"))
+    if batched:
+        s = stack_systems([TridiagonalSystem([0, 0, 0], [1, 1, 1], [0, 0, 0], [1, 1, 1]), s])
+    u = np.array([[1.0] * 3, rows["u"]] if batched else rows["u"])
+    assert error_bound(s, u) == np.inf
+
+
+@pytest.mark.parametrize("weak", [[2.0, 1.0, 2.0], [2.0, -1.0, 2.0], [2.0, 0.5, 2.0]],
+                         ids=["tie", "tie-negative", "dominated"])
+def test_error_bound_is_inf_when_a_row_is_not_strictly_dominant(weak):
+    # row 1 has |a| + |c| = 1; u is the exact solution, so only the margin speaks
+    s = TridiagonalSystem([0.0, 0.5, 0.5], weak, [0.5, 0.5, 0.0], [0.0, 0.0, 0.0])
+    assert error_bound(s, np.zeros(3)) == np.inf
+    assert error_bound(stack_systems([s, s]), np.zeros((2, 3))) == np.inf
 
 
 @SETTINGS
