@@ -7,10 +7,10 @@ lines along one axis of a mesh batch, which share one coefficient profile,
 and :func:`adi_run` for the ADI application. The first three make one
 kernel call per solve, ``kernel(a, b, c, d)`` on ``(n, lines)`` arrays,
 for every algorithm; ``adi_run`` factors each axis once per run, then
-substitutes every sweep. The top level exports the containers, these four
-entry points, mesh file I/O, the ADI configuration and report, the tiling
-plan, the precisions and the error classes; the steps inside a solver stay
-in its module.
+substitutes every sweep, and returns its report as the plain
+``tridax.report.v1`` dict. The top level exports the containers, these four
+entry points, mesh file I/O, the ADI configuration, the tiling plan, the
+precisions and the error classes; the steps inside a solver stay in its module.
 
 The package splits into:
 
@@ -35,7 +35,7 @@ from .core import (TridiagonalBatch, TridiagonalSystem, batch_solve, error_bound
 from .errors import (BatchSolveError, InvalidTilePlan, LineSolveError, NoFeasibleDesign,
                      NonFiniteSolution, TridaxError, ZeroDuration, ZeroPivot)
 from .mesh import Axis, Mesh, read_mesh, solve_lines, write_mesh
-from .adi import AdiConfig, RunReport, adi_run, effective_bandwidth
+from .adi import AdiConfig, adi_run, effective_bandwidth
 from .precision import Precision
 from .tiled import TilePlan
 
@@ -46,7 +46,7 @@ __all__ = [
     "solve_system", "batch_solve", "error_bound", "residual_max_norm",
     "random_dominant_batch", "random_dominant_system", "relative_inf_error", "TilePlan",
     "Mesh", "Axis", "solve_lines", "read_mesh", "write_mesh",
-    "AdiConfig", "RunReport", "adi_run", "effective_bandwidth",
+    "AdiConfig", "adi_run", "effective_bandwidth",
     "TridaxError", "ZeroPivot", "InvalidTilePlan",
     "LineSolveError", "BatchSolveError", "NonFiniteSolution",
     "ZeroDuration", "NoFeasibleDesign", "__version__",

@@ -42,7 +42,7 @@ result copied back to storage order once, into the scratch buffer.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -93,62 +93,16 @@ class AdiConfig:
         return a, b, c
 
 
-@dataclass
-class PhaseStats:
-    seconds: float = 0.0
-    bytes: int = 0
-
-    @property
-    def gb_per_s(self) -> float:
-        return effective_bandwidth(self.bytes, self.seconds) if self.seconds > 0 else 0.0
-
-
-@dataclass
-class RunReport:
-    """Per-phase timing/traffic, and per-iteration update norms and wall times.
-
-    In ``adi_run`` the ``update`` phase also times the finiteness check and
-    ``delta_inf``, made in its one pass over the field.
-    """
-
-    phases: dict[str, PhaseStats] = field(default_factory=dict)
-    delta_inf: list[float] = field(default_factory=list)
-    steps: list[dict] = field(default_factory=list)
-    config: dict = field(default_factory=dict)
-
-    def phase(self, name: str) -> PhaseStats:
-        return self.phases.setdefault(name, PhaseStats())
-
-    @property
-    def total_seconds(self) -> float:
-        return sum(p.seconds for p in self.phases.values())
-
-    @property
-    def total_bytes(self) -> int:
-        return sum(p.bytes for p in self.phases.values())
-
-    def to_dict(self) -> dict:
-        return {
-            "schema_version": REPORT_SCHEMA,
-            "config": self.config,
-            "phases": {
-                name: {"seconds": p.seconds, "bytes": p.bytes, "gb_per_s": p.gb_per_s}
-                for name, p in self.phases.items()
-            },
-            "total_seconds": self.total_seconds,
-            "total_bytes": self.total_bytes,
-            "effective_gb_per_s": (effective_bandwidth(self.total_bytes, self.total_seconds)
-                                   if self.total_seconds > 0 else 0.0),
-            "delta_inf": self.delta_inf,
-            "steps": self.steps,
-        }
-
-
 def effective_bandwidth(nbytes: float, seconds: float) -> float:
     """Logical traffic over wall time, in GB/s (1 GB = 1e9 bytes)."""
     if seconds <= 0:
         raise ZeroDuration(f"non-positive duration {seconds}")
     return nbytes / seconds / 1e9
+
+
+def _gb_per_s(nbytes: int, seconds: float) -> float:
+    """``effective_bandwidth``, or 0.0 for a zero time."""
+    return effective_bandwidth(nbytes, seconds) if seconds > 0 else 0.0
 
 
 def _workspace_axes(batch: int, dtype) -> tuple[int, ...]:
@@ -208,8 +162,15 @@ def _check_finite(arr: np.ndarray, iteration: int | None = None,
         raise ValueError(f"{what} contains non-finite values in mesh {mesh}{at}")
 
 
-def adi_run(u0: Mesh, cfg: AdiConfig) -> tuple[Mesh, RunReport]:
+def adi_run(u0: Mesh, cfg: AdiConfig) -> tuple[Mesh, dict]:
     """Run ``n_iter`` steps, accounting wall time and logical traffic.
+
+    Returns ``(Mesh, payload)``: the final field and the ``tridax.report.v1``
+    payload of plain JSON values. Its wall-clock values are each phase's and
+    each step's ``seconds``, ``total_seconds`` and the GB/s figures (0.0 for a
+    zero time); every other value follows from ``u0`` and ``cfg``. The
+    ``update`` phase also times the finiteness check and ``delta_inf``, each
+    iteration's ``max |d|``, made in its one pass over the field.
 
     ``u0`` is left untouched. A sweep profile with a failing pivot raises
     :class:`tridax.errors.LineSolveError`, naming the axis and every line,
@@ -224,16 +185,11 @@ def adi_run(u0: Mesh, cfg: AdiConfig) -> tuple[Mesh, RunReport]:
     Each phase's logical traffic per iteration is ``MESH_TRANSFERS`` meshes;
     a sweep's coefficients are one profile per axis, generated once per run.
     """
-    report = RunReport(config={
-        "gamma": cfg.gamma, "n_iter": cfg.n_iter, "precision": cfg.precision.value,
-        "dims": list(u0.dims), "batch": u0.batch,
-    })
     order = _workspace_axes(u0.batch, cfg.precision.dtype)
     arr = np.empty([u0.data.shape[k] for k in order], cfg.precision.dtype).transpose(
         np.argsort(order))  # the run's own copy: a (batch, z, y, x) view
     arr[...] = u0.data
     u = Mesh(arr, u0.spatial_ndim)
-    mesh_bytes = u.nbytes
     axes = u.solved_axes()
     factors = {axis: factor_lines(u, cfg.line_coefficients(u.extent(axis), arr.dtype), axis)
                for axis in axes}
@@ -241,14 +197,13 @@ def adi_run(u0: Mesh, cfg: AdiConfig) -> tuple[Mesh, RunReport]:
     d = np.empty_like(arr)  # laid out as arr
     work = np.empty(arr.size, dtype=arr.dtype)
     flat_u, flat_d = arr.ravel("K"), d.ravel("K")
+    seconds = dict.fromkeys(["rhs", *(f"sweep_{axis.value}" for axis in axes), "update"], 0.0)
+    delta_inf, steps = [], []
     step_start = time.perf_counter()
     for it in range(cfg.n_iter):
         t0 = time.perf_counter()
         _stencil(arr, u.spatial_ndim, cfg.gamma, d, work)
-        t1 = time.perf_counter()
-        rhs = report.phase("rhs")
-        rhs.seconds += t1 - t0
-        rhs.bytes += MESH_TRANSFERS["rhs"] * mesh_bytes
+        seconds["rhs"] += time.perf_counter() - t0
         for axis in axes:
             t0 = time.perf_counter()
             try:
@@ -257,10 +212,7 @@ def adi_run(u0: Mesh, cfg: AdiConfig) -> tuple[Mesh, RunReport]:
                 if axis is axes[0]:
                     _check_finite(d, it, f"the stencil right-hand side (gamma {cfg.gamma})")
                 raise
-            t1 = time.perf_counter()
-            sweep = report.phase(f"sweep_{axis.value}")
-            sweep.seconds += t1 - t0
-            sweep.bytes += MESH_TRANSFERS["sweep"] * mesh_bytes
+            seconds[f"sweep_{axis.value}"] += time.perf_counter() - t0
         t0 = time.perf_counter()
         delta = 0.0
         for lo in range(0, arr.size, STENCIL_CHUNK):
@@ -269,19 +221,28 @@ def adi_run(u0: Mesh, cfg: AdiConfig) -> tuple[Mesh, RunReport]:
             delta = max(delta, np.abs(d_c, out=work[:d_c.size]).max())
             if not np.isfinite(u_c).all():
                 _check_finite(arr, it + 1)  # raises, naming the mesh
-        t1 = time.perf_counter()
-        upd = report.phase("update")
-        upd.seconds += t1 - t0
-        upd.bytes += MESH_TRANSFERS["update"] * mesh_bytes
-        report.delta_inf.append(float(delta))
+        seconds["update"] += time.perf_counter() - t0
+        delta_inf.append(float(delta))
         now = time.perf_counter()
-        report.steps.append({"iterations": it + 1, "seconds": now - step_start})
+        steps.append({"iterations": it + 1, "seconds": now - step_start})
         step_start = now
     out = arr
     if not out.flags.c_contiguous:  # batch innermost: back to storage order in work
         out = work.reshape(arr.shape)
         _blocked_copy(out.reshape(u.batch, -1), arr.reshape(u.batch, -1))
-    return Mesh(out, u0.spatial_ndim), report
+    phases = {}
+    for name, secs in seconds.items():
+        nbytes = cfg.n_iter * MESH_TRANSFERS[name.partition("_")[0]] * u.nbytes
+        phases[name] = {"seconds": secs, "bytes": nbytes, "gb_per_s": _gb_per_s(nbytes, secs)}
+    total_seconds = sum(seconds.values())
+    total_bytes = cfg.n_iter * logical_bytes_per_iteration(u.points, arr.itemsize, u.spatial_ndim)
+    config = {"gamma": cfg.gamma, "n_iter": cfg.n_iter, "precision": cfg.precision.value,
+              "dims": list(u0.dims), "batch": u0.batch}
+    return Mesh(out, u0.spatial_ndim), {
+        "schema_version": REPORT_SCHEMA, "config": config, "phases": phases,
+        "total_seconds": total_seconds, "total_bytes": total_bytes,
+        "effective_gb_per_s": _gb_per_s(total_bytes, total_seconds),
+        "delta_inf": delta_inf, "steps": steps}
 
 
 def logical_bytes_per_iteration(points: int, word_bytes: int, ndim: int) -> int:

@@ -215,8 +215,7 @@ def cmd_adi(args) -> int:
     cfg = AdiConfig(gamma=args.gamma, n_iter=args.iters, precision=precision)
     u_final, report = adi_run(u0, cfg)
     status = 0
-    payload = report.to_dict()
-    payload["command"] = "adi"
+    payload = {**report, "command": "adi"}
     if args.verify:
         ref = naive_adi_run(u0.data, args.gamma, args.iters, u0.spatial_ndim)
         dev = float(np.max(np.abs(u_final.data.astype(np.float64) - ref)))

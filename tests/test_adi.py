@@ -1,3 +1,4 @@
+import json
 from dataclasses import fields
 
 import numpy as np
@@ -5,7 +6,6 @@ import pytest
 
 from tridax import (AdiConfig, LineSolveError, Mesh, NonFiniteSolution, Precision,
                     ZeroDuration, ZeroPivot, adi, adi_run, effective_bandwidth)
-from tridax.adi import logical_bytes_per_iteration
 from tridax.reference import naive_adi_run
 from conftest import digest, stencil
 
@@ -27,6 +27,15 @@ def full_random(dims, batch=1, seed=0, precision=Precision.FP64):
     rng = np.random.default_rng(seed)
     mesh.data[:] = rng.uniform(-1, 1, mesh.data.shape).astype(mesh.data.dtype)
     return mesh
+
+
+def json_leaf_types(value) -> set[type]:
+    """The exact types of the non-container values in a JSON-shaped ``value``."""
+    if isinstance(value, dict):
+        return set().union(*map(json_leaf_types, value.values()))
+    if isinstance(value, list):
+        return set().union(*map(json_leaf_types, value))
+    return {type(value)}
 
 
 class TestRhs:
@@ -71,7 +80,7 @@ class TestStep:
     def test_zero_is_fixed_point(self):
         u = Mesh.zeros((6, 6, 6))
         u1, report = adi_run(u, AdiConfig(gamma=0.5, n_iter=1))
-        assert np.all(u1.data == 0) and report.delta_inf == [0.0]
+        assert np.all(u1.data == 0) and report["delta_inf"] == [0.0]
 
     def test_matches_naive_reference_12cubed(self):
         u0 = full_random((12, 12, 12), seed=5)
@@ -138,7 +147,7 @@ class TestRun:
         u0 = interior_random((16, 16, 16), seed=7)
         start = np.abs(u0.data).max()
         u, report = adi_run(u0, AdiConfig(gamma=0.5, n_iter=100))
-        deltas = report.delta_inf
+        deltas = report["delta_inf"]
         assert len(deltas) == 100
         ref = naive_adi_run(u0.data, 0.5, 100)
         assert np.max(np.abs(u.data - ref)) <= 1e-12
@@ -173,22 +182,34 @@ class TestRun:
             alone, _ = adi_run(single, cfg)
             assert np.array_equal(alone.data[0], whole.data[b])
 
-    def test_report_accounting(self):
-        u0 = interior_random((8, 8, 8), seed=11)
-        _, report = adi_run(u0, AdiConfig(gamma=0.5, n_iter=4))
-        mesh_bytes = u0.nbytes
-        assert report.phase("rhs").bytes == 4 * 2 * mesh_bytes
-        for ax in "xyz":
-            assert report.phase(f"sweep_{ax}").bytes == 4 * 2 * mesh_bytes
-        assert report.phase("update").bytes == 4 * 3 * mesh_bytes
-        for stats in report.phases.values():
-            if stats.seconds > 0:
-                assert stats.gb_per_s == pytest.approx(
-                    stats.bytes / stats.seconds / 1e9)
-        payload = report.to_dict()
-        assert payload["schema_version"] == "tridax.report.v1"
-        assert payload["total_bytes"] == 4 * logical_bytes_per_iteration(
-            u0.points, 8, 3)
+    @pytest.mark.parametrize("dims, batch, precision, mesh_bytes, total_bytes", [
+        ((12, 12), 3, Precision.FP32, 12 * 12 * 3 * 4, 4 * 9 * 1728),
+        ((8, 8, 8), 1, Precision.FP64, 8 ** 3 * 8, 4 * 11 * 4096)], ids=["2d", "3d"])
+    def test_report_accounting(self, dims, batch, precision, mesh_bytes, total_bytes):
+        # the payload's schema and every non-timing value; no wall time is compared
+        u0 = interior_random(dims, batch=batch, seed=11, precision=precision)
+        _, report = adi_run(u0, AdiConfig(gamma=0.5, n_iter=4, precision=precision))
+        assert sorted(report) == ["config", "delta_inf", "effective_gb_per_s", "phases",
+                                  "schema_version", "steps", "total_bytes", "total_seconds"]
+        assert report["schema_version"] == "tridax.report.v1"
+        assert report["config"] == {"gamma": 0.5, "n_iter": 4, "precision": precision.value,
+                                    "dims": list(dims), "batch": batch}
+        sweeps = ["sweep_x", "sweep_y", "sweep_z"][:len(dims)]
+        assert list(report["phases"]) == ["rhs", *sweeps, "update"]
+        transfers = {"rhs": 2, **dict.fromkeys(sweeps, 2), "update": 3}
+        for name, phase in report["phases"].items():
+            assert sorted(phase) == ["bytes", "gb_per_s", "seconds"]
+            assert phase["bytes"] == 4 * transfers[name] * mesh_bytes
+            expected = phase["bytes"] / phase["seconds"] / 1e9 if phase["seconds"] > 0 else 0.0
+            assert phase["gb_per_s"] == pytest.approx(expected)
+        assert report["total_bytes"] == total_bytes
+        assert report["total_bytes"] == sum(p["bytes"] for p in report["phases"].values())
+        assert [sorted(s) for s in report["steps"]] == [["iterations", "seconds"]] * 4
+        assert [s["iterations"] for s in report["steps"]] == [1, 2, 3, 4]
+        assert len(report["delta_inf"]) == 4
+        # plain JSON values only: a numpy scalar or a tuple would not survive unchanged
+        assert json.loads(json.dumps(report)) == report
+        assert json_leaf_types(report) <= {str, int, float}
 
     @pytest.mark.parametrize("dims", [(1, 6, 6), (3, 8, 8), (2, 8), (8, 3)],
                              ids=lambda dims: "x".join(map(str, dims)))
@@ -263,7 +284,7 @@ class TestWorkspace:
         stored, stored_report = adi_run(u0, cfg)
         assert u.data.flags.c_contiguous and u.data.shape == u0.data.shape
         assert u.data.tobytes() == stored.data.tobytes()
-        assert report.delta_inf == stored_report.delta_inf
+        assert report["delta_inf"] == stored_report["delta_inf"]
 
     @staticmethod
     def peaks(points, value):
@@ -353,7 +374,7 @@ class TestGoldenDigests:
         assert u0.data.size > adi.STENCIL_CHUNK
         u, report = adi_run(u0, AdiConfig(gamma=0.5, n_iter=3, precision=precision))
         key = f"{batch}x{'x'.join(map(str, dims))}-{precision.value}"
-        assert digest(u.data, np.array(report.delta_inf)) == GOLDEN[key]
+        assert digest(u.data, np.array(report["delta_inf"])) == GOLDEN[key]
 
 
 class TestEffectiveBandwidth:

@@ -5,7 +5,8 @@ import re
 import numpy as np
 import pytest
 
-from tridax import Mesh, Precision, batch_solve, mesh, read_mesh, residual_max_norm
+from tridax import (AdiConfig, Mesh, Precision, adi_run, batch_solve, mesh, read_mesh,
+                    residual_max_norm)
 from tridax.cli import main, read_batch, write_batch
 from tridax.core import random_dominant_batch, random_dominant_system
 from conftest import stack_systems
@@ -16,6 +17,18 @@ from tridax.perfmodel.design import DESIGN_FIELDS
 def run(argv, capsys=None):
     code = main([str(a) for a in argv])
     return code
+
+
+TIMES = {"seconds", "gb_per_s", "total_seconds", "effective_gb_per_s"}
+
+
+def without_times(payload):
+    """``payload`` with every wall-clock value, at any depth, replaced by None."""
+    if isinstance(payload, dict):
+        return {k: None if k in TIMES else without_times(v) for k, v in payload.items()}
+    if isinstance(payload, list):
+        return [without_times(v) for v in payload]
+    return payload
 
 
 class TestSolve:
@@ -177,6 +190,17 @@ class TestAdi:
                                              "precision"]
         assert sorted(payload["phases"]) == ["rhs", "sweep_x", "sweep_y", "update"]
         assert [s["iterations"] for s in payload["steps"]] == [1, 2]
+
+    def test_report_is_the_library_payload(self, tmp_path):
+        # the CLI adds only "command" to adi_run's payload; wall times match by key
+        path, rep = tmp_path / "u0.bin", tmp_path / "r.json"
+        u0 = Mesh(np.random.default_rng(4).uniform(-1, 1, (1, 6, 7, 8)), 3)
+        mesh.write_mesh(path, u0)
+        assert run(["adi", "--input", path, "--gamma", 0.5, "--iters", 3,
+                    "--report", rep]) == 0
+        _, report = adi_run(u0, AdiConfig(gamma=0.5, n_iter=3))
+        assert without_times(json.loads(rep.read_text())) == \
+            without_times({**report, "command": "adi"})
 
     def test_report_carries_verify_and_mesh(self, tmp_path, capsys):
         rep = tmp_path / "r.json"

@@ -3,6 +3,7 @@ from dataclasses import fields
 import pytest
 
 import tridax
+import tridax.adi
 import tridax.perfmodel
 import tridax.perfmodel.device
 import tridax.perfmodel.dse
@@ -13,7 +14,7 @@ PUBLIC = [
     "solve_system", "batch_solve", "error_bound", "residual_max_norm",
     "random_dominant_batch", "random_dominant_system", "relative_inf_error", "TilePlan",
     "Mesh", "Axis", "solve_lines", "read_mesh", "write_mesh",
-    "AdiConfig", "RunReport", "adi_run", "effective_bandwidth",
+    "AdiConfig", "adi_run", "effective_bandwidth",
     "TridaxError", "ZeroPivot", "InvalidTilePlan",
     "LineSolveError", "BatchSolveError", "NonFiniteSolution",
     "ZeroDuration", "NoFeasibleDesign", "__version__",
@@ -41,6 +42,8 @@ MODEL_INTERNAL = ["latency_batched_thomas", "latency_batched_pcr", "latency_batc
                   "cycles_to_seconds", "reconstruct_adi_runtime"]
 # the CSV table writer and the device search directory: every CLI artifact is JSON
 REMOVED = [(tridax.perfmodel.dse, "rows_to_csv"), (tridax.perfmodel.device, "DEVICE_DIR_ENV")]
+# the classes adi_run's report was built through: it returns the payload dict
+REPORT_CLASSES = ["RunReport", "PhaseStats"]
 # solver internals the top level no longer exports
 INTERNAL = ["adi_rhs", "axis_lines", "gather_lines", "scatter_lines",
             "modified_thomas_phase", "assemble_reduced", "back_substitute"]
@@ -84,3 +87,8 @@ def test_internals_are_not_top_level_names():
 
 def test_removed_encodings_stay_gone():
     assert [name for module, name in REMOVED if hasattr(module, name)] == []
+
+
+def test_adi_report_has_no_class():
+    assert [name for name in REPORT_CLASSES
+            if hasattr(tridax, name) or hasattr(tridax.adi, name)] == []

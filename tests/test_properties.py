@@ -330,7 +330,7 @@ def test_adi_run_equals_composed_steps_bitwise(data):
     expected, deltas = composed_adi(u0, cfg)
     assert got.data.dtype == expected.data.dtype and got.data.shape == expected.data.shape
     assert got.data.tobytes() == expected.data.tobytes()
-    assert report.delta_inf == deltas
+    assert report["delta_inf"] == deltas
     assert u0.data.tobytes() == before
 
 
@@ -355,7 +355,7 @@ def test_adi_chunking_is_bitwise_invisible(data):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(adi, "STENCIL_CHUNK", chunk)
             u, report = adi_run(u0, cfg)
-            return stencil(u0, cfg.gamma).data.tobytes(), u.data.tobytes(), report.delta_inf
+            return stencil(u0, cfg.gamma).data.tobytes(), u.data.tobytes(), report["delta_inf"]
 
     x, y = dims[:2]
     whole = run(u0.data.size + data.draw(st.integers(0, 50), label="extra"))
@@ -413,4 +413,4 @@ def test_adi_batch_equals_its_meshes_bitwise(data):
     alone = [adi_run(Mesh(u0.data[k:k + 1], u0.spatial_ndim), cfg) for k in range(u0.batch)]
     for k, (mesh, _) in enumerate(alone):
         assert got.data[k:k + 1].tobytes() == mesh.data.tobytes()
-    assert report.delta_inf == [max(it) for it in zip(*(r.delta_inf for _, r in alone))]
+    assert report["delta_inf"] == [max(it) for it in zip(*(r["delta_inf"] for _, r in alone))]
